@@ -62,17 +62,26 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _emit_csv(header: list[str], rows, out_path: str | None, quiet: bool):
+def _csv_text(header: list[str], rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 with LF line ends on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+
+
+def _emit_csv(header: list[str], rows: list, out_path: str | None, quiet: bool):
+    text = _csv_text(header, rows)
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        _write_text(out_path, text)
         if not quiet:
-            print(f"wrote {out_path} ({len(lines) - 1} rows)")
+            print(f"wrote {out_path} ({len(rows)} rows)")
 
 
 def _report(lines, out_path: str | None, quiet: bool):
@@ -357,8 +366,7 @@ def _cmd_check(args) -> int:
             )
 
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+        _write_text(args.out, "\n".join(lines) + "\n")
         if not args.quiet:
             print(f"wrote {args.out} ({len(lines)} lines)")
     else:
@@ -376,14 +384,10 @@ def _cmd_reproduce(args) -> int:
     written = []
     for name, header, rows in bundle.files:
         path = os.path.join(args.out, name)
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+        _write_text(path, _csv_text(header, rows))
         written.append(path)
     manifest_path = os.path.join(args.out, f"fig{bundle.figure_id}_manifest.txt")
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(bundle.manifest) + "\n")
+    _write_text(manifest_path, "\n".join(bundle.manifest) + "\n")
     written.append(manifest_path)
     if not args.quiet:
         for path in written:

@@ -29,7 +29,6 @@ Schema (version 1)::
     objective = s12          # s12 | s21 | en
     axes = g1 0.25 10 41; g2 0.25 10 41
     swept = gamma_m 1 14 27  # required for minimize, forbidden for grid
-    stability_required = true
     ties = kappa2=kappa1     # optional comma list
 
     [rwa]
@@ -109,15 +108,6 @@ def _int(section: str, key: str, raw: str) -> int:
         return int(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
-
-
-def _bool(section: str, key: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
 
 
 def _check_keys(section: str, present, allowed) -> None:
@@ -228,11 +218,7 @@ def parse_config(text: str) -> ScenarioConfig:
         spectra = SpectraConfig(omega_min=omega_min, omega_max=omega_max, n_points=n_points)
     elif run_block == "sweep":
         block = parser["sweep"]
-        _check_keys(
-            "sweep",
-            block,
-            ("mode", "objective", "axes", "swept", "stability_required", "ties"),
-        )
+        _check_keys("sweep", block, ("mode", "objective", "axes", "swept", "ties"))
         sweep_mode = block.get("mode", "").strip()
         if sweep_mode not in ("grid", "minimize"):
             raise ConfigError("[sweep] mode must be 'grid' or 'minimize'")
@@ -246,9 +232,6 @@ def parse_config(text: str) -> ScenarioConfig:
         )
         if not axes:
             raise ConfigError("[sweep] axes is empty")
-        stability_required = _bool(
-            "sweep", "stability_required", block.get("stability_required", "true")
-        )
         ties: dict[str, str] = {}
         for chunk in block.get("ties", "").split(","):
             chunk = chunk.strip()
@@ -265,13 +248,7 @@ def parse_config(text: str) -> ScenarioConfig:
         elif "swept" in block:
             raise ConfigError("[sweep] grid mode does not take a swept axis")
         try:
-            sweep = SweepSpec(
-                base=params,
-                axes=axes,
-                objective=objective,
-                stability_required=stability_required,
-                ties=ties,
-            )
+            sweep = SweepSpec(base=params, axes=axes, objective=objective, ties=ties)
         except ValueError as exc:
             raise ConfigError(f"[sweep]: {exc}") from exc
     elif run_block == "rwa":

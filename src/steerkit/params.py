@@ -56,6 +56,11 @@ class SystemParams:
         if self.omega_m is not None and self.omega_m <= 0:
             raise ParameterError("omega_m, when given, must be > 0")
 
+    @property
+    def equal_losses(self) -> bool:
+        """kappa1 == kappa2 to 1e-9 relative, as the equal-loss formulas need."""
+        return math.isclose(self.kappa1, self.kappa2, rel_tol=1e-9, abs_tol=0.0)
+
     def with_(self, **changes) -> "SystemParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)

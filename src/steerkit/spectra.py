@@ -190,7 +190,7 @@ def default_omega_grid(
 
 
 def _equal_kappa(params: SystemParams, what: str) -> float:
-    if not math.isclose(params.kappa1, params.kappa2, rel_tol=1e-9, abs_tol=0.0):
+    if not params.equal_losses:
         raise UndefinedTransformError(f"{what} needs kappa1 == kappa2")
     return params.kappa1
 
@@ -213,8 +213,9 @@ def resonance_frequencies(params: SystemParams) -> NDArray:
 def thermal_window(params: SystemParams) -> tuple[float, float] | None:
     """Bath-occupation window with one-way spectral steering at omega = 0.
 
-    Returns (n_low, n_high) such that for n_low < n_th < n_high only S21
-    certifies steering at zero frequency, or None when the window is empty.
+    Returns (n_low, n_high) such that for n_low < n_th < n_high only S12
+    certifies steering at zero frequency (S12 < 1 <= S21), or None when the
+    window is empty.
     """
     kappa = _equal_kappa(params, "thermal window")
     if params.gamma_m <= 0.0:

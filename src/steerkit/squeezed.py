@@ -118,7 +118,7 @@ def transformed_drift(params: SystemParams) -> FrameReport:
     Requires equal cavity decay rates (the frame mixes the cavities, so
     unequal losses would reintroduce coupling) and g2 > g1.
     """
-    if not math.isclose(params.kappa1, params.kappa2, rel_tol=1e-9, abs_tol=0.0):
+    if not params.equal_losses:
         raise UndefinedTransformError(
             "composite frame needs kappa1 == kappa2 "
             f"(got {params.kappa1!r}, {params.kappa2!r})"

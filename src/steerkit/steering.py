@@ -33,6 +33,9 @@ __all__ = [
     "regime_predicates",
 ]
 
+#: gamma_m / kappa below which the strong-damping S12 condition is not evaluated
+_STRONG_DAMPING_MIN_RATIO = 5.0
+
 
 def _mode1_rotation(sigma: NDArray) -> NDArray:
     """Rotate cavity 1's quadratures so the cross block becomes diagonal.
@@ -232,16 +235,14 @@ class RegimePredicates:
     notes: dict[str, str] = field(default_factory=dict)
 
 
-def regime_predicates(
-    params: SystemParams, *, strong_damping_min_ratio: float = 5.0
-) -> RegimePredicates:
+def regime_predicates(params: SystemParams) -> RegimePredicates:
     """Evaluate every applicable closed-form regime test for ``params``."""
     k1, k2 = params.kappa1, params.kappa2
     g1, g2, gm = params.g1, params.g2, params.gamma_m
     numbers: dict[str, tuple[float, float]] = {}
     notes: dict[str, str] = {}
 
-    equal_kappas = math.isclose(k1, k2, rel_tol=1e-9, abs_tol=0.0)
+    equal_kappas = params.equal_losses
     omega = math.sqrt(g2**2 - g1**2) if g2 > g1 else None
 
     if equal_kappas:
@@ -281,10 +282,10 @@ def regime_predicates(
         omega_sq = omega * omega
         if omega_sq <= 8.0 * kappa**2:
             notes["s12_cond_strong"] = "needs Omega^2 > 8 kappa^2"
-        elif gm < strong_damping_min_ratio * kappa:
+        elif gm < _STRONG_DAMPING_MIN_RATIO * kappa:
             notes["s12_cond_strong"] = (
                 f"outside validity window (needs gamma_m >= "
-                f"{strong_damping_min_ratio:g} kappa)"
+                f"{_STRONG_DAMPING_MIN_RATIO:g} kappa)"
             )
         else:
             bound = (g2 * math.sqrt(omega_sq - 8.0 * kappa**2) - omega_sq) / (

@@ -2,24 +2,20 @@
 
 Grid sweeps enumerate a Cartesian product of axis values in a fixed order;
 minimization runs a coarse grid followed by a compass (coordinate pattern)
-search inside the axis box, so results are reproducible bit-for-bit.  The
-optional ``STEERKIT_THREADS`` environment variable parallelizes independent
-grid evaluations without changing the output order.
+search inside the axis box, so results are reproducible bit-for-bit.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .dynamics import assess_stability, steady_state_lyapunov, to_correlation_matrix
-from .errors import EmptySweepWarning, NumericalError
+from .dynamics import steady_state_lyapunov, to_correlation_matrix
+from .errors import EmptySweepWarning, NumericalError, UnstableSystemError
 from .params import SystemParams
 from .steering import logarithmic_negativity, steering_products_reduced
 
@@ -76,7 +72,6 @@ class SweepSpec:
     base: SystemParams
     axes: tuple[AxisSpec, ...]
     objective: str = "s12"
-    stability_required: bool = True
     ties: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -124,28 +119,19 @@ def _with_values(spec: SweepSpec, values: Mapping[str, float]) -> SystemParams:
     return params
 
 
-def _evaluate(params: SystemParams, require_stable: bool) -> tuple[bool, float, float, float]:
-    report = assess_stability(params)
-    stable = report.spectral_pass
-    if require_stable and not stable:
-        return stable, math.nan, math.nan, math.nan
+def _evaluate(params: SystemParams) -> tuple[bool, float, float, float]:
+    """``(stable, s12, s21, e_n)`` of one cell; NaN steering when unavailable."""
     try:
         moments = steady_state_lyapunov(params)
         s12, s21 = steering_products_reduced(moments)
         e_n = logarithmic_negativity(to_correlation_matrix(moments))
+    except UnstableSystemError:
+        return False, math.nan, math.nan, math.nan
     except (NumericalError, ValueError):
         # near the stability boundary the residual gate can reject the
         # solve; report the cell as unavailable rather than aborting
-        return stable, math.nan, math.nan, math.nan
-    return stable, s12, s21, e_n
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("STEERKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return True, math.nan, math.nan, math.nan
+    return True, s12, s21, e_n
 
 
 def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -155,23 +141,9 @@ def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
     state (all rows NaN).
     """
     names = [axis.name for axis in spec.axes]
-    combos = list(itertools.product(*(axis.values() for axis in spec.axes)))
-    assignments = [dict(zip(names, map(float, combo))) for combo in combos]
-
-    def job(assignment):
-        return _evaluate(_with_values(spec, assignment), spec.stability_required)
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, assignments))
-    else:
-        results = [job(a) for a in assignments]
-
-    rows = [
-        SweepRow(values=a, stable=stable, s12=s12, s21=s21, e_n=e_n)
-        for a, (stable, s12, s21, e_n) in zip(assignments, results)
-    ]
+    combos = itertools.product(*(axis.values() for axis in spec.axes))
+    assignments = (dict(zip(names, map(float, combo))) for combo in combos)
+    rows = [SweepRow(a, *_evaluate(_with_values(spec, a))) for a in assignments]
     if all(math.isnan(row.s12) for row in rows):
         warnings.warn(
             "no sweep point produced a steady state", EmptySweepWarning, stacklevel=2
@@ -184,7 +156,7 @@ def _objective_fn(spec: SweepSpec) -> Callable[[Mapping[str, float]], float]:
     index = {"s12": 1, "s21": 2, "en": 3}[spec.objective]
 
     def fn(assignment: Mapping[str, float]) -> float:
-        result = _evaluate(_with_values(spec, assignment), spec.stability_required)
+        result = _evaluate(_with_values(spec, assignment))
         value = result[index]
         return math.inf if math.isnan(value) else sign * value
 

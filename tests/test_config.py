@@ -62,14 +62,12 @@ mode = grid
 objective = s21
 axes = gamma_m 1.0 3.0 3; n_th 0.0 1.0 2
 ties = kappa2=kappa1
-stability_required = false
 """
     )
     assert cfg.sweep_mode == "grid"
     assert cfg.sweep.objective == "s21"
     assert [axis.name for axis in cfg.sweep.axes] == ["gamma_m", "n_th"]
     assert cfg.sweep.ties == {"kappa2": "kappa1"}
-    assert cfg.sweep.stability_required is False
     assert cfg.swept is None
 
 
@@ -139,8 +137,8 @@ def test_rwa_block():
             "grid mode",
         ),
         (
-            HEADER + "\n[sweep]\nmode = grid\naxes = g1 1 2 3\nstability_required = maybe\n",
-            "boolean",
+            HEADER + "\n[sweep]\nmode = grid\naxes = g1 1 2 3\nstability_required = true\n",
+            "unknown key",
         ),
         (HEADER + "\n[rwa]\nmargin_factor = 0\n", "margin_factor"),
         (HEADER + "\n[rwa]\nphases = 3\n", "unknown key"),

@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
+import steerkit.dynamics
+import steerkit.sweep
 from steerkit import (
     AxisSpec,
     EmptySweepWarning,
     SweepSpec,
     SystemParams,
+    assess_stability,
     grid_sweep,
     logarithmic_negativity,
     minimize_steering,
@@ -119,17 +122,57 @@ def test_grid_warns_when_everything_unstable():
     assert all(math.isnan(row.s12) for row in rows)
 
 
-def test_grid_deterministic_and_thread_invariant(monkeypatch):
+def test_grid_deterministic():
     spec = SweepSpec(
         base=BASE,
         axes=(AxisSpec("gamma_m", 0.5, 8.0, 4), AxisSpec("g1", 2.0, 8.0, 3)),
     )
-    first = grid_sweep(spec)
-    monkeypatch.setenv("STEERKIT_THREADS", "4")
-    threaded = grid_sweep(spec)
-    monkeypatch.setenv("STEERKIT_THREADS", "not-a-number")
-    fallback = grid_sweep(spec)
-    assert first == threaded == fallback
+    assert grid_sweep(spec) == grid_sweep(spec)
+
+
+# a grid across the stability edge: g1 > g2 = 10 is unstable at small gamma_m
+MIXED = SweepSpec(
+    base=BASE,
+    axes=(AxisSpec("gamma_m", 0.01, 2.0, 3), AxisSpec("g1", 8.0, 12.0, 5)),
+)
+
+
+def test_grid_stable_flag_matches_spectral_check():
+    rows = grid_sweep(MIXED)
+    stable = [assess_stability(BASE.with_(**row.values)).spectral_pass for row in rows]
+    assert [row.stable for row in rows] == stable
+    assert any(stable) and not all(stable)
+    for row in rows:
+        if not row.stable:
+            assert all(math.isnan(value) for value in (row.s12, row.s21, row.e_n))
+
+
+def _record_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def recording(params):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_grid_checks_stability_once_per_cell(monkeypatch):
+    checks = _record_calls(monkeypatch, steerkit.dynamics, "assess_stability")
+    rows = grid_sweep(MIXED)
+    assert len(rows) == 15
+    assert checks == [BASE.with_(**row.values) for row in rows]
+
+
+def test_minimize_checks_stability_once_per_evaluation(monkeypatch):
+    checks = _record_calls(monkeypatch, steerkit.dynamics, "assess_stability")
+    cells = _record_calls(monkeypatch, steerkit.sweep, "_evaluate")
+    (point,) = minimize_steering(MIXED)
+    assert point.feasible
+    assert len(cells) > 15
+    assert checks == cells
 
 
 # ---------------------------------------------------------------------------
