@@ -420,9 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="output path (directory for reproduce); stdout when omitted",
         )
         cmd.add_argument("--quiet", action="store_true", help="suppress the summary")
-        cmd.add_argument(
-            "--format", choices=("csv",), default="csv", help="output format"
-        )
         cmd.set_defaults(func=func)
         return cmd
 

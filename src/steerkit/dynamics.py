@@ -146,16 +146,20 @@ def stability_margins(params: SystemParams) -> tuple[float, float]:
     return m1, m2
 
 
-def assess_stability(params: SystemParams) -> StabilityReport:
-    """Evaluate closed-form and spectral stability for ``params``."""
+def _stability(params: SystemParams, drift: NDArray) -> StabilityReport:
+    """Closed-form verdict for ``params`` and spectral verdict for its ``drift``."""
     m1, m2 = stability_margins(params)
-    eigs = np.linalg.eigvals(build_generators(params).drift)
-    max_re = float(eigs.real.max())
+    max_re = float(np.linalg.eigvals(drift).real.max())
     return StabilityReport(
         analytic_pass=bool(m1 > 0.0 and m2 > 0.0),
         spectral_pass=bool(max_re < 0.0),
         max_real_eigenvalue=max_re,
     )
+
+
+def assess_stability(params: SystemParams) -> StabilityReport:
+    """Evaluate closed-form and spectral stability for ``params``."""
+    return _stability(params, build_generators(params).drift)
 
 
 @dataclass(frozen=True)
@@ -303,6 +307,13 @@ def build_moment_state(
 # steady states
 
 
+def _vectorized_flow(gen: Generators) -> tuple[NDArray, NDArray]:
+    """The flow as ``x' = L x + q`` on vec Phi: L = kron(A, I) + kron(I, A), q = vec 2KD."""
+    a = gen.drift
+    eye = np.eye(6)
+    return np.kron(a, eye) + np.kron(eye, a), gen.noise.astype(complex).reshape(-1)
+
+
 def steady_state_lyapunov(params: SystemParams) -> MomentState:
     """Steady second moments from the Lyapunov equation A Phi + Phi A^T = -2KD.
 
@@ -319,14 +330,11 @@ def steady_state_lyapunov(params: SystemParams) -> MomentState:
     NumericalError
         If the residual bound cannot be met.
     """
-    report = assess_stability(params)
+    gen = build_generators(params)
+    report = _stability(params, gen.drift)
     if not report.spectral_pass:
         raise UnstableSystemError(report)
-    gen = build_generators(params)
-    a = gen.drift
-    q = gen.noise.astype(complex).reshape(-1)
-    eye = np.eye(6)
-    lhs = np.kron(a, eye) + np.kron(eye, a)
+    lhs, q = _vectorized_flow(gen)
     lu = lu_factor(lhs)
     x = lu_solve(lu, -q)
     bound = 1e-10 * float(np.linalg.norm(q))
@@ -370,9 +378,9 @@ def steady_state_closed_form(params: SystemParams) -> ClosedFormMoments:
     ``c=None`` otherwise.  Requires the closed-form stability conditions to
     hold (they are exactly the positivity of the two denominator factors).
     """
-    report = assess_stability(params)
-    if not report.analytic_pass:
-        raise UnstableSystemError(report)
+    m1, m2 = stability_margins(params)
+    if not (m1 > 0.0 and m2 > 0.0):
+        raise UnstableSystemError(assess_stability(params))
     k1, k2 = params.kappa1, params.kappa2
     g1, g2, gm, nth = params.g1, params.g2, params.gamma_m, params.n_th
 
@@ -466,21 +474,18 @@ def _propagate(
     return out
 
 
-def evolve_moments(
-    params: SystemParams,
-    initial: MomentState,
-    times,
-    *,
-    tol: float = 1e-8,
-    max_halvings: int = 30,
-) -> list[MomentState]:
+_EVOLVE_TOL = 1e-8  # agreement between two refinement levels that ends halving
+_MAX_HALVINGS = 30  # refinement levels tried before StepConvergenceError
+
+
+def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[MomentState]:
     """Integrate the moment flow from ``initial``, reporting at ``times``.
 
     Classical fixed-step RK4 on the vectorized flow, with the step refined
     by halving until the largest moment change between two consecutive
-    refinement levels is below ``tol`` (max over entries and report times,
-    measured relative to the largest moment magnitude when that exceeds
-    one, absolute otherwise); the finer result is returned.  The starting
+    refinement levels is below ``_EVOLVE_TOL`` (max over entries and report
+    times, measured relative to the largest moment magnitude when that
+    exceeds one, absolute otherwise); the finer result is returned.  The starting
     step sits at the edge of the RK4 stability region — starting smaller
     would not help, because over long horizons the doubling scheme's
     rounding noise grows with the step count while the halving loop
@@ -489,7 +494,7 @@ def evolve_moments(
     Raises
     ------
     StepConvergenceError
-        If refinement does not settle within ``max_halvings`` levels.
+        If refinement does not settle within ``_MAX_HALVINGS`` levels.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -498,18 +503,14 @@ def evolve_moments(
         raise ValueError("times must be non-negative and strictly increasing")
 
     gen = build_generators(params)
-    a = gen.drift
-    q = gen.noise.astype(complex).reshape(-1)
-    eye = np.eye(6)
-    lhs = np.kron(a, eye) + np.kron(eye, a)
-
-    eigs = np.linalg.eigvals(a)
+    lhs, q = _vectorized_flow(gen)
+    eigs = np.linalg.eigvals(gen.drift)
     spread = 2.0 * float(np.abs(eigs).max())  # flow eigenvalues live in 2*spec(A)
     h = 2.5 / max(spread, 1e-30)
 
     previous = None
     diff = math.inf
-    for halving in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         states = _propagate(lhs, q, initial.phi, times, h)
         if previous is not None:
             diff = max(
@@ -517,11 +518,11 @@ def evolve_moments(
                 for new, old in zip(states, previous)
             )
             scale = max(float(np.abs(phi).max()) for phi in states)
-            if diff < tol * max(1.0, scale):
+            if diff < _EVOLVE_TOL * max(1.0, scale):
                 return [MomentState(phi) for phi in states]
         previous = states
         h /= 2.0
-    raise StepConvergenceError(step=h * 2.0, max_difference=diff, halvings=max_halvings)
+    raise StepConvergenceError(step=h * 2.0, max_difference=diff, halvings=_MAX_HALVINGS)
 
 
 def to_correlation_matrix(moments: MomentState) -> NDArray:

@@ -119,12 +119,17 @@ def _with_values(spec: SweepSpec, values: Mapping[str, float]) -> SystemParams:
     return params
 
 
-def _evaluate(params: SystemParams) -> tuple[bool, float, float, float]:
-    """``(stable, s12, s21, e_n)`` of one cell; NaN steering when unavailable."""
+def _evaluate(params: SystemParams, *, with_en: bool) -> tuple[bool, float, float, float]:
+    """``(stable, s12, s21, e_n)`` of one cell; NaN steering when unavailable.
+
+    E_N is computed only ``with_en`` and is NaN otherwise.
+    """
     try:
         moments = steady_state_lyapunov(params)
         s12, s21 = steering_products_reduced(moments)
-        e_n = logarithmic_negativity(to_correlation_matrix(moments))
+        e_n = math.nan
+        if with_en:
+            e_n = logarithmic_negativity(to_correlation_matrix(moments))
     except UnstableSystemError:
         return False, math.nan, math.nan, math.nan
     except (NumericalError, ValueError):
@@ -143,24 +148,15 @@ def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
     names = [axis.name for axis in spec.axes]
     combos = itertools.product(*(axis.values() for axis in spec.axes))
     assignments = (dict(zip(names, map(float, combo))) for combo in combos)
-    rows = [SweepRow(a, *_evaluate(_with_values(spec, a))) for a in assignments]
+    rows = [
+        SweepRow(a, *_evaluate(_with_values(spec, a), with_en=True))
+        for a in assignments
+    ]
     if all(math.isnan(row.s12) for row in rows):
         warnings.warn(
             "no sweep point produced a steady state", EmptySweepWarning, stacklevel=2
         )
     return rows
-
-
-def _objective_fn(spec: SweepSpec) -> Callable[[Mapping[str, float]], float]:
-    sign = -1.0 if spec.objective == "en" else 1.0
-    index = {"s12": 1, "s21": 2, "en": 3}[spec.objective]
-
-    def fn(assignment: Mapping[str, float]) -> float:
-        result = _evaluate(_with_values(spec, assignment))
-        value = result[index]
-        return math.inf if math.isnan(value) else sign * value
-
-    return fn
 
 
 def _compass(
@@ -204,11 +200,16 @@ def minimize_steering(
     For the ``"en"`` objective the reported ``value`` is the maximized
     logarithmic negativity itself.
     """
-    objective = _objective_fn(spec)
+    with_en = spec.objective == "en"
+    sign = -1.0 if with_en else 1.0
+    index = {"s12": 1, "s21": 2, "en": 3}[spec.objective]
     names = [axis.name for axis in spec.axes]
     los = np.asarray([axis.lo for axis in spec.axes])
     spans = np.asarray([axis.hi - axis.lo for axis in spec.axes])
-    sign = -1.0 if spec.objective == "en" else 1.0
+
+    def objective(assignment: Mapping[str, float]) -> float:
+        value = _evaluate(_with_values(spec, assignment), with_en=with_en)[index]
+        return math.inf if math.isnan(value) else sign * value
 
     def scaled_to_assignment(x: np.ndarray, extra: dict[str, float]) -> dict[str, float]:
         values = dict(zip(names, map(float, los + x * spans)))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from steerkit import (
     minimize_steering,
     steady_state_lyapunov,
     steering_products_reduced,
+    steering_result,
     to_correlation_matrix,
 )
 
@@ -151,28 +153,54 @@ def _record_calls(monkeypatch, module, name) -> list:
     calls = []
     original = getattr(module, name)
 
-    def recording(params):
+    def recording(params, *args, **kwargs):
         calls.append(params)
-        return original(params)
+        return original(params, *args, **kwargs)
 
     monkeypatch.setattr(module, name, recording)
     return calls
 
 
 def test_grid_checks_stability_once_per_cell(monkeypatch):
-    checks = _record_calls(monkeypatch, steerkit.dynamics, "assess_stability")
+    # one generator build per cell serves both the stability check and the solve
+    builds = _record_calls(monkeypatch, steerkit.dynamics, "build_generators")
     rows = grid_sweep(MIXED)
     assert len(rows) == 15
-    assert checks == [BASE.with_(**row.values) for row in rows]
+    assert builds == [BASE.with_(**row.values) for row in rows]
 
 
 def test_minimize_checks_stability_once_per_evaluation(monkeypatch):
-    checks = _record_calls(monkeypatch, steerkit.dynamics, "assess_stability")
+    builds = _record_calls(monkeypatch, steerkit.dynamics, "build_generators")
     cells = _record_calls(monkeypatch, steerkit.sweep, "_evaluate")
     (point,) = minimize_steering(MIXED)
     assert point.feasible
     assert len(cells) > 15
-    assert checks == cells
+    assert builds == cells
+
+
+@pytest.mark.parametrize("objective", ["s12", "s21"])
+def test_steering_objectives_skip_entanglement(monkeypatch, objective):
+    calls = _record_calls(monkeypatch, steerkit.sweep, "logarithmic_negativity")
+    (point,) = minimize_steering(replace(MIXED, objective=objective))
+    assert point.feasible
+    assert calls == []
+
+
+def test_entanglement_is_computed_where_it_is_read(monkeypatch):
+    calls = _record_calls(monkeypatch, steerkit.sweep, "logarithmic_negativity")
+    solved = [row for row in grid_sweep(MIXED) if not math.isnan(row.s12)]
+    assert len(calls) == len(solved) > 0
+    for row in solved:
+        result = steering_result(steady_state_lyapunov(BASE.with_(**row.values)))
+        assert row.e_n == result.e_n
+        assert row.s12 == pytest.approx(result.s12, rel=1e-12)
+        assert row.s21 == pytest.approx(result.s21, rel=1e-12)
+
+    calls.clear()
+    (point,) = minimize_steering(replace(MIXED, objective="en"))
+    assert point.feasible and calls
+    state = steady_state_lyapunov(BASE.with_(**point.best))
+    assert point.value == steering_result(state).e_n
 
 
 # ---------------------------------------------------------------------------
