@@ -70,7 +70,6 @@ from .steering import (
     classify,
     logarithmic_negativity,
     regime_predicates,
-    steering_products,
     steering_products_reduced,
     steering_result,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "evolve_moments",
     "to_correlation_matrix",
     # steering
-    "steering_products",
     "steering_products_reduced",
     "logarithmic_negativity",
     "classify",

@@ -66,7 +66,6 @@ _PARAM_KEYS = ("kappa1", "kappa2", "g1", "g2", "gamma_m", "n_th", "omega_m")
 class EvolveConfig:
     t_max: float
     n_points: int = 600
-    initial: str = "vacuum-thermal"
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(
                 f"[evolve] initial = {initial!r}; only 'vacuum-thermal' is supported"
             )
-        evolve = EvolveConfig(t_max=t_max, n_points=n_points, initial=initial)
+        evolve = EvolveConfig(t_max=t_max, n_points=n_points)
     elif run_block == "spectra":
         block = parser["spectra"]
         _check_keys("spectra", block, ("omega_min", "omega_max", "n_points"))

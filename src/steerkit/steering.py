@@ -8,22 +8,24 @@ where ``Vinf(O1) = V(O1) - V(O1, O2)^2 / V(O2)`` is the inference variance
 of a cavity-1 quadrature given the best linear estimate from the partner
 quadrature of cavity 2, and the factor 4 normalizes the vacuum product to
 one.  ``S21`` mirrors the roles.  Entanglement is quantified by the
-logarithmic negativity of the two-cavity covariance matrix.
+logarithmic negativity E_N of the two-cavity state.
+
+The model's states are phase symmetric, so the two-cavity covariance
+(vacuum variance 1/2) has diagonal blocks ``(n_j + 1/2) I`` and, in the
+frame that rotates cavity 1 by the phase of ``c = <a1 a2>``, the cross
+block ``diag(|c|, -|c|)``.  All three quantities are therefore closed-form
+functions of ``(n1, n2, |c|)``, computed here without forming the matrix.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-from numpy.typing import NDArray
-
-from .dynamics import MomentState, to_correlation_matrix
+from .dynamics import MomentState
 from .errors import DegenerateConditioningError, PhysicalityError
 from .params import SystemParams
 
 __all__ = [
-    "steering_products",
     "steering_products_reduced",
     "logarithmic_negativity",
     "classify",
@@ -37,136 +39,84 @@ __all__ = [
 _STRONG_DAMPING_MIN_RATIO = 5.0
 
 
-def _mode1_rotation(sigma: NDArray) -> NDArray:
-    """Rotate cavity 1's quadratures so the cross block becomes diagonal.
-
-    Valid for the symmetric-traceless cross blocks this model produces
-    (the form ``[[a, b], [b, -a]]`` left by any pairing moment); for other
-    inputs the rotation is skipped.
-    """
-    cross = sigma[:2, 2:]
-    a = 0.5 * (cross[0, 0] - cross[1, 1])
-    b = 0.5 * (cross[0, 1] + cross[1, 0])
-    if abs(b) <= 1e-14 * max(1.0, abs(a)):
-        return sigma
-    theta = -math.atan2(b, a)
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.eye(4)
-    rot[0, 0] = rot[1, 1] = c
-    rot[0, 1] = -s
-    rot[1, 0] = s
-    return rot @ sigma @ rot.T
-
-
-def steering_products(sigma) -> tuple[float, float]:
-    """Both steering products from a 4x4 two-cavity covariance matrix.
-
-    Parameters
-    ----------
-    sigma : array_like
-        Covariance in the quadrature order (X1, Y1, X2, Y2) with vacuum
-        variance 1/2.  If the cross block is non-diagonal (but symmetric
-        traceless, as produced by this model) cavity 1 is first rotated to
-        the frame that diagonalizes it.
-
-    Returns
-    -------
-    (s12, s21) : tuple of float
-        Normalized inference-variance products; values below 1 certify
-        steering of the correspondingly indexed cavity.
+def _invariants(moments: MomentState) -> tuple[float, float, float]:
+    """Checked ``(n1, n2, |c|)`` of a phase-symmetric state.
 
     Raises
     ------
-    PhysicalityError
-        If a cross correlation exceeds its Cauchy-Schwarz bound by more
-        than 1e-12.
     DegenerateConditioningError
-        If a conditioning variance vanishes.
+        If a cavity's quadrature variance ``n_j + 1/2`` is non-positive.
+    PhysicalityError
+        If ``|c|^2`` exceeds its bound ``(n1 + 1/2)(n2 + 1/2)`` by more than
+        1e-12 relative to ``max(1, bound)``.
     """
-    sigma = np.array(sigma, dtype=float, copy=True)
-    if sigma.shape != (4, 4):
-        raise ValueError("sigma must be 4x4")
-    sigma = _mode1_rotation(sigma)
-
-    vx1, vy1, vx2, vy2 = (float(sigma[i, i]) for i in range(4))
-    cx = float(sigma[0, 2])
-    cy = float(sigma[1, 3])
-
-    if min(vx1, vy1, vx2, vy2) <= 0.0:
+    n1, n2 = moments.n1, moments.n2
+    if n1 + 0.5 <= 0.0 or n2 + 0.5 <= 0.0:
         raise DegenerateConditioningError(
             "a quadrature variance is non-positive; inference undefined"
         )
-    for c2, bound in ((cx * cx, vx1 * vx2), (cy * cy, vy1 * vy2)):
-        if c2 - bound > 1e-12 * max(1.0, bound):
-            raise PhysicalityError(
-                "cross correlation exceeds the Cauchy-Schwarz bound; "
-                "the covariance matrix is unphysical"
-            )
-
-    inf_x1 = max(vx1 - cx * cx / vx2, 0.0)
-    inf_y1 = max(vy1 - cy * cy / vy2, 0.0)
-    inf_x2 = max(vx2 - cx * cx / vx1, 0.0)
-    inf_y2 = max(vy2 - cy * cy / vy1, 0.0)
-    return 4.0 * inf_x1 * inf_y1, 4.0 * inf_x2 * inf_y2
-
-
-def steering_products_reduced(moments: MomentState) -> tuple[float, float]:
-    """Steering products straight from (n1, n2, |c|), skipping the matrix.
-
-    Algebraically identical to :func:`steering_products` applied to
-    :func:`~steerkit.dynamics.to_correlation_matrix`:
-
-        S12 = [(2 n1 + 1) - 4 |c|^2 / (2 n2 + 1)]^2,
-
-    and mirrored for S21.
-    """
-    n1, n2 = moments.n1, moments.n2
-    c2 = abs(moments.c) ** 2
+    c = abs(moments.c)
     bound = (n1 + 0.5) * (n2 + 0.5)
-    if c2 - bound > 1e-12 * max(1.0, bound):
+    if c**2 - bound > 1e-12 * max(1.0, bound):
         raise PhysicalityError(
             "pairing moment exceeds its physical bound |c|^2 <= (n1+1/2)(n2+1/2)"
         )
+    return n1, n2, c
+
+
+def steering_products_reduced(moments: MomentState) -> tuple[float, float]:
+    """Both steering products ``(S12, S21)`` from (n1, n2, |c|):
+
+        S12 = [(2 n1 + 1) - 4 |c|^2 / (2 n2 + 1)]^2,
+
+    and mirrored for S21.  Values below 1 certify steering of the
+    correspondingly indexed cavity.
+
+    Raises
+    ------
+    DegenerateConditioningError
+        If ``n1 + 1/2`` or ``n2 + 1/2`` is non-positive.
+    PhysicalityError
+        If ``|c|^2`` exceeds ``(n1 + 1/2)(n2 + 1/2)``.
+    """
+    n1, n2, c = _invariants(moments)
+    c2 = c**2
     w12 = max((2.0 * n1 + 1.0) - 4.0 * c2 / (2.0 * n2 + 1.0), 0.0)
     w21 = max((2.0 * n2 + 1.0) - 4.0 * c2 / (2.0 * n1 + 1.0), 0.0)
     return w12 * w12, w21 * w21
 
 
-def logarithmic_negativity(sigma) -> float:
-    """Logarithmic negativity E_N of a 4x4 two-cavity covariance matrix.
+def logarithmic_negativity(moments: MomentState) -> float:
+    """Logarithmic negativity E_N of the two-cavity state of ``moments``.
 
-    Computed from the smaller symplectic eigenvalue of the partially
-    transposed state,
+    With ``a = n1 + 1/2`` and ``b = n2 + 1/2``, the smaller symplectic
+    eigenvalue of the partially transposed covariance is
 
-        2 lambda^2 = Sigma - sqrt(Sigma^2 - 4 det sigma),
-        Sigma = det A + det B - 2 det C,
+        nu = (a + b) / 2 - hypot((a - b) / 2, |c|),
 
-    with A, B the single-cavity blocks and C the cross block;
-    ``E_N = max(0, -ln 2 lambda)``.
+    and ``E_N = max(0, -ln 2 nu)``.
+
+    Raises
+    ------
+    DegenerateConditioningError
+        If ``a`` or ``b`` is non-positive.
+    PhysicalityError
+        If ``|c|^2`` exceeds ``a b``, or if ``nu <= 0``.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    det_a = float(np.linalg.det(sigma[:2, :2]))
-    det_b = float(np.linalg.det(sigma[2:, 2:]))
-    det_c = float(np.linalg.det(sigma[:2, 2:]))
-    det_full = float(np.linalg.det(sigma))
-    big = det_a + det_b - 2.0 * det_c
-    disc = big * big - 4.0 * det_full
-    if disc < -1e-12 * max(1.0, big * big):
-        raise PhysicalityError("covariance matrix has no real symplectic spectrum")
-    lam_sq = 0.5 * (big - math.sqrt(max(disc, 0.0)))
-    if lam_sq <= 0.0:
-        raise PhysicalityError("covariance matrix is degenerate")
-    return max(0.0, -math.log(2.0 * math.sqrt(lam_sq)))
+    n1, n2, c = _invariants(moments)
+    a, b = n1 + 0.5, n2 + 0.5
+    nu = 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
+    if nu <= 0.0:
+        raise PhysicalityError("the partially transposed state is degenerate")
+    return max(0.0, -math.log(2.0 * nu))
 
 
-def classify(s12: float, s21: float, e_n: float) -> str:
+def classify(s12: float, s21: float) -> str:
     """Four-way steering label from the two products.
 
     ``"one-way-2-steers-1"`` means only S12 < 1 (measuring cavity 2 steers
     cavity 1); ``"one-way-1-steers-2"`` is the mirror case.  The thresholds
     are exclusive, so products exactly at 1 count as ``"no-steering"``.
-    ``e_n`` is accepted for signature symmetry with the result record but
-    does not influence the label, which reflects the products alone.
     """
     below12 = s12 < 1.0
     below21 = s21 < 1.0
@@ -191,10 +141,9 @@ class SteeringResult:
 
 def steering_result(moments: MomentState) -> SteeringResult:
     """Evaluate all steering quantities for one moment state."""
-    sigma = to_correlation_matrix(moments)
-    s12, s21 = steering_products(sigma)
-    e_n = logarithmic_negativity(sigma)
-    return SteeringResult(s12=s12, s21=s21, e_n=e_n, classification=classify(s12, s21, e_n))
+    s12, s21 = steering_products_reduced(moments)
+    e_n = logarithmic_negativity(moments)
+    return SteeringResult(s12=s12, s21=s21, e_n=e_n, classification=classify(s12, s21))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dynamics import steady_state_lyapunov, to_correlation_matrix
+from .dynamics import steady_state_lyapunov
 from .errors import EmptySweepWarning, NumericalError, UnstableSystemError
 from .params import SystemParams
 from .steering import logarithmic_negativity, steering_products_reduced
@@ -129,7 +129,7 @@ def _evaluate(params: SystemParams, *, with_en: bool) -> tuple[bool, float, floa
         s12, s21 = steering_products_reduced(moments)
         e_n = math.nan
         if with_en:
-            e_n = logarithmic_negativity(to_correlation_matrix(moments))
+            e_n = logarithmic_negativity(moments)
     except UnstableSystemError:
         return False, math.nan, math.nan, math.nan
     except (NumericalError, ValueError):

@@ -2,9 +2,10 @@
 
 The oracles deliberately avoid the code paths they check: the steady-state
 and propagation oracles use an eigendecomposition of the drift instead of
-the Kronecker/LU solver and the RK4 integrator, and the spectrum oracle
+the Kronecker/LU solver and the RK4 integrator, the spectrum oracle
 builds the full 6x6 scattering matrix instead of the adjugate-style
-closed-form transfer entries.
+closed-form transfer entries, and the steering oracle works on the full
+4x4 quadrature covariance instead of the closed forms in (n1, n2, |c|).
 """
 from __future__ import annotations
 
@@ -13,6 +14,15 @@ import numpy as np
 from steerkit import SystemParams, assess_stability, build_generators
 
 _SWAP = np.array([1, 0, 3, 2, 5, 4])
+
+#: rows X1, Y1, X2, Y2 in terms of (a1, a1+, a2, a2+), vacuum variance 1/2
+_QUADRATURES = np.array(
+    [[1, 1, 0, 0], [-1j, 1j, 0, 0], [0, 0, 1, 1], [0, 0, -1j, 1j]]
+) / np.sqrt(2.0)
+#: symplectic form in the quadrature order above
+_OMEGA = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+#: partial transposition of cavity 2 (Y2 -> -Y2)
+_FLIP_Y2 = np.diag([1.0, 1.0, 1.0, -1.0])
 
 
 def lyapunov_oracle(params: SystemParams) -> np.ndarray:
@@ -61,6 +71,35 @@ def spectrum_oracle(params: SystemParams, omega: float):
     n1o = float(np.real(dag_coeff(0, omega) @ diff @ coeff(0, -omega)))
     n2o = float(np.real(dag_coeff(2, omega) @ diff @ coeff(2, -omega)))
     return var1, var2, cross, n1o, n2o
+
+
+def quadrature_covariance(phi: np.ndarray) -> np.ndarray:
+    """Symmetrized two-cavity covariance (X1, Y1, X2, Y2) of ordered moments.
+
+    Built from the raw moment matrix, so a complex pairing moment leaves
+    the cross block non-diagonal.
+    """
+    return (_QUADRATURES @ phi[:4, :4] @ _QUADRATURES.T).real
+
+
+def steering_oracle(sigma: np.ndarray) -> tuple[float, float, float]:
+    """(S12, S21, E_N) of a 4x4 two-cavity covariance matrix.
+
+    S12 = 4 det sigma / det sigma_2 is the Gaussian Schur-complement
+    steering criterion (Wiseman, Jones & Doherty, PRL 98, 140402, 2007;
+    Kogias et al., PRL 114, 060403, 2015), which equals Reid's
+    inference-variance product for this model's covariance family; S21
+    mirrors it.  E_N = max(0, -ln 2 nu) with nu the smallest modulus among
+    the eigenvalues of i Omega sigma~, sigma~ the partial transpose.  Its
+    rounding grows with the occupations: about eps (n1 + n2)^2 in S and
+    eps (n1 + n2) e^E_N in E_N.
+    """
+    det = np.linalg.det(sigma)
+    s12 = 4.0 * det / np.linalg.det(sigma[2:, 2:])
+    s21 = 4.0 * det / np.linalg.det(sigma[:2, :2])
+    partial = _FLIP_Y2 @ sigma @ _FLIP_Y2
+    nu = np.abs(np.linalg.eigvals(1j * _OMEGA @ partial)).min()
+    return float(s12), float(s21), max(0.0, -float(np.log(2.0 * nu)))
 
 
 def sample_stable(

@@ -31,7 +31,6 @@ from steerkit import (
     steering_products_reduced,
     steering_result,
     thermal_window,
-    to_correlation_matrix,
     transformed_drift,
     vacuum_thermal_state,
 )
@@ -199,7 +198,7 @@ def test_criterion_08_steering_implies_entanglement():
     for n1, n2, c in triples:
         state = build_moment_state(n1=n1, n2=n2, c=c)
         s12, s21 = steering_products_reduced(state)
-        e_n = logarithmic_negativity(to_correlation_matrix(state))
+        e_n = logarithmic_negativity(state)
         if (s12 < 1.0 or s21 < 1.0) and not e_n > 0.0:
             violations += 1
         if e_n > 0.0 and s12 >= 1.0 and s21 >= 1.0:
@@ -208,7 +207,7 @@ def test_criterion_08_steering_implies_entanglement():
     # entangled yet steers in neither direction
     state = build_moment_state(n1=1.0, n2=1.0, c=1.1)
     s12, s21 = steering_products_reduced(state)
-    e_n = logarithmic_negativity(to_correlation_matrix(state))
+    e_n = logarithmic_negativity(state)
     crafted = e_n > 0.0 and s12 >= 1.0 and s21 >= 1.0
     ok = violations == 0 and crafted
     _line(

@@ -43,7 +43,11 @@ def test_evolve_block():
     assert cfg.run_block == "evolve"
     assert cfg.evolve.t_max == 12.0
     assert cfg.evolve.n_points == 100
-    assert cfg.evolve.initial == "vacuum-thermal"
+
+
+def test_evolve_block_accepts_the_supported_initial_state():
+    cfg = parse_config(HEADER + "\n[evolve]\nt_max = 1\ninitial = vacuum-thermal\n")
+    assert cfg.evolve == parse_config(HEADER + "\n[evolve]\nt_max = 1\n").evolve
 
 
 def test_spectra_block_defaults():

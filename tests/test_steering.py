@@ -1,12 +1,21 @@
 """Steering products, entanglement measure, classification, predicates."""
 from __future__ import annotations
 
+import cmath
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import sample_physical_family, sample_stable
+from helpers import (
+    quadrature_covariance,
+    sample_physical_family,
+    sample_stable,
+    steering_oracle,
+)
 from steerkit import (
     DegenerateConditioningError,
     PhysicalityError,
@@ -16,10 +25,8 @@ from steerkit import (
     logarithmic_negativity,
     regime_predicates,
     steady_state_lyapunov,
-    steering_products,
     steering_products_reduced,
     steering_result,
-    to_correlation_matrix,
     vacuum_thermal_state,
 )
 
@@ -27,66 +34,90 @@ P_ASYM = SystemParams(1.0, 0.4, 10.0, 20.0, 0.01, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# products
+# products and E_N against the covariance-matrix oracle
+
+
+@st.composite
+def physical_states(draw):
+    """Phase-symmetric states with a random pairing phase.
+
+    ``|c|^2`` is a drawn fraction of its physical maximum
+    ``min(n1, n2) (max(n1, n2) + 1)``, where the smaller symplectic
+    eigenvalue of the covariance reaches 1/2; at large occupations that
+    maximum approaches the bound ``(n1 + 1/2)(n2 + 1/2)``.  The edge itself
+    and fractions within 1e-12 of it are drawn often.
+    """
+    occupation = st.one_of(
+        st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+    )
+    n1, n2 = draw(occupation), draw(occupation)
+    fraction = draw(
+        st.one_of(
+            st.just(1.0),
+            st.floats(0.0, 12.0).map(lambda k: 1.0 - 10.0**-k),
+            st.floats(0.0, 1.0),
+        )
+    )
+    phase = draw(st.floats(-math.pi, math.pi))
+    modulus = math.sqrt(fraction * min(n1, n2) * (max(n1, n2) + 1.0))
+    return build_moment_state(n1=n1, n2=n2, c=modulus * cmath.exp(1j * phase))
+
+
+def _assert_kernel_matches_oracle(state):
+    s12, s21 = steering_products_reduced(state)
+    e_n = logarithmic_negativity(state)
+    o12, o21, oe = steering_oracle(quadrature_covariance(state.phi))
+    a, b = state.n1 + 0.5, state.n2 + 0.5
+    # the oracle's S12 carries rounding of order eps a^2 (det sigma, of
+    # order a^2 b^2, over det sigma_2 = b^2) and its nu one of order
+    # eps (a + b); over 20,000 draws the largest misses were 1.6e-14 a^2
+    # and 1.2e-15 (a + b) e^E_N
+    assert abs(s12 - o12) <= 1e-12 * a * a
+    assert abs(s21 - o21) <= 1e-12 * b * b
+    assert abs(e_n - oe) <= 1e-13 * (a + b) * (1.0 + math.exp(oe))
+    return s12, s21, e_n
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(physical_states())
+def test_kernel_matches_oracle_and_steering_implies_entanglement(state):
+    s12, s21, e_n = _assert_kernel_matches_oracle(state)
+    if s12 < 1.0 or s21 < 1.0:
+        assert e_n > 0.0
+
+
+def test_kernel_matches_oracle_on_steady_states():
+    rng = np.random.default_rng(23)
+    for p in sample_stable(rng, 40):
+        _assert_kernel_matches_oracle(
+            steady_state_lyapunov(p.with_(n_th=float(rng.uniform(0.0, 2.0))))
+        )
 
 
 def test_vacuum_products_are_one():
     s12, s21 = steering_products_reduced(vacuum_thermal_state())
     assert s12 == 1.0 and s21 == 1.0
-    s12, s21 = steering_products(0.5 * np.eye(4))
-    assert s12 == 1.0 and s21 == 1.0
-
-
-def test_matrix_and_reduced_products_agree():
-    rng = np.random.default_rng(21)
-    for n1, n2, c in sample_physical_family(rng, 200):
-        state = build_moment_state(n1=n1, n2=n2, c=c)
-        direct = steering_products(to_correlation_matrix(state))
-        reduced = steering_products_reduced(state)
-        assert direct[0] == pytest.approx(reduced[0], rel=1e-12, abs=1e-12)
-        assert direct[1] == pytest.approx(reduced[1], rel=1e-12, abs=1e-12)
-
-
-def test_products_invariant_under_pairing_phase():
-    rng = np.random.default_rng(22)
-    for n1, n2, c in sample_physical_family(rng, 50):
-        reference = steering_products_reduced(build_moment_state(n1=n1, n2=n2, c=c))
-        for phase in (0.3, 1.2, -2.0):
-            rotated = build_moment_state(n1=n1, n2=n2, c=c * np.exp(1j * phase))
-            direct = steering_products(to_correlation_matrix(rotated))
-            assert direct[0] == pytest.approx(reference[0], rel=1e-10)
-            assert direct[1] == pytest.approx(reference[1], rel=1e-10)
-
-
-def test_products_on_steady_states_match_reduced_form():
-    rng = np.random.default_rng(23)
-    for p in sample_stable(rng, 40):
-        state = steady_state_lyapunov(p.with_(n_th=float(rng.uniform(0.0, 2.0))))
-        direct = steering_products(to_correlation_matrix(state))
-        reduced = steering_products_reduced(state)
-        assert direct[0] == pytest.approx(reduced[0], rel=1e-9, abs=1e-12)
-        assert direct[1] == pytest.approx(reduced[1], rel=1e-9, abs=1e-12)
 
 
 def test_unphysical_correlation_rejected():
+    state = build_moment_state(n1=0.0, n2=0.0, c=2.0)
+    for fn in (steering_products_reduced, logarithmic_negativity, steering_result):
+        with pytest.raises(PhysicalityError):
+            fn(state)
+    # on the bound |c|^2 = (n1 + 1/2)(n2 + 1/2) the partial transpose is singular
     with pytest.raises(PhysicalityError):
-        steering_products_reduced(build_moment_state(n1=0.0, n2=0.0, c=2.0))
-    sigma = 0.5 * np.eye(4)
-    sigma[0, 2] = sigma[2, 0] = 2.0
-    sigma[1, 3] = sigma[3, 1] = -2.0
-    with pytest.raises(PhysicalityError):
-        steering_products(sigma)
+        logarithmic_negativity(build_moment_state(c=0.5))
 
 
 def test_degenerate_variance_rejected():
-    sigma = np.diag([0.0, 0.5, 0.5, 0.5])
-    with pytest.raises(DegenerateConditioningError):
-        steering_products(sigma)
-
-
-def test_sigma_shape_checked():
-    with pytest.raises(ValueError):
-        steering_products(np.eye(3))
+    for state in (
+        build_moment_state(n2=-0.5),
+        build_moment_state(n1=-0.5),
+        build_moment_state(n1=-2.0),
+    ):
+        for fn in (steering_products_reduced, logarithmic_negativity, steering_result):
+            with pytest.raises(DegenerateConditioningError):
+                fn(state)
 
 
 # ---------------------------------------------------------------------------
@@ -94,25 +125,39 @@ def test_sigma_shape_checked():
 
 
 def test_two_mode_squeezed_vacuum_negativity():
-    # The discriminant subtraction loses ~e^{4r} ulps of precision, so the
-    # tolerance is loose for the strongly squeezed case.
-    for r in (0.3, 1.0, 2.0):
+    for r in (0.3, 1.0, 2.0, 4.0):
         n = math.sinh(r) ** 2
         c = math.sinh(r) * math.cosh(r)
-        sigma = to_correlation_matrix(build_moment_state(n1=n, n2=n, c=c))
-        assert logarithmic_negativity(sigma) == pytest.approx(2.0 * r, rel=1e-9)
+        state = build_moment_state(n1=n, n2=n, c=c)
+        assert logarithmic_negativity(state) == pytest.approx(2.0 * r, rel=1e-10)
+
+
+def test_negativity_keeps_its_digits_at_large_occupation():
+    # a steady state on the stability edge with max|Phi| 1.8e5, where the
+    # determinant form of E_N was off by 1.4e-5 and the eigenvalue oracle
+    # by 6.5e-7; the reference is the closed form in 50-digit arithmetic
+    params = SystemParams(
+        1.0, 2.558716822768231, 7.251139142493779, 11.479566020521432, 1.0769278429558475
+    )
+    state = steady_state_lyapunov(params)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(state.n1) + Decimal("0.5")
+        b = Decimal(state.n2) + Decimal("0.5")
+        c2 = Decimal(state.c.real) ** 2 + Decimal(state.c.imag) ** 2
+        nu = (a + b) / 2 - (((a - b) / 2) ** 2 + c2).sqrt()
+        exact = float(-(2 * nu).ln())
+    assert logarithmic_negativity(state) == pytest.approx(exact, rel=1e-9)
 
 
 def test_product_state_has_zero_negativity():
-    sigma = to_correlation_matrix(build_moment_state(n1=0.7, n2=1.3, c=0.0))
-    assert logarithmic_negativity(sigma) == 0.0
+    assert logarithmic_negativity(build_moment_state(n1=0.7, n2=1.3, c=0.0)) == 0.0
 
 
 def test_negativity_positive_iff_pairing_beats_geometric_mean():
     rng = np.random.default_rng(24)
     for n1, n2, c in sample_physical_family(rng, 300):
-        sigma = to_correlation_matrix(build_moment_state(n1=n1, n2=n2, c=c))
-        e_n = logarithmic_negativity(sigma)
+        e_n = logarithmic_negativity(build_moment_state(n1=n1, n2=n2, c=c))
         entangled = abs(c) > math.sqrt(n1 * n2) + 1e-12
         separable = abs(c) < math.sqrt(n1 * n2) - 1e-12
         if entangled:
@@ -126,11 +171,11 @@ def test_negativity_positive_iff_pairing_beats_geometric_mean():
 
 
 def test_classify_four_branches():
-    assert classify(0.5, 0.9, 1.0) == "two-way"
-    assert classify(0.5, 1.2, 0.3) == "one-way-2-steers-1"
-    assert classify(1.2, 0.5, 0.3) == "one-way-1-steers-2"
-    assert classify(1.2, 1.2, 0.0) == "no-steering"
-    assert classify(1.0, 1.0, 0.0) == "no-steering"
+    assert classify(0.5, 0.9) == "two-way"
+    assert classify(0.5, 1.2) == "one-way-2-steers-1"
+    assert classify(1.2, 0.5) == "one-way-1-steers-2"
+    assert classify(1.2, 1.2) == "no-steering"
+    assert classify(1.0, 1.0) == "no-steering"
 
 
 def test_steering_result_on_reference_point():

@@ -21,7 +21,6 @@ from steerkit import (
     steady_state_lyapunov,
     steering_products_reduced,
     steering_result,
-    to_correlation_matrix,
 )
 
 BASE = SystemParams(1.0, 1.0, 6.0, 10.0, 0.01, 0.0)
@@ -86,9 +85,7 @@ def test_grid_rows_match_direct_evaluation():
         assert row.stable
         assert row.s12 == pytest.approx(s12, rel=1e-12)
         assert row.s21 == pytest.approx(s21, rel=1e-12)
-        assert row.e_n == pytest.approx(
-            logarithmic_negativity(to_correlation_matrix(state)), rel=1e-12
-        )
+        assert row.e_n == pytest.approx(logarithmic_negativity(state), rel=1e-12)
 
 
 def test_grid_marks_unstable_cells():
@@ -264,9 +261,7 @@ def test_maximize_entanglement_objective():
     # reported value is the actual E_N at the optimum, maximized
     assert point.value >= grid_best - 1e-12
     state = steady_state_lyapunov(BASE.with_(g1=point.best["g1"]))
-    assert point.value == pytest.approx(
-        logarithmic_negativity(to_correlation_matrix(state)), rel=1e-12
-    )
+    assert point.value == pytest.approx(logarithmic_negativity(state), rel=1e-12)
 
 
 def test_minimize_deterministic():
