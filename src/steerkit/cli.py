@@ -17,10 +17,10 @@ import numpy as np
 from . import __version__
 from .config import ScenarioConfig, load_config
 from .dynamics import (
+    _steady_state,
     assess_rwa,
     assess_stability,
     evolve_moments,
-    steady_state_lyapunov,
     vacuum_thermal_state,
 )
 from .errors import (
@@ -98,8 +98,7 @@ def _report(lines, out_path: str | None, quiet: bool):
 
 def _cmd_steady(args) -> int:
     cfg = load_config(args.config)
-    report = assess_stability(cfg.params)
-    moments = steady_state_lyapunov(cfg.params)
+    moments, report = _steady_state(cfg.params)
     result = steering_result(moments)
     c = moments.c
     _report(

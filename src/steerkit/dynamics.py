@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     NumericalError,
@@ -74,6 +75,35 @@ class Generators:
         return 2.0 * self.damping @ self.diffusion
 
 
+#: the columns of a rate row, the kernels' input layout
+_RATE_FIELDS = ("kappa1", "kappa2", "g1", "g2", "gamma_m", "n_th")
+
+
+def _rates(params: SystemParams) -> NDArray:
+    """``params`` as one rate row (shape ``(1, 6)``)."""
+    return np.array([[getattr(params, name) for name in _RATE_FIELDS]])
+
+
+#: the nonzero drift entries as flat indices into A, each a factor times a
+#: rate column: -kappa1, -kappa1, -kappa2, -kappa2, -gamma_m, -gamma_m on
+#: the diagonal, then the +/- i g1, g2 couplings (numpy multiplies a
+#: complex factor by a real rate in complex, as Python does for ``-1j * g``,
+#: so the signed zeros match too)
+_DRIFT_ENTRIES = (
+    np.array([0, 7, 14, 21, 28, 35, 5, 10, 16, 23, 25, 26, 30, 33]),
+    np.array([-1, -1, -1, -1, -1, -1, -1j, 1j, -1j, 1j, -1j, -1j, 1j, 1j]),
+    np.array([0, 0, 1, 1, 4, 4, 2, 2, 3, 3, 2, 3, 2, 3]),
+)
+
+
+def _drifts(rates: NDArray) -> NDArray:
+    """Drift matrices ``A``, shape ``(n, 6, 6)``, of ``n`` rate rows."""
+    entries, factors, columns = _DRIFT_ENTRIES
+    a = np.zeros((len(rates), 36), dtype=complex)
+    a[:, entries] = factors * rates.take(columns, axis=1)
+    return a.reshape(-1, 6, 6)
+
+
 def build_generators(params: SystemParams) -> Generators:
     """Assemble drift, damping and diffusion matrices for ``params``.
 
@@ -81,25 +111,7 @@ def build_generators(params: SystemParams) -> Generators:
     off-diagonal entries are the +/- i g couplings between each cavity
     quadrature pair and the mechanical one.
     """
-    k1, k2 = params.kappa1, params.kappa2
-    g1, g2, gm = params.g1, params.g2, params.gamma_m
-
-    a = np.zeros((6, 6), dtype=complex)
-    a[0, 0] = -k1
-    a[0, 5] = -1j * g1
-    a[1, 1] = -k1
-    a[1, 4] = 1j * g1
-    a[2, 2] = -k2
-    a[2, 4] = -1j * g2
-    a[3, 3] = -k2
-    a[3, 5] = 1j * g2
-    a[4, 4] = -gm
-    a[4, 1] = -1j * g1
-    a[4, 2] = -1j * g2
-    a[5, 5] = -gm
-    a[5, 0] = 1j * g1
-    a[5, 3] = 1j * g2
-
+    k1, k2, gm = params.kappa1, params.kappa2, params.gamma_m
     k = np.diag([k1, k1, k2, k2, gm, gm]).astype(float)
 
     d = np.zeros((6, 6))
@@ -107,7 +119,7 @@ def build_generators(params: SystemParams) -> Generators:
     d[2, 3] = 1.0
     d[4, 5] = params.n_th + 1.0
     d[5, 4] = params.n_th
-    return Generators(drift=a, damping=k, diffusion=d)
+    return Generators(drift=_drifts(_rates(params))[0], damping=k, diffusion=d)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +158,9 @@ def stability_margins(params: SystemParams) -> tuple[float, float]:
     return m1, m2
 
 
-def _stability(params: SystemParams, drift: NDArray) -> StabilityReport:
-    """Closed-form verdict for ``params`` and spectral verdict for its ``drift``."""
+def _report(params: SystemParams, max_re: float) -> StabilityReport:
+    """Closed-form verdict for ``params`` next to the spectral one from ``max_re``."""
     m1, m2 = stability_margins(params)
-    max_re = float(np.linalg.eigvals(drift).real.max())
     return StabilityReport(
         analytic_pass=bool(m1 > 0.0 and m2 > 0.0),
         spectral_pass=bool(max_re < 0.0),
@@ -159,7 +170,8 @@ def _stability(params: SystemParams, drift: NDArray) -> StabilityReport:
 
 def assess_stability(params: SystemParams) -> StabilityReport:
     """Evaluate closed-form and spectral stability for ``params``."""
-    return _stability(params, build_generators(params).drift)
+    drift = build_generators(params).drift
+    return _report(params, float(np.linalg.eigvals(drift).real.max()))
 
 
 @dataclass(frozen=True)
@@ -307,11 +319,148 @@ def build_moment_state(
 # steady states
 
 
-def _vectorized_flow(gen: Generators) -> tuple[NDArray, NDArray]:
-    """The flow as ``x' = L x + q`` on vec Phi: L = kron(A, I) + kron(I, A), q = vec 2KD."""
-    a = gen.drift
-    eye = np.eye(6)
-    return np.kron(a, eye) + np.kron(eye, a), gen.noise.astype(complex).reshape(-1)
+#: rate rows the steady kernel assembles and solves at once; the results do
+#: not depend on it, only the peak memory does
+_BLOCK = 32
+
+#: the LAPACK LU routines scipy's lu_factor/lu_solve call for complex input;
+#: looked up here, since importing scipy.linalg.lapack by name made
+#: ``import steerkit`` measurably slower
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=complex)
+
+
+#: the identity as the complex cast np.kron makes of a real one
+_EYE = np.eye(6, dtype=complex)
+
+
+def _kronecker_sums(a: NDArray, work: NDArray | None = None) -> NDArray:
+    """``L = kron(A, I) + kron(I, A)``, shape ``(n, 36, 36)``, of drifts ``a``.
+
+    L acts on vec Phi.  Each product is taken in ``np.kron``'s operand
+    order, so every entry has the bits of the one-matrix Kronecker
+    assembly.  ``L`` and a scratch term are written into ``work``
+    ``(2, m >= n, 6, 6, 6, 6)`` when given, so that a loop over blocks does
+    not allocate them per block.
+    """
+    n = len(a)
+    if work is None:
+        work = np.empty((2, n, 6, 6, 6, 6), dtype=complex)
+    lhs = np.multiply(a[:, :, None, :, None], _EYE[:, None, :], out=work[0, :n])
+    lhs += np.multiply(_EYE[:, None, :, None], a[:, None, :, None, :], out=work[1, :n])
+    return lhs.reshape(n, 36, 36)
+
+
+def _noise_vectors(rates: NDArray) -> NDArray:
+    """``q = vec 2KD``, shape ``(n, 36)``, of ``n`` rate rows."""
+    k1, k2, gm, nth = rates[:, 0], rates[:, 1], rates[:, 4], rates[:, 5]
+    q = np.zeros((len(rates), 36), dtype=complex)
+    q[:, 1] = 2.0 * k1                  # 2KD[0, 1]
+    q[:, 15] = 2.0 * k2                 # 2KD[2, 3]
+    q[:, 29] = 2.0 * gm * (nth + 1.0)   # 2KD[4, 5]
+    q[:, 34] = 2.0 * gm * nth           # 2KD[5, 4]
+    return q
+
+
+def _norm(v: NDArray) -> float:
+    """``np.linalg.norm`` of a complex vector, by the same formula, minus its overhead."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _solve(lhs: NDArray, q: NDArray) -> tuple[NDArray, float, float]:
+    """``x`` with ``lhs x = -q`` by LU and refinement, its residual and the bound."""
+    lu, piv, _ = _getrf(lhs)
+    x = _getrs(lu, piv, -q)[0]
+    bound = 1e-10 * _norm(q)
+    r = lhs @ x + q
+    residual = _norm(r)
+    # iterative refinement keeps small moments accurate and rescues
+    # ill-conditioned near-boundary systems; stop once it stagnates
+    for _ in range(10):
+        if residual <= bound:
+            break
+        refined = x - _getrs(lu, piv, r)[0]
+        refined_r = lhs @ refined + q
+        refined_residual = _norm(refined_r)
+        if refined_residual >= residual:
+            break
+        x, r, residual = refined, refined_r, refined_residual
+    return x, residual, bound
+
+
+class _SteadyBatch(NamedTuple):
+    """Steady states of ``n`` rate rows, from :func:`_steady_batch`.
+
+    ``phi`` is ``(n, 6, 6)`` and NaN on every row without a steady state;
+    ``residual`` and ``bound`` are the Lyapunov residual and its gate, NaN
+    on unstable rows.
+    """
+
+    phi: NDArray
+    max_real_eigenvalue: NDArray
+    residual: NDArray
+    bound: NDArray
+
+    @property
+    def stable(self) -> NDArray:
+        """Rows whose drift spectrum lies strictly in the left half-plane."""
+        return self.max_real_eigenvalue < 0.0
+
+    @property
+    def solved(self) -> NDArray:
+        """Stable rows whose solve met the residual gate."""
+        return self.stable & ~(self.residual > self.bound)
+
+
+def _steady_batch(rates) -> _SteadyBatch:
+    """Steady second moments of rate rows ``(kappa1, kappa2, g1, g2, gamma_m, n_th)``.
+
+    Rows are processed in blocks of ``_BLOCK`` (32).  Per block the drifts
+    are stacked for one batched eigenvalue computation (the spectral
+    stability verdict) and the Kronecker systems of its stable rows are
+    assembled at once; each is then factored and solved on its own, exactly as
+    :func:`steady_state_lyapunov` describes.  A row's result does not
+    depend on the batch or its position in it: it has the bits of the
+    one-row call.  Rows are not validated; :class:`SystemParams` holds the
+    constraints.
+    """
+    rates = np.asarray(rates, dtype=float).reshape(-1, 6)
+    n = len(rates)
+    phi = np.full((n, 36), np.nan, dtype=complex)
+    max_re = np.empty(n)
+    residual = np.full(n, np.nan)
+    bound = np.full(n, np.nan)
+    # one Kronecker buffer for all blocks; a single block allocates its own
+    work = np.empty((2, _BLOCK, 6, 6, 6, 6), dtype=complex) if n > _BLOCK else None
+    for start in range(0, n, _BLOCK):
+        block = rates[start:start + _BLOCK]
+        drifts = _drifts(block)
+        block_max = np.linalg.eigvals(drifts).real.max(axis=-1)
+        max_re[start:start + len(block)] = block_max
+        stable = (block_max < 0.0).nonzero()[0]
+        if not stable.size:
+            continue
+        lhs = _kronecker_sums(drifts[stable], work)
+        q = _noise_vectors(block[stable])
+        for k, row in enumerate(start + stable):
+            x, residual[row], bound[row] = _solve(lhs[k], q[k])
+            if not residual[row] > bound[row]:
+                phi[row] = x
+    return _SteadyBatch(phi.reshape(n, 6, 6), max_re, residual, bound)
+
+
+def _steady_state(params: SystemParams) -> tuple[MomentState, StabilityReport]:
+    """:func:`steady_state_lyapunov` together with the stability report it checked."""
+    batch = _steady_batch(_rates(params))
+    report = _report(params, float(batch.max_real_eigenvalue[0]))
+    if not report.spectral_pass:
+        raise UnstableSystemError(report)
+    residual, bound = float(batch.residual[0]), float(batch.bound[0])
+    if residual > bound:
+        raise NumericalError(
+            f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}"
+        )
+    return MomentState(batch.phi[0]), report
 
 
 def steady_state_lyapunov(params: SystemParams) -> MomentState:
@@ -319,9 +468,14 @@ def steady_state_lyapunov(params: SystemParams) -> MomentState:
 
     The equation is vectorized with Kronecker products (transpose, not
     conjugate-transpose, so standard Lyapunov solvers do not apply) and
-    solved by dense LU with one iterative-refinement pass.  The result is
-    rejected unless the residual satisfies
+    solved by dense LU (LAPACK ``zgetrf``/``zgetrs``) with iterative
+    refinement.  The result is rejected unless the residual satisfies
     ``||A Phi + Phi A^T + 2KD||_F <= 1e-10 ||2KD||_F``.
+
+    This is the one-row call of the batched kernel
+    :func:`_steady_batch`, which grid sweeps and coarse minimization
+    grids call once per grid in blocks of 32 rows; a row's moments and
+    verdict are the same bits whether it is solved alone or in a batch.
 
     Raises
     ------
@@ -330,30 +484,7 @@ def steady_state_lyapunov(params: SystemParams) -> MomentState:
     NumericalError
         If the residual bound cannot be met.
     """
-    gen = build_generators(params)
-    report = _stability(params, gen.drift)
-    if not report.spectral_pass:
-        raise UnstableSystemError(report)
-    lhs, q = _vectorized_flow(gen)
-    lu = lu_factor(lhs)
-    x = lu_solve(lu, -q)
-    bound = 1e-10 * float(np.linalg.norm(q))
-    residual = float(np.linalg.norm(lhs @ x + q))
-    # iterative refinement keeps small moments accurate and rescues
-    # ill-conditioned near-boundary systems; stop once it stagnates
-    for _ in range(10):
-        if residual <= bound:
-            break
-        refined = x - lu_solve(lu, lhs @ x + q)
-        refined_residual = float(np.linalg.norm(lhs @ refined + q))
-        if refined_residual >= residual:
-            break
-        x, residual = refined, refined_residual
-    if residual > bound:
-        raise NumericalError(
-            f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}"
-        )
-    return MomentState(x.reshape(6, 6))
+    return _steady_state(params)[0]
 
 
 @dataclass(frozen=True)
@@ -502,9 +633,10 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be non-negative and strictly increasing")
 
-    gen = build_generators(params)
-    lhs, q = _vectorized_flow(gen)
-    eigs = np.linalg.eigvals(gen.drift)
+    rates = _rates(params)
+    drift = _drifts(rates)
+    lhs, q = _kronecker_sums(drift)[0], _noise_vectors(rates)[0]
+    eigs = np.linalg.eigvals(drift[0])
     spread = 2.0 * float(np.abs(eigs).max())  # flow eigenvalues live in 2*spec(A)
     h = 2.5 / max(spread, 1e-30)
 

@@ -9,12 +9,18 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .dynamics import steady_state_lyapunov
+from .dynamics import (
+    _RATE_FIELDS,
+    MomentState,
+    _rates,
+    _steady_batch,
+    steady_state_lyapunov,
+)
 from .errors import EmptySweepWarning, NumericalError, UnstableSystemError
 from .params import SystemParams
 from .steering import logarithmic_negativity, steering_products_reduced
@@ -28,7 +34,7 @@ __all__ = [
     "minimize_steering",
 ]
 
-_SWEEPABLE = ("kappa1", "kappa2", "g1", "g2", "gamma_m", "n_th")
+_SWEEPABLE = _RATE_FIELDS  # every rate; a grid is built as rate rows
 _OBJECTIVES = ("s12", "s21", "en")
 
 
@@ -110,47 +116,81 @@ class FrontierPoint:
     feasible: bool
 
 
-def _with_values(spec: SweepSpec, values: Mapping[str, float]) -> SystemParams:
-    params = replace(spec.base, **dict(values))
+def _grid_rates(spec: SweepSpec, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Rate rows of a grid: ``spec.base`` with value ``columns`` and ties applied.
+
+    Raises :class:`ParameterError` as :class:`SystemParams` would for any
+    row: every constraint on a rate is finiteness or a lower bound, so the
+    column minima and maxima stand for all rows.
+    """
+    size = len(next(iter(columns.values())))
+    rates = np.repeat(_rates(spec.base), size, axis=0)
+    for name, values in columns.items():
+        rates[:, _SWEEPABLE.index(name)] = values
     if spec.ties:
-        params = replace(
-            params, **{dst: getattr(params, src) for dst, src in spec.ties.items()}
-        )
-    return params
+        dst = [_SWEEPABLE.index(name) for name in spec.ties]
+        src = [_SWEEPABLE.index(name) for name in spec.ties.values()]
+        rates[:, dst] = rates[:, src]
+    SystemParams(*rates.min(axis=0))
+    SystemParams(*rates.max(axis=0))
+    return rates
+
+
+def _steering(moments: MomentState, with_en: bool) -> tuple[float, float, float]:
+    """``(s12, s21, e_n)`` of steady moments; E_N is NaN unless ``with_en``.
+
+    All three are NaN when the moments are degenerate or unphysical.
+    """
+    try:
+        s12, s21 = steering_products_reduced(moments)
+        e_n = logarithmic_negativity(moments) if with_en else math.nan
+    except ValueError:
+        return math.nan, math.nan, math.nan
+    return s12, s21, e_n
+
+
+def _evaluate_grid(
+    rates: np.ndarray, *, with_en: bool
+) -> list[tuple[bool, float, float, float]]:
+    """``(stable, s12, s21, e_n)`` per rate row, from one batched steady solve.
+
+    Steering is NaN where there is no steady state: unstable, or rejected by
+    the residual gate near the stability boundary.
+    """
+    batch = _steady_batch(rates)
+    nan = (math.nan, math.nan, math.nan)
+    return [
+        (bool(stable), *(_steering(MomentState(phi), with_en) if solved else nan))
+        for phi, stable, solved in zip(batch.phi, batch.stable, batch.solved)
+    ]
 
 
 def _evaluate(params: SystemParams, *, with_en: bool) -> tuple[bool, float, float, float]:
-    """``(stable, s12, s21, e_n)`` of one cell; NaN steering when unavailable.
-
-    E_N is computed only ``with_en`` and is NaN otherwise.
-    """
+    """:func:`_evaluate_grid` of one point, through :func:`steady_state_lyapunov`."""
     try:
         moments = steady_state_lyapunov(params)
-        s12, s21 = steering_products_reduced(moments)
-        e_n = math.nan
-        if with_en:
-            e_n = logarithmic_negativity(moments)
     except UnstableSystemError:
         return False, math.nan, math.nan, math.nan
     except (NumericalError, ValueError):
         # near the stability boundary the residual gate can reject the
         # solve; report the cell as unavailable rather than aborting
         return True, math.nan, math.nan, math.nan
-    return True, s12, s21, e_n
+    return (True, *_steering(moments, with_en))
 
 
 def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the full Cartesian grid, last axis varying fastest.
 
-    Emits :class:`EmptySweepWarning` when no grid point yielded a steady
-    state (all rows NaN).
+    The whole grid is one :func:`_steady_batch` call.  Emits
+    :class:`EmptySweepWarning` when no grid point yielded a steady state
+    (all rows NaN).
     """
     names = [axis.name for axis in spec.axes]
-    combos = itertools.product(*(axis.values() for axis in spec.axes))
-    assignments = (dict(zip(names, map(float, combo))) for combo in combos)
+    grid = np.array(list(itertools.product(*(axis.values() for axis in spec.axes))))
+    cells = _evaluate_grid(_grid_rates(spec, dict(zip(names, grid.T))), with_en=True)
     rows = [
-        SweepRow(a, *_evaluate(_with_values(spec, a), with_en=True))
-        for a in assignments
+        SweepRow(dict(zip(names, map(float, combo))), *cell)
+        for combo, cell in zip(grid, cells)
     ]
     if all(math.isnan(row.s12) for row in rows):
         warnings.warn(
@@ -207,37 +247,38 @@ def minimize_steering(
     los = np.asarray([axis.lo for axis in spec.axes])
     spans = np.asarray([axis.hi - axis.lo for axis in spec.axes])
 
-    def objective(assignment: Mapping[str, float]) -> float:
-        value = _evaluate(_with_values(spec, assignment), with_en=with_en)[index]
-        return math.inf if math.isnan(value) else sign * value
+    def rates(xs: np.ndarray, extra: dict[str, float]) -> np.ndarray:
+        columns = dict(zip(names, (los + xs * spans).T))
+        columns.update({name: np.full(len(xs), value) for name, value in extra.items()})
+        return _grid_rates(spec, columns)
 
-    def scaled_to_assignment(x: np.ndarray, extra: dict[str, float]) -> dict[str, float]:
-        values = dict(zip(names, map(float, los + x * spans)))
-        values.update(extra)
-        return values
+    def objective(cell: tuple[bool, float, float, float]) -> float:
+        return math.inf if math.isnan(cell[index]) else sign * cell[index]
 
     def solve_one(extra: dict[str, float]) -> tuple[dict[str, float] | None, float, bool]:
-        best_x, best_f = None, math.inf
         grids = [
             (axis.values() - axis.lo) / (axis.hi - axis.lo)
             if axis.hi > axis.lo
             else np.asarray([0.0])
             for axis in spec.axes
         ]
-        for combo in itertools.product(*grids):
-            x = np.asarray(combo)
-            f = objective(scaled_to_assignment(x, extra))
-            if f < best_f:
-                best_x, best_f = x, f
-        if best_x is None or not math.isfinite(best_f):
+        xs = np.array(list(itertools.product(*grids)))
+        f = [objective(cell) for cell in _evaluate_grid(rates(xs, extra), with_en=with_en)]
+        best = int(np.argmin(f))
+        if not math.isfinite(f[best]):
             return None, math.nan, False
         step0 = max(
             1.0 / (axis.steps - 1) if axis.steps > 1 else 1.0 for axis in spec.axes
         )
-        x, f = _compass(
-            lambda xx: objective(scaled_to_assignment(xx, extra)), best_x, best_f, step0
+        x, fx = _compass(
+            lambda x: objective(
+                _evaluate(SystemParams(*rates(x[None], extra)[0]), with_en=with_en)
+            ),
+            xs[best],
+            f[best],
+            step0,
         )
-        return scaled_to_assignment(x, {}), sign * f, True
+        return dict(zip(names, map(float, los + x * spans))), sign * fx, True
 
     points: list[FrontierPoint] = []
     if swept is None:

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the code paths they check: the steady-state
 and propagation oracles use an eigendecomposition of the drift instead of
-the Kronecker/LU solver and the RK4 integrator, the spectrum oracle
+the Kronecker/LU solver and the RK4 integrator (the Kronecker oracle, for
+the stability edge, is one unrefined ``np.linalg.solve``), the spectrum oracle
 builds the full 6x6 scattering matrix instead of the adjugate-style
 closed-form transfer entries, and the steering oracle works on the full
 4x4 quadrature covariance instead of the closed forms in (n1, n2, |c|).
@@ -33,6 +34,19 @@ def lyapunov_oracle(params: SystemParams) -> np.ndarray:
     qt = np.linalg.solve(vec, np.linalg.solve(vec, q.T).T)
     psi = -qt / (lam[:, None] + lam[None, :])
     return vec @ psi @ vec.T
+
+
+def kronecker_oracle(params: SystemParams) -> np.ndarray:
+    """Steady second moments from one plain dense solve of the Kronecker system.
+
+    ``np.kron`` assembly and ``np.linalg.solve``, without refinement or
+    residual gate.  Unlike the eigenbasis oracle it stays accurate next to
+    the stability edge, where the drift is close to defective.
+    """
+    gen = build_generators(params)
+    eye = np.eye(6)
+    lhs = np.kron(gen.drift, eye) + np.kron(eye, gen.drift)
+    return np.linalg.solve(lhs, -gen.noise.reshape(-1).astype(complex)).reshape(6, 6)
 
 
 def evolve_oracle(params: SystemParams, phi0: np.ndarray, t: float) -> np.ndarray:

@@ -5,6 +5,7 @@ exact bytes on stdout/stderr are observable without spawning subprocesses.
 """
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from steerkit import (
@@ -82,6 +83,22 @@ def test_steady_report_goes_to_stderr(tmp_path, capsys):
     assert out.out.startswith(STEADY_HEADER)
     assert "classification = one-way-2-steers-1" in out.err
     assert "stability: analytic=pass spectral=pass" in out.err
+
+
+def test_steady_computes_the_drift_spectrum_once(tmp_path, capsys, monkeypatch):
+    # the printed stability line comes from the solve's own verdict
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    cfg = write_config(tmp_path, FIG2A)
+    assert main(["steady", "--config", cfg]) == 0
+    assert "stability: analytic=pass spectral=pass" in capsys.readouterr().err
+    assert calls == [(1, 6, 6)]
 
 
 def test_steady_out_file_and_determinism(tmp_path, capsys):

@@ -4,9 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import evolve_oracle, lyapunov_oracle, sample_stable
+from helpers import evolve_oracle, kronecker_oracle, lyapunov_oracle, sample_stable
 from steerkit import (
     MomentState,
+    NumericalError,
     ParameterError,
     PartialResultWarning,
     SystemParams,
@@ -22,6 +23,7 @@ from steerkit import (
     to_correlation_matrix,
     vacuum_thermal_state,
 )
+from steerkit.dynamics import _steady_batch
 
 P_ASYM = SystemParams(1.0, 0.4, 10.0, 20.0, 0.01, 0.0)
 
@@ -168,6 +170,66 @@ def test_steady_state_is_self_conjugate():
     assert abs(state.d1) <= 1e-14
     assert abs(state.d2) <= 1e-14
     assert abs(state.x12) <= 1e-14
+
+
+# a grid across the stability edge g1 = g2 (equal losses); the residual gate
+# rejects cells next to it, among them g1 = g2 = 10, gamma_m = 0.1259...,
+# which fig 6 also meets
+EDGE_GRID = np.array([
+    (1.0, 1.0, g1, 10.0, gamma_m, n_th)
+    for gamma_m in (0.01, 0.12590552330005395, 2.0)
+    for g1 in np.linspace(8.0, 12.0, 9)
+    for n_th in (0.0, 0.3)
+])
+
+
+def _one_row(rates):
+    """(verdict, phi, max_re) of the one-row solve; phi is None where it raises."""
+    params = SystemParams(*rates)
+    try:
+        return "ok", steady_state_lyapunov(params).phi, None
+    except UnstableSystemError as err:
+        return "unstable", None, err.report.max_real_eigenvalue
+    except NumericalError:
+        return "residual", None, None
+
+
+def test_batched_kernel_equals_one_row_solves_bit_for_bit():
+    expected = [_one_row(rates) for rates in EDGE_GRID]
+    verdicts = [verdict for verdict, _, _ in expected]
+    assert verdicts.count("residual") >= 1
+    assert verdicts.count("ok") > 10 and verdicts.count("unstable") > 10
+    n = len(EDGE_GRID)  # two blocks; each shift moves every row to other slots
+    for shift in (0, 13, 31):
+        order = np.roll(np.arange(n), shift)
+        batch = _steady_batch(EDGE_GRID[order])
+        for k, row in enumerate(order):
+            verdict, phi, max_re = expected[row]
+            assert batch.stable[k] == (verdict != "unstable")
+            assert batch.solved[k] == (verdict == "ok")
+            if phi is None:
+                assert np.isnan(batch.phi[k]).all()
+            else:
+                assert batch.phi[k].tobytes() == phi.tobytes()
+            if max_re is not None:
+                assert batch.max_real_eigenvalue[k] == max_re
+            params = SystemParams(*EDGE_GRID[row])
+            assert batch.max_real_eigenvalue[k] == assess_stability(params).max_real_eigenvalue
+
+
+def test_batched_kernel_matches_kronecker_oracle():
+    batch = _steady_batch(EDGE_GRID)
+    for rates, phi, solved in zip(EDGE_GRID, batch.phi, batch.solved):
+        if solved:
+            oracle = kronecker_oracle(SystemParams(*rates))
+            scale = max(float(np.abs(oracle).max()), 1.0)
+            assert np.abs(phi - oracle).max() <= 1e-9 * scale
+    # the spectral verdict agrees with the closed-form conditions off the edge
+    margins = np.array([stability_margins(SystemParams(*rates)) for rates in EDGE_GRID])
+    clear = np.abs(margins).min(axis=1) > 1e-6
+    analytic = (margins > 0.0).all(axis=1)
+    assert clear.sum() > 40
+    np.testing.assert_array_equal(batch.stable[clear], analytic[clear])
 
 
 def test_lyapunov_unstable_raises_with_report():

@@ -12,6 +12,7 @@ import steerkit.sweep
 from steerkit import (
     AxisSpec,
     EmptySweepWarning,
+    ParameterError,
     SweepSpec,
     SystemParams,
     assess_stability,
@@ -121,6 +122,28 @@ def test_grid_warns_when_everything_unstable():
     assert all(math.isnan(row.s12) for row in rows)
 
 
+@pytest.mark.parametrize(
+    "axes, ties",
+    [
+        ((AxisSpec("g1", -1.0, 2.0, 4),), {}),
+        ((AxisSpec("gamma_m", 0.5, 1.0, 2), AxisSpec("n_th", -0.5, 0.5, 3)), {}),
+        ((AxisSpec("g1", 0.0, 2.0, 3),), {"kappa2": "g1"}),
+    ],
+)
+def test_box_reaching_an_invalid_value_raises(axes, ties):
+    spec = SweepSpec(base=BASE, axes=axes, ties=ties)
+    with pytest.raises(ParameterError):
+        grid_sweep(spec)
+    with pytest.raises(ParameterError):
+        minimize_steering(spec)
+
+
+def test_swept_value_out_of_range_raises():
+    spec = SweepSpec(base=BASE, axes=(AxisSpec("g2", 8.0, 9.0, 2),))
+    with pytest.raises(ParameterError):
+        minimize_steering(spec, AxisSpec("gamma_m", -1.0, 1.0, 3))
+
+
 def test_grid_deterministic():
     spec = SweepSpec(
         base=BASE,
@@ -158,21 +181,52 @@ def _record_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-def test_grid_checks_stability_once_per_cell(monkeypatch):
-    # one generator build per cell serves both the stability check and the solve
-    builds = _record_calls(monkeypatch, steerkit.dynamics, "build_generators")
+def _rate_row(params: SystemParams) -> tuple[float, ...]:
+    return (params.kappa1, params.kappa2, params.g1, params.g2, params.gamma_m, params.n_th)
+
+
+def _record_kernel_rows(monkeypatch) -> list:
+    """Every rate row handed to the batched steady kernel, from any caller."""
+    rows = []
+    original = steerkit.dynamics._steady_batch
+
+    def recording(rates):
+        rows.extend(map(tuple, np.asarray(rates).reshape(-1, 6).tolist()))
+        return original(rates)
+
+    monkeypatch.setattr(steerkit.dynamics, "_steady_batch", recording)
+    monkeypatch.setattr(steerkit.sweep, "_steady_batch", recording)
+    return rows
+
+
+def test_grid_solves_each_cell_once(monkeypatch):
+    kernel_rows = _record_kernel_rows(monkeypatch)
     rows = grid_sweep(MIXED)
     assert len(rows) == 15
-    assert builds == [BASE.with_(**row.values) for row in rows]
+    assert kernel_rows == [_rate_row(BASE.with_(**row.values)) for row in rows]
 
 
-def test_minimize_checks_stability_once_per_evaluation(monkeypatch):
-    builds = _record_calls(monkeypatch, steerkit.dynamics, "build_generators")
-    cells = _record_calls(monkeypatch, steerkit.sweep, "_evaluate")
+def test_minimize_solves_each_evaluation_once(monkeypatch):
+    kernel_rows = _record_kernel_rows(monkeypatch)
+    evaluated = _record_calls(monkeypatch, steerkit.sweep, "_evaluate")
+    trials = []
+    compass = steerkit.sweep._compass
+
+    def counting_compass(fn, *args, **kwargs):
+        return compass(lambda x: trials.append(x) or fn(x), *args, **kwargs)
+
+    monkeypatch.setattr(steerkit.sweep, "_compass", counting_compass)
     (point,) = minimize_steering(MIXED)
-    assert point.feasible
-    assert len(cells) > 15
-    assert builds == cells
+    assert point.feasible and trials
+    # the 15-cell coarse grid in one batch, then one row per compass trial
+    assert len(kernel_rows) == 15 + len(trials)
+    assert kernel_rows[15:] == [_rate_row(params) for params in evaluated]
+    grid = [
+        _rate_row(BASE.with_(gamma_m=gamma_m, g1=g1))
+        for gamma_m in (0.01, 1.005, 2.0)
+        for g1 in (8.0, 9.0, 10.0, 11.0, 12.0)
+    ]
+    np.testing.assert_allclose(kernel_rows[:15], grid, rtol=1e-15)
 
 
 @pytest.mark.parametrize("objective", ["s12", "s21"])
