@@ -49,8 +49,8 @@ print("steering products: s12 = %.4f, s21 = %.4f" % (result.s12, result.s21))
 print("entanglement:      e_n = %.4f" % result.e_n)
 print("classification:   ", result.classification)
 
-# The same three moments also follow from closed-form expressions; at a
-# cold mechanical bath the agreement is at rounding level.
+# The same three moments also follow from closed-form expressions, at
+# any bath temperature; the agreement is at rounding level.
 cf = steady_state_closed_form(params)
 print("closed form vs Lyapunov: |dn1| = %.2e, |dn2| = %.2e, |dc| = %.2e"
       % (abs(cf.n1 - moments.n1), abs(cf.n2 - moments.n2),

@@ -35,7 +35,6 @@ from .errors import (
     EmptySweepWarning,
     NumericalError,
     ParameterError,
-    PartialResultWarning,
     PhysicalityError,
     StepConvergenceError,
     UndefinedTransformError,
@@ -149,6 +148,5 @@ __all__ = [
     "PhysicalityError",
     "DegenerateConditioningError",
     "UndefinedTransformError",
-    "PartialResultWarning",
     "EmptySweepWarning",
 ]

@@ -40,6 +40,7 @@ Unknown sections or keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ParameterError
@@ -97,9 +98,12 @@ class ScenarioConfig:
 
 def _float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    return value
 
 
 def _int(section: str, key: str, raw: str) -> int:

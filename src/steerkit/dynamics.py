@@ -19,7 +19,6 @@ the steady state is computed on the Kronecker-vectorized form instead.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,12 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import get_lapack_funcs
 
-from .errors import (
-    NumericalError,
-    PartialResultWarning,
-    StepConvergenceError,
-    UnstableSystemError,
-)
+from .errors import NumericalError, StepConvergenceError, UnstableSystemError
 from .params import SystemParams
 
 __all__ = [
@@ -275,12 +269,7 @@ class MomentState:
 
 def vacuum_thermal_state(n_th: float = 0.0) -> MomentState:
     """Both cavities in vacuum, mechanics thermal at ``n_th``."""
-    phi = np.zeros((6, 6), dtype=complex)
-    phi[0, 1] = 1.0
-    phi[2, 3] = 1.0
-    phi[4, 5] = n_th + 1.0
-    phi[5, 4] = n_th
-    return MomentState(phi)
+    return build_moment_state(nm=n_th)
 
 
 def build_moment_state(
@@ -449,18 +438,24 @@ def _steady_batch(rates) -> _SteadyBatch:
     return _SteadyBatch(phi.reshape(n, 6, 6), max_re, residual, bound)
 
 
-def _steady_state(params: SystemParams) -> tuple[MomentState, StabilityReport]:
-    """:func:`steady_state_lyapunov` together with the stability report it checked."""
-    batch = _steady_batch(_rates(params))
-    report = _report(params, float(batch.max_real_eigenvalue[0]))
+def _steady_row(
+    batch: _SteadyBatch, row: int, params: SystemParams
+) -> tuple[MomentState, StabilityReport]:
+    """:func:`_steady_state` of ``params``, solved as row ``row`` of ``batch``."""
+    report = _report(params, float(batch.max_real_eigenvalue[row]))
     if not report.spectral_pass:
         raise UnstableSystemError(report)
-    residual, bound = float(batch.residual[0]), float(batch.bound[0])
+    residual, bound = float(batch.residual[row]), float(batch.bound[row])
     if residual > bound:
         raise NumericalError(
             f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}"
         )
-    return MomentState(batch.phi[0]), report
+    return MomentState(batch.phi[row]), report
+
+
+def _steady_state(params: SystemParams) -> tuple[MomentState, StabilityReport]:
+    """:func:`steady_state_lyapunov` together with the stability report it checked."""
+    return _steady_row(_steady_batch(_rates(params)), 0, params)
 
 
 def steady_state_lyapunov(params: SystemParams) -> MomentState:
@@ -489,25 +484,20 @@ def steady_state_lyapunov(params: SystemParams) -> MomentState:
 
 @dataclass(frozen=True)
 class ClosedFormMoments:
-    """Closed-form steady occupations and, when available, the pairing moment.
-
-    ``c`` is None for a thermal mechanical bath (n_th > 0), where no
-    validated closed form for <a1 a2> exists; the Lyapunov solution covers
-    that case.
-    """
+    """Closed-form steady occupations and pairing moment <a1 a2> (real)."""
 
     n1: float
     n2: float
-    c: float | None
+    c: float
 
 
 def steady_state_closed_form(params: SystemParams) -> ClosedFormMoments:
     """Explicit rational expressions for the steady moments.
 
-    Exact for the occupations at any bath temperature and for the pairing
-    moment at ``n_th = 0``; emits :class:`PartialResultWarning` and returns
-    ``c=None`` otherwise.  Requires the closed-form stability conditions to
-    hold (they are exactly the positivity of the two denominator factors).
+    Exact for ``n1``, ``n2`` and ``c`` at any bath temperature: all three
+    are affine in ``n_th`` over the common denominator ``den1 * den2``.
+    Requires the closed-form stability conditions to hold (they are exactly
+    the positivity of the two denominator factors).
     """
     m1, m2 = stability_margins(params)
     if not (m1 > 0.0 and m2 > 0.0):
@@ -536,16 +526,10 @@ def steady_state_closed_form(params: SystemParams) -> ClosedFormMoments:
         * g2**2
     ) / den
 
-    if nth == 0.0:
-        c = -(k1 * g1 * g2 * (k2 * g1**2 + (k2 + gm) * (g2**2 + k2 * gm))) / den
-    else:
-        warnings.warn(
-            "no validated closed form for <a1 a2> at n_th > 0; returning "
-            "c=None (use steady_state_lyapunov for the full moments)",
-            PartialResultWarning,
-            stacklevel=2,
-        )
-        c = None
+    c = g1 * g2 * (
+        -k1 * (k2 * g1**2 + (k2 + gm) * (g2**2 + k2 * gm))
+        + gm * nth * (k2 * g1**2 - k1 * g2**2 - k1 * k2 * (k1 + k2 + 2.0 * gm))
+    ) / den
     return ClosedFormMoments(n1=n1, n2=n2, c=c)
 
 
@@ -553,55 +537,29 @@ def steady_state_closed_form(params: SystemParams) -> ClosedFormMoments:
 # time evolution
 
 
-def _rk4_step_map(lhs: NDArray, q: NDArray, h: float) -> tuple[NDArray, NDArray]:
-    """One classical RK4 step of x' = L x + q as the affine map x -> R x + s."""
-    p = h * lhs
+def _rk4_step(generator: NDArray, h: float) -> NDArray:
+    """One classical RK4 step of y' = G y: ``I + P + P²/2 + P³/6 + P⁴/24``, P = hG."""
+    p = h * generator
     p2 = p @ p
     p3 = p2 @ p
     p4 = p3 @ p
-    eye = np.eye(lhs.shape[0])
-    r = eye + p + p2 / 2.0 + p3 / 6.0 + p4 / 24.0
-    s = h * (q + (p @ q) / 2.0 + (p2 @ q) / 6.0 + (p3 @ q) / 24.0)
-    return r, s
-
-
-def _affine_power(r: NDArray, s: NDArray, n: int) -> tuple[NDArray, NDArray]:
-    """n-fold self-composition of the affine map x -> R x + s, by doubling.
-
-    Mathematically identical to applying the map n times in sequence, so the
-    fixed point (the steady state for a stable step map) is untouched, at
-    O(log n) matrix products.
-    """
-    acc_r = np.eye(r.shape[0], dtype=r.dtype)
-    acc_s = np.zeros_like(s)
-    base_r, base_s = r, s
-    while n:
-        if n & 1:
-            acc_s = base_r @ acc_s + base_s
-            acc_r = base_r @ acc_r
-        n >>= 1
-        if n:
-            base_s = base_r @ base_s + base_s
-            base_r = base_r @ base_r
-    return acc_r, acc_s
+    return np.eye(len(generator)) + p + p2 / 2.0 + p3 / 6.0 + p4 / 24.0
 
 
 def _propagate(
-    lhs: NDArray, q: NDArray, phi0: NDArray, times: NDArray, h: float
+    generator: NDArray, phi0: NDArray, times: NDArray, h: float
 ) -> list[NDArray]:
-    """Moments at the requested times for base step ``h`` (one RK4 family)."""
+    """Moments at ``times`` for base step ``h``, by powers of the augmented step matrix."""
     out = []
-    x = phi0.reshape(-1).astype(complex)
+    y = np.append(phi0.reshape(-1), 1.0).astype(complex)
     t = 0.0
     for tk in times:
         dt = tk - t
         if dt > 0.0:
             n = max(1, math.ceil(dt / h - 1e-12))
-            r, s = _rk4_step_map(lhs, q, dt / n)
-            pow_r, pow_s = _affine_power(r, s, n)
-            x = pow_r @ x + pow_s
+            y = np.linalg.matrix_power(_rk4_step(generator, dt / n), n) @ y
             t = tk
-        out.append(x.reshape(6, 6).copy())
+        out.append(y[:36].reshape(6, 6).copy())
     return out
 
 
@@ -612,30 +570,38 @@ _MAX_HALVINGS = 30  # refinement levels tried before StepConvergenceError
 def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[MomentState]:
     """Integrate the moment flow from ``initial``, reporting at ``times``.
 
-    Classical fixed-step RK4 on the vectorized flow, with the step refined
-    by halving until the largest moment change between two consecutive
-    refinement levels is below ``_EVOLVE_TOL`` (max over entries and report
-    times, measured relative to the largest moment magnitude when that
-    exceeds one, absolute otherwise); the finer result is returned.  The starting
-    step sits at the edge of the RK4 stability region — starting smaller
-    would not help, because over long horizons the doubling scheme's
-    rounding noise grows with the step count while the halving loop
-    already controls truncation.
+    Classical fixed-step RK4 on the vectorized flow, as powers of the
+    augmented step matrix, with the step refined by halving until the
+    largest moment change between two consecutive refinement levels is
+    below ``_EVOLVE_TOL`` (max over entries and report times, measured
+    relative to the largest moment magnitude when that exceeds one,
+    absolute otherwise); the finer result is returned.  The starting step
+    sits at the edge of the RK4 stability region — starting smaller would
+    not help, because over long horizons the matrix powers' rounding noise
+    grows with the step count while the halving loop controls truncation.
 
     Raises
     ------
+    ValueError
+        If ``times`` is empty, not finite, negative or not increasing.
     StepConvergenceError
         If refinement does not settle within ``_MAX_HALVINGS`` levels.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be non-negative and strictly increasing")
 
     rates = _rates(params)
     drift = _drifts(rates)
-    lhs, q = _kronecker_sums(drift)[0], _noise_vectors(rates)[0]
+    # Van Loan's augmented generator G = [[L, q], [0, 0]]: y' = G y on
+    # y = [vec Phi; 1] is the affine flow (vec Phi)' = L vec Phi + q
+    generator = np.zeros((37, 37), dtype=complex)
+    generator[:36, :36] = _kronecker_sums(drift)[0]
+    generator[:36, 36] = _noise_vectors(rates)[0]
     eigs = np.linalg.eigvals(drift[0])
     spread = 2.0 * float(np.abs(eigs).max())  # flow eigenvalues live in 2*spec(A)
     h = 2.5 / max(spread, 1e-30)
@@ -643,7 +609,7 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     previous = None
     diff = math.inf
     for _ in range(_MAX_HALVINGS + 1):
-        states = _propagate(lhs, q, initial.phi, times, h)
+        states = _propagate(generator, initial.phi, times, h)
         if previous is not None:
             diff = max(
                 float(np.abs(new - old).max())

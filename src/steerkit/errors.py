@@ -68,9 +68,5 @@ class UndefinedTransformError(ValueError):
     """The squeezed composite-mode frame does not exist for these parameters."""
 
 
-class PartialResultWarning(UserWarning):
-    """A result is returned with some fields omitted as unavailable."""
-
-
 class EmptySweepWarning(UserWarning):
     """No sweep point satisfied the stability requirement."""

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .dynamics import evolve_moments, steady_state_lyapunov, vacuum_thermal_state
+from .dynamics import _steady_batch, _steady_row, evolve_moments, vacuum_thermal_state
 from .params import SystemParams
 from .spectra import spectrum
 from .steering import steering_products_reduced
@@ -172,12 +172,15 @@ def _fig_3a():
 
 def _fig_3b():
     gammas = np.arange(20, 281) * 0.05
+    rates = np.array(
+        [(1.0, 1.0, 6.0, 10.0, gamma_m, n_th) for n_th in (0.0, 0.3) for gamma_m in gammas]
+    )
+    batch = _steady_batch(rates)
     rows = []
-    for n_th in (0.0, 0.3):
-        for gamma_m in gammas:
-            params = SystemParams(1.0, 1.0, 6.0, 10.0, float(gamma_m), n_th)
-            s12, s21 = steering_products_reduced(steady_state_lyapunov(params))
-            rows.append((n_th, float(gamma_m), s12, s21))
+    for k, rate in enumerate(rates):
+        moments, _ = _steady_row(batch, k, SystemParams(*rate))
+        s12, s21 = steering_products_reduced(moments)
+        rows.append((float(rate[5]), float(rate[4]), s12, s21))
     manifest = [
         "kappa1 = kappa2 = 1.0",
         "g1 = 6.0",

@@ -40,29 +40,14 @@ def squeeze_parameter(g1: float, g2: float) -> float:
 
 
 def _transform_pair(r: float) -> tuple[NDArray, NDArray]:
-    """Matrices T, T^-1 mapping (a1, a1+, a2, a2+, b, b+) to the c-frame."""
+    """T and T^-1 (the squeeze at -r) mapping (a1, a1+, a2, a2+, b, b+) to the c-frame."""
     ch, sh = math.cosh(r), math.sinh(r)
-    t = np.zeros((6, 6))
-    t[0, 1] = sh
-    t[0, 2] = ch
-    t[1, 0] = sh
-    t[1, 3] = ch
-    t[2, 0] = ch
-    t[2, 3] = sh
-    t[3, 1] = ch
-    t[3, 2] = sh
-    t[4, 4] = t[5, 5] = 1.0
-    ti = np.zeros((6, 6))
-    ti[0, 1] = -sh
-    ti[0, 2] = ch
-    ti[1, 0] = -sh
-    ti[1, 3] = ch
-    ti[2, 0] = ch
-    ti[2, 3] = -sh
-    ti[3, 1] = ch
-    ti[3, 2] = -sh
-    ti[4, 4] = ti[5, 5] = 1.0
-    return t, ti
+    # each cavity row: cosh r on the other cavity's operator, sinh r on its own conjugate
+    pair = np.zeros((2, 6, 6))
+    pair[:, [0, 1, 2, 3], [2, 3, 0, 1]] = ch
+    pair[:, [0, 1, 2, 3], [1, 0, 3, 2]] = [[sh], [-sh]]
+    pair[:, [4, 5], [4, 5]] = 1.0
+    return pair[0], pair[1]
 
 
 def composite_occupations(moments: MomentState, r: float) -> tuple[float, float]:

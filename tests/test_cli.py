@@ -150,6 +150,15 @@ def test_evolve_csv_structure_and_steady_limit(tmp_path, capsys):
     assert float(rows[-1][2]) == pytest.approx(steady.s21, abs=1e-4)
 
 
+@pytest.mark.parametrize("t_max", ["inf", "nan"])
+def test_evolve_non_finite_t_max_exits_2(tmp_path, capsys, t_max):
+    cfg = write_config(tmp_path, FIG2A + f"\n[evolve]\nt_max = {t_max}\n")
+    assert main(["evolve", "--config", cfg, "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: [evolve] t_max = '{t_max}' is not finite" in captured.err
+
+
 def test_evolve_requires_block(tmp_path, capsys):
     cfg = write_config(tmp_path, FIG2A)
     assert main(["evolve", "--config", cfg]) == 2
@@ -174,6 +183,16 @@ def test_spectra_csv(tmp_path, capsys):
     assert float(rows[12][0]) == 0.0
     for row in rows:
         assert float(row[1]) > 0.0 and float(row[2]) > 0.0
+
+
+def test_spectra_nan_omega_min_exits_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, FIG2A + "\n[spectra]\nomega_min = nan\nomega_max = 12\n"
+    )
+    assert main(["spectra", "--config", cfg, "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: [spectra] omega_min = 'nan' is not finite" in captured.err
 
 
 def test_spectra_requires_block(tmp_path, capsys):

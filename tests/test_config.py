@@ -147,6 +147,13 @@ def test_rwa_block():
         (HEADER + "\n[rwa]\nmargin_factor = 0\n", "margin_factor"),
         (HEADER + "\n[rwa]\nphases = 3\n", "unknown key"),
         ("version = 1\n", "malformed config"),
+        (HEADER + "\n[evolve]\nt_max = inf\n", "t_max = 'inf' is not finite"),
+        (HEADER + "\n[evolve]\nt_max = nan\n", "t_max = 'nan' is not finite"),
+        (
+            HEADER + "\n[spectra]\nomega_min = nan\nomega_max = 1\n",
+            "omega_min = 'nan' is not finite",
+        ),
+        (HEADER.replace("g2 = 20.0", "g2 = -inf"), "g2 = '-inf' is not finite"),
     ],
 )
 def test_rejections(text, fragment):

@@ -9,7 +9,6 @@ from steerkit import (
     MomentState,
     NumericalError,
     ParameterError,
-    PartialResultWarning,
     SystemParams,
     UnstableSystemError,
     assess_rwa,
@@ -250,15 +249,16 @@ def test_closed_form_matches_lyapunov_cold():
         assert abs(ly.c.imag) <= 1e-12 * max(1.0, abs(ly.c.real))
 
 
-def test_closed_form_thermal_occupations_warn_and_match():
+@pytest.mark.parametrize("n_th", [0.05, 0.7, 40.0])
+def test_closed_form_thermal_matches_eigenbasis_oracle(n_th):
     rng = np.random.default_rng(13)
-    for p in sample_stable(rng, 25, n_th=0.7):
-        with pytest.warns(PartialResultWarning):
-            cf = steady_state_closed_form(p)
-        assert cf.c is None
-        ly = steady_state_lyapunov(p)
-        assert cf.n1 == pytest.approx(ly.n1, rel=1e-6, abs=1e-12)
-        assert cf.n2 == pytest.approx(ly.n2, rel=1e-6, abs=1e-12)
+    for p in sample_stable(rng, 25, n_th=n_th):
+        cf = steady_state_closed_form(p)
+        oracle = MomentState(lyapunov_oracle(p))
+        assert cf.n1 == pytest.approx(oracle.n1, rel=1e-8, abs=1e-12)
+        assert cf.n2 == pytest.approx(oracle.n2, rel=1e-8, abs=1e-12)
+        assert cf.c == pytest.approx(oracle.c.real, rel=1e-8, abs=1e-12)
+        assert abs(oracle.c.imag) <= 1e-8 * max(1.0, abs(oracle.c.real))
 
 
 def test_closed_form_unstable_raises():
@@ -340,6 +340,14 @@ def test_evolution_validates_times():
         evolve_moments(P_ASYM, initial, [1.0, 0.5])
     with pytest.raises(ValueError):
         evolve_moments(P_ASYM, initial, [-1.0, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evolution_rejects_non_finite_times(bad):
+    initial = vacuum_thermal_state()
+    for times in ([0.5, bad], [bad], [bad, 0.5]):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_moments(P_ASYM, initial, times)
 
 
 def test_evolution_accepts_unstable_systems():

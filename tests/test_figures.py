@@ -5,7 +5,9 @@ import math
 
 import pytest
 
-from steerkit import available_figures, build_figure
+import steerkit.figures
+from steerkit import UnstableSystemError, available_figures, build_figure
+from steerkit.dynamics import _steady_batch
 
 ALL_IDS = ["2a", "2b", "2c", "2d", "3a", "3b", "4a", "4b", "5a", "5b", "6"]
 
@@ -93,3 +95,16 @@ def test_fig6_minimization_frontier():
     assert all(row[2] < 1.0 for row in rows)
     assert min(row[1] for row in rows) < 1.0 < rows[-1][1]
     assert any("estimated default" in line for line in bundle.manifest)
+
+
+def test_fig3b_row_without_steady_state_fails_the_build(monkeypatch):
+    # one batched solve covers all 522 rows; a row it leaves without a
+    # steady state must raise, not become a NaN row
+    def batch_with_unstable_row(rates):
+        rates = rates.copy()
+        rates[300, 2] = 20.0  # g1 > g2 at equal losses: unstable
+        return _steady_batch(rates)
+
+    monkeypatch.setattr(steerkit.figures, "_steady_batch", batch_with_unstable_row)
+    with pytest.raises(UnstableSystemError):
+        build_figure("3b")

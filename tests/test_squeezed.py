@@ -34,6 +34,7 @@ def test_transform_pair_inverse():
     for r in (0.0, 0.4, 1.3):
         t, ti = _transform_pair(r)
         np.testing.assert_allclose(t @ ti, np.eye(6), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(ti, _transform_pair(-r)[0])
 
 
 def test_composite_occupations_identity():
