@@ -235,9 +235,9 @@ def _cmd_sweep(args) -> int:
     if cfg.sweep is None:
         raise ConfigError("the sweep command needs a [sweep] block")
     spec = cfg.sweep
+    names = [axis.name for axis in spec.axes]
     if cfg.sweep_mode == "grid":
         rows_out = grid_sweep(spec)
-        names = [axis.name for axis in spec.axes]
         header = [*names, "stable", "s12", "s21", "e_n"]
         rows = [
             (*(row.values[name] for name in names), row.stable, row.s12, row.s21, row.e_n)
@@ -246,28 +246,21 @@ def _cmd_sweep(args) -> int:
         summary = [f"grid sweep over {', '.join(names)}: {len(rows)} points"]
     else:
         points = minimize_steering(spec, cfg.swept)
-        names = [axis.name for axis in spec.axes]
         header = [
             cfg.swept.name,
             *(f"{name}_opt" for name in names),
             spec.objective,
             "feasible",
         ]
-        rows = []
-        for point in points:
-            if point.feasible:
-                rows.append(
-                    (
-                        point.swept_value,
-                        *(point.best[name] for name in names),
-                        point.value,
-                        True,
-                    )
-                )
-            else:
-                rows.append(
-                    (point.swept_value, *(math.nan,) * len(names), math.nan, False)
-                )
+        rows = [
+            (
+                point.swept_value,
+                *(point.best[name] if point.feasible else math.nan for name in names),
+                point.value,
+                point.feasible,
+            )
+            for point in points
+        ]
         summary = [
             f"minimized {spec.objective} over {', '.join(names)} at "
             f"{len(rows)} values of {cfg.swept.name}"

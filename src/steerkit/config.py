@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, ParameterError
 from .params import SystemParams
-from .sweep import AxisSpec, SweepSpec
+from .sweep import AxisSpec, SweepSpec, _check_swept
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -252,6 +252,7 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError("[sweep] grid mode does not take a swept axis")
         try:
             sweep = SweepSpec(base=params, axes=axes, objective=objective, ties=ties)
+            _check_swept(sweep, swept)
         except ValueError as exc:
             raise ConfigError(f"[sweep]: {exc}") from exc
     elif run_block == "rwa":

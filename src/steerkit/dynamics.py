@@ -467,10 +467,10 @@ def steady_state_lyapunov(params: SystemParams) -> MomentState:
     refinement.  The result is rejected unless the residual satisfies
     ``||A Phi + Phi A^T + 2KD||_F <= 1e-10 ||2KD||_F``.
 
-    This is the one-row call of the batched kernel
-    :func:`_steady_batch`, which grid sweeps and coarse minimization
-    grids call once per grid in blocks of 32 rows; a row's moments and
-    verdict are the same bits whether it is solved alone or in a batch.
+    This is the one-row call of the batched kernel :func:`_steady_batch`,
+    which grid sweeps, coarse minimization grids and compass rounds call
+    once each, in blocks of 32 rows; a row's moments and verdict are the
+    same bits whether it is solved alone or in a batch.
 
     Raises
     ------

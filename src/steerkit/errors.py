@@ -69,4 +69,4 @@ class UndefinedTransformError(ValueError):
 
 
 class EmptySweepWarning(UserWarning):
-    """No sweep point satisfied the stability requirement."""
+    """No grid point had a steady state, or no frontier slice was feasible."""

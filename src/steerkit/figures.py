@@ -94,24 +94,21 @@ def _fig_2b():
 
 
 def _minimized_vs_g2(figure_id, objective, kappa2, n_ths, description):
-    g2_values = np.arange(5.0, 31.0)
+    swept = AxisSpec("g2", 5.0, 30.0, 26)
     axes = (AxisSpec("g1", 0.5, 30.0, 41),)
     rows = []
     for n_th in n_ths:
-        for g2 in g2_values:
-            base = SystemParams(1.0, kappa2, 1.0, float(g2), 0.01, float(n_th))
-            spec = SweepSpec(base=base, axes=axes, objective=objective)
-            point = minimize_steering(spec)[0]
-            if point.feasible:
-                rows.append((float(n_th), float(g2), point.best["g1"], point.value))
-            else:
-                rows.append((float(n_th), float(g2), float("nan"), float("nan")))
+        base = SystemParams(1.0, kappa2, 1.0, swept.lo, 0.01, float(n_th))
+        spec = SweepSpec(base=base, axes=axes, objective=objective)
+        for point in minimize_steering(spec, swept):
+            g1 = point.best["g1"] if point.feasible else float("nan")
+            rows.append((float(n_th), point.swept_value, g1, point.value))
     header = ["n_th", "g2", "g1_opt", f"{objective}_min"]
     manifest = [
         "kappa1 = 1.0",
         f"kappa2 = {kappa2!r}",
         "gamma_m = 0.01",
-        f"g2 grid: 5 .. 30 step 1 ({g2_values.size} values)",
+        f"g2 grid: 5 .. 30 step 1 ({swept.steps} values)",
         f"n_th values: {', '.join(repr(float(n)) for n in n_ths)}",
         "minimized over g1 in [0.5, 30] (41-point coarse grid + pattern search)",
         f"objective: steady-state {objective}",

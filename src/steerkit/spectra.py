@@ -38,7 +38,10 @@ def _entries(params: SystemParams, omega):
     """Transfer-function entries at ``omega`` (scalar or array)."""
     k1, k2 = params.kappa1, params.kappa2
     g1, g2, gm = params.g1, params.g2, params.gamma_m
-    iw = 1j * np.asarray(omega, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    if not np.isfinite(omega).all():
+        raise ValueError("frequencies must be finite")
+    iw = 1j * omega
     d = (k1 - iw) * g2**2 - (k2 - iw) * g1**2 + (k1 - iw) * (k2 - iw) * (gm - iw)
     _check_denominator(d)
     m11 = ((k1 + iw) * g2**2 + (k2 - iw) * g1**2 + (k1 + iw) * (k2 - iw) * (gm - iw)) / d

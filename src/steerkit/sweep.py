@@ -9,8 +9,8 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections.abc import Generator, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -19,9 +19,9 @@ from .dynamics import (
     MomentState,
     _rates,
     _steady_batch,
-    steady_state_lyapunov,
+    steady_state_lyapunov,  # not called here; bench/test_bench.py reads this binding
 )
-from .errors import EmptySweepWarning, NumericalError, UnstableSystemError
+from .errors import EmptySweepWarning
 from .params import SystemParams
 from .steering import logarithmic_negativity, steering_products_reduced
 
@@ -136,46 +136,32 @@ def _grid_rates(spec: SweepSpec, columns: Mapping[str, np.ndarray]) -> np.ndarra
     return rates
 
 
-def _steering(moments: MomentState, with_en: bool) -> tuple[float, float, float]:
-    """``(s12, s21, e_n)`` of steady moments; E_N is NaN unless ``with_en``.
+def _evaluate(phi, stable, solved, *, with_en: bool) -> tuple[bool, float, float, float]:
+    """``(stable, s12, s21, e_n)`` of one kernel row; E_N is NaN unless ``with_en``.
 
-    All three are NaN when the moments are degenerate or unphysical.
+    Steering is NaN where there is no steady state (unstable, or rejected
+    by the residual gate near the stability boundary) and where the
+    moments are degenerate or unphysical.
     """
-    try:
-        s12, s21 = steering_products_reduced(moments)
-        e_n = logarithmic_negativity(moments) if with_en else math.nan
-    except ValueError:
-        return math.nan, math.nan, math.nan
-    return s12, s21, e_n
+    if solved:
+        moments = MomentState(phi)
+        try:
+            s12, s21 = steering_products_reduced(moments)
+            return True, s12, s21, (logarithmic_negativity(moments) if with_en else math.nan)
+        except ValueError:
+            pass
+    return bool(stable), math.nan, math.nan, math.nan
 
 
 def _evaluate_grid(
     rates: np.ndarray, *, with_en: bool
 ) -> list[tuple[bool, float, float, float]]:
-    """``(stable, s12, s21, e_n)`` per rate row, from one batched steady solve.
-
-    Steering is NaN where there is no steady state: unstable, or rejected by
-    the residual gate near the stability boundary.
-    """
+    """:func:`_evaluate` of every rate row, from one batched steady solve."""
     batch = _steady_batch(rates)
-    nan = (math.nan, math.nan, math.nan)
     return [
-        (bool(stable), *(_steering(MomentState(phi), with_en) if solved else nan))
-        for phi, stable, solved in zip(batch.phi, batch.stable, batch.solved)
+        _evaluate(*row, with_en=with_en)
+        for row in zip(batch.phi, batch.stable, batch.solved)
     ]
-
-
-def _evaluate(params: SystemParams, *, with_en: bool) -> tuple[bool, float, float, float]:
-    """:func:`_evaluate_grid` of one point, through :func:`steady_state_lyapunov`."""
-    try:
-        moments = steady_state_lyapunov(params)
-    except UnstableSystemError:
-        return False, math.nan, math.nan, math.nan
-    except (NumericalError, ValueError):
-        # near the stability boundary the residual gate can reject the
-        # solve; report the cell as unavailable rather than aborting
-        return True, math.nan, math.nan, math.nan
-    return (True, *_steering(moments, with_en))
 
 
 def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -200,24 +186,24 @@ def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def _compass(
-    fn: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    fx0: float,
-    step0: float,
-    tol: float = 1e-4,
-) -> tuple[np.ndarray, float]:
-    """Coordinate pattern search on the unit box, strict-descent, halving."""
+    x0: np.ndarray, fx0: float, step0: float, free: np.ndarray, tol: float = 1e-4
+) -> Generator[np.ndarray, float, tuple[np.ndarray, float]]:
+    """Coordinate pattern search on the unit box, strict-descent, halving.
+
+    Only the coordinates ``free`` move.  Yields each trial point, is sent
+    its objective and returns ``(x, fx)``.
+    """
     x, fx = x0.copy(), fx0
     step = step0
     while step >= tol:
         improved = False
-        for i in range(x.size):
+        for i in free:
             for sign in (1.0, -1.0):
                 trial = x.copy()
                 trial[i] = min(max(trial[i] + sign * step, 0.0), 1.0)
                 if trial[i] == x[i]:
                     continue
-                f_trial = fn(trial)
+                f_trial = yield trial
                 if f_trial < fx:
                     x, fx = trial, f_trial
                     improved = True
@@ -226,70 +212,75 @@ def _compass(
     return x, fx
 
 
+def _check_swept(spec: SweepSpec, swept: AxisSpec | None) -> None:
+    """Reject a swept field that an axis or a tie would overwrite."""
+    if swept is not None and swept.name in [*spec.ties, *(a.name for a in spec.axes)]:
+        raise ValueError(f"swept field {swept.name!r} cannot also be an axis or a tied field")
+
+
 def minimize_steering(
     spec: SweepSpec, swept: AxisSpec | None = None
 ) -> list[FrontierPoint]:
     """Optimize the objective over the axis box, once per swept value.
 
     For each value of ``swept`` (or just once when it is None) the
-    objective is evaluated on the coarse axis grid and the best cell is
-    refined by compass search clamped to the axis box; termination at
-    step < 1e-4 of each axis span.  Infeasible frontier points (no steady
-    state anywhere on the grid) are flagged rather than raised.
+    objective is evaluated on the coarse axis grid, one kernel call per
+    slice, and the best cell is refined by compass search clamped to the
+    axis box; termination at step < 1e-4 of each axis span.  The searches
+    of all slices advance in lockstep, each round one kernel call with one
+    trial row per live search.  Axes with ``lo == hi`` stay fixed.
+    Infeasible frontier points (no steady state anywhere on the grid) are
+    flagged rather than raised.
 
     For the ``"en"`` objective the reported ``value`` is the maximized
     logarithmic negativity itself.
     """
+    _check_swept(spec, swept)
     with_en = spec.objective == "en"
     sign = -1.0 if with_en else 1.0
     index = {"s12": 1, "s21": 2, "en": 3}[spec.objective]
     names = [axis.name for axis in spec.axes]
     los = np.asarray([axis.lo for axis in spec.axes])
     spans = np.asarray([axis.hi - axis.lo for axis in spec.axes])
+    swept_values = [math.nan] if swept is None else list(map(float, swept.values()))
 
-    def rates(xs: np.ndarray, extra: dict[str, float]) -> np.ndarray:
+    def objectives(xs: np.ndarray, swept_column: list[float]) -> list[float]:
         columns = dict(zip(names, (los + xs * spans).T))
-        columns.update({name: np.full(len(xs), value) for name, value in extra.items()})
-        return _grid_rates(spec, columns)
+        if swept is not None:
+            columns[swept.name] = np.asarray(swept_column)
+        cells = _evaluate_grid(_grid_rates(spec, columns), with_en=with_en)
+        return [math.inf if math.isnan(c[index]) else sign * c[index] for c in cells]
 
-    def objective(cell: tuple[bool, float, float, float]) -> float:
-        return math.inf if math.isnan(cell[index]) else sign * cell[index]
-
-    def solve_one(extra: dict[str, float]) -> tuple[dict[str, float] | None, float, bool]:
-        grids = [
-            (axis.values() - axis.lo) / (axis.hi - axis.lo)
-            if axis.hi > axis.lo
-            else np.asarray([0.0])
-            for axis in spec.axes
-        ]
-        xs = np.array(list(itertools.product(*grids)))
-        f = [objective(cell) for cell in _evaluate_grid(rates(xs, extra), with_en=with_en)]
+    grids = [
+        (axis.values() - axis.lo) / (axis.hi - axis.lo)
+        if axis.hi > axis.lo
+        else np.asarray([0.0])
+        for axis in spec.axes
+    ]
+    xs = np.array(list(itertools.product(*grids)))
+    free = np.flatnonzero(spans)
+    step0 = max((1.0 / (spec.axes[i].steps - 1) for i in free), default=0.0)
+    points = [FrontierPoint(value, None, math.nan, False) for value in swept_values]
+    sends = []  # (slice, its search, the objective of its last trial)
+    for k, value in enumerate(swept_values):
+        f = objectives(xs, [value] * len(xs))
         best = int(np.argmin(f))
-        if not math.isfinite(f[best]):
-            return None, math.nan, False
-        step0 = max(
-            1.0 / (axis.steps - 1) if axis.steps > 1 else 1.0 for axis in spec.axes
-        )
-        x, fx = _compass(
-            lambda x: objective(
-                _evaluate(SystemParams(*rates(x[None], extra)[0]), with_en=with_en)
-            ),
-            xs[best],
-            f[best],
-            step0,
-        )
-        return dict(zip(names, map(float, los + x * spans))), sign * fx, True
-
-    points: list[FrontierPoint] = []
-    if swept is None:
-        best, value, feasible = solve_one({})
-        points.append(FrontierPoint(math.nan, best, value, feasible))
-    else:
-        for swept_value in swept.values():
-            best, value, feasible = solve_one({swept.name: float(swept_value)})
-            points.append(
-                FrontierPoint(float(swept_value), best, value, feasible)
-            )
+        if math.isfinite(f[best]):
+            sends.append((k, _compass(xs[best], f[best], step0, free), None))
+    while sends:
+        live = []
+        for k, search, f_trial in sends:
+            try:
+                live.append((k, search, search.send(f_trial)))
+            except StopIteration as stop:
+                x, fx = stop.value
+                coords = dict(zip(names, map(float, los + x * spans)))
+                points[k] = FrontierPoint(swept_values[k], coords, sign * fx, True)
+        if not live:
+            break
+        trials = np.array([trial for _, _, trial in live])
+        f = objectives(trials, [swept_values[k] for k, _, _ in live])
+        sends = [(k, search, fk) for (k, search, _), fk in zip(live, f)]
     if not any(point.feasible for point in points):
         warnings.warn(
             "no feasible point on any frontier slice", EmptySweepWarning, stacklevel=2

@@ -244,6 +244,21 @@ axes = g1 0.5 8.0 9; g2 1.0 10.0 10
         assert float(row[3]) < 1.0
 
 
+@pytest.mark.parametrize(
+    "swept, ties",
+    [("g1 2.0 3.0 2", ""), ("kappa2 1.0 3.0 3", "ties = kappa2=kappa1\n")],
+)
+def test_sweep_swept_field_overwritten_by_an_axis_or_tie_exits_2(tmp_path, capsys, swept, ties):
+    cfg = write_config(
+        tmp_path,
+        FIG2A + f"\n[sweep]\nmode = minimize\nobjective = s21\naxes = g1 1 8 8\nswept = {swept}\n{ties}",
+    )
+    assert main(["sweep", "--config", cfg, "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: [sweep]: swept field" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # check
 

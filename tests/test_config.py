@@ -144,6 +144,16 @@ def test_rwa_block():
             HEADER + "\n[sweep]\nmode = grid\naxes = g1 1 2 3\nstability_required = true\n",
             "unknown key",
         ),
+        (
+            HEADER + "\n[sweep]\nmode = minimize\naxes = g1 1 2 3\nswept = g1 2 3 2\n",
+            "swept field 'g1'",
+        ),
+        (
+            HEADER
+            + "\n[sweep]\nmode = minimize\naxes = g1 1 2 3\nswept = kappa2 1 3 3\n"
+            + "ties = kappa2=kappa1\n",
+            "swept field 'kappa2'",
+        ),
         (HEADER + "\n[rwa]\nmargin_factor = 0\n", "margin_factor"),
         (HEADER + "\n[rwa]\nphases = 3\n", "unknown key"),
         ("version = 1\n", "malformed config"),

@@ -84,6 +84,21 @@ def test_light_figures_have_manifest_params():
         assert "kappa1" in keys, figure_id
 
 
+@pytest.mark.parametrize("figure_id, calls", [("2c", 6), ("2d", 3)])
+def test_minimized_vs_g2_sweeps_g2_once_per_occupation(monkeypatch, figure_id, calls):
+    swept = []
+    minimize = steerkit.figures.minimize_steering
+
+    def recording(spec, *args):
+        swept.append(args)
+        return minimize(spec, *args)
+
+    monkeypatch.setattr(steerkit.figures, "minimize_steering", recording)
+    (_, _, rows), = build_figure(figure_id).files
+    assert len(swept) == calls and len(rows) == 26 * calls
+    assert [row[1] for row in rows[:26]] == [float(g2) for g2 in range(5, 31)]
+
+
 def test_fig6_minimization_frontier():
     bundle = build_figure("6")
     (name, header, rows), = bundle.files

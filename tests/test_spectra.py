@@ -160,6 +160,23 @@ def test_grid_validation():
         spectrum(P_FLAT, [])
 
 
+def test_spectrum_rejects_non_finite_frequencies():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="finite"):
+            spectrum(P_FLAT, [0.0, math.nan, math.inf])
+
+
+def test_spectrum_point_rejects_non_finite_frequency():
+    with pytest.raises(ValueError, match="finite"):
+        spectrum_point(P_FLAT, math.nan)
+
+
+def test_transfer_matrix_rejects_non_finite_frequency():
+    with pytest.raises(ValueError, match="finite"):
+        transfer_matrix(P_FLAT, math.inf)
+
+
 def test_default_grid_shape():
     grid = default_omega_grid(P_FLAT)
     assert grid.size == 2001

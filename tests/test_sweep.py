@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -185,48 +186,132 @@ def _rate_row(params: SystemParams) -> tuple[float, ...]:
     return (params.kappa1, params.kappa2, params.g1, params.g2, params.gamma_m, params.n_th)
 
 
-def _record_kernel_rows(monkeypatch) -> list:
-    """Every rate row handed to the batched steady kernel, from any caller."""
-    rows = []
+def _record_kernel_calls(monkeypatch) -> list:
+    """The rate rows of each batched steady kernel call from any caller, a list per call."""
+    calls = []
     original = steerkit.dynamics._steady_batch
 
     def recording(rates):
-        rows.extend(map(tuple, np.asarray(rates).reshape(-1, 6).tolist()))
+        calls.append(list(map(tuple, np.asarray(rates).reshape(-1, 6).tolist())))
         return original(rates)
 
     monkeypatch.setattr(steerkit.dynamics, "_steady_batch", recording)
     monkeypatch.setattr(steerkit.sweep, "_steady_batch", recording)
-    return rows
+    return calls
 
 
 def test_grid_solves_each_cell_once(monkeypatch):
-    kernel_rows = _record_kernel_rows(monkeypatch)
+    kernel_calls = _record_kernel_calls(monkeypatch)
     rows = grid_sweep(MIXED)
     assert len(rows) == 15
-    assert kernel_rows == [_rate_row(BASE.with_(**row.values)) for row in rows]
+    assert kernel_calls == [[_rate_row(BASE.with_(**row.values)) for row in rows]]
+
+
+def _record_searches(monkeypatch) -> list:
+    """The trial points of each compass search, one list per search."""
+    searches = []
+    compass = steerkit.sweep._compass
+
+    def recording(*args, **kwargs):
+        trials = []
+        searches.append(trials)
+        search = compass(*args, **kwargs)
+        f_trial = None
+        while True:
+            try:
+                trial = search.send(f_trial)
+            except StopIteration as stop:
+                return stop.value
+            trials.append(trial)
+            f_trial = yield trial
+
+    monkeypatch.setattr(steerkit.sweep, "_compass", recording)
+    return searches
 
 
 def test_minimize_solves_each_evaluation_once(monkeypatch):
-    kernel_rows = _record_kernel_rows(monkeypatch)
-    evaluated = _record_calls(monkeypatch, steerkit.sweep, "_evaluate")
-    trials = []
-    compass = steerkit.sweep._compass
+    kernel_calls = _record_kernel_calls(monkeypatch)
+    searches = _record_searches(monkeypatch)
+    swept = AxisSpec("n_th", 0.0, 2.0, 3)
+    points = minimize_steering(MIXED, swept)
+    assert all(point.feasible for point in points) and len(searches) == 3
+    # one call per slice grid, each cell once, with the slice's swept value
+    for n_th, rows in zip((0.0, 1.0, 2.0), kernel_calls):
+        grid = [
+            _rate_row(BASE.with_(gamma_m=gamma_m, g1=g1, n_th=n_th))
+            for gamma_m in (0.01, 1.005, 2.0)
+            for g1 in (8.0, 9.0, 10.0, 11.0, 12.0)
+        ]
+        np.testing.assert_allclose(rows, grid, rtol=1e-15)
+    # then one call per lockstep round, one row per search still running
+    rounds = kernel_calls[3:]
+    assert len(rounds) == max(map(len, searches)) > 0
+    for r, rows in enumerate(rounds):
+        expected = [
+            _rate_row(
+                BASE.with_(
+                    gamma_m=0.01 + trials[r][0] * (2.0 - 0.01),
+                    g1=8.0 + trials[r][1] * (12.0 - 8.0),
+                    n_th=n_th,
+                )
+            )
+            for n_th, trials in zip((0.0, 1.0, 2.0), searches)
+            if r < len(trials)
+        ]
+        assert rows == expected
 
-    def counting_compass(fn, *args, **kwargs):
-        return compass(lambda x: trials.append(x) or fn(x), *args, **kwargs)
 
-    monkeypatch.setattr(steerkit.sweep, "_compass", counting_compass)
-    (point,) = minimize_steering(MIXED)
-    assert point.feasible and trials
-    # the 15-cell coarse grid in one batch, then one row per compass trial
-    assert len(kernel_rows) == 15 + len(trials)
-    assert kernel_rows[15:] == [_rate_row(params) for params in evaluated]
-    grid = [
-        _rate_row(BASE.with_(gamma_m=gamma_m, g1=g1))
-        for gamma_m in (0.01, 1.005, 2.0)
-        for g1 in (8.0, 9.0, 10.0, 11.0, 12.0)
-    ]
-    np.testing.assert_allclose(kernel_rows[:15], grid, rtol=1e-15)
+# a swept spec whose slices are infeasible (g1 > g2) or end in different rounds
+STAGGERED = SweepSpec(
+    base=BASE,
+    axes=(AxisSpec("g1", 9.0, 12.0, 4), AxisSpec("gamma_m", 0.01, 2.0, 3)),
+)
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("objective", ["s12", "en"])
+def test_swept_slices_equal_lone_problems(monkeypatch, objective):
+    spec = replace(STAGGERED, objective=objective)
+    swept = AxisSpec("g2", 6.0, 14.0, 5)
+    searches = _record_searches(monkeypatch)
+    points = minimize_steering(spec, swept)
+    assert [point.feasible for point in points] == [False, False, True, True, True]
+    assert len({len(trials) for trials in searches}) > 1
+    for point, g2 in zip(points, swept.values()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptySweepWarning)
+            (lone,) = minimize_steering(replace(spec, base=BASE.with_(g2=float(g2))))
+        assert point.swept_value == g2
+        assert point.feasible == lone.feasible and point.best == lone.best
+        assert _same(point.value, lone.value)
+
+
+def test_fixed_axis_changes_nothing(monkeypatch):
+    kernel_calls = _record_kernel_calls(monkeypatch)
+    base = SystemParams(1.0, 1.0, 6.0, 10.0, 0.5)
+    spec = SweepSpec(base=base, axes=(AxisSpec("g1", 1.0, 8.0, 8),), objective="s21")
+    (free,) = minimize_steering(spec)
+    free_rows = sum(map(len, kernel_calls))
+    kernel_calls.clear()
+    fixed_axes = (*spec.axes, AxisSpec("g2", 10.0, 10.0, 1))
+    (fixed,) = minimize_steering(replace(spec, axes=fixed_axes))
+    assert fixed.value == free.value
+    assert fixed.best == {**free.best, "g2": 10.0}
+    assert sum(map(len, kernel_calls)) == free_rows
+
+
+@pytest.mark.parametrize(
+    "swept, ties",
+    [(AxisSpec("g1", 2.0, 3.0, 2), {}), (AxisSpec("kappa2", 1.0, 3.0, 3), {"kappa2": "kappa1"})],
+)
+def test_swept_field_overwritten_by_an_axis_or_tie_raises(swept, ties):
+    base = SystemParams(1.0, 1.0, 6.0, 10.0, 0.5)
+    spec = SweepSpec(base=base, axes=(AxisSpec("g1", 1.0, 8.0, 8),), objective="s21", ties=ties)
+    with pytest.raises(ValueError, match="swept field"):
+        minimize_steering(spec, swept)
 
 
 @pytest.mark.parametrize("objective", ["s12", "s21"])
