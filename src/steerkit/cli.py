@@ -1,9 +1,9 @@
 """Command line: INI scenarios in, deterministic CSV and reports out.
 
-Exit codes: 0 success, 2 invalid config or arguments, 3 unstable system,
-4 numeric failure.  CSV goes to ``--out`` when given (human summary to
-stdout), otherwise to stdout (summary to stderr); ``--quiet`` drops the
-summary either way.
+Exit codes: 0 success, 2 invalid config or arguments or unwritable output,
+3 unstable system, 4 numeric failure.  CSV goes to ``--out`` when given
+(human summary to stdout), otherwise to stdout (summary to stderr);
+``--quiet`` drops the summary either way.
 """
 from __future__ import annotations
 
@@ -17,10 +17,10 @@ import numpy as np
 from . import __version__
 from .config import ScenarioConfig, load_config
 from .dynamics import (
-    _steady_state,
     assess_rwa,
     assess_stability,
     evolve_moments,
+    steady_state_lyapunov,
     vacuum_thermal_state,
 )
 from .errors import (
@@ -70,8 +70,11 @@ def _csv_text(header: list[str], rows) -> str:
 
 def _write_text(path: str, text: str) -> None:
     """Write ``text`` as UTF-8 with LF line ends on every platform."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit_csv(header: list[str], rows: list, out_path: str | None, quiet: bool):
@@ -98,7 +101,8 @@ def _report(lines, out_path: str | None, quiet: bool):
 
 def _cmd_steady(args) -> int:
     cfg = load_config(args.config)
-    moments, report = _steady_state(cfg.params)
+    moments = steady_state_lyapunov(cfg.params)
+    report = assess_stability(cfg.params)
     result = steering_result(moments)
     c = moments.c
     _report(
@@ -372,17 +376,16 @@ def _cmd_reproduce(args) -> int:
         bundle = build_figure(args.figure_id)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    os.makedirs(args.out, exist_ok=True)
-    written = []
-    for name, header, rows in bundle.files:
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+    texts = [(name, _csv_text(header, rows)) for name, header, rows in bundle.files]
+    texts.append((f"fig{bundle.figure_id}_manifest.txt", "\n".join(bundle.manifest) + "\n"))
+    for name, text in texts:
         path = os.path.join(args.out, name)
-        _write_text(path, _csv_text(header, rows))
-        written.append(path)
-    manifest_path = os.path.join(args.out, f"fig{bundle.figure_id}_manifest.txt")
-    _write_text(manifest_path, "\n".join(bundle.manifest) + "\n")
-    written.append(manifest_path)
-    if not args.quiet:
-        for path in written:
+        _write_text(path, text)
+        if not args.quiet:
             print(f"wrote {path}")
     return 0
 

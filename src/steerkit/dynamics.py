@@ -125,10 +125,10 @@ class StabilityReport:
     """Outcome of the closed-form and spectral stability tests.
 
     ``analytic_pass`` evaluates the two closed-form inequalities that are
-    necessary and sufficient for this model; ``spectral_pass`` checks that
-    every drift eigenvalue has a strictly negative real part.  The two can
-    disagree only on numerical boundary cases, which is reported rather
-    than raised.
+    necessary and sufficient for this model, the verdict the steady kernel
+    uses; ``spectral_pass`` checks that every drift eigenvalue has a
+    strictly negative real part.  The two can disagree only on numerical
+    boundary cases, which is reported rather than raised.
     """
 
     analytic_pass: bool
@@ -140,32 +140,31 @@ class StabilityReport:
         return self.analytic_pass == self.spectral_pass
 
 
-def stability_margins(params: SystemParams) -> tuple[float, float]:
-    """Left-minus-right margins of the two closed-form stability conditions.
-
-    Both must be strictly positive for stability.
-    """
-    k1, k2 = params.kappa1, params.kappa2
-    g1, g2, gm = params.g1, params.g2, params.gamma_m
+def _margins(k1, k2, g1, g2, gm):
+    """``(m1, m2)`` of :func:`stability_margins`, of floats or of rate columns."""
     m1 = (k2 + gm) * ((k1 + k2) * (k1 + gm) + g2**2) - (k1 + gm) * g1**2
     m2 = k1 * g2**2 - k2 * g1**2 + gm * k1 * k2
     return m1, m2
 
 
-def _report(params: SystemParams, max_re: float) -> StabilityReport:
-    """Closed-form verdict for ``params`` next to the spectral one from ``max_re``."""
-    m1, m2 = stability_margins(params)
-    return StabilityReport(
-        analytic_pass=bool(m1 > 0.0 and m2 > 0.0),
-        spectral_pass=bool(max_re < 0.0),
-        max_real_eigenvalue=max_re,
-    )
+def stability_margins(params: SystemParams) -> tuple[float, float]:
+    """Left-minus-right margins of the two closed-form stability conditions.
+
+    Both must be strictly positive for stability: they are the
+    Routh-Hurwitz conditions of the drift's characteristic cubic.
+    """
+    return _margins(params.kappa1, params.kappa2, params.g1, params.g2, params.gamma_m)
 
 
 def assess_stability(params: SystemParams) -> StabilityReport:
     """Evaluate closed-form and spectral stability for ``params``."""
-    drift = build_generators(params).drift
-    return _report(params, float(np.linalg.eigvals(drift).real.max()))
+    m1, m2 = stability_margins(params)
+    max_re = float(np.linalg.eigvals(build_generators(params).drift).real.max())
+    return StabilityReport(
+        analytic_pass=bool(m1 > 0.0 and m2 > 0.0),
+        spectral_pass=max_re < 0.0,
+        max_real_eigenvalue=max_re,
+    )
 
 
 @dataclass(frozen=True)
@@ -308,10 +307,6 @@ def build_moment_state(
 # steady states
 
 
-#: rate rows the steady kernel assembles and solves at once; the results do
-#: not depend on it, only the peak memory does
-_BLOCK = 32
-
 #: the LAPACK LU routines scipy's lu_factor/lu_solve call for complex input;
 #: looked up here, since importing scipy.linalg.lapack by name made
 #: ``import steerkit`` measurably slower
@@ -322,21 +317,15 @@ _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=complex)
 _EYE = np.eye(6, dtype=complex)
 
 
-def _kronecker_sums(a: NDArray, work: NDArray | None = None) -> NDArray:
-    """``L = kron(A, I) + kron(I, A)``, shape ``(n, 36, 36)``, of drifts ``a``.
+def _kronecker_sum(a: NDArray) -> NDArray:
+    """``L = kron(A, I) + kron(I, A)``, shape ``(36, 36)``, of one drift ``a``.
 
     L acts on vec Phi.  Each product is taken in ``np.kron``'s operand
-    order, so every entry has the bits of the one-matrix Kronecker
-    assembly.  ``L`` and a scratch term are written into ``work``
-    ``(2, m >= n, 6, 6, 6, 6)`` when given, so that a loop over blocks does
-    not allocate them per block.
+    order, so every entry has the bits of the ``np.kron`` assembly.
     """
-    n = len(a)
-    if work is None:
-        work = np.empty((2, n, 6, 6, 6, 6), dtype=complex)
-    lhs = np.multiply(a[:, :, None, :, None], _EYE[:, None, :], out=work[0, :n])
-    lhs += np.multiply(_EYE[:, None, :, None], a[:, None, :, None, :], out=work[1, :n])
-    return lhs.reshape(n, 36, 36)
+    lhs = a[:, None, :, None] * _EYE[:, None, :]
+    lhs += _EYE[:, None, :, None] * a[:, None, :]
+    return lhs.reshape(36, 36)
 
 
 def _noise_vectors(rates: NDArray) -> NDArray:
@@ -380,20 +369,16 @@ def _solve(lhs: NDArray, q: NDArray) -> tuple[NDArray, float, float]:
 class _SteadyBatch(NamedTuple):
     """Steady states of ``n`` rate rows, from :func:`_steady_batch`.
 
+    ``stable`` is each row's closed-form verdict ``m1 > 0 and m2 > 0``;
     ``phi`` is ``(n, 6, 6)`` and NaN on every row without a steady state;
     ``residual`` and ``bound`` are the Lyapunov residual and its gate, NaN
     on unstable rows.
     """
 
     phi: NDArray
-    max_real_eigenvalue: NDArray
+    stable: NDArray
     residual: NDArray
     bound: NDArray
-
-    @property
-    def stable(self) -> NDArray:
-        """Rows whose drift spectrum lies strictly in the left half-plane."""
-        return self.max_real_eigenvalue < 0.0
 
     @property
     def solved(self) -> NDArray:
@@ -404,58 +389,38 @@ class _SteadyBatch(NamedTuple):
 def _steady_batch(rates) -> _SteadyBatch:
     """Steady second moments of rate rows ``(kappa1, kappa2, g1, g2, gamma_m, n_th)``.
 
-    Rows are processed in blocks of ``_BLOCK`` (32).  Per block the drifts
-    are stacked for one batched eigenvalue computation (the spectral
-    stability verdict) and the Kronecker systems of its stable rows are
-    assembled at once; each is then factored and solved on its own, exactly as
-    :func:`steady_state_lyapunov` describes.  A row's result does not
-    depend on the batch or its position in it: it has the bits of the
-    one-row call.  Rows are not validated; :class:`SystemParams` holds the
-    constraints.
+    Each row is judged by the closed-form stability conditions; the
+    Kronecker system of every stable row is assembled, factored and solved
+    on its own, exactly as :func:`steady_state_lyapunov` describes.  A
+    row's result does not depend on the batch or its position in it: it
+    has the bits of the one-row call.  Rows are not validated;
+    :class:`SystemParams` holds the constraints.
     """
     rates = np.asarray(rates, dtype=float).reshape(-1, 6)
     n = len(rates)
+    m1, m2 = _margins(*rates[:, :5].T)
+    stable = (m1 > 0.0) & (m2 > 0.0)
     phi = np.full((n, 36), np.nan, dtype=complex)
-    max_re = np.empty(n)
     residual = np.full(n, np.nan)
     bound = np.full(n, np.nan)
-    # one Kronecker buffer for all blocks; a single block allocates its own
-    work = np.empty((2, _BLOCK, 6, 6, 6, 6), dtype=complex) if n > _BLOCK else None
-    for start in range(0, n, _BLOCK):
-        block = rates[start:start + _BLOCK]
-        drifts = _drifts(block)
-        block_max = np.linalg.eigvals(drifts).real.max(axis=-1)
-        max_re[start:start + len(block)] = block_max
-        stable = (block_max < 0.0).nonzero()[0]
-        if not stable.size:
-            continue
-        lhs = _kronecker_sums(drifts[stable], work)
-        q = _noise_vectors(block[stable])
-        for k, row in enumerate(start + stable):
-            x, residual[row], bound[row] = _solve(lhs[k], q[k])
-            if not residual[row] > bound[row]:
-                phi[row] = x
-    return _SteadyBatch(phi.reshape(n, 6, 6), max_re, residual, bound)
+    rows = stable.nonzero()[0]
+    for row, a, q in zip(rows, _drifts(rates[rows]), _noise_vectors(rates[rows])):
+        x, residual[row], bound[row] = _solve(_kronecker_sum(a), q)
+        if not residual[row] > bound[row]:
+            phi[row] = x
+    return _SteadyBatch(phi.reshape(n, 6, 6), stable, residual, bound)
 
 
-def _steady_row(
-    batch: _SteadyBatch, row: int, params: SystemParams
-) -> tuple[MomentState, StabilityReport]:
-    """:func:`_steady_state` of ``params``, solved as row ``row`` of ``batch``."""
-    report = _report(params, float(batch.max_real_eigenvalue[row]))
-    if not report.spectral_pass:
-        raise UnstableSystemError(report)
+def _steady_row(batch: _SteadyBatch, row: int, params: SystemParams) -> MomentState:
+    """:func:`steady_state_lyapunov` of ``params``, solved as row ``row`` of ``batch``."""
+    if not batch.stable[row]:
+        raise UnstableSystemError(assess_stability(params))
     residual, bound = float(batch.residual[row]), float(batch.bound[row])
     if residual > bound:
         raise NumericalError(
             f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}"
         )
-    return MomentState(batch.phi[row]), report
-
-
-def _steady_state(params: SystemParams) -> tuple[MomentState, StabilityReport]:
-    """:func:`steady_state_lyapunov` together with the stability report it checked."""
-    return _steady_row(_steady_batch(_rates(params)), 0, params)
+    return MomentState(batch.phi[row])
 
 
 def steady_state_lyapunov(params: SystemParams) -> MomentState:
@@ -469,17 +434,18 @@ def steady_state_lyapunov(params: SystemParams) -> MomentState:
 
     This is the one-row call of the batched kernel :func:`_steady_batch`,
     which grid sweeps, coarse minimization grids and compass rounds call
-    once each, in blocks of 32 rows; a row's moments and verdict are the
-    same bits whether it is solved alone or in a batch.
+    once each; a row's moments and verdict are the same bits whether it is
+    solved alone or in a batch.
 
     Raises
     ------
     UnstableSystemError
-        If the drift spectrum is not strictly in the left half-plane.
+        If the closed-form conditions ``m1 > 0`` and ``m2 > 0`` of
+        :func:`stability_margins` fail; the report is :func:`assess_stability`'s.
     NumericalError
         If the residual bound cannot be met.
     """
-    return _steady_state(params)[0]
+    return _steady_row(_steady_batch(_rates(params)), 0, params)
 
 
 @dataclass(frozen=True)
@@ -495,23 +461,16 @@ def steady_state_closed_form(params: SystemParams) -> ClosedFormMoments:
     """Explicit rational expressions for the steady moments.
 
     Exact for ``n1``, ``n2`` and ``c`` at any bath temperature: all three
-    are affine in ``n_th`` over the common denominator ``den1 * den2``.
-    Requires the closed-form stability conditions to hold (they are exactly
-    the positivity of the two denominator factors).
+    are affine in ``n_th`` over the common denominator ``m2 * m1`` of the
+    two :func:`stability_margins`, so they require the closed-form
+    stability conditions to hold.
     """
     m1, m2 = stability_margins(params)
     if not (m1 > 0.0 and m2 > 0.0):
         raise UnstableSystemError(assess_stability(params))
     k1, k2 = params.kappa1, params.kappa2
     g1, g2, gm, nth = params.g1, params.g2, params.gamma_m, params.n_th
-
-    den1 = k1 * g2**2 - k2 * g1**2 + gm * k1 * k2
-    den2 = (
-        (k2 + gm) * g2**2
-        - (k1 + gm) * g1**2
-        + (k1 + k2) * (k1 + gm) * (k2 + gm)
-    )
-    den = den1 * den2
+    den = m2 * m1
 
     n1 = (
         k2 * (k1 + k2 + gm) * g1**2 * g2**2
@@ -600,7 +559,7 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     # Van Loan's augmented generator G = [[L, q], [0, 0]]: y' = G y on
     # y = [vec Phi; 1] is the affine flow (vec Phi)' = L vec Phi + q
     generator = np.zeros((37, 37), dtype=complex)
-    generator[:36, :36] = _kronecker_sums(drift)[0]
+    generator[:36, :36] = _kronecker_sum(drift[0])
     generator[:36, 36] = _noise_vectors(rates)[0]
     eigs = np.linalg.eigvals(drift[0])
     spread = 2.0 * float(np.abs(eigs).max())  # flow eigenvalues live in 2*spec(A)

@@ -93,6 +93,8 @@ class SweepSpec:
                 raise ValueError(f"tie {dst}={src} uses unknown fields")
             if dst in names:
                 raise ValueError(f"tied field {dst!r} cannot also be an axis")
+            if src in self.ties:
+                raise ValueError(f"tie {dst}={src} copies tied field {src!r}")
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,8 @@ def test_steady_report_goes_to_stderr(tmp_path, capsys):
 
 
 def test_steady_computes_the_drift_spectrum_once(tmp_path, capsys, monkeypatch):
-    # the printed stability line comes from the solve's own verdict
+    # the solve decides by the closed-form margins; only the printed
+    # stability line takes the spectrum, from assess_stability
     calls = []
     eigvals = np.linalg.eigvals
 
@@ -98,7 +99,7 @@ def test_steady_computes_the_drift_spectrum_once(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, FIG2A)
     assert main(["steady", "--config", cfg]) == 0
     assert "stability: analytic=pass spectral=pass" in capsys.readouterr().err
-    assert calls == [(1, 6, 6)]
+    assert calls == [(6, 6)]
 
 
 def test_steady_out_file_and_determinism(tmp_path, capsys):
@@ -333,6 +334,20 @@ def test_reproduce_unknown_figure(tmp_path, capsys):
     assert main(["reproduce", "9z", "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "2a" in err  # lists the valid ids
+
+
+def test_reproduce_onto_an_existing_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["reproduce", "4a", "--out", str(blocker)]) == 2
+    assert f"error: cannot write {blocker}" in capsys.readouterr().err
+
+
+def test_steady_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, FIG2A)
+    out_path = tmp_path / "absent" / "x.csv"
+    assert main(["steady", "--config", cfg, "--out", str(out_path)]) == 2
+    assert f"error: cannot write {out_path}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

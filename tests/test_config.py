@@ -132,6 +132,10 @@ def test_rwa_block():
             "[sweep]",
         ),
         (
+            HEADER + "\n[sweep]\nmode = grid\naxes = g1 1 2 3\nties = kappa2=kappa1, kappa1=g1\n",
+            "copies tied field 'kappa1'",
+        ),
+        (
             HEADER + "\n[sweep]\nmode = grid\naxes = g1 1 2 3\nobjective = s99\n",
             "objective",
         ),

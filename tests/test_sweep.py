@@ -113,6 +113,16 @@ def test_grid_ties_follow_swept_axis():
         assert row.s12 == pytest.approx(s12, rel=1e-12)
 
 
+def test_chained_ties_are_rejected():
+    # applied in one step, kappa2 would copy kappa1 before it copies g1
+    with pytest.raises(ValueError, match="copies tied field 'kappa1'"):
+        SweepSpec(
+            base=BASE,
+            axes=(AxisSpec("g1", 1.0, 3.0, 3),),
+            ties={"kappa2": "kappa1", "kappa1": "g1"},
+        )
+
+
 def test_grid_warns_when_everything_unstable():
     spec = SweepSpec(
         base=SystemParams(1.0, 1.0, 10.0, 2.0, 0.01),
