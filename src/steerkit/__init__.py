@@ -7,146 +7,34 @@ composite squeezed-mode picture (:mod:`steerkit.squeezed`), output-field
 spectra (:mod:`steerkit.spectra`) and parameter sweeps
 (:mod:`steerkit.sweep`) layered on top.  The ``steerkit`` command exposes
 the same operations on INI scenario files.
+
+Every module's ``__all__`` is re-exported here, and the package's
+``__all__`` is their concatenation, so each public name is listed once, in
+the module that defines it.
 """
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .dynamics import (
-    ClosedFormMoments,
-    Generators,
-    MomentState,
-    RwaReport,
-    StabilityReport,
-    assess_rwa,
-    assess_stability,
-    build_generators,
-    build_moment_state,
-    evolve_moments,
-    stability_margins,
-    steady_state_closed_form,
-    steady_state_lyapunov,
-    to_correlation_matrix,
-    vacuum_thermal_state,
-)
-from .errors import (
-    ConfigError,
-    DegenerateConditioningError,
-    EmptySweepWarning,
-    NumericalError,
-    ParameterError,
-    PhysicalityError,
-    StepConvergenceError,
-    UndefinedTransformError,
-    UnstableSystemError,
-)
-from .config import ScenarioConfig, load_config, parse_config
-from .figures import FigureBundle, available_figures, build_figure
-from .params import SystemParams
-from .spectra import (
-    SpectrumPoint,
-    SpectrumTable,
-    TransferMatrix,
-    default_omega_grid,
-    resonance_frequencies,
-    spectral_oneway_threshold,
-    spectrum,
-    spectrum_point,
-    thermal_window,
-    transfer_matrix,
-)
-from .squeezed import (
-    FrameReport,
-    SqueezedFrame,
-    composite_occupations,
-    squeeze_parameter,
-    squeezed_frame,
-    transformed_drift,
-)
-from .steering import (
-    RegimePredicates,
-    SteeringResult,
-    classify,
-    logarithmic_negativity,
-    regime_predicates,
-    steering_products_reduced,
-    steering_result,
-)
-from .sweep import (
-    AxisSpec,
-    FrontierPoint,
-    SweepRow,
-    SweepSpec,
-    grid_sweep,
-    minimize_steering,
-)
+from . import config, dynamics, errors, figures, params, spectra, squeezed, steering, sweep
+from .config import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .figures import *  # noqa: F401,F403
+from .params import *  # noqa: F401,F403
+from .spectra import *  # noqa: F401,F403
+from .squeezed import *  # noqa: F401,F403
+from .steering import *  # noqa: F401,F403
+from .sweep import *  # noqa: F401,F403
 
 __all__ = [
-    "SystemParams",
-    # dynamics
-    "Generators",
-    "StabilityReport",
-    "RwaReport",
-    "MomentState",
-    "ClosedFormMoments",
-    "build_generators",
-    "stability_margins",
-    "assess_stability",
-    "assess_rwa",
-    "vacuum_thermal_state",
-    "build_moment_state",
-    "steady_state_lyapunov",
-    "steady_state_closed_form",
-    "evolve_moments",
-    "to_correlation_matrix",
-    # steering
-    "steering_products_reduced",
-    "logarithmic_negativity",
-    "classify",
-    "SteeringResult",
-    "steering_result",
-    "RegimePredicates",
-    "regime_predicates",
-    # squeezed frame
-    "squeeze_parameter",
-    "composite_occupations",
-    "SqueezedFrame",
-    "squeezed_frame",
-    "FrameReport",
-    "transformed_drift",
-    # spectra
-    "TransferMatrix",
-    "transfer_matrix",
-    "SpectrumPoint",
-    "SpectrumTable",
-    "spectrum_point",
-    "spectrum",
-    "default_omega_grid",
-    "resonance_frequencies",
-    "thermal_window",
-    "spectral_oneway_threshold",
-    # sweeps
-    "AxisSpec",
-    "SweepSpec",
-    "SweepRow",
-    "FrontierPoint",
-    "grid_sweep",
-    "minimize_steering",
-    # scenario files and reference figures
-    "ScenarioConfig",
-    "parse_config",
-    "load_config",
-    "FigureBundle",
-    "available_figures",
-    "build_figure",
-    # errors
-    "ParameterError",
-    "ConfigError",
-    "UnstableSystemError",
-    "NumericalError",
-    "StepConvergenceError",
-    "PhysicalityError",
-    "DegenerateConditioningError",
-    "UndefinedTransformError",
-    "EmptySweepWarning",
+    *params.__all__,
+    *dynamics.__all__,
+    *steering.__all__,
+    *squeezed.__all__,
+    *spectra.__all__,
+    *sweep.__all__,
+    *config.__all__,
+    *figures.__all__,
+    *errors.__all__,
 ]

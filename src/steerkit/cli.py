@@ -11,12 +11,14 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, load_config
 from .dynamics import (
+    _RATE_FIELDS,
     assess_rwa,
     assess_stability,
     evolve_moments,
@@ -32,7 +34,7 @@ from .errors import (
     UndefinedTransformError,
     UnstableSystemError,
 )
-from .figures import available_figures, build_figure
+from .figures import _lookup, build_figure
 from .spectra import (
     default_omega_grid,
     resonance_frequencies,
@@ -77,14 +79,18 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit_csv(header: list[str], rows: list, out_path: str | None, quiet: bool):
-    text = _csv_text(header, rows)
+def _emit(text: str, size: str, out_path: str | None, quiet: bool):
+    """Write ``text`` to ``out_path`` (noting its ``size`` unless quiet) or to stdout."""
     if out_path is None:
         sys.stdout.write(text)
     else:
         _write_text(out_path, text)
         if not quiet:
-            print(f"wrote {out_path} ({len(rows)} rows)")
+            print(f"wrote {out_path} ({size})")
+
+
+def _emit_csv(header, rows: list, out_path: str | None, quiet: bool):
+    _emit(_csv_text(header, rows), f"{len(rows)} rows", out_path, quiet)
 
 
 def _report(lines, out_path: str | None, quiet: bool):
@@ -122,41 +128,19 @@ def _cmd_steady(args) -> int:
         args.out,
         args.quiet,
     )
-    p = cfg.params
-    header = [
-        "kappa1",
-        "kappa2",
-        "g1",
-        "g2",
-        "gamma_m",
-        "n_th",
-        "n1",
-        "n2",
-        "nm",
-        "re_c",
-        "im_c",
-        "s12",
-        "s21",
-        "e_n",
-        "class",
+    columns = [
+        *((name, getattr(cfg.params, name)) for name in _RATE_FIELDS),
+        ("n1", moments.n1),
+        ("n2", moments.n2),
+        ("nm", moments.nm),
+        ("re_c", c.real),
+        ("im_c", c.imag),
+        ("s12", result.s12),
+        ("s21", result.s21),
+        ("e_n", result.e_n),
+        ("class", result.classification),
     ]
-    row = (
-        p.kappa1,
-        p.kappa2,
-        p.g1,
-        p.g2,
-        p.gamma_m,
-        p.n_th,
-        moments.n1,
-        moments.n2,
-        moments.nm,
-        c.real,
-        c.imag,
-        result.s12,
-        result.s21,
-        result.e_n,
-        result.classification,
-    )
+    header, row = zip(*columns)
     _emit_csv(header, [row], args.out, args.quiet)
     return 0
 
@@ -206,19 +190,8 @@ def _cmd_spectra(args) -> int:
     else:
         grid = np.linspace(block.omega_min, block.omega_max, block.n_points)
     table = spectrum(cfg.params, grid)
-    header = ["omega", "var_x1", "var_x2", "cross", "s12", "s21", "n1_out", "n2_out"]
-    rows = list(
-        zip(
-            table.omega,
-            table.var_x1,
-            table.var_x2,
-            table.cross,
-            table.s12,
-            table.s21,
-            table.n1_out,
-            table.n2_out,
-        )
-    )
+    header = [f.name for f in fields(table)]
+    rows = list(zip(*(getattr(table, name) for name in header)))
     _report(
         [
             f"omega grid: {float(grid[0])!r} .. {float(grid[-1])!r}, {grid.size} points",
@@ -361,25 +334,21 @@ def _cmd_check(args) -> int:
                 f"(rate={value!r}, margin_factor={margin!r})"
             )
 
-    if args.out is not None:
-        _write_text(args.out, "\n".join(lines) + "\n")
-        if not args.quiet:
-            print(f"wrote {args.out} ({len(lines)} lines)")
-    else:
-        for line in lines:
-            print(line)
+    _emit("\n".join(lines) + "\n", f"{len(lines)} lines", args.out, args.quiet)
     return 0
 
 
 def _cmd_reproduce(args) -> int:
+    # an unknown id or an unwritable --out fails before the figure is computed
     try:
-        bundle = build_figure(args.figure_id)
+        _lookup(args.figure_id)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+    bundle = build_figure(args.figure_id)
     texts = [(name, _csv_text(header, rows)) for name, header, rows in bundle.files]
     texts.append((f"fig{bundle.figure_id}_manifest.txt", "\n".join(bundle.manifest) + "\n"))
     for name, text in texts:

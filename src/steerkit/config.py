@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError, ParameterError
 from .params import SystemParams
@@ -60,7 +60,8 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _RUN_BLOCKS = ("evolve", "spectra", "sweep", "rwa")
-_PARAM_KEYS = ("kappa1", "kappa2", "g1", "g2", "gamma_m", "n_th", "omega_m")
+_PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
+_REQUIRED_PARAM_KEYS = tuple(f.name for f in fields(SystemParams) if f.default is MISSING)
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("missing [params] section")
     block = parser["params"]
     _check_keys("params", block, _PARAM_KEYS)
-    for key in ("kappa1", "kappa2", "g1", "g2", "gamma_m"):
+    for key in _REQUIRED_PARAM_KEYS:
         if key not in block:
             raise ConfigError(f"[params] is missing {key}")
     kwargs = {key: _float("params", key, block[key]) for key in block}

@@ -135,10 +135,6 @@ class StabilityReport:
     spectral_pass: bool
     max_real_eigenvalue: float
 
-    @property
-    def consistent(self) -> bool:
-        return self.analytic_pass == self.spectral_pass
-
 
 def _margins(k1, k2, g1, g2, gm):
     """``(m1, m2)`` of :func:`stability_margins`, of floats or of rate columns."""

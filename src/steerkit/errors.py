@@ -1,6 +1,18 @@
 """Exception and warning types shared across the package."""
 from __future__ import annotations
 
+__all__ = [
+    "ParameterError",
+    "ConfigError",
+    "UnstableSystemError",
+    "NumericalError",
+    "StepConvergenceError",
+    "PhysicalityError",
+    "DegenerateConditioningError",
+    "UndefinedTransformError",
+    "EmptySweepWarning",
+]
+
 
 class ParameterError(ValueError):
     """A physical parameter is missing, non-finite or out of range."""

@@ -8,7 +8,8 @@ every parameter and grid next to the CSVs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -24,6 +25,8 @@ __all__ = ["FigureBundle", "available_figures", "build_figure"]
 
 #: filename, header, rows
 CsvSpec = tuple[str, list[str], list[tuple]]
+#: a recipe's output: file name suffix, header, rows, manifest lines
+Recipe = tuple[str, list[str], list[tuple], list[str]]
 
 
 @dataclass(frozen=True)
@@ -35,17 +38,11 @@ class FigureBundle:
 
 
 def _param_lines(params: SystemParams) -> list[str]:
-    lines = [
-        f"kappa1 = {params.kappa1!r}",
-        f"kappa2 = {params.kappa2!r}",
-        f"g1 = {params.g1!r}",
-        f"g2 = {params.g2!r}",
-        f"gamma_m = {params.gamma_m!r}",
-        f"n_th = {params.n_th!r}",
+    return [
+        f"{f.name} = {getattr(params, f.name)!r}"
+        for f in fields(params)
+        if getattr(params, f.name) is not None
     ]
-    if params.omega_m is not None:
-        lines.append(f"omega_m = {params.omega_m!r}")
-    return lines
 
 
 def _steering_vs_time(params: SystemParams, times: np.ndarray) -> list[tuple]:
@@ -57,43 +54,17 @@ def _steering_vs_time(params: SystemParams, times: np.ndarray) -> list[tuple]:
     return rows
 
 
-def _fig_evolution(figure_id, params, dt, n_steps, description):
+def _evolution(params: SystemParams, dt: float, n_steps: int) -> Recipe:
     times = np.arange(1, n_steps + 1) * dt
-    rows = _steering_vs_time(params, times)
     manifest = [
         *_param_lines(params),
         f"time grid: dt = {dt!r}, {n_steps} steps up to t = {float(times[-1])!r}",
         "initial state: cavities in vacuum, mechanics thermal at n_th",
     ]
-    return FigureBundle(
-        figure_id,
-        description,
-        [(f"fig{figure_id}_steering_vs_time.csv", ["t", "s12", "s21"], rows)],
-        manifest,
-    )
+    return "steering_vs_time", ["t", "s12", "s21"], _steering_vs_time(params, times), manifest
 
 
-def _fig_2a():
-    return _fig_evolution(
-        "2a",
-        SystemParams(1.0, 0.4, 10.0, 20.0, 0.01, 0.0),
-        0.05,
-        1200,
-        "steering products versus time; loss asymmetry favouring S12",
-    )
-
-
-def _fig_2b():
-    return _fig_evolution(
-        "2b",
-        SystemParams(1.0, 2.4, 12.0, 20.0, 0.01, 0.0),
-        0.025,
-        1200,
-        "steering products versus time; loss asymmetry favouring S21",
-    )
-
-
-def _minimized_vs_g2(figure_id, objective, kappa2, n_ths, description):
+def _minimized_vs_g2(objective: str, kappa2: float, n_ths: tuple) -> Recipe:
     swept = AxisSpec("g2", 5.0, 30.0, 26)
     axes = (AxisSpec("g1", 0.5, 30.0, 41),)
     rows = []
@@ -114,35 +85,10 @@ def _minimized_vs_g2(figure_id, objective, kappa2, n_ths, description):
         f"objective: steady-state {objective}",
         "note: g2 span and the g1 search box are estimated defaults",
     ]
-    return FigureBundle(
-        figure_id,
-        description,
-        [(f"fig{figure_id}_minimized_{objective}_vs_g2.csv", header, rows)],
-        manifest,
-    )
+    return f"minimized_{objective}_vs_g2", header, rows, manifest
 
 
-def _fig_2c():
-    return _minimized_vs_g2(
-        "2c",
-        "s12",
-        0.4,
-        (0.0, 100.0, 300.0, 500.0, 700.0, 1000.0),
-        "minimized steady S12 over g1 versus g2 at several bath occupations",
-    )
-
-
-def _fig_2d():
-    return _minimized_vs_g2(
-        "2d",
-        "s21",
-        2.4,
-        (0.0, 20.0, 40.0),
-        "minimized steady S21 over g1 versus g2 at several bath occupations",
-    )
-
-
-def _fig_3a():
+def _fig_3a() -> Recipe:
     dt, n_steps = 0.005, 1600
     times = np.arange(1, n_steps + 1) * dt
     rows = []
@@ -159,15 +105,10 @@ def _fig_3a():
         f"time grid: dt = {dt!r}, {n_steps} steps up to t = {float(times[-1])!r}",
         "initial state: cavities in vacuum, mechanics in vacuum",
     ]
-    return FigureBundle(
-        "3a",
-        "steering products versus time at strong mechanical damping",
-        [("fig3a_steering_vs_time.csv", ["gamma_m", "t", "s12", "s21"], rows)],
-        manifest,
-    )
+    return "steering_vs_time", ["gamma_m", "t", "s12", "s21"], rows, manifest
 
 
-def _fig_3b():
+def _fig_3b() -> Recipe:
     gammas = np.arange(20, 281) * 0.05
     rates = np.array(
         [(1.0, 1.0, 6.0, 10.0, gamma_m, n_th) for n_th in (0.0, 0.3) for gamma_m in gammas]
@@ -186,15 +127,10 @@ def _fig_3b():
         f"gamma_m grid: 1.0 .. 14.0 step 0.05 ({gammas.size} values)",
         "note: gamma_m span is an estimated default",
     ]
-    return FigureBundle(
-        "3b",
-        "steady steering products versus mechanical damping at two bath occupations",
-        [("fig3b_steering_vs_gamma.csv", ["n_th", "gamma_m", "s12", "s21"], rows)],
-        manifest,
-    )
+    return "steering_vs_gamma", ["n_th", "gamma_m", "s12", "s21"], rows, manifest
 
 
-def _spectral_figure(figure_id, params, omegas, description):
+def _spectral(params: SystemParams, omegas: np.ndarray) -> Recipe:
     table = spectrum(params, omegas)
     rows = [
         (float(w), float(s12), float(s21))
@@ -205,39 +141,13 @@ def _spectral_figure(figure_id, params, omegas, description):
         f"omega grid: {float(omegas[0])!r} .. {float(omegas[-1])!r}, "
         f"{omegas.size} points",
     ]
-    return FigureBundle(
-        figure_id,
-        description,
-        [(f"fig{figure_id}_spectral_steering.csv", ["omega", "s12", "s21"], rows)],
-        manifest,
-    )
+    return "spectral_steering", ["omega", "s12", "s21"], rows, manifest
 
 
-def _fig_4a():
-    return _spectral_figure(
-        "4a",
-        SystemParams(1.0, 1.0, 6.0, 10.0, 0.01, 0.0),
-        np.linspace(-12.0, 12.0, 2401),
-        "spectral steering products at weak mechanical damping",
-    )
-
-
-def _fig_5a():
-    return _spectral_figure(
-        "5a",
-        SystemParams(1.0, 1.0, 2.0, 3.0, 9.0, 0.0),
-        np.linspace(-10.0, 10.0, 2001),
-        "spectral steering products at strong mechanical damping",
-    )
-
-
-def _zero_frequency_vs_nth(figure_id, base, n_ths, description):
+def _zero_frequency_vs_nth(base: SystemParams, n_ths: np.ndarray) -> Recipe:
     rows = []
     for n_th in n_ths:
-        params = SystemParams(
-            base.kappa1, base.kappa2, base.g1, base.g2, base.gamma_m, float(n_th)
-        )
-        table = spectrum(params, np.asarray([0.0]))
+        table = spectrum(base.with_(n_th=float(n_th)), np.asarray([0.0]))
         rows.append((float(n_th), float(table.s12[0]), float(table.s21[0])))
     manifest = [
         *_param_lines(base),
@@ -246,39 +156,10 @@ def _zero_frequency_vs_nth(figure_id, base, n_ths, description):
         "evaluated at omega = 0",
         "note: n_th span is an estimated default",
     ]
-    return FigureBundle(
-        figure_id,
-        description,
-        [
-            (
-                f"fig{figure_id}_zero_frequency_steering_vs_nth.csv",
-                ["n_th", "s12_0", "s21_0"],
-                rows,
-            )
-        ],
-        manifest,
-    )
+    return "zero_frequency_steering_vs_nth", ["n_th", "s12_0", "s21_0"], rows, manifest
 
 
-def _fig_4b():
-    return _zero_frequency_vs_nth(
-        "4b",
-        SystemParams(1.0, 1.0, 6.0, 10.0, 0.01, 0.0),
-        np.arange(0, 241) * 50.0,
-        "zero-frequency spectral steering versus bath occupation, weak damping",
-    )
-
-
-def _fig_5b():
-    return _zero_frequency_vs_nth(
-        "5b",
-        SystemParams(1.0, 1.0, 2.0, 3.0, 9.0, 0.0),
-        np.arange(0, 201) * 0.01,
-        "zero-frequency spectral steering versus bath occupation, strong damping",
-    )
-
-
-def _fig_6():
+def _fig_6() -> Recipe:
     gammas = np.geomspace(0.1, 20.0, 24)
     axes = (AxisSpec("g1", 10.0 / 41, 10.0, 41), AxisSpec("g2", 10.0 / 41, 10.0, 41))
     rows = []
@@ -297,26 +178,56 @@ def _fig_6():
         "minimized over g1, g2 in (0, 10] (41-point coarse grids + pattern search)",
         "note: gamma_m span and search boxes are estimated defaults",
     ]
-    return FigureBundle(
-        "6",
+    return "minimized_steering_vs_gamma", ["gamma_m", "s12_min", "s21_min"], rows, manifest
+
+
+#: the weak- and strong-damping sets of figs 4 and 5
+_WEAK = SystemParams(1.0, 1.0, 6.0, 10.0, 0.01, 0.0)
+_STRONG = SystemParams(1.0, 1.0, 2.0, 3.0, 9.0, 0.0)
+
+#: figure id -> (description, recipe)
+_REGISTRY: dict[str, tuple[str, Callable[[], Recipe]]] = {
+    "2a": (
+        "steering products versus time; loss asymmetry favouring S12",
+        partial(_evolution, SystemParams(1.0, 0.4, 10.0, 20.0, 0.01, 0.0), 0.05, 1200),
+    ),
+    "2b": (
+        "steering products versus time; loss asymmetry favouring S21",
+        partial(_evolution, SystemParams(1.0, 2.4, 12.0, 20.0, 0.01, 0.0), 0.025, 1200),
+    ),
+    "2c": (
+        "minimized steady S12 over g1 versus g2 at several bath occupations",
+        partial(_minimized_vs_g2, "s12", 0.4, (0.0, 100.0, 300.0, 500.0, 700.0, 1000.0)),
+    ),
+    "2d": (
+        "minimized steady S21 over g1 versus g2 at several bath occupations",
+        partial(_minimized_vs_g2, "s21", 2.4, (0.0, 20.0, 40.0)),
+    ),
+    "3a": ("steering products versus time at strong mechanical damping", _fig_3a),
+    "3b": (
+        "steady steering products versus mechanical damping at two bath occupations",
+        _fig_3b,
+    ),
+    "4a": (
+        "spectral steering products at weak mechanical damping",
+        partial(_spectral, _WEAK, np.linspace(-12.0, 12.0, 2401)),
+    ),
+    "4b": (
+        "zero-frequency spectral steering versus bath occupation, weak damping",
+        partial(_zero_frequency_vs_nth, _WEAK, np.arange(0, 241) * 50.0),
+    ),
+    "5a": (
+        "spectral steering products at strong mechanical damping",
+        partial(_spectral, _STRONG, np.linspace(-10.0, 10.0, 2001)),
+    ),
+    "5b": (
+        "zero-frequency spectral steering versus bath occupation, strong damping",
+        partial(_zero_frequency_vs_nth, _STRONG, np.arange(0, 201) * 0.01),
+    ),
+    "6": (
         "minimized steady steering products versus mechanical damping, equal losses",
-        [("fig6_minimized_steering_vs_gamma.csv", ["gamma_m", "s12_min", "s21_min"], rows)],
-        manifest,
-    )
-
-
-_REGISTRY: dict[str, Callable[[], FigureBundle]] = {
-    "2a": _fig_2a,
-    "2b": _fig_2b,
-    "2c": _fig_2c,
-    "2d": _fig_2d,
-    "3a": _fig_3a,
-    "3b": _fig_3b,
-    "4a": _fig_4a,
-    "4b": _fig_4b,
-    "5a": _fig_5a,
-    "5b": _fig_5b,
-    "6": _fig_6,
+        _fig_6,
+    ),
 }
 
 
@@ -324,21 +235,27 @@ def available_figures() -> list[str]:
     return list(_REGISTRY)
 
 
-def build_figure(figure_id: str) -> FigureBundle:
-    """Build the named bundle; ValueError lists valid ids for unknown ones."""
+def _lookup(figure_id: str) -> tuple[str, Callable[[], Recipe]]:
+    """The registry entry of ``figure_id``; ValueError lists valid ids for unknown ones."""
     try:
-        builder = _REGISTRY[figure_id]
+        return _REGISTRY[figure_id]
     except KeyError:
         raise ValueError(
             f"unknown figure id {figure_id!r}; valid ids: "
             f"{', '.join(available_figures())}"
         ) from None
-    bundle = builder()
+
+
+def build_figure(figure_id: str) -> FigureBundle:
+    """Build the named bundle; ValueError lists valid ids for unknown ones."""
+    description, recipe = _lookup(figure_id)
+    suffix, header, rows, lines = recipe()
+    name = f"fig{figure_id}_{suffix}.csv"
     manifest = [
-        f"figure: {bundle.figure_id}",
-        f"description: {bundle.description}",
-        *bundle.manifest,
-        *(f"file: {name} ({len(rows)} rows)" for name, _, rows in bundle.files),
+        f"figure: {figure_id}",
+        f"description: {description}",
+        *lines,
+        f"file: {name} ({len(rows)} rows)",
         f"writer: steerkit {__version__}",
     ]
-    return FigureBundle(bundle.figure_id, bundle.description, bundle.files, manifest)
+    return FigureBundle(figure_id, description, [(name, header, rows)], manifest)

@@ -182,13 +182,10 @@ def spectrum(params: SystemParams, omegas) -> SpectrumTable:
     return SpectrumTable(grid.copy(), *_spectrum_arrays(params, grid))
 
 
-def default_omega_grid(
-    params: SystemParams, n_points: int = 2001, halfwidth: float | None = None
-) -> NDArray:
+def default_omega_grid(params: SystemParams, n_points: int = 2001) -> NDArray:
     """Symmetric grid wide enough to cover the hybridized resonances."""
-    if halfwidth is None:
-        omega_c = math.sqrt(max(params.g2**2 - params.g1**2, 0.0))
-        halfwidth = 5.0 * max(omega_c, params.kappa1, params.kappa2)
+    omega_c = math.sqrt(max(params.g2**2 - params.g1**2, 0.0))
+    halfwidth = 5.0 * max(omega_c, params.kappa1, params.kappa2)
     return np.linspace(-halfwidth, halfwidth, n_points)
 
 

@@ -36,6 +36,8 @@ __all__ = [
 
 _SWEEPABLE = _RATE_FIELDS  # every rate; a grid is built as rate rows
 _OBJECTIVES = ("s12", "s21", "en")
+#: compass step (in unit-box coordinates) below which a search stops
+_COMPASS_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,7 @@ def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def _compass(
-    x0: np.ndarray, fx0: float, step0: float, free: np.ndarray, tol: float = 1e-4
+    x0: np.ndarray, fx0: float, step0: float, free: np.ndarray
 ) -> Generator[np.ndarray, float, tuple[np.ndarray, float]]:
     """Coordinate pattern search on the unit box, strict-descent, halving.
 
@@ -197,7 +199,7 @@ def _compass(
     """
     x, fx = x0.copy(), fx0
     step = step0
-    while step >= tol:
+    while step >= _COMPASS_TOL:
         improved = False
         for i in free:
             for sign in (1.0, -1.0):

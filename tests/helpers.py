@@ -10,6 +10,8 @@ closed-form transfer entries, and the steering oracle works on the full
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from steerkit import SystemParams, assess_stability, build_generators
@@ -47,6 +49,42 @@ def kronecker_oracle(params: SystemParams) -> np.ndarray:
     eye = np.eye(6)
     lhs = np.kron(gen.drift, eye) + np.kron(eye, gen.drift)
     return np.linalg.solve(lhs, -gen.noise.reshape(-1).astype(complex)).reshape(6, 6)
+
+
+def exact_steady_moments(params: SystemParams) -> tuple[Fraction, ...]:
+    """Exact steady ``(n1, n2, nm, c, p1, p2)`` of the six real moment flow.
+
+    ``c = Re<a1 a2>``, ``p1 = Im<a1 b>`` and ``p2 = Im<a2 b+>``; every other
+    moment of the phase-symmetric steady state is 0 or fixed by these.  The
+    flow ``x' = M x + q`` below is ``A Phi + Phi A^T + 2 K D`` written out on
+    these six moments; ``M x = -q`` is solved by Gaussian elimination in
+    ``Fraction`` on the exact binary values of the rates, so the result has
+    no rounding error at all.
+    """
+    k1, k2, g1, g2, gm, n_th = (
+        Fraction(getattr(params, name))
+        for name in ("kappa1", "kappa2", "g1", "g2", "gamma_m", "n_th")
+    )
+    zero = Fraction(0)
+    # columns n1, n2, nm, c, p1, p2, then -q
+    rows = [
+        [-2 * k1, zero, zero, zero, -2 * g1, zero, zero],
+        [zero, -2 * k2, zero, zero, zero, -2 * g2, zero],
+        [zero, zero, -2 * gm, zero, -2 * g1, 2 * g2, -2 * gm * n_th],
+        [zero, zero, zero, -(k1 + k2), g2, g1, zero],
+        [-g1, zero, -g1, -g2, -(gm + k1), zero, g1],
+        [zero, g2, -g2, g1, zero, -(gm + k2), zero],
+    ]
+    for col in range(6):
+        pivot = next((r for r in range(col, 6) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("the moment flow has no unique steady state")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(6):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return tuple(rows[i][6] / rows[i][i] for i in range(6))
 
 
 def evolve_oracle(params: SystemParams, phi0: np.ndarray, t: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from steerkit import (
     steady_state_lyapunov,
     steering_result,
 )
+import steerkit.cli
 from steerkit.cli import main
 
 FIG2A = """\
@@ -334,9 +335,14 @@ def test_reproduce_unknown_figure(tmp_path, capsys):
     assert main(["reproduce", "9z", "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "2a" in err  # lists the valid ids
+    assert not (tmp_path / "x").exists()
 
 
-def test_reproduce_onto_an_existing_file_exits_2(tmp_path, capsys):
+def test_reproduce_onto_an_existing_file_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(figure_id):
+        raise AssertionError("the figure was built before --out was checked")
+
+    monkeypatch.setattr(steerkit.cli, "build_figure", refuse)
     blocker = tmp_path / "taken"
     blocker.write_text("", encoding="utf-8")
     assert main(["reproduce", "4a", "--out", str(blocker)]) == 2

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import evolve_oracle, kronecker_oracle, lyapunov_oracle, sample_stable
+from helpers import (
+    evolve_oracle,
+    exact_steady_moments,
+    kronecker_oracle,
+    lyapunov_oracle,
+    sample_stable,
+)
 from steerkit import (
     MomentState,
     NumericalError,
@@ -252,6 +258,40 @@ def test_batched_kernel_matches_kronecker_oracle():
     spectral = np.array([assess_stability(SystemParams(*rates)).spectral_pass for rates in EDGE_GRID])
     assert clear.sum() > 40
     np.testing.assert_array_equal(batch.stable[clear], spectral[clear])
+
+
+@pytest.mark.parametrize("n_th", [0.0, 2.5, 40.0])
+def test_lyapunov_matches_exact_rational_solve(n_th):
+    rng = np.random.default_rng(9)
+    for p in sample_stable(rng, 20, n_th=n_th):
+        exact = [float(x) for x in exact_steady_moments(p)]
+        phi = steady_state_lyapunov(p).phi
+        got = [
+            phi[1, 0].real, phi[3, 2].real, phi[5, 4].real,
+            phi[0, 2].real, phi[0, 4].imag, phi[2, 5].imag,
+        ]
+        scale = float(np.abs(phi).max())
+        assert np.abs(np.subtract(got, exact)).max() <= 1e-12 * scale, p
+        assert abs(phi[0, 2].imag) <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    st.floats(0.0, 100.0),
+    st.floats(0.0, 100.0),
+)
+def test_steady_kernel_is_affine_in_thermal_occupation(exponents, a, b):
+    # the flow's only n_th dependence is the noise term 2 gamma_m n_th, so
+    # the steady moments at the midpoint are the mean of the end points'
+    k2, g1, g2, gm = (10.0**e for e in exponents)
+    m1, m2 = stability_margins(SystemParams(1.0, k2, g1, g2, gm))
+    assume(m1 > 0.0 and m2 > 0.0)
+    batch = _steady_batch([(1.0, k2, g1, g2, gm, n_th) for n_th in (a, (a + b) / 2, b)])
+    assert batch.solved.all()
+    phi_a, phi_mid, phi_b = batch.phi
+    scale = max(float(np.abs(phi_a).max()), float(np.abs(phi_b).max()))
+    assert np.abs(phi_mid - (phi_a + phi_b) / 2).max() <= 1e-9 * scale
 
 
 def test_lyapunov_unstable_raises_with_report():
