@@ -16,7 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, load_config
+from .config import RwaConfig, load_config
 from .dynamics import (
     _RATE_FIELDS,
     assess_rwa,
@@ -190,6 +190,10 @@ def _cmd_spectra(args) -> int:
     else:
         grid = np.linspace(block.omega_min, block.omega_max, block.n_points)
     table = spectrum(cfg.params, grid)
+    # after the spectrum, so a singular grid still reports as a numeric failure
+    report = assess_stability(cfg.params)
+    if not report.analytic_pass:
+        raise UnstableSystemError(report)
     header = [f.name for f in fields(table)]
     rows = list(zip(*(getattr(table, name) for name in header)))
     _report(
@@ -316,13 +320,10 @@ def _cmd_check(args) -> int:
     except UndefinedTransformError as exc:
         lines.append(f"squeezed_frame = n/a ({exc})")
 
-    rwa_params = params
-    margin = 10.0
-    if cfg.rwa is not None:
-        margin = cfg.rwa.margin_factor
-        if cfg.rwa.omega_m is not None:
-            rwa_params = params.with_(omega_m=cfg.rwa.omega_m)
-    rwa = assess_rwa(rwa_params, margin)
+    block = cfg.rwa or RwaConfig()
+    if block.omega_m is not None:
+        params = params.with_(omega_m=block.omega_m)
+    rwa = assess_rwa(params, block.margin_factor)
     if not rwa.assessable:
         lines.append("rwa = not assessable (omega_m not set)")
     else:
@@ -331,7 +332,7 @@ def _cmd_check(args) -> int:
         for name, (value, ok) in rwa.checks.items():
             lines.append(
                 f"rwa.{name} = {'pass' if ok else 'fail'} "
-                f"(rate={value!r}, margin_factor={margin!r})"
+                f"(rate={value!r}, margin_factor={rwa.margin_factor!r})"
             )
 
     _emit("\n".join(lines) + "\n", f"{len(lines)} lines", args.out, args.quiet)

@@ -43,8 +43,10 @@ import configparser
 import math
 from dataclasses import MISSING, dataclass, fields
 
+from .dynamics import _MARGIN_FACTOR
 from .errors import ConfigError, ParameterError
 from .params import SystemParams
+from .spectra import _GRID_POINTS
 from .sweep import AxisSpec, SweepSpec, _check_swept
 
 __all__ = [
@@ -74,13 +76,13 @@ class EvolveConfig:
 class SpectraConfig:
     omega_min: float | None = None
     omega_max: float | None = None
-    n_points: int = 2001
+    n_points: int = _GRID_POINTS
 
 
 @dataclass(frozen=True)
 class RwaConfig:
     omega_m: float | None = None
-    margin_factor: float = 10.0
+    margin_factor: float = _MARGIN_FACTOR
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,11 @@ def _int(section: str, key: str, raw: str) -> int:
         return int(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
+
+
+def _values(section: str, block, **parsers) -> dict:
+    """The ``parsers`` keys present in ``block``, parsed; absent keys keep their defaults."""
+    return {key: parse(section, key, block[key]) for key, parse in parsers.items() if key in block}
 
 
 def _check_keys(section: str, present, allowed) -> None:
@@ -195,31 +202,28 @@ def parse_config(text: str) -> ScenarioConfig:
         _check_keys("evolve", block, ("t_max", "n_points", "initial"))
         if "t_max" not in block:
             raise ConfigError("[evolve] is missing t_max")
-        t_max = _float("evolve", "t_max", block["t_max"])
-        n_points = _int("evolve", "n_points", block.get("n_points", "600"))
+        evolve = EvolveConfig(**_values("evolve", block, t_max=_float, n_points=_int))
         initial = block.get("initial", "vacuum-thermal").strip()
-        if t_max <= 0.0:
+        if evolve.t_max <= 0.0:
             raise ConfigError("[evolve] t_max must be > 0")
-        if n_points < 1:
+        if evolve.n_points < 1:
             raise ConfigError("[evolve] n_points must be >= 1")
         if initial != "vacuum-thermal":
             raise ConfigError(
                 f"[evolve] initial = {initial!r}; only 'vacuum-thermal' is supported"
             )
-        evolve = EvolveConfig(t_max=t_max, n_points=n_points)
     elif run_block == "spectra":
         block = parser["spectra"]
         _check_keys("spectra", block, ("omega_min", "omega_max", "n_points"))
-        omega_min = _float("spectra", "omega_min", block["omega_min"]) if "omega_min" in block else None
-        omega_max = _float("spectra", "omega_max", block["omega_max"]) if "omega_max" in block else None
-        if (omega_min is None) != (omega_max is None):
+        spectra = SpectraConfig(
+            **_values("spectra", block, omega_min=_float, omega_max=_float, n_points=_int)
+        )
+        if (spectra.omega_min is None) != (spectra.omega_max is None):
             raise ConfigError("[spectra] needs both omega_min and omega_max, or neither")
-        if omega_min is not None and omega_min >= omega_max:
+        if spectra.omega_min is not None and spectra.omega_min >= spectra.omega_max:
             raise ConfigError("[spectra] needs omega_min < omega_max")
-        n_points = _int("spectra", "n_points", block.get("n_points", "2001"))
-        if n_points < 2:
+        if spectra.n_points < 2:
             raise ConfigError("[spectra] n_points must be >= 2")
-        spectra = SpectraConfig(omega_min=omega_min, omega_max=omega_max, n_points=n_points)
     elif run_block == "sweep":
         block = parser["sweep"]
         _check_keys("sweep", block, ("mode", "objective", "axes", "swept", "ties"))
@@ -244,6 +248,8 @@ def parse_config(text: str) -> ScenarioConfig:
             if "=" not in chunk:
                 raise ConfigError(f"[sweep] ties entry {chunk!r} is not dst=src")
             dst, src = (part.strip() for part in chunk.split("=", 1))
+            if dst in ties:
+                raise ConfigError(f"[sweep] ties sets {dst!r} more than once")
             ties[dst] = src
         if sweep_mode == "minimize":
             if "swept" not in block:
@@ -259,11 +265,9 @@ def parse_config(text: str) -> ScenarioConfig:
     elif run_block == "rwa":
         block = parser["rwa"]
         _check_keys("rwa", block, ("omega_m", "margin_factor"))
-        omega_m = _float("rwa", "omega_m", block["omega_m"]) if "omega_m" in block else None
-        margin = _float("rwa", "margin_factor", block.get("margin_factor", "10"))
-        if margin <= 0.0:
+        rwa = RwaConfig(**_values("rwa", block, omega_m=_float, margin_factor=_float))
+        if rwa.margin_factor <= 0.0:
             raise ConfigError("[rwa] margin_factor must be > 0")
-        rwa = RwaConfig(omega_m=omega_m, margin_factor=margin)
 
     return ScenarioConfig(
         params=params,

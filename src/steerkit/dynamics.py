@@ -180,7 +180,11 @@ class RwaReport:
     overall: bool | None
 
 
-def assess_rwa(params: SystemParams, margin_factor: float = 10.0) -> RwaReport:
+#: default factor by which omega_m must exceed every competing rate
+_MARGIN_FACTOR = 10.0
+
+
+def assess_rwa(params: SystemParams, margin_factor: float = _MARGIN_FACTOR) -> RwaReport:
     """Check that omega_m dominates g1, g2, kappa1, kappa2 and gamma_m*n_th."""
     if params.omega_m is None:
         return RwaReport(False, margin_factor, {}, None, None)

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .dynamics import _steady_batch, _steady_row, evolve_moments, vacuum_thermal_state
 from .params import SystemParams
-from .spectra import spectrum
+from .spectra import _spectrum, spectrum
 from .steering import steering_products_reduced
 from .sweep import AxisSpec, SweepSpec, minimize_steering
 
@@ -145,10 +145,8 @@ def _spectral(params: SystemParams, omegas: np.ndarray) -> Recipe:
 
 
 def _zero_frequency_vs_nth(base: SystemParams, n_ths: np.ndarray) -> Recipe:
-    rows = []
-    for n_th in n_ths:
-        table = spectrum(base.with_(n_th=float(n_th)), np.asarray([0.0]))
-        rows.append((float(n_th), float(table.s12[0]), float(table.s21[0])))
+    table = _spectrum(base, np.zeros(1), n_ths)
+    rows = [(float(n), float(s12), float(s21)) for n, s12, s21 in zip(n_ths, table.s12, table.s21)]
     manifest = [
         *_param_lines(base),
         f"n_th grid: {float(n_ths[0])!r} .. {float(n_ths[-1])!r}, "

@@ -10,7 +10,7 @@ steering products are then quadratic combinations of these at +/- omega.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,10 +32,12 @@ __all__ = [
 ]
 
 _DENOM_FLOOR = 1e-14
+#: points of the default frequency grid
+_GRID_POINTS = 2001
 
 
 def _entries(params: SystemParams, omega):
-    """Transfer-function entries at ``omega`` (scalar or array)."""
+    """Transfer-function entries ``m11, m12, m22, m1b, m2b`` at ``omega`` (scalar or array)."""
     k1, k2 = params.kappa1, params.kappa2
     g1, g2, gm = params.g1, params.g2, params.gamma_m
     omega = np.asarray(omega, dtype=float)
@@ -43,21 +45,17 @@ def _entries(params: SystemParams, omega):
         raise ValueError("frequencies must be finite")
     iw = 1j * omega
     d = (k1 - iw) * g2**2 - (k2 - iw) * g1**2 + (k1 - iw) * (k2 - iw) * (gm - iw)
-    _check_denominator(d)
-    m11 = ((k1 + iw) * g2**2 + (k2 - iw) * g1**2 + (k1 + iw) * (k2 - iw) * (gm - iw)) / d
-    m12 = 2.0 * math.sqrt(k1 * k2) * g1 * g2 / d
-    m22 = -((k1 - iw) * g2**2 + (k2 + iw) * g1**2 - (k1 - iw) * (k2 + iw) * (gm - iw)) / d
-    m1b = -2j * math.sqrt(k1 * gm) * g1 * (k2 - iw) / d
-    m2b = -2j * math.sqrt(k2 * gm) * g2 * (k1 - iw) / d
-    return d, m11, m12, m22, m1b, m2b
-
-
-def _check_denominator(d) -> None:
     if float(np.abs(d).min()) < _DENOM_FLOOR:
         raise NumericalError(
             "transfer functions are singular at a requested frequency "
             "(system is marginally stable there)"
         )
+    m11 = ((k1 + iw) * g2**2 + (k2 - iw) * g1**2 + (k1 + iw) * (k2 - iw) * (gm - iw)) / d
+    m12 = 2.0 * math.sqrt(k1 * k2) * g1 * g2 / d
+    m22 = -((k1 - iw) * g2**2 + (k2 + iw) * g1**2 - (k1 - iw) * (k2 + iw) * (gm - iw)) / d
+    m1b = -2j * math.sqrt(k1 * gm) * g1 * (k2 - iw) / d
+    m2b = -2j * math.sqrt(k2 * gm) * g2 * (k1 - iw) / d
+    return m11, m12, m22, m1b, m2b
 
 
 @dataclass(frozen=True)
@@ -80,47 +78,7 @@ class TransferMatrix:
 
 def transfer_matrix(params: SystemParams, omega: float) -> TransferMatrix:
     """Evaluate the transfer amplitudes at a single frequency."""
-    d, m11, m12, m22, m1b, m2b = _entries(params, float(omega))
-    return TransferMatrix(
-        omega=float(omega),
-        m11=complex(m11),
-        m12=complex(m12),
-        m22=complex(m22),
-        m1b=complex(m1b),
-        m2b=complex(m2b),
-    )
-
-
-def _spectrum_arrays(params: SystemParams, omegas: NDArray):
-    """All spectral quantities on a frequency grid (vectorized core)."""
-    nth = params.n_th
-    dp, m11p, m12p, m22p, m1bp, m2bp = _entries(params, omegas)
-    dm, _m11m, m12m, _m22m, m1bm, m2bm = _entries(params, -omegas)
-
-    var_x1 = (
-        np.abs(m11p) ** 2
-        + np.abs(m12m) ** 2
-        + np.abs(m1bm) ** 2 * (nth + 1.0)
-        + np.abs(m1bp) ** 2 * nth
-    )
-    var_x2 = (
-        np.abs(m22p) ** 2
-        + np.abs(m12m) ** 2
-        + np.abs(m2bp) ** 2 * (nth + 1.0)
-        + np.abs(m2bm) ** 2 * nth
-    )
-    cross = np.real(
-        -m11p * m12m
-        + np.conj(m12m) * np.conj(m22p)
-        + np.conj(m1bm) * np.conj(m2bp) * (nth + 1.0)
-        + m1bp * m2bm * nth
-    )
-    ratio = cross * cross
-    s12 = np.maximum(var_x1 - ratio / var_x2, 0.0) ** 2
-    s21 = np.maximum(var_x2 - ratio / var_x1, 0.0) ** 2
-    n1_out = np.abs(m12p) ** 2 + np.abs(m1bp) ** 2 * (nth + 1.0)
-    n2_out = np.abs(m12p) ** 2 + np.abs(m2bp) ** 2 * nth
-    return var_x1, var_x2, cross, s12, s21, n1_out, n2_out
+    return TransferMatrix(float(omega), *map(complex, _entries(params, float(omega))))
 
 
 @dataclass(frozen=True)
@@ -154,35 +112,58 @@ class SpectrumTable:
         return self.omega.size
 
     def rows(self):
-        for i in range(len(self)):
-            yield SpectrumPoint(
-                omega=float(self.omega[i]),
-                var_x1=float(self.var_x1[i]),
-                var_x2=float(self.var_x2[i]),
-                cross=float(self.cross[i]),
-                s12=float(self.s12[i]),
-                s21=float(self.s21[i]),
-                n1_out=float(self.n1_out[i]),
-                n2_out=float(self.n2_out[i]),
-            )
+        columns = (getattr(self, f.name) for f in fields(self))
+        for values in zip(*columns):
+            yield SpectrumPoint(*map(float, values))
+
+
+def _spectrum(params: SystemParams, omegas: NDArray, nth) -> SpectrumTable:
+    """:func:`spectrum` on a checked grid at occupation ``nth``.
+
+    ``nth`` is a float or an array broadcast against ``omegas``.  The
+    entries' coefficients are real in i*omega, so at -omega each entry is
+    the conjugate of its value at +omega, the mechanical ones negated too;
+    the moduli, the denominator's included, are the same at +/- omega, so
+    the +omega evaluation and its singularity guard cover both.
+    """
+    m11, m12, m22, m1b, m2b = _entries(params, omegas)
+    a12, b1, b2 = np.abs(m12) ** 2, np.abs(m1b) ** 2, np.abs(m2b) ** 2
+    mech = -m1b * np.conj(m2b)  # conj(m1b(-omega)) conj(m2b) = m1b m2b(-omega)
+
+    var_x1 = np.abs(m11) ** 2 + a12 + b1 * (nth + 1.0) + b1 * nth
+    var_x2 = np.abs(m22) ** 2 + a12 + b2 * (nth + 1.0) + b2 * nth
+    cross = np.real(
+        -m11 * np.conj(m12) + m12 * np.conj(m22) + mech * (nth + 1.0) + mech * nth
+    )
+    ratio = cross * cross
+    s12 = np.maximum(var_x1 - ratio / var_x2, 0.0) ** 2
+    s21 = np.maximum(var_x2 - ratio / var_x1, 0.0) ** 2
+    n1_out = a12 + b1 * (nth + 1.0)
+    n2_out = a12 + b2 * nth
+    omega = np.broadcast_to(omegas, s12.shape).copy()
+    return SpectrumTable(omega, var_x1, var_x2, cross, s12, s21, n1_out, n2_out)
 
 
 def spectrum_point(params: SystemParams, omega: float) -> SpectrumPoint:
-    """All spectral quantities at one frequency."""
-    grid = np.asarray([float(omega)])
-    cols = _spectrum_arrays(params, grid)
-    return SpectrumPoint(float(omega), *(float(col[0]) for col in cols))
+    """All spectral quantities at one frequency: the one row of its spectrum."""
+    return next(spectrum(params, [float(omega)]).rows())
 
 
 def spectrum(params: SystemParams, omegas) -> SpectrumTable:
-    """All spectral quantities on a frequency grid."""
+    """All spectral quantities on a frequency grid.
+
+    Stability is not judged here: the transfer functions are evaluated for
+    any set whose denominator stays clear of zero on the grid, and their
+    output is meaningful only for a stable set.  ``steerkit spectra`` checks
+    :func:`~steerkit.dynamics.stability_margins` and exits 3 otherwise.
+    """
     grid = np.asarray(omegas, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("omegas must be a non-empty 1-D grid")
-    return SpectrumTable(grid.copy(), *_spectrum_arrays(params, grid))
+    return _spectrum(params, grid, params.n_th)
 
 
-def default_omega_grid(params: SystemParams, n_points: int = 2001) -> NDArray:
+def default_omega_grid(params: SystemParams, n_points: int = _GRID_POINTS) -> NDArray:
     """Symmetric grid wide enough to cover the hybridized resonances."""
     omega_c = math.sqrt(max(params.g2**2 - params.g1**2, 0.0))
     halfwidth = 5.0 * max(omega_c, params.kappa1, params.kappa2)

@@ -197,6 +197,24 @@ def test_spectra_nan_omega_min_exits_2(tmp_path, capsys):
     assert "error: [spectra] omega_min = 'nan' is not finite" in captured.err
 
 
+def test_spectra_on_an_unstable_set_exits_3_before_any_output(tmp_path, capsys):
+    # g1 > g2 at equal losses fails the closed-form condition m2 > 0
+    cfg = write_config(
+        tmp_path,
+        FIG2A.replace("kappa2 = 0.4", "kappa2 = 1.0")
+        .replace("g1 = 10.0", "g1 = 3.0")
+        .replace("g2 = 20.0", "g2 = 2.0")
+        + "\n[spectra]\n",
+    )
+    out_path = tmp_path / "spectra.csv"
+    assert main(["spectra", "--config", cfg, "--out", str(out_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_path.exists()
+    assert main(["steady", "--config", cfg]) == 3
+    assert capsys.readouterr().err == captured.err
+    assert "not strictly stable" in captured.err
+
+
 def test_spectra_requires_block(tmp_path, capsys):
     cfg = write_config(tmp_path, FIG2A)
     assert main(["spectra", "--config", cfg]) == 2

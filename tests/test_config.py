@@ -3,7 +3,16 @@ from __future__ import annotations
 
 import pytest
 
-from steerkit import ConfigError, load_config, parse_config
+from steerkit import (
+    ConfigError,
+    EvolveConfig,
+    RwaConfig,
+    SpectraConfig,
+    assess_rwa,
+    default_omega_grid,
+    load_config,
+    parse_config,
+)
 
 HEADER = """\
 [config]
@@ -55,6 +64,16 @@ def test_spectra_block_defaults():
     assert cfg.run_block == "spectra"
     assert cfg.spectra.omega_min is None
     assert cfg.spectra.n_points == 2001
+
+
+def test_omitted_keys_take_the_dataclass_defaults():
+    assert parse_config(HEADER + "\n[evolve]\nt_max = 1\n").evolve == EvolveConfig(1.0)
+    assert parse_config(HEADER + "\n[spectra]\n").spectra == SpectraConfig()
+    assert parse_config(HEADER + "\n[rwa]\n").rwa == RwaConfig()
+    params = parse_config(HEADER).params
+    # the library calls share the scenario defaults
+    assert default_omega_grid(params).size == SpectraConfig().n_points
+    assert assess_rwa(params).margin_factor == RwaConfig().margin_factor
 
 
 def test_sweep_grid_block():
@@ -134,6 +153,11 @@ def test_rwa_block():
         (
             HEADER + "\n[sweep]\nmode = grid\naxes = g1 1 2 3\nties = kappa2=kappa1, kappa1=g1\n",
             "copies tied field 'kappa1'",
+        ),
+        (
+            HEADER
+            + "\n[sweep]\nmode = grid\naxes = g1 1 2 3\nties = kappa2=kappa1, kappa2=gamma_m\n",
+            "ties sets 'kappa2' more than once",
         ),
         (
             HEADER + "\n[sweep]\nmode = grid\naxes = g1 1 2 3\nobjective = s99\n",

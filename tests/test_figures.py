@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 import steerkit.figures
+import steerkit.spectra
 from helpers import exact_steady_moments
 from steerkit import SystemParams, UnstableSystemError, available_figures, build_figure
 from steerkit.dynamics import _steady_batch
@@ -98,6 +100,22 @@ def test_minimized_vs_g2_sweeps_g2_once_per_occupation(monkeypatch, figure_id, c
     (_, _, rows), = build_figure(figure_id).files
     assert len(swept) == calls and len(rows) == 26 * calls
     assert [row[1] for row in rows[:26]] == [float(g2) for g2 in range(5, 31)]
+
+
+@pytest.mark.parametrize("figure_id, n_rows", [("4b", 241), ("5b", 201)])
+def test_zero_frequency_figures_evaluate_the_transfer_entries_once(
+    monkeypatch, figure_id, n_rows
+):
+    calls = []
+    entries = steerkit.spectra._entries
+
+    def counting(params, omega):
+        calls.append(np.shape(omega))
+        return entries(params, omega)
+
+    monkeypatch.setattr(steerkit.spectra, "_entries", counting)
+    (_, _, rows), = build_figure(figure_id).files
+    assert calls == [(1,)] and len(rows) == n_rows
 
 
 @pytest.mark.xfail(
