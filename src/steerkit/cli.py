@@ -1,9 +1,12 @@
 """Command line: INI scenarios in, deterministic CSV and reports out.
 
-Exit codes: 0 success, 2 invalid config or arguments or unwritable output,
-3 unstable system, 4 numeric failure.  CSV goes to ``--out`` when given
-(human summary to stdout), otherwise to stdout (summary to stderr);
-``--quiet`` drops the summary either way.
+Each scenario command (``steady``, ``evolve``, ``spectra``, ``sweep``,
+``check``) maps the parsed config to its summary lines and output text and
+returns them; one runner loads ``--config``, checks the run block the
+command needs, and writes both.  Exit codes: 0 success, 2 invalid config or
+arguments or unwritable output, 3 unstable system, 4 numeric failure.  The
+output goes to ``--out`` when given (human summary to stdout), otherwise to
+stdout (summary to stderr); ``--quiet`` drops the summary either way.
 """
 from __future__ import annotations
 
@@ -89,45 +92,33 @@ def _emit(text: str, size: str, out_path: str | None, quiet: bool):
             print(f"wrote {out_path} ({size})")
 
 
-def _emit_csv(header, rows: list, out_path: str | None, quiet: bool):
-    _emit(_csv_text(header, rows), f"{len(rows)} rows", out_path, quiet)
-
-
-def _report(lines, out_path: str | None, quiet: bool):
-    if quiet:
-        return
-    stream = sys.stdout if out_path is not None else sys.stderr
-    for line in lines:
-        print(line, file=stream)
+def _csv(summary: list[str], header, rows: list):
+    """A command's result: its ``summary`` lines, the CSV text and its size note."""
+    return summary, _csv_text(header, rows), f"{len(rows)} rows"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# scenario commands: each maps a parsed ScenarioConfig to (summary, text, size)
 
 
-def _cmd_steady(args) -> int:
-    cfg = load_config(args.config)
+def _steady(cfg):
     moments = steady_state_lyapunov(cfg.params)
     report = assess_stability(cfg.params)
     result = steering_result(moments)
     c = moments.c
-    _report(
-        [
-            f"n1 = {moments.n1!r}",
-            f"n2 = {moments.n2!r}",
-            f"nm = {moments.nm!r}",
-            f"c = {c.real!r} {c.imag:+}j",
-            f"s12 = {result.s12!r}",
-            f"s21 = {result.s21!r}",
-            f"e_n = {result.e_n!r}",
-            f"classification = {result.classification}",
-            f"stability: analytic={'pass' if report.analytic_pass else 'fail'} "
-            f"spectral={'pass' if report.spectral_pass else 'fail'} "
-            f"max_re_eig={report.max_real_eigenvalue!r}",
-        ],
-        args.out,
-        args.quiet,
-    )
+    summary = [
+        f"n1 = {moments.n1!r}",
+        f"n2 = {moments.n2!r}",
+        f"nm = {moments.nm!r}",
+        f"c = {c.real!r} {c.imag:+}j",
+        f"s12 = {result.s12!r}",
+        f"s21 = {result.s21!r}",
+        f"e_n = {result.e_n!r}",
+        f"classification = {result.classification}",
+        f"stability: analytic={'pass' if report.analytic_pass else 'fail'} "
+        f"spectral={'pass' if report.spectral_pass else 'fail'} "
+        f"max_re_eig={report.max_real_eigenvalue!r}",
+    ]
     columns = [
         *((name, getattr(cfg.params, name)) for name in _RATE_FIELDS),
         ("n1", moments.n1),
@@ -141,14 +132,10 @@ def _cmd_steady(args) -> int:
         ("class", result.classification),
     ]
     header, row = zip(*columns)
-    _emit_csv(header, [row], args.out, args.quiet)
-    return 0
+    return _csv(summary, header, [row])
 
 
-def _cmd_evolve(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.evolve is None:
-        raise ConfigError("the evolve command needs an [evolve] block")
+def _evolve(cfg):
     n = cfg.evolve.n_points
     times = np.arange(1, n + 1) * (cfg.evolve.t_max / n)
     initial = vacuum_thermal_state(cfg.params.n_th)
@@ -168,22 +155,14 @@ def _cmd_evolve(args) -> int:
                 state.nm,
             )
         )
-    _report(
-        [
-            f"evolved to t = {float(times[-1])!r} in {len(times)} reported steps",
-            f"final s12 = {rows[-1][1]!r}, s21 = {rows[-1][2]!r}",
-        ],
-        args.out,
-        args.quiet,
-    )
-    _emit_csv(header, rows, args.out, args.quiet)
-    return 0
+    summary = [
+        f"evolved to t = {float(times[-1])!r} in {len(times)} reported steps",
+        f"final s12 = {rows[-1][1]!r}, s21 = {rows[-1][2]!r}",
+    ]
+    return _csv(summary, header, rows)
 
 
-def _cmd_spectra(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.spectra is None:
-        raise ConfigError("the spectra command needs a [spectra] block")
+def _spectra(cfg):
     block = cfg.spectra
     if block.omega_min is None:
         grid = default_omega_grid(cfg.params, block.n_points)
@@ -196,25 +175,17 @@ def _cmd_spectra(args) -> int:
         raise UnstableSystemError(report)
     header = [f.name for f in fields(table)]
     rows = list(zip(*(getattr(table, name) for name in header)))
-    _report(
-        [
-            f"omega grid: {float(grid[0])!r} .. {float(grid[-1])!r}, {grid.size} points",
-            f"min s12 = {float(table.s12.min())!r} "
-            f"at omega = {float(grid[int(table.s12.argmin())])!r}",
-            f"min s21 = {float(table.s21.min())!r} "
-            f"at omega = {float(grid[int(table.s21.argmin())])!r}",
-        ],
-        args.out,
-        args.quiet,
-    )
-    _emit_csv(header, rows, args.out, args.quiet)
-    return 0
+    summary = [
+        f"omega grid: {float(grid[0])!r} .. {float(grid[-1])!r}, {grid.size} points",
+        f"min s12 = {float(table.s12.min())!r} "
+        f"at omega = {float(grid[int(table.s12.argmin())])!r}",
+        f"min s21 = {float(table.s21.min())!r} "
+        f"at omega = {float(grid[int(table.s21.argmin())])!r}",
+    ]
+    return _csv(summary, header, rows)
 
 
-def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.sweep is None:
-        raise ConfigError("the sweep command needs a [sweep] block")
+def _sweep(cfg):
     spec = cfg.sweep
     names = [axis.name for axis in spec.axes]
     if cfg.sweep_mode == "grid":
@@ -246,9 +217,7 @@ def _cmd_sweep(args) -> int:
             f"minimized {spec.objective} over {', '.join(names)} at "
             f"{len(rows)} values of {cfg.swept.name}"
         ]
-    _report(summary, args.out, args.quiet)
-    _emit_csv(header, rows, args.out, args.quiet)
-    return 0
+    return _csv(summary, header, rows)
 
 
 def _verdict(flag: bool | None, note: str | None, numbers) -> str:
@@ -262,15 +231,23 @@ def _verdict(flag: bool | None, note: str | None, numbers) -> str:
     return word
 
 
-def _cmd_check(args) -> int:
-    cfg = load_config(args.config)
-    params = cfg.params
-    lines: list[str] = []
+def _section(name: str, lines) -> list[str]:
+    """The ``lines()`` of one closed-form section, or its one ``name = n/a (reason)``
+    line where the closed form is undefined."""
+    try:
+        return list(lines())
+    except UndefinedTransformError as exc:
+        return [f"{name} = n/a ({exc})"]
 
+
+def _check(cfg):
+    params = cfg.params
     report = assess_stability(params)
-    lines.append(f"stability.analytic = {'pass' if report.analytic_pass else 'fail'}")
-    lines.append(f"stability.spectral = {'pass' if report.spectral_pass else 'fail'}")
-    lines.append(f"stability.max_real_eigenvalue = {report.max_real_eigenvalue!r}")
+    lines = [
+        f"stability.analytic = {'pass' if report.analytic_pass else 'fail'}",
+        f"stability.spectral = {'pass' if report.spectral_pass else 'fail'}",
+        f"stability.max_real_eigenvalue = {report.max_real_eigenvalue!r}",
+    ]
 
     preds = regime_predicates(params)
     for name in (
@@ -290,35 +267,27 @@ def _cmd_check(args) -> int:
         "omega = " + (f"{preds.omega!r}" if preds.omega is not None else "n/a (needs g2 > g1)")
     )
 
-    try:
-        window = thermal_window(params)
-        lines.append(
-            "thermal_window = "
-            + (f"n_th in ({window[0]!r}, {window[1]!r})" if window else "empty")
+    def window():
+        bounds = thermal_window(params)
+        yield "thermal_window = " + (
+            f"n_th in ({bounds[0]!r}, {bounds[1]!r})" if bounds else "empty"
         )
-    except UndefinedTransformError as exc:
-        lines.append(f"thermal_window = n/a ({exc})")
-    try:
-        lines.append(
-            f"spectral_oneway_threshold.gamma_m_star = {spectral_oneway_threshold(params)!r}"
-        )
-    except UndefinedTransformError as exc:
-        lines.append(f"spectral_oneway_threshold = n/a ({exc})")
-    try:
-        lines.append(
-            "resonances = "
-            + " ".join(repr(float(w)) for w in resonance_frequencies(params))
-        )
-    except UndefinedTransformError as exc:
-        lines.append(f"resonances = n/a ({exc})")
 
-    try:
-        frame = transformed_drift(params)
-        lines.append(f"squeezed_frame.omega = {frame.omega!r}")
-        lines.append(f"squeezed_frame.c1_b_coupling = {frame.c1_b_coupling!r}")
-        lines.append(f"squeezed_frame.c2_coupling_max = {frame.c2_coupling_max!r}")
-    except UndefinedTransformError as exc:
-        lines.append(f"squeezed_frame = n/a ({exc})")
+    def threshold():
+        yield f"spectral_oneway_threshold.gamma_m_star = {spectral_oneway_threshold(params)!r}"
+
+    def resonances():
+        yield "resonances = " + " ".join(repr(float(w)) for w in resonance_frequencies(params))
+
+    def frame():
+        drift = transformed_drift(params)
+        for name in ("omega", "c1_b_coupling", "c2_coupling_max"):
+            yield f"squeezed_frame.{name} = {getattr(drift, name)!r}"
+
+    lines += _section("thermal_window", window)
+    lines += _section("spectral_oneway_threshold", threshold)
+    lines += _section("resonances", resonances)
+    lines += _section("squeezed_frame", frame)
 
     block = cfg.rwa or RwaConfig()
     if block.omega_m is not None:
@@ -335,7 +304,21 @@ def _cmd_check(args) -> int:
                 f"(rate={value!r}, margin_factor={rwa.margin_factor!r})"
             )
 
-    _emit("\n".join(lines) + "\n", f"{len(lines)} lines", args.out, args.quiet)
+    return [], "\n".join(lines) + "\n", f"{len(lines)} lines"
+
+
+def _run(args) -> int:
+    """Load ``--config``, run the command on it, and route its summary and output."""
+    cfg = load_config(args.config)
+    if args.block is not None and cfg.run_block != args.block:
+        article = "an" if args.block[0] in "aeiou" else "a"
+        raise ConfigError(f"the {args.command} command needs {article} [{args.block}] block")
+    summary, text, size = args.scenario(cfg)
+    if not args.quiet:
+        stream = sys.stdout if args.out is not None else sys.stderr
+        for line in summary:
+            print(line, file=stream)
+    _emit(text, size, args.out, args.quiet)
     return 0
 
 
@@ -373,34 +356,30 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"steerkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *, config=True, figure=False, out_required=False):
+    def add(name, help_text, scenario=None, block=None):
+        """Register ``name``: a ``scenario`` command run on ``--config`` (needing
+        the run block ``block``, if any), or without one the ``reproduce`` command."""
         cmd = sub.add_parser(name, help=help_text)
-        if figure:
+        if scenario is None:
             cmd.add_argument("figure_id", help="reference figure id, e.g. 2a")
-        if config:
+        else:
             cmd.add_argument("--config", required=True, help="scenario file (INI)")
         cmd.add_argument(
             "--out",
-            required=out_required,
+            required=scenario is None,
             help="output path (directory for reproduce); stdout when omitted",
         )
         cmd.add_argument("--quiet", action="store_true", help="suppress the summary")
-        cmd.set_defaults(func=func)
-        return cmd
+        cmd.set_defaults(
+            func=_cmd_reproduce if scenario is None else _run, scenario=scenario, block=block
+        )
 
-    add("steady", _cmd_steady, "steady moments, steering products, entanglement")
-    add("evolve", _cmd_evolve, "time evolution of the second moments")
-    add("spectra", _cmd_spectra, "output-field spectra and spectral steering")
-    add("sweep", _cmd_sweep, "grid sweeps or steering minimization")
-    add("check", _cmd_check, "closed-form regime and sanity checks")
-    add(
-        "reproduce",
-        _cmd_reproduce,
-        "rebuild a reference figure as CSV + manifest",
-        config=False,
-        figure=True,
-        out_required=True,
-    )
+    add("steady", "steady moments, steering products, entanglement", _steady)
+    add("evolve", "time evolution of the second moments", _evolve, "evolve")
+    add("spectra", "output-field spectra and spectral steering", _spectra, "spectra")
+    add("sweep", "grid sweeps or steering minimization", _sweep, "sweep")
+    add("check", "closed-form regime and sanity checks", _check)
+    add("reproduce", "rebuild a reference figure as CSV + manifest")
     return parser
 
 

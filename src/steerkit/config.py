@@ -116,18 +116,24 @@ def _int(section: str, key: str, raw: str) -> int:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
 
 
-def _values(section: str, block, **parsers) -> dict:
-    """The ``parsers`` keys present in ``block``, parsed; absent keys keep their defaults."""
+def _values(section: str, block, *unparsed, required=(), **parsers) -> dict:
+    """The ``parsers`` keys present in ``block``, parsed; absent keys keep their defaults.
+    Keys other than these and the ``unparsed`` ones (the caller reads those) are
+    rejected, as is a missing ``required`` key."""
+    _check_keys(section, block, (*parsers, *unparsed), required)
     return {key: parse(section, key, block[key]) for key, parse in parsers.items() if key in block}
 
 
-def _check_keys(section: str, present, allowed) -> None:
+def _check_keys(section: str, present, allowed, required=()) -> None:
     unknown = sorted(set(present) - set(allowed))
     if unknown:
         raise ConfigError(
             f"unknown key(s) {', '.join(unknown)} in [{section}]; "
             f"allowed: {', '.join(allowed)}"
         )
+    for key in required:
+        if key not in present:
+            raise ConfigError(f"[{section}] is missing {key}")
 
 
 def _parse_axis(section: str, key: str, raw: str) -> AxisSpec:
@@ -179,10 +185,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if "params" not in sections:
         raise ConfigError("missing [params] section")
     block = parser["params"]
-    _check_keys("params", block, _PARAM_KEYS)
-    for key in _REQUIRED_PARAM_KEYS:
-        if key not in block:
-            raise ConfigError(f"[params] is missing {key}")
+    _check_keys("params", block, _PARAM_KEYS, _REQUIRED_PARAM_KEYS)
     kwargs = {key: _float("params", key, block[key]) for key in block}
     try:
         params = SystemParams(**kwargs)
@@ -199,10 +202,9 @@ def parse_config(text: str) -> ScenarioConfig:
     evolve = spectra = sweep = swept = sweep_mode = rwa = None
     if run_block == "evolve":
         block = parser["evolve"]
-        _check_keys("evolve", block, ("t_max", "n_points", "initial"))
-        if "t_max" not in block:
-            raise ConfigError("[evolve] is missing t_max")
-        evolve = EvolveConfig(**_values("evolve", block, t_max=_float, n_points=_int))
+        evolve = EvolveConfig(
+            **_values("evolve", block, "initial", required=("t_max",), t_max=_float, n_points=_int)
+        )
         initial = block.get("initial", "vacuum-thermal").strip()
         if evolve.t_max <= 0.0:
             raise ConfigError("[evolve] t_max must be > 0")
@@ -214,7 +216,6 @@ def parse_config(text: str) -> ScenarioConfig:
             )
     elif run_block == "spectra":
         block = parser["spectra"]
-        _check_keys("spectra", block, ("omega_min", "omega_max", "n_points"))
         spectra = SpectraConfig(
             **_values("spectra", block, omega_min=_float, omega_max=_float, n_points=_int)
         )
@@ -264,7 +265,6 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"[sweep]: {exc}") from exc
     elif run_block == "rwa":
         block = parser["rwa"]
-        _check_keys("rwa", block, ("omega_m", "margin_factor"))
         rwa = RwaConfig(**_values("rwa", block, omega_m=_float, margin_factor=_float))
         if rwa.margin_factor <= 0.0:
             raise ConfigError("[rwa] margin_factor must be > 0")

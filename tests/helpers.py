@@ -134,6 +134,19 @@ def quadrature_covariance(phi: np.ndarray) -> np.ndarray:
     return (_QUADRATURES @ phi[:4, :4] @ _QUADRATURES.T).real
 
 
+def three_mode_covariance(phi: np.ndarray) -> np.ndarray:
+    """Symmetrized covariance (X1, Y1, X2, Y2, Xm, Ym) of all three modes."""
+    quadratures = np.kron(np.eye(3), _QUADRATURES[:2, :2])
+    return (quadratures @ phi @ quadratures.T).real
+
+
+def uncertainty_eigenvalue(sigma: np.ndarray) -> float:
+    """Smallest eigenvalue of sigma + i Omega / 2, which is >= 0 exactly when
+    the covariance (vacuum variance 1/2) obeys the uncertainty principle."""
+    omega = np.kron(np.eye(len(sigma) // 2), _OMEGA[:2, :2])
+    return float(np.linalg.eigvalsh(sigma + 0.5j * omega).min())
+
+
 def steering_oracle(sigma: np.ndarray) -> tuple[float, float, float]:
     """(S12, S21, E_N) of a 4x4 two-cavity covariance matrix.
 

@@ -161,12 +161,6 @@ def test_evolve_non_finite_t_max_exits_2(tmp_path, capsys, t_max):
     assert f"error: [evolve] t_max = '{t_max}' is not finite" in captured.err
 
 
-def test_evolve_requires_block(tmp_path, capsys):
-    cfg = write_config(tmp_path, FIG2A)
-    assert main(["evolve", "--config", cfg]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -213,12 +207,6 @@ def test_spectra_on_an_unstable_set_exits_3_before_any_output(tmp_path, capsys):
     assert main(["steady", "--config", cfg]) == 3
     assert capsys.readouterr().err == captured.err
     assert "not strictly stable" in captured.err
-
-
-def test_spectra_requires_block(tmp_path, capsys):
-    cfg = write_config(tmp_path, FIG2A)
-    assert main(["spectra", "--config", cfg]) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +268,101 @@ def test_sweep_swept_field_overwritten_by_an_axis_or_tie_exits_2(tmp_path, capsy
 
 
 # ---------------------------------------------------------------------------
+# run blocks
+
+
+@pytest.mark.parametrize("other_block", ["", "\n[rwa]\nmargin_factor = 10\n"], ids=["none", "rwa"])
+@pytest.mark.parametrize(
+    "command, block",
+    [("evolve", "an [evolve]"), ("spectra", "a [spectra]"), ("sweep", "a [sweep]")],
+    ids=["evolve", "spectra", "sweep"],
+)
+def test_command_requires_its_run_block(tmp_path, capsys, command, block, other_block):
+    cfg = write_config(tmp_path, FIG2A + other_block)
+    for extra in ([], ["--quiet"], ["--out", str(tmp_path / "out.csv")]):
+        assert main([command, "--config", cfg, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the {command} command needs {block} block\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+# ---------------------------------------------------------------------------
 # check
+
+CHECK_EQUAL_KAPPA_RWA = (
+    FIG2A.replace("kappa2 = 0.4", "kappa2 = 1.0")
+    .replace("g1 = 10.0", "g1 = 6.0")
+    .replace("g2 = 20.0", "g2 = 10.0")
+    + "\n[rwa]\nomega_m = 500.0\nmargin_factor = 10\n"
+)
+PREDICATE_KEYS = [
+    f"predicate.{name}"
+    for name in (
+        "s12_oneway_weak",
+        "s21_oneway_weak",
+        "entangled_weak",
+        "s21_cond_strong",
+        "s12_cond_strong",
+    )
+]
+STABILITY_KEYS = ["stability.analytic", "stability.spectral", "stability.max_real_eigenvalue"]
+CLOSED_FORMS = ["thermal_window", "spectral_oneway_threshold", "resonances", "squeezed_frame"]
+
+
+@pytest.mark.parametrize(
+    "text, keys, undefined",
+    [
+        (
+            FIG2A,
+            [
+                *STABILITY_KEYS,
+                *PREDICATE_KEYS,
+                "omega",
+                "thermal_window",
+                "spectral_oneway_threshold",
+                "resonances",
+                "squeezed_frame",
+                "rwa",
+            ],
+            # kappa1 != kappa2: the equal-damping closed forms are undefined
+            CLOSED_FORMS,
+        ),
+        (
+            CHECK_EQUAL_KAPPA_RWA,
+            [
+                *STABILITY_KEYS,
+                *PREDICATE_KEYS,
+                "omega",
+                "thermal_window",
+                "spectral_oneway_threshold.gamma_m_star",
+                "resonances",
+                "squeezed_frame.omega",
+                "squeezed_frame.c1_b_coupling",
+                "squeezed_frame.c2_coupling_max",
+                "rwa.overall",
+                "rwa.ratio",
+                "rwa.g1",
+                "rwa.g2",
+                "rwa.kappa1",
+                "rwa.kappa2",
+                "rwa.gamma_m*n_th",
+            ],
+            [],
+        ),
+    ],
+    ids=["unequal-losses", "equal-losses-rwa"],
+)
+def test_check_lines_come_in_a_fixed_order(tmp_path, capsys, text, keys, undefined):
+    cfg = write_config(tmp_path, text)
+    assert main(["check", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    pairs = [line.split(" = ", 1) for line in captured.out.splitlines()]
+    assert [key for key, _ in pairs] == keys
+    assert [
+        key for key, value in pairs if key in CLOSED_FORMS and value.startswith("n/a (")
+    ] == undefined
 
 
 def test_check_reports_key_value_lines(tmp_path, capsys):
@@ -304,13 +386,7 @@ def test_check_reports_key_value_lines(tmp_path, capsys):
 
 
 def test_check_equal_kappa_with_rwa_block(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        FIG2A.replace("kappa2 = 0.4", "kappa2 = 1.0")
-        .replace("g1 = 10.0", "g1 = 6.0")
-        .replace("g2 = 20.0", "g2 = 10.0")
-        + "\n[rwa]\nomega_m = 500.0\nmargin_factor = 10\n",
-    )
+    cfg = write_config(tmp_path, CHECK_EQUAL_KAPPA_RWA)
     assert main(["check", "--config", cfg]) == 0
     out = capsys.readouterr().out
     lines = dict(

@@ -32,6 +32,13 @@ P_FLAT = SystemParams(1.0, 1.0, 6.0, 10.0, 0.01, 0.0)
 # transfer entries
 
 
+def _worst_oracle_gap(p, w):
+    """Largest gap to the scattering oracle, relative to max(|oracle|, 1)."""
+    point = spectrum_point(p, w)
+    got = (point.var_x1, point.var_x2, point.cross, point.n1_out, point.n2_out)
+    return max(abs(gv - ov) / max(abs(ov), 1.0) for gv, ov in zip(got, spectrum_oracle(p, w)))
+
+
 def test_entries_match_scattering_oracle():
     rng = np.random.default_rng(41)
     worst = 0.0
@@ -40,12 +47,36 @@ def test_entries_match_scattering_oracle():
         nth = float(rng.uniform(0.0, 3.0))
         p = SystemParams(1.0, float(k2), float(g1), float(g2), float(gm), nth)
         for w in rng.uniform(-15.0, 15.0, size=4):
-            point = spectrum_point(p, float(w))
-            oracle = spectrum_oracle(p, float(w))
-            got = (point.var_x1, point.var_x2, point.cross, point.n1_out, point.n2_out)
-            for gv, ov in zip(got, oracle):
-                worst = max(worst, abs(gv - ov) / max(abs(ov), 1.0))
+            worst = max(worst, _worst_oracle_gap(p, float(w)))
     assert worst <= 1e-10
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    st.floats(0.0, 10.0),
+    st.one_of(
+        st.tuples(st.just("log"), st.floats(-3.0, 2.0), st.sampled_from((-1.0, 1.0))),
+        st.tuples(st.just("resonance"), st.floats(-1e-3, 1e-3), st.integers(0, 2)),
+    ),
+)
+def test_entries_match_scattering_oracle_at_random_frequencies(exponents, n_th, frequency):
+    # rates log-uniform around kappa1 = 1; the frequency log-uniform in
+    # |omega|, or (at equal losses) within 1e-3 of a resonance
+    k2, g1, g2, gm = (10.0**e for e in exponents)
+    kind, value, pick = frequency
+    if kind == "log":
+        p = SystemParams(1.0, k2, g1, g2, gm, n_th)
+        w = pick * 10.0**value
+    else:
+        p = SystemParams(1.0, 1.0, g1, g2, gm, n_th)
+        resonances = resonance_frequencies(p)
+        w = float(resonances[pick % len(resonances)]) + value
+    try:
+        gap = _worst_oracle_gap(p, w)
+    except NumericalError:
+        assume(False)  # singular at this frequency
+    assert gap <= 1e-10, (p, w)
 
 
 def test_entries_preserve_output_commutators():
