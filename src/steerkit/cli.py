@@ -367,7 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--out",
             required=scenario is None,
-            help="output path (directory for reproduce); stdout when omitted",
+            help="output directory for the CSV and manifest (required)" if scenario is None
+            else "output file; stdout when omitted",
         )
         cmd.add_argument("--quiet", action="store_true", help="suppress the summary")
         cmd.set_defaults(

@@ -505,20 +505,23 @@ def _rk4_step(generator: NDArray, h: float) -> NDArray:
     return np.eye(len(generator)) + p + p2 / 2.0 + p3 / 6.0 + p4 / 24.0
 
 
-def _propagate(
-    generator: NDArray, phi0: NDArray, times: NDArray, h: float
-) -> list[NDArray]:
-    """Moments at ``times`` for base step ``h``, by powers of the augmented step matrix."""
-    out = []
+def _propagate(generator: NDArray, phi0: NDArray, times: NDArray, h: float) -> NDArray:
+    """Rows ``vec Phi(times[k])`` for base step ``h``, by powers of the augmented step
+    matrix.  A spacing alone fixes its step count, so one matrix is built per distinct
+    (exact float) spacing: bit for bit the result of one build per report time."""
+    out = np.empty((len(times), 36), dtype=complex)
+    steps = {}
     y = np.append(phi0.reshape(-1), 1.0).astype(complex)
     t = 0.0
-    for tk in times:
+    for k, tk in enumerate(times):
         dt = tk - t
         if dt > 0.0:
-            n = max(1, math.ceil(dt / h - 1e-12))
-            y = np.linalg.matrix_power(_rk4_step(generator, dt / n), n) @ y
+            if dt not in steps:
+                n = max(1, math.ceil(dt / h - 1e-12))
+                steps[dt] = np.linalg.matrix_power(_rk4_step(generator, dt / n), n)
+            y = steps[dt] @ y
             t = tk
-        out.append(y[:36].reshape(6, 6).copy())
+        out[k] = y[:36]
     return out
 
 
@@ -538,6 +541,10 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     sits at the edge of the RK4 stability region — starting smaller would
     not help, because over long horizons the matrix powers' rounding noise
     grows with the step count while the halving loop controls truncation.
+    Each level builds one step matrix per distinct report spacing (results
+    equal one build per report time); RK4's errors stand until exact
+    propagation replaces it: the false convergence at mid spacings
+    (``bench/README.md``, "Known defects") and fig 2b's 1.4e-3 S21 error.
 
     Raises
     ------
@@ -570,13 +577,10 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     for _ in range(_MAX_HALVINGS + 1):
         states = _propagate(generator, initial.phi, times, h)
         if previous is not None:
-            diff = max(
-                float(np.abs(new - old).max())
-                for new, old in zip(states, previous)
-            )
-            scale = max(float(np.abs(phi).max()) for phi in states)
+            diff = float(np.abs(states - previous).max())
+            scale = float(np.abs(states).max())
             if diff < _EVOLVE_TOL * max(1.0, scale):
-                return [MomentState(phi) for phi in states]
+                return [MomentState(phi.reshape(6, 6).copy()) for phi in states]
         previous = states
         h /= 2.0
     raise StepConvergenceError(step=h * 2.0, max_difference=diff, halvings=_MAX_HALVINGS)

@@ -7,14 +7,18 @@ the stability edge, is one unrefined ``np.linalg.solve``), the spectrum oracle
 builds the full 6x6 scattering matrix instead of the adjugate-style
 closed-form transfer entries, and the steering oracle works on the full
 4x4 quadrature covariance instead of the closed forms in (n1, n2, |c|).
+``propagate_per_report`` is no oracle: it is the one-build-per-report-time
+propagation that the shared step matrices must match bit for bit.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from steerkit import SystemParams, assess_stability, build_generators
+from steerkit.dynamics import _rk4_step
 
 _SWAP = np.array([1, 0, 3, 2, 5, 4])
 
@@ -97,6 +101,22 @@ def evolve_oracle(params: SystemParams, phi0: np.ndarray, t: float) -> np.ndarra
     y0 = np.linalg.solve(vec, np.linalg.solve(vec, (phi0 - phi_ss).T).T)
     decay = np.exp(lam * t)
     return vec @ (decay[:, None] * y0 * decay[None, :]) @ vec.T + phi_ss
+
+
+def propagate_per_report(generator, phi0, times, h) -> np.ndarray:
+    """``dynamics._propagate`` as it was before step matrices were shared:
+    the RK4 step matrix and its power are built afresh at every report time."""
+    out = []
+    y = np.append(phi0.reshape(-1), 1.0).astype(complex)
+    t = 0.0
+    for tk in times:
+        dt = tk - t
+        if dt > 0.0:
+            n = max(1, math.ceil(dt / h - 1e-12))
+            y = np.linalg.matrix_power(_rk4_step(generator, dt / n), n) @ y
+            t = tk
+        out.append(y[:36].copy())
+    return np.array(out)
 
 
 def spectrum_oracle(params: SystemParams, omega: float):

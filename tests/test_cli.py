@@ -502,6 +502,21 @@ def test_argparse_requires_command():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["steady", "evolve", "spectra", "sweep", "check", "reproduce"])
+def test_out_help_fits_the_command(command, capsys, monkeypatch):
+    text = (
+        "output directory for the CSV and manifest (required)"
+        if command == "reproduce"
+        else "output file; stdout when omitted"
+    )
+    monkeypatch.setenv("COLUMNS", "200")  # keep argparse from wrapping the line
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(None, 2)[2] for ln in lines if ln.strip().startswith("--out")] == [text]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

@@ -1,6 +1,8 @@
 """Generators, stability, steady states and time evolution."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +13,7 @@ from helpers import (
     exact_steady_moments,
     kronecker_oracle,
     lyapunov_oracle,
+    propagate_per_report,
     quadrature_covariance,
     sample_stable,
     three_mode_covariance,
@@ -33,6 +36,7 @@ from steerkit import (
     to_correlation_matrix,
     vacuum_thermal_state,
 )
+import steerkit.dynamics as dynamics
 from steerkit.dynamics import _kronecker_sum, _steady_batch
 
 P_ASYM = SystemParams(1.0, 0.4, 10.0, 20.0, 0.01, 0.0)
@@ -422,6 +426,63 @@ def test_evolution_matches_plain_stepper():
 
     (state,) = evolve_moments(p, vacuum_thermal_state(0.5), [t_end])
     assert float(np.abs(state.phi - phi).max()) <= 1e-9
+
+
+#: a fig 2a/2b-style grid (few distinct float spacings), one with every
+#: spacing distinct, and one that reports the initial time
+PROPAGATION_GRIDS = {
+    "arange": np.arange(1, 241) * (6.0 / 240),
+    "distinct": np.cumsum(np.random.default_rng(3).uniform(0.01, 0.2, 60)),
+    "from_zero": np.linspace(0.0, 4.0, 81),
+}
+
+
+def _record_propagation(monkeypatch, params, times):
+    """Evolve under ``params``; return each level's ``_propagate`` arguments and
+    result, with its ``_rk4_step`` call count, and the returned states."""
+    calls, steps = [], []
+    propagate, rk4_step = dynamics._propagate, dynamics._rk4_step
+
+    def counted_step(generator, h):
+        steps[-1] += 1
+        return rk4_step(generator, h)
+
+    def recorded(generator, phi0, grid, h):
+        steps.append(0)
+        out = propagate(generator, phi0, grid, h)
+        calls.append(((generator, phi0, grid, h), out, steps[-1]))
+        return out
+
+    monkeypatch.setattr(dynamics, "_rk4_step", counted_step)
+    monkeypatch.setattr(dynamics, "_propagate", recorded)
+    states = evolve_moments(params, vacuum_thermal_state(params.n_th), times)
+    return calls, states
+
+
+@pytest.mark.parametrize("grid", sorted(PROPAGATION_GRIDS))
+def test_shared_step_matrices_match_one_build_per_report_bit_for_bit(monkeypatch, grid):
+    times = PROPAGATION_GRIDS[grid]
+    calls, states = _record_propagation(monkeypatch, P_ASYM.with_(n_th=0.5), times)
+    assert len(calls) >= 2
+    for args, out, _ in calls:
+        assert np.array_equal(out, propagate_per_report(*args))
+    final = calls[-1][1]
+    assert all(np.array_equal(s.phi, row.reshape(6, 6)) for s, row in zip(states, final))
+
+
+def test_step_matrices_are_built_once_per_spacing_and_states_own_their_memory(monkeypatch):
+    times = PROPAGATION_GRIDS["arange"]
+    spacings = np.unique(np.diff(times, prepend=0.0))
+    assert 1 < len(spacings) < len(times) / 10
+    calls, states = _record_propagation(monkeypatch, P_ASYM, times)
+    assert len(calls) >= 2
+    assert all(1 <= built <= len(spacings) for _, _, built in calls)
+    # rows of one array never overlap, so a view would pass the pairwise check
+    # alone; it is the stacked array that a view would keep alive
+    stacked = calls[-1][1]
+    assert not any(np.shares_memory(state.phi, stacked) for state in states)
+    for a, b in itertools.combinations(states, 2):
+        assert not np.shares_memory(a.phi, b.phi)
 
 
 def test_evolution_preserves_structure():
