@@ -4,8 +4,10 @@ Fourier transforming the quantum Langevin equations and applying
 input-output relations expresses each output field in terms of the three
 vacuum/thermal inputs through five independent transfer functions (the
 remaining ones follow by the 1 <-> 2 exchange symmetry of the closed
-expressions).  Frequency-resolved quadrature variances and the spectral
-steering products are then quadratic combinations of these at +/- omega.
+expressions).  All share one denominator ``d`` with real coefficients in
+``i*omega``, so each spectrum is real in ``u = omega**2`` over one ``|d|**2 =
+d_re**2 + u*d_im**2`` per grid.  That grows as ``omega**6``: beyond about
+``|omega| = 1e51`` (rates of order 1) it overflows and raises NumericalError.
 """
 from __future__ import annotations
 
@@ -36,26 +38,38 @@ _DENOM_FLOOR = 1e-14
 _GRID_POINTS = 2001
 
 
-def _entries(params: SystemParams, omega):
-    """Transfer-function entries ``m11, m12, m22, m1b, m2b`` at ``omega`` (scalar or array)."""
-    k1, k2 = params.kappa1, params.kappa2
-    g1, g2, gm = params.g1, params.g2, params.gamma_m
+def _cubic(params: SystemParams, u, k1: float, k2: float, gm: float):
+    """``(re, im)`` of ``d = re + i*omega*im`` at dampings ``k1, k2, gm``.  Reversing one
+    gives ``m11 = -d(-k1)/d``, ``m22 = -d(-k2)/d`` and ``m11 m22 + m12**2 = -conj(d(-gm))/d``.
+    """
+    g1s, g2s = params.g1**2, params.g2**2
+    re = k1 * g2s - k2 * g1s + k1 * k2 * gm - (k1 + k2 + gm) * u
+    return re, g1s - g2s - k1 * k2 - gm * (k1 + k2) + u
+
+
+def _parts(params: SystemParams, omega):
+    """``u = omega**2``, ``|d|**2`` and ``(re, im)`` pairs of ``d`` and of the numerators
+    of ``-m11, m12, -m22, i*m1b, i*m2b`` over it (see :func:`_cubic` for the first two).
+    """
+    k1, k2, gm, g1, g2 = params.kappa1, params.kappa2, params.gamma_m, params.g1, params.g2
     omega = np.asarray(omega, dtype=float)
     if not np.isfinite(omega).all():
         raise ValueError("frequencies must be finite")
-    iw = 1j * omega
-    d = (k1 - iw) * g2**2 - (k2 - iw) * g1**2 + (k1 - iw) * (k2 - iw) * (gm - iw)
-    if float(np.abs(d).min()) < _DENOM_FLOOR:
+    with np.errstate(over="ignore"):
+        u = omega * omega
+        d_re, d_im = _cubic(params, u, k1, k2, gm)
+        dd = d_re * d_re + u * d_im * d_im
+    if not float(dd.min()) >= _DENOM_FLOOR**2:
         raise NumericalError(
             "transfer functions are singular at a requested frequency "
             "(system is marginally stable there)"
         )
-    m11 = ((k1 + iw) * g2**2 + (k2 - iw) * g1**2 + (k1 + iw) * (k2 - iw) * (gm - iw)) / d
-    m12 = 2.0 * math.sqrt(k1 * k2) * g1 * g2 / d
-    m22 = -((k1 - iw) * g2**2 + (k2 + iw) * g1**2 - (k1 - iw) * (k2 + iw) * (gm - iw)) / d
-    m1b = -2j * math.sqrt(k1 * gm) * g1 * (k2 - iw) / d
-    m2b = -2j * math.sqrt(k2 * gm) * g2 * (k1 - iw) / d
-    return m11, m12, m22, m1b, m2b
+    if not float(dd.max()) < math.inf:
+        raise NumericalError("transfer functions overflow at a requested frequency")
+    c1b, c2b = 2.0 * math.sqrt(k1 * gm) * g1, 2.0 * math.sqrt(k2 * gm) * g2
+    n12 = (2.0 * math.sqrt(k1 * k2) * g1 * g2, 0.0)
+    rev1, rev2 = _cubic(params, u, -k1, k2, gm), _cubic(params, u, k1, -k2, gm)
+    return u, dd, ((d_re, d_im), rev1, n12, rev2, (c1b * k2, -c1b), (c2b * k1, -c2b))
 
 
 @dataclass(frozen=True)
@@ -78,7 +92,9 @@ class TransferMatrix:
 
 def transfer_matrix(params: SystemParams, omega: float) -> TransferMatrix:
     """Evaluate the transfer amplitudes at a single frequency."""
-    return TransferMatrix(float(omega), *map(complex, _entries(params, float(omega))))
+    omega = float(omega)
+    d, rev1, n12, rev2, p1b, p2b = (complex(re, omega * im) for re, im in _parts(params, omega)[2])
+    return TransferMatrix(omega, -rev1 / d, n12 / d, -rev2 / d, -1j * (p1b / d), -1j * (p2b / d))
 
 
 @dataclass(frozen=True)
@@ -118,28 +134,22 @@ class SpectrumTable:
 
 
 def _spectrum(params: SystemParams, omegas: NDArray, nth) -> SpectrumTable:
-    """:func:`spectrum` on a checked grid at occupation ``nth``.
-
-    ``nth`` is a float or an array broadcast against ``omegas``.  The
-    entries' coefficients are real in i*omega, so at -omega each entry is
-    the conjugate of its value at +omega, the mechanical ones negated too;
-    the moduli, the denominator's included, are the same at +/- omega, so
-    the +omega evaluation and its singularity guard cover both.
-    """
-    m11, m12, m22, m1b, m2b = _entries(params, omegas)
-    a12, b1, b2 = np.abs(m12) ** 2, np.abs(m1b) ** 2, np.abs(m2b) ** 2
-    mech = -m1b * np.conj(m2b)  # conj(m1b(-omega)) conj(m2b) = m1b m2b(-omega)
-
-    var_x1 = np.abs(m11) ** 2 + a12 + b1 * (nth + 1.0) + b1 * nth
-    var_x2 = np.abs(m22) ** 2 + a12 + b2 * (nth + 1.0) + b2 * nth
-    cross = np.real(
-        -m11 * np.conj(m12) + m12 * np.conj(m22) + mech * (nth + 1.0) + mech * nth
-    )
-    ratio = cross * cross
-    s12 = np.maximum(var_x1 - ratio / var_x2, 0.0) ** 2
-    s21 = np.maximum(var_x2 - ratio / var_x1, 0.0) ** 2
-    n1_out = a12 + b1 * (nth + 1.0)
-    n2_out = a12 + b2 * nth
+    """:func:`spectrum` at occupation ``nth``, a float or an array broadcast on the grid."""
+    u, dd, (_, (r1, i1), (c12, _), (r2, i2), (r1b, i1b), (r2b, i2b)) = _parts(params, omegas)
+    a12 = c12 * c12 / dd
+    b1, b2 = (r1b * r1b + u * (i1b * i1b)) / dd, (r2b * r2b + u * (i2b * i2b)) / dd
+    weight = 2.0 * nth + 1.0
+    n1_out, n2_out = a12 + b1 * (nth + 1.0), a12 + b2 * nth
+    # |m11|**2 = 1 + a12 + b1 and |m22|**2 = 1 + a12 - b2 (output commutators)
+    var_x1, var_x2 = 1.0 + 2.0 * n1_out, 1.0 + 2.0 * n2_out
+    # Re(-m11 m12* + m12 m22* - weight m1b m2b*), and its imaginary part over omega
+    cross = (c12 * (r1 - r2) - (r1b * r2b + u * (i1b * i2b)) * weight) / dd
+    im_cross = (c12 * (i1 + i2) + (r1b * i2b - i1b * r2b) * weight) / dd
+    # var_x1 * var_x2 - cross**2 by Lagrange's identity over the three inputs:
+    # |d(-gm)/d|**2 + (b1 + b2) * weight + Im**2, so s12 and s21 lose no digits
+    rbb, ibb = _cubic(params, u, params.kappa1, params.kappa2, -params.gamma_m)
+    det = (rbb * rbb + u * (ibb * ibb)) / dd + (b1 + b2) * weight + u * im_cross * im_cross
+    s12, s21 = (det / var_x2) ** 2, (det / var_x1) ** 2
     omega = np.broadcast_to(omegas, s12.shape).copy()
     return SpectrumTable(omega, var_x1, var_x2, cross, s12, s21, n1_out, n2_out)
 

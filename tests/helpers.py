@@ -7,6 +7,9 @@ the stability edge, is one unrefined ``np.linalg.solve``), the spectrum oracle
 builds the full 6x6 scattering matrix instead of the adjugate-style
 closed-form transfer entries, and the steering oracle works on the full
 4x4 quadrature covariance instead of the closed forms in (n1, n2, |c|).
+``exact_spectrum_columns`` evaluates the complex closed-form entries in
+exact rational arithmetic, where ``spectra`` splits them into real
+polynomials in ``omega**2``.
 ``propagate_per_report`` is no oracle: it is the one-build-per-report-time
 propagation that the shared step matrices must match bit for bit.
 """
@@ -143,6 +146,87 @@ def spectrum_oracle(params: SystemParams, omega: float):
     n1o = float(np.real(dag_coeff(0, omega) @ diff @ coeff(0, -omega)))
     n2o = float(np.real(dag_coeff(2, omega) @ diff @ coeff(2, -omega)))
     return var1, var2, cross, n1o, n2o
+
+
+class _ExactComplex:
+    """``re + i*im`` with ``Fraction`` parts: exact complex arithmetic."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, other):
+        other = _exact(other)
+        return _ExactComplex(self.re + other.re, self.im + other.im)
+
+    def __neg__(self):
+        return _ExactComplex(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -_exact(other)
+
+    def __mul__(self, other):
+        other = _exact(other)
+        return _ExactComplex(
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        )
+
+    def __truediv__(self, other):
+        other = _exact(other)
+        return self * _ExactComplex(other.re, -other.im) * (1 / other.abs2())
+
+    def __rsub__(self, other):
+        return _exact(other) - self
+
+    def __rtruediv__(self, other):
+        return _exact(other) / self
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def conj(self):
+        return _ExactComplex(self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+
+def _exact(value) -> _ExactComplex:
+    return value if isinstance(value, _ExactComplex) else _ExactComplex(value)
+
+
+def exact_spectrum_columns(params: SystemParams, omega: float) -> tuple[float, ...]:
+    """``(var_x1, var_x2, cross, s12, s21, n1_out, n2_out)`` at ``omega``, exactly.
+
+    The five complex transfer entries over ``d`` are written out as closed
+    forms and combined as quadratures at +/- omega, all in exact rational
+    arithmetic on the binary values of the inputs.  The square roots
+    ``sqrt(k1 k2)``, ``sqrt(k1 gm)`` and ``sqrt(k2 gm)`` are factored out of
+    ``m12``, ``m1b`` and ``m2b``: every column but ``cross`` holds them only
+    squared and is exact up to its final rounding, and ``cross`` is
+    ``sqrt(k1 k2)`` times an exact rational, rounded a few times in that product.
+    """
+    k1, k2, g1, g2, gm, n_th = (
+        Fraction(getattr(params, name))
+        for name in ("kappa1", "kappa2", "g1", "g2", "gamma_m", "n_th")
+    )
+    iw = _ExactComplex(0, omega)
+    d = (k1 - iw) * g2**2 - (k2 - iw) * g1**2 + (k1 - iw) * (k2 - iw) * (gm - iw)
+    m11 = ((k1 + iw) * g2**2 + (k2 - iw) * g1**2 + (k1 + iw) * (k2 - iw) * (gm - iw)) / d
+    m22 = -((k1 - iw) * g2**2 + (k2 + iw) * g1**2 - (k1 - iw) * (k2 + iw) * (gm - iw)) / d
+    m12 = 2 * g1 * g2 / d  # times sqrt(k1 k2)
+    m1b = _ExactComplex(0, -2) * g1 * (k2 - iw) / d  # times sqrt(k1 gm)
+    m2b = _ExactComplex(0, -2) * g2 * (k1 - iw) / d  # times sqrt(k2 gm)
+    a12, b1, b2 = k1 * k2 * m12.abs2(), k1 * gm * m1b.abs2(), k2 * gm * m2b.abs2()
+    var_x1 = m11.abs2() + a12 + b1 * (2 * n_th + 1)
+    var_x2 = m22.abs2() + a12 + b2 * (2 * n_th + 1)
+    # -m1b conj(m2b) is gm sqrt(k1 k2) times -m1b' conj(m2b') of the scaled entries
+    mech = -(m1b * m2b.conj()) * gm
+    reduced = (-m11 * m12.conj() + m12 * m22.conj() + mech * (2 * n_th + 1)).re
+    cross_sq = k1 * k2 * reduced * reduced
+    s12 = max(var_x1 - cross_sq / var_x2, Fraction(0)) ** 2
+    s21 = max(var_x2 - cross_sq / var_x1, Fraction(0)) ** 2
+    cross = float(reduced) * math.sqrt(float(k1 * k2))
+    n1_out, n2_out = a12 + b1 * (n_th + 1), a12 + b2 * n_th
+    return float(var_x1), float(var_x2), cross, *map(float, (s12, s21, n1_out, n2_out))
 
 
 def quadrature_covariance(phi: np.ndarray) -> np.ndarray:

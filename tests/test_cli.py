@@ -5,6 +5,8 @@ exact bytes on stdout/stderr are observable without spawning subprocesses.
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -487,6 +489,20 @@ def test_exit_4_singular_spectrum(tmp_path, capsys):
     )
     assert main(["spectra", "--config", cfg]) == 4
     assert "singular" in capsys.readouterr().err
+
+
+def test_exit_4_overflowing_spectrum(tmp_path, capsys):
+    # |d|**2 grows as omega**6 and overflows beyond about |omega| = 1e51
+    cfg = write_config(
+        tmp_path, FIG2A + "\n[spectra]\nomega_min = -1e120\nomega_max = 1e120\nn_points = 3\n"
+    )
+    out_path = tmp_path / "spectra.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectra", "--config", cfg, "--out", str(out_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_path.exists()
+    assert "overflow" in captured.err
 
 
 def test_argparse_rejects_unknown_format(tmp_path):

@@ -107,13 +107,13 @@ def test_zero_frequency_figures_evaluate_the_transfer_entries_once(
     monkeypatch, figure_id, n_rows
 ):
     calls = []
-    entries = steerkit.spectra._entries
+    parts = steerkit.spectra._parts
 
     def counting(params, omega):
         calls.append(np.shape(omega))
-        return entries(params, omega)
+        return parts(params, omega)
 
-    monkeypatch.setattr(steerkit.spectra, "_entries", counting)
+    monkeypatch.setattr(steerkit.spectra, "_parts", counting)
     (_, _, rows), = build_figure(figure_id).files
     assert calls == [(1,)] and len(rows) == n_rows
 

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import steerkit.spectra
-from helpers import sample_stable, spectrum_oracle
+from helpers import exact_spectrum_columns, sample_stable, spectrum_oracle
 from steerkit import (
     NumericalError,
     SystemParams,
@@ -26,6 +26,29 @@ from steerkit import (
 )
 
 P_FLAT = SystemParams(1.0, 1.0, 6.0, 10.0, 0.01, 0.0)
+SPECTRUM_COLUMNS = ("var_x1", "var_x2", "cross", "s12", "s21", "n1_out", "n2_out")
+
+#: rates log-uniform around kappa1 = 1, an occupation, and a frequency
+#: log-uniform in |omega| or (at equal losses) within 1e-3 of a resonance
+RANDOM_POINTS = (
+    st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    st.floats(0.0, 10.0),
+    st.one_of(
+        st.tuples(st.just("log"), st.floats(-3.0, 2.0), st.sampled_from((-1.0, 1.0))),
+        st.tuples(st.just("resonance"), st.floats(-1e-3, 1e-3), st.integers(0, 2)),
+    ),
+)
+
+
+def _random_point(exponents, n_th, frequency):
+    """The parameter set and frequency drawn from ``RANDOM_POINTS``."""
+    k2, g1, g2, gm = (10.0**e for e in exponents)
+    kind, value, pick = frequency
+    if kind == "log":
+        return SystemParams(1.0, k2, g1, g2, gm, n_th), pick * 10.0**value
+    p = SystemParams(1.0, 1.0, g1, g2, gm, n_th)
+    resonances = resonance_frequencies(p)
+    return p, float(resonances[pick % len(resonances)]) + value
 
 
 # ---------------------------------------------------------------------------
@@ -52,31 +75,50 @@ def test_entries_match_scattering_oracle():
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
-    st.floats(0.0, 10.0),
-    st.one_of(
-        st.tuples(st.just("log"), st.floats(-3.0, 2.0), st.sampled_from((-1.0, 1.0))),
-        st.tuples(st.just("resonance"), st.floats(-1e-3, 1e-3), st.integers(0, 2)),
-    ),
-)
+@given(*RANDOM_POINTS)
 def test_entries_match_scattering_oracle_at_random_frequencies(exponents, n_th, frequency):
-    # rates log-uniform around kappa1 = 1; the frequency log-uniform in
-    # |omega|, or (at equal losses) within 1e-3 of a resonance
-    k2, g1, g2, gm = (10.0**e for e in exponents)
-    kind, value, pick = frequency
-    if kind == "log":
-        p = SystemParams(1.0, k2, g1, g2, gm, n_th)
-        w = pick * 10.0**value
-    else:
-        p = SystemParams(1.0, 1.0, g1, g2, gm, n_th)
-        resonances = resonance_frequencies(p)
-        w = float(resonances[pick % len(resonances)]) + value
+    p, w = _random_point(exponents, n_th, frequency)
     try:
         gap = _worst_oracle_gap(p, w)
     except NumericalError:
         assume(False)  # singular at this frequency
     assert gap <= 1e-10, (p, w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(*RANDOM_POINTS)
+def test_all_columns_match_the_exact_complex_entries(exponents, n_th, frequency):
+    # the exact oracle is the complex closed form in rational arithmetic,
+    # so this checks s12 and s21 too, which the scattering oracle does not
+    p, w = _random_point(exponents, n_th, frequency)
+    try:
+        point = spectrum_point(p, w)
+    except NumericalError:
+        assume(False)  # singular at this frequency
+    got = [getattr(point, name) for name in SPECTRUM_COLUMNS]
+    exact = exact_spectrum_columns(p, w)
+    gap = max(abs(g - e) / max(abs(e), 1.0) for g, e in zip(got, exact))
+    assert gap <= 1e-12, (p, w)
+
+
+def test_spectrum_point_matches_the_transfer_matrix_moduli():
+    rng = np.random.default_rng(46)
+    for p in sample_stable(rng, 20, n_th=2.5):
+        for w in rng.uniform(-20.0, 20.0, size=3):
+            m = transfer_matrix(p, float(w))
+            a12, b1, b2 = abs(m.m12) ** 2, abs(m.m1b) ** 2, abs(m.m2b) ** 2
+            var_x1 = abs(m.m11) ** 2 + a12 + b1 * (2.0 * p.n_th + 1.0)
+            var_x2 = abs(m.m22) ** 2 + a12 + b2 * (2.0 * p.n_th + 1.0)
+            mech = -m.m1b * np.conj(m.m2b) * (2.0 * p.n_th + 1.0)
+            cross = (-m.m11 * np.conj(m.m12) + m.m12 * np.conj(m.m22) + mech).real
+            s12 = max(var_x1 - cross**2 / var_x2, 0.0) ** 2
+            s21 = max(var_x2 - cross**2 / var_x1, 0.0) ** 2
+            n_out = (a12 + b1 * (p.n_th + 1.0), a12 + b2 * p.n_th)
+            point = spectrum_point(p, float(w))
+            expected = (var_x1, var_x2, cross, s12, s21, *n_out)
+            for name, value in zip(SPECTRUM_COLUMNS, expected):
+                got = getattr(point, name)
+                assert abs(got - value) <= 1e-13 * max(abs(value), 1.0), (p, w, name)
 
 
 def test_entries_preserve_output_commutators():
@@ -102,9 +144,9 @@ def test_entries_preserve_output_commutators():
 def test_entries_frequency_reflection(exponents, w):
     # The entries have real coefficients in i*omega, so omega -> -omega
     # conjugates them; the mechanical entries carry an extra -i prefactor
-    # and therefore also flip sign.  spectrum evaluates +omega only and
-    # takes the -omega entries from this, so it must hold exactly, for
-    # unstable sets too (spectrum does not judge stability).
+    # and therefore also flip sign.  Each imaginary part is omega times an
+    # even function of omega, so this holds exactly, for unstable sets too
+    # (spectrum does not judge stability).
     k2, g1, g2, gm = (10.0**e for e in exponents)
     p = SystemParams(1.0, k2, g1, g2, gm)
     try:
@@ -121,6 +163,18 @@ def test_singular_point_raises_before_any_division():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError):
             spectrum(marginal, np.linspace(-1.0, 1.0, 3))
+
+
+def test_overflowing_frequencies_raise_without_warnings():
+    # |d|**2 grows as omega**6, past the largest float near |omega| = 2.4e51
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(spectrum_point(P_FLAT, 2e51).s12)
+        for omegas in ([1e110], [-1e120, 0.0, 1e120], [0.0, 3e51], [1e200]):
+            with pytest.raises(NumericalError, match="overflow"):
+                spectrum(P_FLAT, omegas)
+            with pytest.raises(NumericalError, match="overflow"):
+                transfer_matrix(P_FLAT, omegas[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +200,13 @@ def test_spectrum_rows_iterate_in_order():
 
 def test_spectrum_evaluates_the_transfer_entries_once(monkeypatch):
     calls = []
-    entries = steerkit.spectra._entries
+    parts = steerkit.spectra._parts
 
     def counting(params, omega):
         calls.append(np.shape(omega))
-        return entries(params, omega)
+        return parts(params, omega)
 
-    monkeypatch.setattr(steerkit.spectra, "_entries", counting)
+    monkeypatch.setattr(steerkit.spectra, "_parts", counting)
     spectrum(P_FLAT, default_omega_grid(P_FLAT))
     assert calls == [(2001,)]
 
