@@ -82,16 +82,6 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str, size: str, out_path: str | None, quiet: bool):
-    """Write ``text`` to ``out_path`` (noting its ``size`` unless quiet) or to stdout."""
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(out_path, text)
-        if not quiet:
-            print(f"wrote {out_path} ({size})")
-
-
 def _csv(summary: list[str], header, rows: list):
     """A command's result: its ``summary`` lines, the CSV text and its size note."""
     return summary, _csv_text(header, rows), f"{len(rows)} rows"
@@ -318,7 +308,12 @@ def _run(args) -> int:
         stream = sys.stdout if args.out is not None else sys.stderr
         for line in summary:
             print(line, file=stream)
-    _emit(text, size, args.out, args.quiet)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        _write_text(args.out, text)
+        if not args.quiet:
+            print(f"wrote {args.out} ({size})")
     return 0
 
 

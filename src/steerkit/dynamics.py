@@ -8,13 +8,13 @@ second moments ``Phi_ij = <psi_i psi_j>`` then obey the closed linear flow
 
     dPhi/dt = A Phi + Phi A^T + 2 K D,
 
-with ``A`` the complex drift matrix, ``K`` the diagonal damping matrix and
-``D`` the input-noise correlation matrix.  The steady state solves the
-continuous Lyapunov equation ``A Phi + Phi A^T + 2 K D = 0``.
-
-Note the transpose in the flow: with a complex ``A`` this is *not* the
-conjugate-transpose Lyapunov equation standard solvers expect, which is why
-the steady state is computed on the Kronecker-vectorized form instead.
+with ``A`` the complex drift matrix, ``K = diag(kappa1, kappa1, kappa2,
+kappa2, gamma_m, gamma_m)`` and ``D`` the input-noise correlations.  The
+steady state solves the continuous Lyapunov equation ``A Phi + Phi A^T +
+2 K D = 0``: with a complex ``A`` this is *not* the conjugate-transpose
+equation standard solvers expect, so it is solved on the Kronecker-vectorized
+form.  Time evolution runs on the six real moments that carry the
+phase-symmetric pattern, whose flow closes as ``x' = M x + q``.
 """
 from __future__ import annotations
 
@@ -57,16 +57,10 @@ _SWAP = np.array([1, 0, 3, 2, 5, 4])
 
 @dataclass(frozen=True)
 class Generators:
-    """Matrices (A, K, D) defining the moment flow of one parameter set."""
+    """The drift ``A`` and the noise term ``2 K D`` of one parameter set's moment flow."""
 
     drift: NDArray        # A: complex 6x6
-    damping: NDArray      # K: real diagonal 6x6
-    diffusion: NDArray    # D: real 6x6 input-noise correlations
-
-    @property
-    def noise(self) -> NDArray:
-        """The inhomogeneous term 2 K D of the moment flow."""
-        return 2.0 * self.damping @ self.diffusion
+    noise: NDArray        # 2 K D: real 6x6
 
 
 #: the columns of a rate row, the kernels' input layout
@@ -99,21 +93,14 @@ def _drifts(rates: NDArray) -> NDArray:
 
 
 def build_generators(params: SystemParams) -> Generators:
-    """Assemble drift, damping and diffusion matrices for ``params``.
+    """Assemble the drift and noise matrices for ``params``.
 
-    The drift acts on ``psi = (a1, a1+, a2, a2+, b, b+)``; its only
-    off-diagonal entries are the +/- i g couplings between each cavity
-    quadrature pair and the mechanical one.
+    The drift acts on ``psi = (a1, a1+, a2, a2+, b, b+)``; its only off-diagonal
+    entries are the +/- i g couplings between each cavity quadrature pair and the
+    mechanical one.  The noise is one row of :func:`_noise_vectors`, reshaped.
     """
-    k1, k2, gm = params.kappa1, params.kappa2, params.gamma_m
-    k = np.diag([k1, k1, k2, k2, gm, gm]).astype(float)
-
-    d = np.zeros((6, 6))
-    d[0, 1] = 1.0
-    d[2, 3] = 1.0
-    d[4, 5] = params.n_th + 1.0
-    d[5, 4] = params.n_th
-    return Generators(drift=_drifts(_rates(params))[0], damping=k, diffusion=d)
+    rates = _rates(params)
+    return Generators(drift=_drifts(rates)[0], noise=_noise_vectors(rates)[0].real.reshape(6, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +483,26 @@ def steady_state_closed_form(params: SystemParams) -> ClosedFormMoments:
 # time evolution
 
 
+def _real_flow(rates: NDArray) -> tuple[NDArray, NDArray]:
+    """``(M, q)``, shapes ``(n, 6, 6)`` and ``(n, 6)``, of ``n`` rate rows: the flow
+    ``A Phi + Phi A^T + 2 K D`` as ``x' = M x + q`` on the six real moments ``x = (n1,
+    n2, nm, Re c, Im<a1 b>, Im<a2 b+>)``, which no other moment feeds."""
+    k1, k2, g1, g2, gm, nth = rates.T
+    o = np.zeros_like(k1)
+    m = np.array([[-2 * k1, o, o, o, -2 * g1, o],
+                  [o, -2 * k2, o, o, o, -2 * g2],
+                  [o, o, -2 * gm, o, -2 * g1, 2 * g2],
+                  [o, o, o, -(k1 + k2), g2, g1],
+                  [-g1, o, -g1, -g2, -(k1 + gm), o],
+                  [o, g2, -g2, g1, o, -(k2 + gm)]])
+    return np.moveaxis(m, -1, 0), np.array([o, o, 2 * gm * nth, o, -g1, o]).T
+
+
+def _pattern(x: NDArray) -> MomentState:
+    """The phase-symmetric moment state of the six real moments ``x``."""
+    return build_moment_state(*x[:4], complex(0.0, x[4]), complex(0.0, x[5]))
+
+
 def _rk4_step(generator: NDArray, h: float) -> NDArray:
     """One classical RK4 step of y' = G y: ``I + P + P²/2 + P³/6 + P⁴/24``, P = hG."""
     p = h * generator
@@ -505,13 +512,13 @@ def _rk4_step(generator: NDArray, h: float) -> NDArray:
     return np.eye(len(generator)) + p + p2 / 2.0 + p3 / 6.0 + p4 / 24.0
 
 
-def _propagate(generator: NDArray, phi0: NDArray, times: NDArray, h: float) -> NDArray:
-    """Rows ``vec Phi(times[k])`` for base step ``h``, by powers of the augmented step
+def _propagate(generator: NDArray, x0: NDArray, times: NDArray, h: float) -> NDArray:
+    """Rows ``x(times[k])`` for base step ``h``, by powers of the augmented step
     matrix.  A spacing alone fixes its step count, so one matrix is built per distinct
     (exact float) spacing: bit for bit the result of one build per report time."""
-    out = np.empty((len(times), 36), dtype=complex)
+    out = np.empty((len(times), len(x0)))
     steps = {}
-    y = np.append(phi0.reshape(-1), 1.0).astype(complex)
+    y = np.append(x0, 1.0)
     t = 0.0
     for k, tk in enumerate(times):
         dt = tk - t
@@ -521,7 +528,7 @@ def _propagate(generator: NDArray, phi0: NDArray, times: NDArray, h: float) -> N
                 steps[dt] = np.linalg.matrix_power(_rk4_step(generator, dt / n), n)
             y = steps[dt] @ y
             t = tk
-        out[k] = y[:36]
+        out[k] = y[:-1]
     return out
 
 
@@ -532,24 +539,25 @@ _MAX_HALVINGS = 30  # refinement levels tried before StepConvergenceError
 def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[MomentState]:
     """Integrate the moment flow from ``initial``, reporting at ``times``.
 
-    Classical fixed-step RK4 on the vectorized flow, as powers of the
-    augmented step matrix, with the step refined by halving until the
-    largest moment change between two consecutive refinement levels is
-    below ``_EVOLVE_TOL`` (max over entries and report times, measured
-    relative to the largest moment magnitude when that exceeds one,
-    absolute otherwise); the finer result is returned.  The starting step
-    sits at the edge of the RK4 stability region — starting smaller would
-    not help, because over long horizons the matrix powers' rounding noise
-    grows with the step count while the halving loop controls truncation.
-    Each level builds one step matrix per distinct report spacing (results
-    equal one build per report time); RK4's errors stand until exact
-    propagation replaces it: the false convergence at mid spacings
-    (``bench/README.md``, "Known defects") and fig 2b's 1.4e-3 S21 error.
+    Classical fixed-step RK4 on the six real moments of :func:`_real_flow`, as
+    powers of Van Loan's augmented 7x7 step matrix, with the step refined by halving
+    until the largest moment change between two consecutive refinement levels is
+    below ``_EVOLVE_TOL`` (max over moments and report times, relative to the
+    largest moment magnitude, commutators ``n + 1`` included, when that exceeds one,
+    absolute otherwise); the finer result is returned through
+    :func:`build_moment_state`.  The starting step sits at the edge of the RK4
+    stability region — starting smaller would not help, because over long horizons
+    the matrix powers' rounding noise grows with the step count while the halving
+    loop controls truncation.  Each level builds one step matrix per distinct report
+    spacing (results equal one build per report time); RK4's errors stand until
+    exact propagation replaces it: the false convergence at mid spacings
+    (``bench/README.md``, "Known defects") and fig 2b's S21 error of up to 8.3e-3.
 
     Raises
     ------
     ValueError
-        If ``times`` is empty, not finite, negative or not increasing.
+        If ``times`` is empty, not finite, negative or not increasing, or if
+        ``initial`` is off the phase-symmetric pattern of :func:`_real_flow`.
     StepConvergenceError
         If refinement does not settle within ``_MAX_HALVINGS`` levels.
     """
@@ -560,30 +568,31 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
         raise ValueError("times must be finite")
     if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be non-negative and strictly increasing")
+    phi = initial.phi
+    x0 = np.append(phi[[1, 3, 5, 0], [0, 2, 4, 2]].real, phi[[0, 2], [4, 5]].imag)
+    # departures below the integration tolerance are rounding (steady states reach 4.2e-9)
+    if not np.abs(phi - _pattern(x0).phi).max() <= _EVOLVE_TOL * max(1.0, np.abs(phi).max()):
+        raise ValueError("initial state is off the phase-symmetric pattern")
 
     rates = _rates(params)
-    drift = _drifts(rates)
-    # Van Loan's augmented generator G = [[L, q], [0, 0]]: y' = G y on
-    # y = [vec Phi; 1] is the affine flow (vec Phi)' = L vec Phi + q
-    generator = np.zeros((37, 37), dtype=complex)
-    generator[:36, :36] = _kronecker_sum(drift[0])
-    generator[:36, 36] = _noise_vectors(rates)[0]
-    eigs = np.linalg.eigvals(drift[0])
+    m, q = _real_flow(rates)
+    # Van Loan's augmented generator G = [[M, q], [0, 0]]: y' = G y on
+    # y = [x; 1] is the affine flow x' = M x + q
+    generator = np.vstack([np.column_stack([m[0], q[0]]), np.zeros(7)])
+    eigs = np.linalg.eigvals(_drifts(rates)[0])
     spread = 2.0 * float(np.abs(eigs).max())  # flow eigenvalues live in 2*spec(A)
     h = 2.5 / max(spread, 1e-30)
 
-    previous = None
-    diff = math.inf
-    for _ in range(_MAX_HALVINGS + 1):
-        states = _propagate(generator, initial.phi, times, h)
-        if previous is not None:
-            diff = float(np.abs(states - previous).max())
-            scale = float(np.abs(states).max())
-            if diff < _EVOLVE_TOL * max(1.0, scale):
-                return [MomentState(phi.reshape(6, 6).copy()) for phi in states]
-        previous = states
+    previous = _propagate(generator, x0, times, h)
+    for _ in range(_MAX_HALVINGS):
         h /= 2.0
-    raise StepConvergenceError(step=h * 2.0, max_difference=diff, halvings=_MAX_HALVINGS)
+        states = _propagate(generator, x0, times, h)
+        diff = float(np.abs(states - previous).max())
+        scale = max(float(np.abs(states).max()), float(np.abs(states[:, :3] + 1.0).max()))
+        if diff < _EVOLVE_TOL * max(1.0, scale):
+            return [_pattern(x) for x in states.tolist()]
+        previous = states
+    raise StepConvergenceError(step=h, max_difference=diff, halvings=_MAX_HALVINGS)
 
 
 def to_correlation_matrix(moments: MomentState) -> NDArray:

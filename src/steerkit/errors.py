@@ -29,14 +29,12 @@ class UnstableSystemError(RuntimeError):
     the rejection as ``report``.
     """
 
-    def __init__(self, report, message: str | None = None):
-        if message is None:
-            message = (
-                "system is not strictly stable "
-                f"(max Re eigenvalue = {report.max_real_eigenvalue:.6g}, "
-                f"analytic conditions {'pass' if report.analytic_pass else 'fail'})"
-            )
-        super().__init__(message)
+    def __init__(self, report):
+        super().__init__(
+            "system is not strictly stable "
+            f"(max Re eigenvalue = {report.max_real_eigenvalue:.6g}, "
+            f"analytic conditions {'pass' if report.analytic_pass else 'fail'})"
+        )
         self.report = report
 
 

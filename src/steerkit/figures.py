@@ -47,11 +47,7 @@ def _param_lines(params: SystemParams) -> list[str]:
 
 def _steering_vs_time(params: SystemParams, times: np.ndarray) -> list[tuple]:
     states = evolve_moments(params, vacuum_thermal_state(params.n_th), times)
-    rows = []
-    for t, state in zip(times, states):
-        s12, s21 = steering_products_reduced(state)
-        rows.append((float(t), s12, s21))
-    return rows
+    return [(float(t), *steering_products_reduced(state)) for t, state in zip(times, states)]
 
 
 def _evolution(params: SystemParams, dt: float, n_steps: int) -> Recipe:

@@ -58,12 +58,12 @@ class AxisSpec:
             raise ValueError("axis bounds must be finite")
         if self.hi < self.lo:
             raise ValueError("axis needs lo <= hi")
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"axis steps must be an integer, not {self.steps!r}")
         if self.steps < 1 or (self.steps == 1 and self.hi != self.lo):
             raise ValueError("axis needs steps >= 2 unless lo == hi")
 
     def values(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.asarray([self.lo])
         return np.linspace(self.lo, self.hi, self.steps)
 
 

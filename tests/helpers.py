@@ -4,9 +4,10 @@ The oracles deliberately avoid the code paths they check: the steady-state
 and propagation oracles use an eigendecomposition of the drift instead of
 the Kronecker/LU solver and the RK4 integrator (the Kronecker oracle, for
 the stability edge, is one unrefined ``np.linalg.solve``), the spectrum oracle
-builds the full 6x6 scattering matrix instead of the adjugate-style
-closed-form transfer entries, and the steering oracle works on the full
-4x4 quadrature covariance instead of the closed forms in (n1, n2, |c|).
+builds the full 6x6 scattering matrix from its own damping and noise matrices
+instead of the adjugate-style closed-form transfer entries, and the steering
+oracle works on the full 4x4 quadrature covariance instead of the closed
+forms in (n1, n2, |c|).
 ``exact_spectrum_columns`` evaluates the complex closed-form entries in
 exact rational arithmetic, where ``spectra`` splits them into real
 polynomials in ``omega**2``.
@@ -106,11 +107,13 @@ def evolve_oracle(params: SystemParams, phi0: np.ndarray, t: float) -> np.ndarra
     return vec @ (decay[:, None] * y0 * decay[None, :]) @ vec.T + phi_ss
 
 
-def propagate_per_report(generator, phi0, times, h) -> np.ndarray:
-    """``dynamics._propagate`` as it was before step matrices were shared:
-    the RK4 step matrix and its power are built afresh at every report time."""
+def propagate_per_report(generator, x0, times, h) -> np.ndarray:
+    """``dynamics._propagate`` as it was before step matrices were shared: the
+    RK4 step matrix and its power are built afresh at every report time.  The
+    state ``[x0; 1]`` has one entry more than ``x0``, for Van Loan's augmented
+    ``generator``."""
     out = []
-    y = np.append(phi0.reshape(-1), 1.0).astype(complex)
+    y = np.append(x0, 1.0)
     t = 0.0
     for tk in times:
         dt = tk - t
@@ -118,15 +121,31 @@ def propagate_per_report(generator, phi0, times, h) -> np.ndarray:
             n = max(1, math.ceil(dt / h - 1e-12))
             y = np.linalg.matrix_power(_rk4_step(generator, dt / n), n) @ y
             t = tk
-        out.append(y[:36].copy())
+        out.append(y[:-1].copy())
     return np.array(out)
+
+
+def damping_and_diffusion(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """``(K, D)``: the diagonal damping matrix and the input-noise correlations.
+
+    ``K = diag(kappa1, kappa1, kappa2, kappa2, gamma_m, gamma_m)``; ``D`` holds
+    ``<a_in a_in+> = 1`` for both cavities and ``<b_in b_in+> = n_th + 1``,
+    ``<b_in+ b_in> = n_th`` for the mechanical bath.
+    """
+    k1, k2, gm = params.kappa1, params.kappa2, params.gamma_m
+    damping = np.diag([k1, k1, k2, k2, gm, gm]).astype(float)
+    diffusion = np.zeros((6, 6))
+    diffusion[0, 1] = diffusion[2, 3] = 1.0
+    diffusion[4, 5] = params.n_th + 1.0
+    diffusion[5, 4] = params.n_th
+    return damping, diffusion
 
 
 def spectrum_oracle(params: SystemParams, omega: float):
     """(var_x1, var_x2, cross, n1_out, n2_out) via the scattering matrix."""
     gen = build_generators(params)
-    sq = np.sqrt(2.0 * gen.damping)
-    diff = gen.diffusion
+    damping, diff = damping_and_diffusion(params)
+    sq = np.sqrt(2.0 * damping)
 
     def coeff(row: int, w: float) -> np.ndarray:
         smat = sq @ np.linalg.solve(-1j * w * np.eye(6) - gen.drift, sq) - np.eye(6)

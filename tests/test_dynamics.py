@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    damping_and_diffusion,
     evolve_oracle,
     exact_steady_moments,
     kronecker_oracle,
@@ -60,15 +61,22 @@ def test_generator_matrices_have_documented_structure():
     expected[5, 5], expected[5, 0], expected[5, 3] = -0.2, 2.0j, 3.0j
     np.testing.assert_array_equal(a, expected)
 
-    np.testing.assert_array_equal(
-        gen.damping, np.diag([1.5, 1.5, 0.7, 0.7, 0.2, 0.2])
-    )
-    diffusion = np.zeros((6, 6))
-    diffusion[0, 1] = diffusion[2, 3] = 1.0
-    diffusion[4, 5] = 2.25
-    diffusion[5, 4] = 1.25
-    np.testing.assert_array_equal(gen.diffusion, diffusion)
-    np.testing.assert_allclose(gen.noise, 2.0 * gen.damping @ diffusion, rtol=0, atol=0)
+    noise = np.zeros((6, 6))
+    noise[0, 1] = 3.0
+    noise[2, 3] = 1.4
+    noise[4, 5] = 0.4 * 2.25
+    noise[5, 4] = 0.4 * 1.25
+    np.testing.assert_array_equal(gen.noise, noise)
+
+
+def test_noise_equals_two_k_d_bit_for_bit():
+    rng = np.random.default_rng(16)
+    sets = [P_ASYM, *(p.with_(n_th=float(rng.uniform(0.0, 50.0))) for p in sample_stable(rng, 40))]
+    for p in sets:
+        damping, diffusion = damping_and_diffusion(p)
+        noise = build_generators(p).noise
+        assert noise.dtype == float
+        assert noise.tobytes() == (2.0 * damping @ diffusion).tobytes(), p
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +455,10 @@ def _record_propagation(monkeypatch, params, times):
         steps[-1] += 1
         return rk4_step(generator, h)
 
-    def recorded(generator, phi0, grid, h):
+    def recorded(generator, x0, grid, h):
         steps.append(0)
-        out = propagate(generator, phi0, grid, h)
-        calls.append(((generator, phi0, grid, h), out, steps[-1]))
+        out = propagate(generator, x0, grid, h)
+        calls.append(((generator, x0, grid, h), out, steps[-1]))
         return out
 
     monkeypatch.setattr(dynamics, "_rk4_step", counted_step)
@@ -466,8 +474,11 @@ def test_shared_step_matrices_match_one_build_per_report_bit_for_bit(monkeypatch
     assert len(calls) >= 2
     for args, out, _ in calls:
         assert np.array_equal(out, propagate_per_report(*args))
+    generator, x0 = calls[0][0][:2]
+    assert generator.shape == (7, 7) and generator.dtype == float and x0.shape == (6,)
     final = calls[-1][1]
-    assert all(np.array_equal(s.phi, row.reshape(6, 6)) for s, row in zip(states, final))
+    assert len(final) == len(states)
+    assert all(np.array_equal(s.phi, dynamics._pattern(row).phi) for s, row in zip(states, final))
 
 
 def test_step_matrices_are_built_once_per_spacing_and_states_own_their_memory(monkeypatch):
@@ -500,6 +511,55 @@ def test_evolution_from_steady_state_is_stationary():
     steady = steady_state_lyapunov(P_ASYM)
     (state,) = evolve_moments(P_ASYM, steady, [5.0])
     assert float(np.abs(state.phi - steady.phi).max()) <= 1e-8
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+    st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6),
+)
+def test_real_flow_equals_the_kronecker_flow(exponents, x):
+    # stable and unstable sets alike: the six real moments close under
+    # L vec Phi + q, and M x + q is that flow read on them (the commutator
+    # constants of the pattern have no time derivative)
+    rates = np.array([[10.0**e for e in exponents]])
+    m, q = dynamics._real_flow(rates)
+    vec_phi = dynamics._pattern(np.array(x)).phi.reshape(-1)
+    lhs = _kronecker_sum(dynamics._drifts(rates)[0])
+    kron = lhs @ vec_phi + dynamics._noise_vectors(rates)[0]
+    real = dynamics._pattern(m[0] @ x + q[0]).phi - vacuum_thermal_state().phi
+    scale = float((np.abs(lhs) @ np.abs(vec_phi)).max() + np.abs(q).max())
+    assert np.abs(kron - real.reshape(-1)).max() <= 1e-12 * scale
+
+
+def _single_cavity_pairing(value):
+    """The vacuum with ``<a1 a1> = <a1+ a1+>* = value``, off the pattern."""
+    phi = vacuum_thermal_state().phi.copy()
+    phi[0, 0], phi[1, 1] = value, np.conj(value)
+    return MomentState(phi)
+
+
+@pytest.mark.parametrize(
+    "initial",
+    [build_moment_state(c=0.2 + 0.1j), _single_cavity_pairing(0.1)],
+    ids=["complex-c", "a1-a1"],
+)
+def test_evolution_rejects_states_off_the_phase_symmetric_pattern(initial):
+    with pytest.raises(ValueError, match="phase-symmetric"):
+        evolve_moments(P_ASYM, initial, [0.5])
+
+
+def test_evolution_accepts_steady_states():
+    # the steady solve leaves rounding off the pattern (up to 4.2e-9 of
+    # max|Phi| on random sets), which the pattern test must let through
+    batch = _steady_batch(EDGE_GRID)
+    rng = np.random.default_rng(17)
+    sets = [*(SystemParams(*r) for r in EDGE_GRID[batch.solved]), *sample_stable(rng, 20, n_th=3.0)]
+    for p in sets:
+        steady = steady_state_lyapunov(p)
+        (state,) = evolve_moments(p, steady, [0.5])
+        scale = max(1.0, float(np.abs(steady.phi).max()))
+        assert np.abs(state.phi - steady.phi).max() <= 1e-7 * scale, p
 
 
 def test_evolution_validates_times():

@@ -46,11 +46,22 @@ def test_axis_values_inclusive():
         dict(name="g1", lo=2.0, hi=1.0, steps=3),
         dict(name="g1", lo=1.0, hi=2.0, steps=1),
         dict(name="g1", lo=math.inf, hi=1.0, steps=2),
+        dict(name="g1", lo=0.0, hi=1.0, steps=2.5),
+        dict(name="g1", lo=0.0, hi=1.0, steps=3.0),
+        dict(name="g1", lo=1.0, hi=1.0, steps=1.0),
+        dict(name="g1", lo=0.0, hi=1.0, steps=np.float64(3.0)),
     ],
 )
 def test_axis_validation(kwargs):
     with pytest.raises(ValueError):
         AxisSpec(**kwargs)
+
+
+def test_axis_accepts_numpy_integer_steps():
+    axis = AxisSpec("g1", 1.0, 3.0, np.int64(5))
+    np.testing.assert_array_equal(axis.values(), AxisSpec("g1", 1.0, 3.0, 5).values())
+    spec = SweepSpec(base=BASE, axes=(AxisSpec("g1", 6.0, 14.0, np.int64(3)),))
+    assert [row.values["g1"] for row in grid_sweep(spec)] == [6.0, 10.0, 14.0]
 
 
 def test_spec_validation():
