@@ -392,6 +392,9 @@ def main(argv=None) -> int:
     except (NumericalError, PhysicalityError, DegenerateConditioningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except ArithmeticError as exc:  # float overflow or division at extreme rates
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

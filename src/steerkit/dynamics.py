@@ -274,20 +274,22 @@ def build_moment_state(
     ``pair_2m = <a2 b+>``.  All remaining entries are fixed by commutators
     and conjugation.
     """
-    phi = np.zeros((6, 6), dtype=complex)
-    phi[1, 0] = n1
-    phi[0, 1] = n1 + 1.0
-    phi[3, 2] = n2
-    phi[2, 3] = n2 + 1.0
-    phi[5, 4] = nm
-    phi[4, 5] = nm + 1.0
-    phi[0, 2] = phi[2, 0] = c
-    phi[1, 3] = phi[3, 1] = np.conj(c)
-    phi[0, 4] = phi[4, 0] = pair_1m
-    phi[1, 5] = phi[5, 1] = np.conj(pair_1m)
-    phi[2, 5] = phi[5, 2] = pair_2m
-    phi[3, 4] = phi[4, 3] = np.conj(pair_2m)
-    return MomentState(phi)
+    return MomentState(_fill(n1, n2, nm, c, pair_1m, pair_2m))
+
+
+def _fill(n1, n2, nm, c, pair_1m, pair_2m) -> NDArray:
+    """The phase-symmetric moment matrices, ``(..., 6, 6)``, of broadcast moment arrays."""
+    phi = np.zeros(np.broadcast(n1, n2, nm, c, pair_1m, pair_2m).shape + (6, 6), dtype=complex)
+    phi[..., 1, 0], phi[..., 0, 1] = n1, n1 + 1.0
+    phi[..., 3, 2], phi[..., 2, 3] = n2, n2 + 1.0
+    phi[..., 5, 4], phi[..., 4, 5] = nm, nm + 1.0
+    phi[..., 0, 2] = phi[..., 2, 0] = c
+    phi[..., 1, 3] = phi[..., 3, 1] = np.conj(c)
+    phi[..., 0, 4] = phi[..., 4, 0] = pair_1m
+    phi[..., 1, 5] = phi[..., 5, 1] = np.conj(pair_1m)
+    phi[..., 2, 5] = phi[..., 5, 2] = pair_2m
+    phi[..., 3, 4] = phi[..., 4, 3] = np.conj(pair_2m)
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +500,6 @@ def _real_flow(rates: NDArray) -> tuple[NDArray, NDArray]:
     return np.moveaxis(m, -1, 0), np.array([o, o, 2 * gm * nth, o, -g1, o]).T
 
 
-def _pattern(x: NDArray) -> MomentState:
-    """The phase-symmetric moment state of the six real moments ``x``."""
-    return build_moment_state(*x[:4], complex(0.0, x[4]), complex(0.0, x[5]))
-
-
 def _rk4_step(generator: NDArray, h: float) -> NDArray:
     """One classical RK4 step of y' = G y: ``I + P + P²/2 + P³/6 + P⁴/24``, P = hG."""
     p = h * generator
@@ -544,13 +541,13 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     until the largest moment change between two consecutive refinement levels is
     below ``_EVOLVE_TOL`` (max over moments and report times, relative to the
     largest moment magnitude, commutators ``n + 1`` included, when that exceeds one,
-    absolute otherwise); the finer result is returned through
-    :func:`build_moment_state`.  The starting step sits at the edge of the RK4
-    stability region — starting smaller would not help, because over long horizons
-    the matrix powers' rounding noise grows with the step count while the halving
-    loop controls truncation.  Each level builds one step matrix per distinct report
-    spacing (results equal one build per report time); RK4's errors stand until
-    exact propagation replaces it: the false convergence at mid spacings
+    absolute otherwise); one batched fill of the pattern turns the finer result into
+    the report states, each on its own copy.  The starting step sits at the edge of
+    the RK4 stability region — starting smaller would not help, because over long
+    horizons the matrix powers' rounding noise grows with the step count while the
+    halving loop controls truncation.  Each level builds one step matrix per
+    distinct report spacing (results equal one build per report time); RK4's errors
+    stand until exact propagation replaces it: the false convergence at mid spacings
     (``bench/README.md``, "Known defects") and fig 2b's S21 error of up to 8.3e-3.
 
     Raises
@@ -571,7 +568,8 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     phi = initial.phi
     x0 = np.append(phi[[1, 3, 5, 0], [0, 2, 4, 2]].real, phi[[0, 2], [4, 5]].imag)
     # departures below the integration tolerance are rounding (steady states reach 4.2e-9)
-    if not np.abs(phi - _pattern(x0).phi).max() <= _EVOLVE_TOL * max(1.0, np.abs(phi).max()):
+    pattern = _fill(*x0[:4], *(1j * x0[4:]))
+    if not np.abs(phi - pattern).max() <= _EVOLVE_TOL * max(1.0, np.abs(phi).max()):
         raise ValueError("initial state is off the phase-symmetric pattern")
 
     rates = _rates(params)
@@ -590,7 +588,7 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
         diff = float(np.abs(states - previous).max())
         scale = max(float(np.abs(states).max()), float(np.abs(states[:, :3] + 1.0).max()))
         if diff < _EVOLVE_TOL * max(1.0, scale):
-            return [_pattern(x) for x in states.tolist()]
+            return [MomentState(p.copy()) for p in _fill(*states.T[:4], *(1j * states.T[4:]))]
         previous = states
     raise StepConvergenceError(step=h, max_difference=diff, halvings=_MAX_HALVINGS)
 

@@ -45,19 +45,19 @@ def _invariants(moments: MomentState) -> tuple[float, float, float]:
     Raises
     ------
     DegenerateConditioningError
-        If a cavity's quadrature variance ``n_j + 1/2`` is non-positive.
+        If a cavity's quadrature variance ``n_j + 1/2`` is not positive and finite.
     PhysicalityError
         If ``|c|^2`` exceeds its bound ``(n1 + 1/2)(n2 + 1/2)`` by more than
-        1e-12 relative to ``max(1, bound)``.
+        1e-12 relative to ``max(1, bound)``, or is NaN.
     """
     n1, n2 = moments.n1, moments.n2
-    if n1 + 0.5 <= 0.0 or n2 + 0.5 <= 0.0:
+    if not (0.0 < n1 + 0.5 < math.inf and 0.0 < n2 + 0.5 < math.inf):
         raise DegenerateConditioningError(
-            "a quadrature variance is non-positive; inference undefined"
+            "a quadrature variance is not positive and finite; inference undefined"
         )
     c = abs(moments.c)
     bound = (n1 + 0.5) * (n2 + 0.5)
-    if c**2 - bound > 1e-12 * max(1.0, bound):
+    if not c**2 - bound <= 1e-12 * max(1.0, bound):
         raise PhysicalityError(
             "pairing moment exceeds its physical bound |c|^2 <= (n1+1/2)(n2+1/2)"
         )
@@ -75,7 +75,7 @@ def steering_products_reduced(moments: MomentState) -> tuple[float, float]:
     Raises
     ------
     DegenerateConditioningError
-        If ``n1 + 1/2`` or ``n2 + 1/2`` is non-positive.
+        If ``n1 + 1/2`` or ``n2 + 1/2`` is not positive and finite.
     PhysicalityError
         If ``|c|^2`` exceeds ``(n1 + 1/2)(n2 + 1/2)``.
     """
@@ -99,14 +99,14 @@ def logarithmic_negativity(moments: MomentState) -> float:
     Raises
     ------
     DegenerateConditioningError
-        If ``a`` or ``b`` is non-positive.
+        If ``a`` or ``b`` is not positive and finite.
     PhysicalityError
-        If ``|c|^2`` exceeds ``a b``, or if ``nu <= 0``.
+        If ``|c|^2`` exceeds ``a b``, or if ``nu`` is not positive.
     """
     n1, n2, c = _invariants(moments)
     a, b = n1 + 0.5, n2 + 0.5
     nu = 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise PhysicalityError("the partially transposed state is degenerate")
     return max(0.0, -math.log(2.0 * nu))
 

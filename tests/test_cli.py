@@ -505,6 +505,29 @@ def test_exit_4_overflowing_spectrum(tmp_path, capsys):
     assert "overflow" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, rates",
+    [
+        # g2**2 overflows in the closed-form stability margins
+        ("steady", ("1", "1", "1e160", "2e160", "0.5")),
+        # (omega / (2 kappa))**2 overflows in the strong-damping predicate
+        ("check", ("1e-200", "1e-200", "1", "2", "1e-200")),
+    ],
+    ids=["steady-margins", "check-predicates"],
+)
+def test_exit_4_float_overflow_at_extreme_rates(tmp_path, capsys, command, rates):
+    keys = ("kappa1", "kappa2", "g1", "g2", "gamma_m")
+    params = "".join(f"{key} = {value}\n" for key, value in zip(keys, rates))
+    cfg = write_config(tmp_path, "[config]\nversion = 1\n\n[params]\n" + params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own overflow notes
+        assert main([command, "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: OverflowError: ")
+
+
 def test_argparse_rejects_unknown_format(tmp_path):
     cfg = write_config(tmp_path, FIG2A)
     with pytest.raises(SystemExit) as excinfo:

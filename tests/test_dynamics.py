@@ -445,6 +445,11 @@ PROPAGATION_GRIDS = {
 }
 
 
+def _one_row_fill(x):
+    """The moment matrix of the six real moments ``x``, by the public one-row call."""
+    return build_moment_state(*x[:4], complex(0.0, x[4]), complex(0.0, x[5])).phi
+
+
 def _record_propagation(monkeypatch, params, times):
     """Evolve under ``params``; return each level's ``_propagate`` arguments and
     result, with its ``_rk4_step`` call count, and the returned states."""
@@ -478,7 +483,7 @@ def test_shared_step_matrices_match_one_build_per_report_bit_for_bit(monkeypatch
     assert generator.shape == (7, 7) and generator.dtype == float and x0.shape == (6,)
     final = calls[-1][1]
     assert len(final) == len(states)
-    assert all(np.array_equal(s.phi, dynamics._pattern(row).phi) for s, row in zip(states, final))
+    assert all(np.array_equal(s.phi, _one_row_fill(row)) for s, row in zip(states, final))
 
 
 def test_step_matrices_are_built_once_per_spacing_and_states_own_their_memory(monkeypatch):
@@ -492,6 +497,8 @@ def test_step_matrices_are_built_once_per_spacing_and_states_own_their_memory(mo
     # alone; it is the stacked array that a view would keep alive
     stacked = calls[-1][1]
     assert not any(np.shares_memory(state.phi, stacked) for state in states)
+    # a view into one batched fill would pass the checks below; each state owns its data
+    assert all(state.phi.base is None for state in states)
     for a, b in itertools.combinations(states, 2):
         assert not np.shares_memory(a.phi, b.phi)
 
@@ -524,10 +531,10 @@ def test_real_flow_equals_the_kronecker_flow(exponents, x):
     # constants of the pattern have no time derivative)
     rates = np.array([[10.0**e for e in exponents]])
     m, q = dynamics._real_flow(rates)
-    vec_phi = dynamics._pattern(np.array(x)).phi.reshape(-1)
+    vec_phi = _one_row_fill(np.array(x)).reshape(-1)
     lhs = _kronecker_sum(dynamics._drifts(rates)[0])
     kron = lhs @ vec_phi + dynamics._noise_vectors(rates)[0]
-    real = dynamics._pattern(m[0] @ x + q[0]).phi - vacuum_thermal_state().phi
+    real = _one_row_fill(m[0] @ x + q[0]) - vacuum_thermal_state().phi
     scale = float((np.abs(lhs) @ np.abs(vec_phi)).max() + np.abs(q).max())
     assert np.abs(kron - real.reshape(-1)).max() <= 1e-12 * scale
 

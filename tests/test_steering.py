@@ -100,10 +100,16 @@ def test_vacuum_products_are_one():
 
 
 def test_unphysical_correlation_rejected():
-    state = build_moment_state(n1=0.0, n2=0.0, c=2.0)
-    for fn in (steering_products_reduced, logarithmic_negativity, steering_result):
-        with pytest.raises(PhysicalityError):
-            fn(state)
+    nan, inf = math.nan, math.inf
+    for state in (
+        build_moment_state(n1=0.0, n2=0.0, c=2.0),
+        build_moment_state(c=nan),
+        build_moment_state(n1=1.0, n2=1.0, c=complex(0.5, nan)),
+        build_moment_state(c=inf),
+    ):
+        for fn in (steering_products_reduced, logarithmic_negativity, steering_result):
+            with pytest.raises(PhysicalityError):
+                fn(state)
     # on the bound |c|^2 = (n1 + 1/2)(n2 + 1/2) the partial transpose is singular
     with pytest.raises(PhysicalityError):
         logarithmic_negativity(build_moment_state(c=0.5))
@@ -114,6 +120,11 @@ def test_degenerate_variance_rejected():
         build_moment_state(n2=-0.5),
         build_moment_state(n1=-0.5),
         build_moment_state(n1=-2.0),
+        # a NaN fails every comparison, so each check must be written to fail on it
+        build_moment_state(n1=math.nan),
+        build_moment_state(n2=math.nan, c=0.5),
+        build_moment_state(n1=math.inf),
+        build_moment_state(n2=math.inf, c=1.0),
     ):
         for fn in (steering_products_reduced, logarithmic_negativity, steering_result):
             with pytest.raises(DegenerateConditioningError):
