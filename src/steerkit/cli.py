@@ -19,7 +19,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .config import RwaConfig, load_config
+from .config import EvolveConfig, RwaConfig, SpectraConfig, SweepConfig, load_config
 from .dynamics import (
     _RATE_FIELDS,
     assess_rwa,
@@ -62,8 +62,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return repr(float(value))
 
 
@@ -92,8 +90,9 @@ def _csv(summary: list[str], header, rows: list):
 
 
 def _steady(cfg):
-    moments = steady_state_lyapunov(cfg.params)
+    # before the solve, so rates whose float margins overflow fail as OverflowError
     report = assess_stability(cfg.params)
+    moments = steady_state_lyapunov(cfg.params)
     result = steering_result(moments)
     c = moments.c
     summary = [
@@ -126,8 +125,8 @@ def _steady(cfg):
 
 
 def _evolve(cfg):
-    n = cfg.evolve.n_points
-    times = np.arange(1, n + 1) * (cfg.evolve.t_max / n)
+    n = cfg.run.n_points
+    times = np.arange(1, n + 1) * (cfg.run.t_max / n)
     initial = vacuum_thermal_state(cfg.params.n_th)
     states = evolve_moments(cfg.params, initial, times)
     header = ["t", "s12", "s21", "e_n", "n1", "n2", "nm"]
@@ -153,7 +152,7 @@ def _evolve(cfg):
 
 
 def _spectra(cfg):
-    block = cfg.spectra
+    block = cfg.run
     if block.omega_min is None:
         grid = default_omega_grid(cfg.params, block.n_points)
     else:
@@ -176,9 +175,9 @@ def _spectra(cfg):
 
 
 def _sweep(cfg):
-    spec = cfg.sweep
+    spec, swept = cfg.run.spec, cfg.run.swept  # a swept axis means minimize mode
     names = [axis.name for axis in spec.axes]
-    if cfg.sweep_mode == "grid":
+    if swept is None:
         rows_out = grid_sweep(spec)
         header = [*names, "stable", "s12", "s21", "e_n"]
         rows = [
@@ -187,9 +186,9 @@ def _sweep(cfg):
         ]
         summary = [f"grid sweep over {', '.join(names)}: {len(rows)} points"]
     else:
-        points = minimize_steering(spec, cfg.swept)
+        points = minimize_steering(spec, swept)
         header = [
-            cfg.swept.name,
+            swept.name,
             *(f"{name}_opt" for name in names),
             spec.objective,
             "feasible",
@@ -205,20 +204,18 @@ def _sweep(cfg):
         ]
         summary = [
             f"minimized {spec.objective} over {', '.join(names)} at "
-            f"{len(rows)} values of {cfg.swept.name}"
+            f"{len(rows)} values of {swept.name}"
         ]
     return _csv(summary, header, rows)
 
 
-def _verdict(flag: bool | None, note: str | None, numbers) -> str:
+def _verdict(preds, name: str) -> str:
+    """Predicate ``name``'s verdict with its operands, or ``n/a`` and the reason."""
+    flag = getattr(preds, name)
     if flag is None:
-        return f"n/a ({note})"
-    word = "pass" if flag else "fail"
-    if numbers is not None:
-        lhs, rhs = numbers
-        op = ">" if flag else "<="
-        return f"{word} (lhs={lhs!r} {op} rhs={rhs!r})"
-    return word
+        return f"n/a ({preds.notes[name]})"
+    lhs, rhs = preds.numbers[name]  # every evaluated predicate records its operands
+    return f"{'pass' if flag else 'fail'} (lhs={lhs!r} {'>' if flag else '<='} rhs={rhs!r})"
 
 
 def _section(name: str, lines) -> list[str]:
@@ -247,12 +244,7 @@ def _check(cfg):
         "s21_cond_strong",
         "s12_cond_strong",
     ):
-        lines.append(
-            f"predicate.{name} = "
-            + _verdict(
-                getattr(preds, name), preds.notes.get(name), preds.numbers.get(name)
-            )
-        )
+        lines.append(f"predicate.{name} = {_verdict(preds, name)}")
     lines.append(
         "omega = " + (f"{preds.omega!r}" if preds.omega is not None else "n/a (needs g2 > g1)")
     )
@@ -279,7 +271,7 @@ def _check(cfg):
     lines += _section("resonances", resonances)
     lines += _section("squeezed_frame", frame)
 
-    block = cfg.rwa or RwaConfig()
+    block = cfg.run if isinstance(cfg.run, RwaConfig) else RwaConfig()
     if block.omega_m is not None:
         params = params.with_(omega_m=block.omega_m)
     rwa = assess_rwa(params, block.margin_factor)
@@ -300,9 +292,9 @@ def _check(cfg):
 def _run(args) -> int:
     """Load ``--config``, run the command on it, and route its summary and output."""
     cfg = load_config(args.config)
-    if args.block is not None and cfg.run_block != args.block:
-        article = "an" if args.block[0] in "aeiou" else "a"
-        raise ConfigError(f"the {args.command} command needs {article} [{args.block}] block")
+    if args.block is not None and not isinstance(cfg.run, args.block):
+        article = "an" if args.command[0] in "aeiou" else "a"  # each block is named as its command
+        raise ConfigError(f"the {args.command} command needs {article} [{args.command}] block")
     summary, text, size = args.scenario(cfg)
     if not args.quiet:
         stream = sys.stdout if args.out is not None else sys.stderr
@@ -352,8 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, scenario=None, block=None):
-        """Register ``name``: a ``scenario`` command run on ``--config`` (needing
-        the run block ``block``, if any), or without one the ``reproduce`` command."""
+        """Register ``name``: a ``scenario`` command run on ``--config`` (needing a
+        run block of type ``block``, if any), or without one the ``reproduce`` command."""
         cmd = sub.add_parser(name, help=help_text)
         if scenario is None:
             cmd.add_argument("figure_id", help="reference figure id, e.g. 2a")
@@ -371,9 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     add("steady", "steady moments, steering products, entanglement", _steady)
-    add("evolve", "time evolution of the second moments", _evolve, "evolve")
-    add("spectra", "output-field spectra and spectral steering", _spectra, "spectra")
-    add("sweep", "grid sweeps or steering minimization", _sweep, "sweep")
+    add("evolve", "time evolution of the second moments", _evolve, EvolveConfig)
+    add("spectra", "output-field spectra and spectral steering", _spectra, SpectraConfig)
+    add("sweep", "grid sweeps or steering minimization", _sweep, SweepConfig)
     add("check", "closed-form regime and sanity checks", _check)
     add("reproduce", "rebuild a reference figure as CSV + manifest")
     return parser

@@ -53,6 +53,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "EvolveConfig",
     "SpectraConfig",
+    "SweepConfig",
     "RwaConfig",
     "ScenarioConfig",
     "parse_config",
@@ -80,6 +81,14 @@ class SpectraConfig:
 
 
 @dataclass(frozen=True)
+class SweepConfig:
+    """A ``[sweep]`` block: the grid, plus the swept axis in minimize mode (None in grid mode)."""
+
+    spec: SweepSpec
+    swept: AxisSpec | None = None
+
+
+@dataclass(frozen=True)
 class RwaConfig:
     omega_m: float | None = None
     margin_factor: float = _MARGIN_FACTOR
@@ -87,16 +96,18 @@ class RwaConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a CLI invocation needs: parameters plus one run block."""
+    """Everything a CLI invocation needs: parameters plus at most one run block."""
 
     params: SystemParams
-    run_block: str | None = None
-    evolve: EvolveConfig | None = None
-    spectra: SpectraConfig | None = None
-    sweep: SweepSpec | None = None
-    swept: AxisSpec | None = None
-    sweep_mode: str | None = None
-    rwa: RwaConfig | None = None
+    run: EvolveConfig | SpectraConfig | SweepConfig | RwaConfig | None = None
+
+    @property
+    def run_block(self) -> str | None:
+        """The section name of ``run``, or None."""
+        return _BLOCK_NAMES.get(type(self.run))
+
+
+_BLOCK_NAMES = dict(zip((EvolveConfig, SpectraConfig, SweepConfig, RwaConfig), _RUN_BLOCKS))
 
 
 def _float(section: str, key: str, raw: str) -> float:
@@ -199,16 +210,16 @@ def parse_config(text: str) -> ScenarioConfig:
         )
     run_block = run_blocks[0] if run_blocks else None
 
-    evolve = spectra = sweep = swept = sweep_mode = rwa = None
+    run = None
     if run_block == "evolve":
         block = parser["evolve"]
-        evolve = EvolveConfig(
+        run = EvolveConfig(
             **_values("evolve", block, "initial", required=("t_max",), t_max=_float, n_points=_int)
         )
         initial = block.get("initial", "vacuum-thermal").strip()
-        if evolve.t_max <= 0.0:
+        if run.t_max <= 0.0:
             raise ConfigError("[evolve] t_max must be > 0")
-        if evolve.n_points < 1:
+        if run.n_points < 1:
             raise ConfigError("[evolve] n_points must be >= 1")
         if initial != "vacuum-thermal":
             raise ConfigError(
@@ -216,20 +227,20 @@ def parse_config(text: str) -> ScenarioConfig:
             )
     elif run_block == "spectra":
         block = parser["spectra"]
-        spectra = SpectraConfig(
+        run = SpectraConfig(
             **_values("spectra", block, omega_min=_float, omega_max=_float, n_points=_int)
         )
-        if (spectra.omega_min is None) != (spectra.omega_max is None):
+        if (run.omega_min is None) != (run.omega_max is None):
             raise ConfigError("[spectra] needs both omega_min and omega_max, or neither")
-        if spectra.omega_min is not None and spectra.omega_min >= spectra.omega_max:
+        if run.omega_min is not None and run.omega_min >= run.omega_max:
             raise ConfigError("[spectra] needs omega_min < omega_max")
-        if spectra.n_points < 2:
+        if run.n_points < 2:
             raise ConfigError("[spectra] n_points must be >= 2")
     elif run_block == "sweep":
         block = parser["sweep"]
         _check_keys("sweep", block, ("mode", "objective", "axes", "swept", "ties"))
-        sweep_mode = block.get("mode", "").strip()
-        if sweep_mode not in ("grid", "minimize"):
+        mode = block.get("mode", "").strip()
+        if mode not in ("grid", "minimize"):
             raise ConfigError("[sweep] mode must be 'grid' or 'minimize'")
         objective = block.get("objective", "s12").strip()
         if "axes" not in block:
@@ -252,33 +263,24 @@ def parse_config(text: str) -> ScenarioConfig:
             if dst in ties:
                 raise ConfigError(f"[sweep] ties sets {dst!r} more than once")
             ties[dst] = src
-        if sweep_mode == "minimize":
+        swept = None
+        if mode == "minimize":
             if "swept" not in block:
                 raise ConfigError("[sweep] minimize mode needs a swept axis")
             swept = _parse_axis("sweep", "swept", block["swept"])
         elif "swept" in block:
             raise ConfigError("[sweep] grid mode does not take a swept axis")
         try:
-            sweep = SweepSpec(base=params, axes=axes, objective=objective, ties=ties)
-            _check_swept(sweep, swept)
+            run = SweepConfig(SweepSpec(params, axes, objective, ties), swept)
+            _check_swept(run.spec, swept)
         except ValueError as exc:
             raise ConfigError(f"[sweep]: {exc}") from exc
     elif run_block == "rwa":
-        block = parser["rwa"]
-        rwa = RwaConfig(**_values("rwa", block, omega_m=_float, margin_factor=_float))
-        if rwa.margin_factor <= 0.0:
+        run = RwaConfig(**_values("rwa", parser["rwa"], omega_m=_float, margin_factor=_float))
+        if run.margin_factor <= 0.0:
             raise ConfigError("[rwa] margin_factor must be > 0")
 
-    return ScenarioConfig(
-        params=params,
-        run_block=run_block,
-        evolve=evolve,
-        spectra=spectra,
-        sweep=sweep,
-        swept=swept,
-        sweep_mode=sweep_mode,
-        rwa=rwa,
-    )
+    return ScenarioConfig(params, run)
 
 
 def load_config(path) -> ScenarioConfig:

@@ -359,20 +359,16 @@ class _SteadyBatch(NamedTuple):
     """Steady states of ``n`` rate rows, from :func:`_steady_batch`.
 
     ``stable`` is each row's closed-form verdict ``m1 > 0 and m2 > 0``;
-    ``phi`` is ``(n, 6, 6)`` and NaN on every row without a steady state;
-    ``residual`` and ``bound`` are the Lyapunov residual and its gate, NaN
-    on unstable rows.
+    ``solved`` is the one reading of the residual gate (a NaN residual fails
+    it); ``phi`` is ``(n, 6, 6)`` and NaN on every row not solved;
+    ``residual`` and ``bound`` are the gate's operands, NaN on unstable rows.
     """
 
     phi: NDArray
     stable: NDArray
+    solved: NDArray
     residual: NDArray
     bound: NDArray
-
-    @property
-    def solved(self) -> NDArray:
-        """Stable rows whose solve met the residual gate."""
-        return self.stable & ~(self.residual > self.bound)
 
 
 def _steady_batch(rates) -> _SteadyBatch:
@@ -383,31 +379,39 @@ def _steady_batch(rates) -> _SteadyBatch:
     on its own, exactly as :func:`steady_state_lyapunov` describes.  A
     row's result does not depend on the batch or its position in it: it
     has the bits of the one-row call.  Rows are not validated;
-    :class:`SystemParams` holds the constraints.
+    :class:`SystemParams` holds the constraints.  A row whose margins
+    overflow is judged and solved with its five rates divided by the power
+    of two that brings the largest into [0.5, 1): exact, as the margins are
+    homogeneous of degree 3 in the rates and the steady state of degree 0.
     """
     rates = np.asarray(rates, dtype=float).reshape(-1, 6)
     n = len(rates)
-    m1, m2 = _margins(*rates[:, :5].T)
-    stable = (m1 > 0.0) & (m2 > 0.0)
-    phi = np.full((n, 36), np.nan, dtype=complex)
-    residual = np.full(n, np.nan)
-    bound = np.full(n, np.nan)
-    rows = stable.nonzero()[0]
-    for row, a, q in zip(rows, _drifts(rates[rows]), _noise_vectors(rates[rows])):
-        x, residual[row], bound[row] = _solve(_kronecker_sum(a), q)
-        if not residual[row] > bound[row]:
-            phi[row] = x
-    return _SteadyBatch(phi.reshape(n, 6, 6), stable, residual, bound)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1, m2 = _margins(*rates[:, :5].T)
+        wild = ~(np.isfinite(m1) & np.isfinite(m2))
+        if wild.any():
+            rates, top = rates.copy(), np.frexp(rates[wild, :5].max(axis=1))[1]
+            rates[wild, :5] = np.ldexp(rates[wild, :5], -top[:, None])
+            m1, m2 = _margins(*rates[:, :5].T)
+        stable = (m1 > 0.0) & (m2 > 0.0)
+        phi = np.full((n, 36), np.nan, dtype=complex)
+        residual = np.full(n, np.nan)
+        bound = np.full(n, np.nan)
+        rows = stable.nonzero()[0]
+        for row, a, q in zip(rows, _drifts(rates[rows]), _noise_vectors(rates[rows])):
+            phi[row], residual[row], bound[row] = _solve(_kronecker_sum(a), q)
+    solved = residual <= bound
+    phi[~solved] = np.nan
+    return _SteadyBatch(phi.reshape(n, 6, 6), stable, solved, residual, bound)
 
 
 def _steady_row(batch: _SteadyBatch, row: int, params: SystemParams) -> MomentState:
     """:func:`steady_state_lyapunov` of ``params``, solved as row ``row`` of ``batch``."""
     if not batch.stable[row]:
         raise UnstableSystemError(assess_stability(params))
-    residual, bound = float(batch.residual[row]), float(batch.bound[row])
-    if residual > bound:
+    if not batch.solved[row]:
         raise NumericalError(
-            f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}"
+            f"Lyapunov residual {batch.residual[row]:.3e} exceeds bound {batch.bound[row]:.3e}"
         )
     return MomentState(batch.phi[row])
 

@@ -3,7 +3,9 @@
 ``bench/tracer.py`` lists its trace sites in ``TARGETS`` and
 ``bench/test_bench.py`` reads ``steerkit.sweep.steady_state_lyapunov``.  A
 rename or a dropped import in ``src`` breaks the benchmark without failing
-any other test, so this one checks every name.
+any other test, so this one checks every name.  A changed signature or
+return value breaks the tracer's notes instead, so a smoke run drives every
+noted site through an installed tracer.
 """
 from __future__ import annotations
 
@@ -11,16 +13,24 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import steerkit as sk
+import steerkit.cli
 
 _TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def _targets() -> dict[str, tuple[str, ...]]:
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("bench_tracer", _TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _targets() -> dict[str, tuple[str, ...]]:
+    return _tracer_module().TARGETS
 
 
 @pytest.mark.parametrize(
@@ -33,3 +43,31 @@ def _targets() -> dict[str, tuple[str, ...]]:
 def test_trace_site_resolves(module_name, function):
     module = importlib.import_module(f"steerkit.{module_name}")
     assert callable(getattr(module, function, None)), f"steerkit.{module_name}.{function}"
+
+
+def test_tracer_runs_over_every_noted_site(tmp_path):
+    tracer = _tracer_module().Tracer()
+    evaluate = steerkit.sweep._evaluate
+    base = sk.SystemParams(1.0, 1.0, 6.0, 10.0, 0.5)
+    tracer.install()
+    try:
+        sk.grid_sweep(sk.SweepSpec(base, (sk.AxisSpec("g1", 5.0, 6.0, 2),)))
+        spec = sk.SweepSpec(base, (sk.AxisSpec("g1", 5.0, 6.0, 3),))
+        sk.minimize_steering(spec, sk.AxisSpec("gamma_m", 0.5, 1.0, 2))
+        sk.spectrum(base, np.linspace(-1.0, 1.0, 5))
+        sk.evolve_moments(base, sk.vacuum_thermal_state(), [0.1, 0.2])
+        assert steerkit.cli.main(["reproduce", "4b", "--out", str(tmp_path), "--quiet"]) == 0
+        layers = tracer.layers()
+        seconds, counts = tracer.per_figure()
+    finally:
+        tracer.uninstall()
+    assert steerkit.sweep._evaluate is evaluate
+    assert layers["sweep.grid_sweep.calls"] == layers["sweep.minimize_steering.calls"] == 1
+    assert layers["cli.main.calls"] == layers["figures.build_figure.calls"] == 1
+    work = tracer.work
+    assert work["sweep.evaluations"] >= 2 + 6 and work["sweep.coarse_cells"] == 6
+    assert 0 < work["sweep.useful"] <= work["sweep.evaluations"]
+    assert work["spectra.spectrum.points"] >= 5
+    assert work["dynamics.evolve_moments.report_times"] == 2
+    assert list(seconds) == ["4b"] and seconds["4b"] > 0.0 and "4b" in counts
+    assert (tmp_path / "fig4b_manifest.txt").is_file()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from steerkit import (
+    EmptySweepWarning,
     SystemParams,
     assess_stability,
     steady_state_lyapunov,
@@ -387,6 +388,26 @@ def test_check_reports_key_value_lines(tmp_path, capsys):
     assert lines["squeezed_frame"].startswith("n/a (")
 
 
+def test_check_reports_why_the_strong_damping_predicates_do_not_apply(tmp_path, capsys):
+    text = (
+        FIG2A.replace("kappa2 = 0.4", "kappa2 = 1.0")
+        .replace("g1 = 10.0", "g1 = 1.0")
+        .replace("g2 = 20.0", "g2 = 1.5")
+    )
+    assert main(["check", "--config", write_config(tmp_path, text)]) == 0
+    lines = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["predicate.s21_cond_strong"] == "n/a (needs Omega > 2 kappa)"
+    assert lines["predicate.s12_cond_strong"] == "n/a (needs Omega^2 > 8 kappa^2)"
+
+
+def test_check_rejects_an_empty_sweep_axes_list(tmp_path, capsys):
+    cfg = write_config(tmp_path, FIG2A + "\n[sweep]\nmode = grid\naxes = ;\n")
+    assert main(["check", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [sweep] axes is empty\n"
+
+
 def test_check_equal_kappa_with_rwa_block(tmp_path, capsys):
     cfg = write_config(tmp_path, CHECK_EQUAL_KAPPA_RWA)
     assert main(["check", "--config", cfg]) == 0
@@ -526,6 +547,24 @@ def test_exit_4_float_overflow_at_extreme_rates(tmp_path, capsys, command, rates
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: OverflowError: ")
+
+
+def test_sweep_at_overflowing_margins_reports_stable_rows(tmp_path, capsys):
+    # g2**2 overflows in the closed-form margins; each row is judged on a
+    # power-of-two rescaling, and its solve then misses the residual gate
+    params = "kappa1 = 1\nkappa2 = 1\ng1 = 1e160\ng2 = 2e160\ngamma_m = 0.5\n"
+    sweep = "\n[sweep]\nmode = grid\naxes = gamma_m 0.5 1.0 2\n"
+    cfg = write_config(tmp_path, "[config]\nversion = 1\n\n[params]\n" + params + sweep)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", cfg, "--quiet"]) == 0
+    categories = [warning.category for warning in caught]
+    assert EmptySweepWarning in categories and RuntimeWarning not in categories
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    header, rows = csv_rows(captured.out)
+    assert header == ["gamma_m", "stable", "s12", "s21", "e_n"]
+    assert rows == [[gm, "true", "nan", "nan", "nan"] for gm in ("0.5", "1.0")]
 
 
 def test_argparse_rejects_unknown_format(tmp_path):

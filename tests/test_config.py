@@ -1,13 +1,19 @@
 """Scenario-file parsing and validation."""
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from steerkit import (
+    AxisSpec,
     ConfigError,
     EvolveConfig,
     RwaConfig,
+    ScenarioConfig,
     SpectraConfig,
+    SweepConfig,
+    SweepSpec,
     assess_rwa,
     default_omega_grid,
     load_config,
@@ -31,8 +37,7 @@ def test_minimal_config():
     cfg = parse_config(HEADER)
     assert cfg.params.kappa2 == 0.4
     assert cfg.params.n_th == 0.0
-    assert cfg.run_block is None
-    assert cfg.evolve is None and cfg.sweep is None
+    assert cfg.run_block is None and cfg.run is None
 
 
 def test_params_full_and_comments():
@@ -50,26 +55,25 @@ omega_m = 500.0
 def test_evolve_block():
     cfg = parse_config(HEADER + "\n[evolve]\nt_max = 12.0\nn_points = 100\n")
     assert cfg.run_block == "evolve"
-    assert cfg.evolve.t_max == 12.0
-    assert cfg.evolve.n_points == 100
+    assert cfg.run == EvolveConfig(t_max=12.0, n_points=100)
 
 
 def test_evolve_block_accepts_the_supported_initial_state():
     cfg = parse_config(HEADER + "\n[evolve]\nt_max = 1\ninitial = vacuum-thermal\n")
-    assert cfg.evolve == parse_config(HEADER + "\n[evolve]\nt_max = 1\n").evolve
+    assert cfg.run == parse_config(HEADER + "\n[evolve]\nt_max = 1\n").run
 
 
 def test_spectra_block_defaults():
     cfg = parse_config(HEADER + "\n[spectra]\n")
     assert cfg.run_block == "spectra"
-    assert cfg.spectra.omega_min is None
-    assert cfg.spectra.n_points == 2001
+    assert cfg.run.omega_min is None
+    assert cfg.run.n_points == 2001
 
 
 def test_omitted_keys_take_the_dataclass_defaults():
-    assert parse_config(HEADER + "\n[evolve]\nt_max = 1\n").evolve == EvolveConfig(1.0)
-    assert parse_config(HEADER + "\n[spectra]\n").spectra == SpectraConfig()
-    assert parse_config(HEADER + "\n[rwa]\n").rwa == RwaConfig()
+    assert parse_config(HEADER + "\n[evolve]\nt_max = 1\n").run == EvolveConfig(1.0)
+    assert parse_config(HEADER + "\n[spectra]\n").run == SpectraConfig()
+    assert parse_config(HEADER + "\n[rwa]\n").run == RwaConfig()
     params = parse_config(HEADER).params
     # the library calls share the scenario defaults
     assert default_omega_grid(params).size == SpectraConfig().n_points
@@ -87,11 +91,12 @@ axes = gamma_m 1.0 3.0 3; n_th 0.0 1.0 2
 ties = kappa2=kappa1
 """
     )
-    assert cfg.sweep_mode == "grid"
-    assert cfg.sweep.objective == "s21"
-    assert [axis.name for axis in cfg.sweep.axes] == ["gamma_m", "n_th"]
-    assert cfg.sweep.ties == {"kappa2": "kappa1"}
-    assert cfg.swept is None
+    assert isinstance(cfg.run, SweepConfig) and cfg.run_block == "sweep"
+    assert cfg.run.spec.base == cfg.params
+    assert cfg.run.spec.objective == "s21"
+    assert [axis.name for axis in cfg.run.spec.axes] == ["gamma_m", "n_th"]
+    assert cfg.run.spec.ties == {"kappa2": "kappa1"}
+    assert cfg.run.swept is None
 
 
 def test_sweep_minimize_block():
@@ -105,16 +110,28 @@ swept = gamma_m 10.0 20.0 2
 axes = g1 0.5 10.0 11
 """
     )
-    assert cfg.sweep_mode == "minimize"
-    assert cfg.swept.name == "gamma_m"
-    assert cfg.swept.steps == 2
+    assert cfg.run.spec.axes == (AxisSpec("g1", 0.5, 10.0, 11),)
+    assert cfg.run.swept.name == "gamma_m"
+    assert cfg.run.swept.steps == 2
 
 
 def test_rwa_block():
     cfg = parse_config(HEADER + "\n[rwa]\nomega_m = 400.0\nmargin_factor = 20\n")
     assert cfg.run_block == "rwa"
-    assert cfg.rwa.omega_m == 400.0
-    assert cfg.rwa.margin_factor == 20.0
+    assert cfg.run == RwaConfig(omega_m=400.0, margin_factor=20.0)
+
+
+def test_scenario_config_holds_params_and_one_typed_run_block():
+    assert [f.name for f in fields(ScenarioConfig)] == ["params", "run"]
+    params = parse_config(HEADER).params
+    for run, name in [
+        (None, None),
+        (EvolveConfig(1.0), "evolve"),
+        (SpectraConfig(), "spectra"),
+        (SweepConfig(SweepSpec(params, (AxisSpec("g1", 1.0, 2.0, 2),))), "sweep"),
+        (RwaConfig(), "rwa"),
+    ]:
+        assert ScenarioConfig(params, run).run_block == name
 
 
 @pytest.mark.parametrize(
@@ -139,6 +156,7 @@ def test_rwa_block():
         (HEADER + "\n[spectra]\nn_points = 1\n", "n_points"),
         (HEADER + "\n[sweep]\naxes = g1 1 2 3\n", "mode"),
         (HEADER + "\n[sweep]\nmode = grid\n", "missing axes"),
+        (HEADER + "\n[sweep]\nmode = grid\naxes = ;\n", "axes is empty"),
         (HEADER + "\n[sweep]\nmode = grid\naxes = g1 1 2\n", "name lo hi steps"),
         (HEADER + "\n[sweep]\nmode = grid\naxes = g9 1 2 3\n", "cannot sweep"),
         (HEADER + "\n[sweep]\nmode = grid\naxes = g1 2 1 3\n", "lo <= hi"),

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import itertools
+import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,9 +24,11 @@ from helpers import (
     uncertainty_eigenvalue,
 )
 from steerkit import (
+    AxisSpec,
     MomentState,
     NumericalError,
     ParameterError,
+    SweepSpec,
     SystemParams,
     UnstableSystemError,
     assess_rwa,
@@ -31,6 +36,7 @@ from steerkit import (
     build_generators,
     build_moment_state,
     evolve_moments,
+    grid_sweep,
     stability_margins,
     steady_state_closed_form,
     steady_state_lyapunov,
@@ -38,7 +44,7 @@ from steerkit import (
     vacuum_thermal_state,
 )
 import steerkit.dynamics as dynamics
-from steerkit.dynamics import _kronecker_sum, _steady_batch
+from steerkit.dynamics import _kronecker_sum, _margins, _steady_batch
 
 P_ASYM = SystemParams(1.0, 0.4, 10.0, 20.0, 0.01, 0.0)
 
@@ -253,6 +259,68 @@ def test_batched_kernel_makes_no_eigenvalue_call(monkeypatch):
     assert batch.stable.any() and not batch.stable.all()
 
 
+def test_a_nan_residual_fails_the_gate_everywhere(monkeypatch):
+    # a NaN residual compares False with its bound either way round, so the
+    # gate must be the one mask ``residual <= bound`` for it to fail
+    solve = dynamics._solve
+
+    def nan_at_gamma_m_2(lhs, q):
+        x, residual, bound = solve(lhs, q)
+        return x, (math.nan if q[29] == 4.0 else residual), bound
+
+    monkeypatch.setattr(dynamics, "_solve", nan_at_gamma_m_2)
+    params = SystemParams(1.0, 1.0, 6.0, 10.0, 2.0)
+    batch = _steady_batch([(1.0, 1.0, 6.0, 10.0, gm, 0.0) for gm in (1.0, 2.0)])
+    assert batch.stable.all() and batch.solved.tolist() == [True, False]
+    assert np.isfinite(batch.phi[0]).all() and np.isnan(batch.phi[1]).all()
+    rows = grid_sweep(SweepSpec(params, (AxisSpec("gamma_m", 1.0, 2.0, 2),)))
+    assert [row.stable for row in rows] == [True, True]
+    assert math.isfinite(rows[0].s12)
+    assert all(math.isnan(x) for x in (rows[1].s12, rows[1].s21, rows[1].e_n))
+    with pytest.raises(NumericalError, match="residual nan"):
+        steady_state_lyapunov(params)
+
+
+#: rate rows ``(1, kappa2, g1, g2, gamma_m, n_th)``, rates log-uniform around kappa1 = 1
+_RATE_ROWS = st.builds(
+    lambda exponents, n_th: (1.0, *(10.0**e for e in exponents), n_th),
+    st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    st.floats(0.0, 10.0),
+)
+
+#: kappa 1, 1, g 1e160, 2e160: g2**2 overflows in the margins
+OVERFLOW_ROWS = np.array([(1.0, 1.0, 1e160, 2e160, gm, 0.0) for gm in (0.5, 1.0)])
+
+
+def test_overflowing_margins_are_judged_on_a_power_of_two_rescaling():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _steady_batch(OVERFLOW_ROWS)
+    exact = [_margins(*map(Fraction, rates[:5])) for rates in OVERFLOW_ROWS]
+    assert all(m1 > 0 and m2 > 0 for m1, m2 in exact)
+    assert batch.stable.all()
+    # the rescaled solve leaves occupations the residual gate cannot certify
+    assert not batch.solved.any() and np.isnan(batch.phi).all()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_RATE_ROWS, st.integers(520, 1000))
+def test_overflow_rescaling_gives_the_bits_of_the_unscaled_row(rates, k):
+    # a row scaled by 2**k overflows its margins; the kernel scales it back
+    # by a power of two, which the steady state does not see
+    row = np.array(rates)
+    huge = row.copy()
+    huge[:5] *= 2.0**k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _steady_batch([row, huge])
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1, m2 = _margins(*huge[:5])
+    assert not (np.isfinite(m1) and np.isfinite(m2))
+    assert batch.stable[0] == batch.stable[1] and batch.solved[0] == batch.solved[1]
+    assert batch.phi[0].tobytes() == batch.phi[1].tobytes()
+
+
 def test_kronecker_sum_equals_numpy_kron():
     rng = np.random.default_rng(15)
     eye = np.eye(6)
@@ -309,6 +377,31 @@ def test_steady_kernel_is_affine_in_thermal_occupation(exponents, a, b):
     assert np.abs(phi_mid - (phi_a + phi_b) / 2).max() <= 1e-9 * scale
 
 
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_RATE_ROWS, st.integers(-7, 5))
+def test_steady_state_is_invariant_under_power_of_two_rate_scaling(rates, k):
+    # A Phi + Phi A^T + 2KD is homogeneous of degree 1 in the five rates, and a
+    # power of two scales every operation of the solve exactly
+    row = np.array(rates)
+    scaled = row.copy()
+    scaled[:5] *= 2.0**k
+    batch = _steady_batch([row, scaled])
+    assert batch.stable[0] == batch.stable[1] and batch.solved[0] == batch.solved[1]
+    assert batch.phi[0].tobytes() == batch.phi[1].tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_RATE_ROWS, st.floats(0.01, 100.0))
+def test_steady_state_is_invariant_under_rate_scaling(rates, factor):
+    row = np.array(rates)
+    scaled = row.copy()
+    scaled[:5] *= factor
+    batch = _steady_batch([row, scaled])
+    assume(batch.solved.all())
+    scale = max(1.0, float(np.abs(batch.phi[0]).max()))
+    assert np.abs(batch.phi[1] - batch.phi[0]).max() <= 1e-11 * scale
+
+
 def _assert_physical(state, context):
     # sigma + i Omega / 2 >= 0 for all three modes and for the two cavities
     for sigma in (three_mode_covariance(state.phi), quadrature_covariance(state.phi)):
@@ -316,6 +409,7 @@ def _assert_physical(state, context):
         assert uncertainty_eigenvalue(sigma) >= bound, context
 
 
+_FIVE_RATES = ("kappa1", "kappa2", "g1", "g2", "gamma_m")
 _STABLE_SETS = st.tuples(
     st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), st.floats(0.0, 10.0)
 )
@@ -567,6 +661,20 @@ def test_evolution_accepts_steady_states():
         (state,) = evolve_moments(p, steady, [0.5])
         scale = max(1.0, float(np.abs(steady.phi).max()))
         assert np.abs(state.phi - steady.phi).max() <= 1e-7 * scale, p
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_STABLE_SETS, st.integers(-7, 5))
+def test_evolution_at_scaled_rates_is_evolution_at_scaled_times(rates, k):
+    # the flow is homogeneous of degree 1 in the rates: x(t; 2**k rates) = x(2**k t; rates)
+    p = _stable_params(*rates)
+    scaled = p.with_(**{name: 2.0**k * getattr(p, name) for name in _FIVE_RATES})
+    times = np.linspace(0.1, 6.0, 30)
+    initial = vacuum_thermal_state(p.n_th)
+    for fast, slow in zip(
+        evolve_moments(scaled, initial, times), evolve_moments(p, initial, 2.0**k * times)
+    ):
+        assert fast.phi.tobytes() == slow.phi.tobytes()
 
 
 def test_evolution_validates_times():

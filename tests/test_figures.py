@@ -8,8 +8,16 @@ import pytest
 
 import steerkit.figures
 import steerkit.spectra
-from helpers import exact_steady_moments
-from steerkit import SystemParams, UnstableSystemError, available_figures, build_figure
+from helpers import evolve_oracle, exact_steady_moments
+from steerkit import (
+    MomentState,
+    SystemParams,
+    UnstableSystemError,
+    available_figures,
+    build_figure,
+    steering_products_reduced,
+    vacuum_thermal_state,
+)
 from steerkit.dynamics import _steady_batch
 
 ALL_IDS = ["2a", "2b", "2c", "2d", "3a", "3b", "4a", "4b", "5a", "5b", "6"]
@@ -132,6 +140,21 @@ def test_fig2d_minima_equal_exact_s21_at_their_optima():
         exact = float(((2 * n2 + 1) - 4 * c * c / (2 * n1 + 1)) ** 2)
         worst = max(worst, abs(s21 - exact) / exact)
     assert worst <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: RK4 misses fig 2b's S12 by 5.0e-3 and S21 by 8.3e-3",
+)
+def test_fig2b_rows_equal_the_eigenbasis_propagation():
+    (_, _, rows), = build_figure("2b").files
+    params = SystemParams(1.0, 2.4, 12.0, 20.0, 0.01, 0.0)
+    initial = vacuum_thermal_state().phi
+    worst = 0.0
+    for t, s12, s21 in rows:
+        exact = steering_products_reduced(MomentState(evolve_oracle(params, initial, t)))
+        worst = max(worst, *(abs(x - e) / max(1.0, abs(e)) for x, e in zip((s12, s21), exact)))
+    assert worst <= 1e-6
 
 
 def test_fig6_minimization_frontier():

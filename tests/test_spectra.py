@@ -74,6 +74,24 @@ def test_entries_match_scattering_oracle():
     assert worst <= 1e-10
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(RANDOM_POINTS[0], RANDOM_POINTS[1], st.integers(-7, 5))
+def test_spectrum_at_scaled_rates_is_the_spectrum_at_scaled_frequencies(exponents, n_th, k):
+    # S(omega; 2**k rates) = S(omega / 2**k; rates), bit for bit: the spectra
+    # are dimensionless functions of omega over the rates
+    k2, g1, g2, gm = (10.0**e for e in exponents)
+    p = SystemParams(1.0, k2, g1, g2, gm, n_th)
+    scaled = SystemParams(2.0**k, 2.0**k * k2, 2.0**k * g1, 2.0**k * g2, 2.0**k * gm, n_th)
+    omegas = np.linspace(-20.0, 20.0, 101) * 2.0**k
+    try:
+        fast = spectrum(scaled, omegas)
+    except NumericalError:
+        assume(False)  # singular at a grid point
+    slow = spectrum(p, omegas / 2.0**k)
+    for name in SPECTRUM_COLUMNS:
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(*RANDOM_POINTS)
 def test_entries_match_scattering_oracle_at_random_frequencies(exponents, n_th, frequency):

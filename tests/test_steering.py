@@ -247,6 +247,16 @@ def test_strong_damping_needs_effective_coupling():
     assert "g2 > g1" in preds.notes["s21_cond_strong"]
 
 
+def test_strong_damping_predicates_need_a_large_effective_coupling():
+    # Omega**2 = 1.25: below (2 kappa)**2 and below 8 kappa**2
+    preds = regime_predicates(SystemParams(1.0, 1.0, 1.0, 1.5, 0.5))
+    assert preds.omega == math.sqrt(1.25)
+    assert preds.s21_cond_strong is None and preds.s12_cond_strong is None
+    assert preds.notes["s21_cond_strong"] == "needs Omega > 2 kappa"
+    assert preds.notes["s12_cond_strong"] == "needs Omega^2 > 8 kappa^2"
+    assert not {"s21_cond_strong", "s12_cond_strong"} & set(preds.numbers)
+
+
 def test_weak_predicates_match_steady_classification():
     # Where the weak-damping inequalities fire, the actual steady products
     # at small gamma_m agree with the predicted direction.

@@ -66,7 +66,7 @@ def test_axis_accepts_numpy_integer_steps():
 
 def test_spec_validation():
     axis = AxisSpec("g1", 1.0, 2.0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one axis"):
         SweepSpec(base=BASE, axes=())
     with pytest.raises(ValueError):
         SweepSpec(base=BASE, axes=(axis, axis))
