@@ -46,7 +46,7 @@ from .spectra import (
     thermal_window,
 )
 from .squeezed import transformed_drift
-from .steering import regime_predicates, steering_result
+from .steering import _HOLDS_BELOW, regime_predicates, steering_result
 from .sweep import grid_sweep, minimize_steering
 
 __all__ = ["main"]
@@ -215,7 +215,8 @@ def _verdict(preds, name: str) -> str:
     if flag is None:
         return f"n/a ({preds.notes[name]})"
     lhs, rhs = preds.numbers[name]  # every evaluated predicate records its operands
-    return f"{'pass' if flag else 'fail'} (lhs={lhs!r} {'>' if flag else '<='} rhs={rhs!r})"
+    holds, fails = ("<", ">=") if name in _HOLDS_BELOW else (">", "<=")
+    return f"{'pass' if flag else 'fail'} (lhs={lhs!r} {holds if flag else fails} rhs={rhs!r})"
 
 
 def _section(name: str, lines) -> list[str]:

@@ -302,19 +302,48 @@ def _fill(n1, n2, nm, c, pair_1m, pair_2m) -> NDArray:
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=complex)
 
 
-#: the identity as the complex cast np.kron makes of a real one
-_EYE = np.eye(6, dtype=complex)
+def _kronecker_positions() -> tuple[NDArray, NDArray, NDArray, NDArray]:
+    """Flat positions in L, and the drift entries they take: first the 36 set, then the 132 added.
 
-
-def _kronecker_sum(a: NDArray) -> NDArray:
-    """``L = kron(A, I) + kron(I, A)``, shape ``(36, 36)``, of one drift ``a``.
-
-    L acts on vec Phi.  Each product is taken in ``np.kron``'s operand
-    order, so every entry has the bits of the ``np.kron`` assembly.
+    ``kron(A, I)`` puts ``A[i, j]`` at ``(6i + k, 6j + k)`` and ``kron(I, A)`` at
+    ``(6k + i, 6k + j)``, k = 0..5; they share only the diagonal, which the
+    diagonal entries of ``kron(A, I)`` set.
     """
-    lhs = a[:, None, :, None] * _EYE[:, None, :]
-    lhs += _EYE[:, None, :, None] * a[:, None, :]
-    return lhs.reshape(36, 36)
+    entries = _DRIFT_ENTRIES[0]
+    i, j = np.divmod(entries, 6)
+    k = np.arange(6)[:, None]
+    left = ((6 * i + k) * 36 + 6 * j + k).ravel()
+    right = ((6 * k + i) * 36 + 6 * k + j).ravel()
+    source, first = np.tile(entries, 6), np.tile(i == j, 6)
+    return (
+        left[first],
+        source[first],
+        np.concatenate([left[~first], right]),
+        np.concatenate([source[~first], source]),
+    )
+
+
+_KRONECKER_SET, _KRONECKER_SET_FROM, _KRONECKER_ADD, _KRONECKER_ADD_FROM = _kronecker_positions()
+
+
+def _kronecker_sums(drifts: NDArray) -> NDArray:
+    """``L = kron(A, I) + kron(I, A)``, shape ``(n, 36, 36)``, of ``n`` drifts ``A``.
+
+    L acts on vec Phi.  The drift entries are scattered into a zeroed block:
+    the diagonal is set to ``A[i, i]`` and gets ``A[k, k]`` added, every other
+    entry is added to a zero, which turns the -0 of ``-1j * 0.0`` into the +0
+    of ``np.kron``.  So for rates >= +0 every entry has the bits of the
+    ``np.kron`` assembly.
+    """
+    flat = drifts.reshape(len(drifts), 36)
+    lhs = np.zeros((len(drifts), 1296), dtype=complex)
+    lhs[:, _KRONECKER_SET] = flat[:, _KRONECKER_SET_FROM]
+    lhs[:, _KRONECKER_ADD] += flat[:, _KRONECKER_ADD_FROM]
+    return lhs.reshape(-1, 36, 36)
+
+
+#: stable rows whose Kronecker systems :func:`_steady_batch` assembles at once
+_BLOCK = 32
 
 
 def _noise_vectors(rates: NDArray) -> NDArray:
@@ -374,11 +403,13 @@ class _SteadyBatch(NamedTuple):
 def _steady_batch(rates) -> _SteadyBatch:
     """Steady second moments of rate rows ``(kappa1, kappa2, g1, g2, gamma_m, n_th)``.
 
-    Each row is judged by the closed-form stability conditions; the
-    Kronecker system of every stable row is assembled, factored and solved
-    on its own, exactly as :func:`steady_state_lyapunov` describes.  A
-    row's result does not depend on the batch or its position in it: it
-    has the bits of the one-row call.  Rows are not validated;
+    Each row is judged by the closed-form stability conditions.  The
+    Kronecker systems of the stable rows are assembled by
+    :func:`_kronecker_sums`, one scatter per block of ``_BLOCK`` rows, and
+    each is factored and solved on its own, exactly as
+    :func:`steady_state_lyapunov` describes.  A row's result does not
+    depend on the batch or its position in it: it has the bits of the
+    one-row call.  Rows are not validated;
     :class:`SystemParams` holds the constraints.  A row whose margins
     overflow is judged and solved with its five rates divided by the power
     of two that brings the largest into [0.5, 1): exact, as the margins are
@@ -398,8 +429,11 @@ def _steady_batch(rates) -> _SteadyBatch:
         residual = np.full(n, np.nan)
         bound = np.full(n, np.nan)
         rows = stable.nonzero()[0]
-        for row, a, q in zip(rows, _drifts(rates[rows]), _noise_vectors(rates[rows])):
-            phi[row], residual[row], bound[row] = _solve(_kronecker_sum(a), q)
+        for start in range(0, len(rows), _BLOCK):
+            chunk = rows[start:start + _BLOCK]
+            lhs = _kronecker_sums(_drifts(rates[chunk]))
+            for row, a, q in zip(chunk, lhs, _noise_vectors(rates[chunk])):
+                phi[row], residual[row], bound[row] = _solve(a, q)
     solved = residual <= bound
     phi[~solved] = np.nan
     return _SteadyBatch(phi.reshape(n, 6, 6), stable, solved, residual, bound)
@@ -419,16 +453,19 @@ def _steady_row(batch: _SteadyBatch, row: int, params: SystemParams) -> MomentSt
 def steady_state_lyapunov(params: SystemParams) -> MomentState:
     """Steady second moments from the Lyapunov equation A Phi + Phi A^T = -2KD.
 
-    The equation is vectorized with Kronecker products (transpose, not
-    conjugate-transpose, so standard Lyapunov solvers do not apply) and
-    solved by dense LU (LAPACK ``zgetrf``/``zgetrs``) with iterative
-    refinement.  The result is rejected unless the residual satisfies
+    The equation is vectorized as ``L vec Phi = -vec 2KD`` with
+    ``L = kron(A, I) + kron(I, A)`` (transpose, not conjugate-transpose, so
+    standard Lyapunov solvers do not apply), L assembled by scattering the
+    drift's 14 nonzero entries, and solved by dense LU (LAPACK
+    ``zgetrf``/``zgetrs``) with iterative refinement.  The result is
+    rejected unless the residual satisfies
     ``||A Phi + Phi A^T + 2KD||_F <= 1e-10 ||2KD||_F``.
 
     This is the one-row call of the batched kernel :func:`_steady_batch`,
-    which grid sweeps, coarse minimization grids and compass rounds call
-    once each; a row's moments and verdict are the same bits whether it is
-    solved alone or in a batch.
+    which each grid sweep, each coarse minimization grid slice and each
+    lockstep compass round (over every search of every spec) calls once; a
+    row's moments and verdict are the same bits whether it is solved alone
+    or in a batch.
 
     Raises
     ------

@@ -19,7 +19,7 @@ from .dynamics import _steady_batch, _steady_row, evolve_moments, vacuum_thermal
 from .params import SystemParams
 from .spectra import _spectrum, spectrum
 from .steering import steering_products_reduced
-from .sweep import AxisSpec, SweepSpec, minimize_steering
+from .sweep import AxisSpec, SweepSpec, _minimize
 
 __all__ = ["FigureBundle", "available_figures", "build_figure"]
 
@@ -63,11 +63,13 @@ def _evolution(params: SystemParams, dt: float, n_steps: int) -> Recipe:
 def _minimized_vs_g2(objective: str, kappa2: float, n_ths: tuple) -> Recipe:
     swept = AxisSpec("g2", 5.0, 30.0, 26)
     axes = (AxisSpec("g1", 0.5, 30.0, 41),)
+    specs = [
+        SweepSpec(SystemParams(1.0, kappa2, 1.0, swept.lo, 0.01, float(n_th)), axes, objective)
+        for n_th in n_ths
+    ]
     rows = []
-    for n_th in n_ths:
-        base = SystemParams(1.0, kappa2, 1.0, swept.lo, 0.01, float(n_th))
-        spec = SweepSpec(base=base, axes=axes, objective=objective)
-        for point in minimize_steering(spec, swept):
+    for n_th, points in zip(n_ths, _minimize(specs, swept)):
+        for point in points:
             g1 = point.best["g1"] if point.feasible else float("nan")
             rows.append((float(n_th), point.swept_value, g1, point.value))
     header = ["n_th", "g2", "g1_opt", f"{objective}_min"]
@@ -156,15 +158,13 @@ def _zero_frequency_vs_nth(base: SystemParams, n_ths: np.ndarray) -> Recipe:
 def _fig_6() -> Recipe:
     gammas = np.geomspace(0.1, 20.0, 24)
     axes = (AxisSpec("g1", 10.0 / 41, 10.0, 41), AxisSpec("g2", 10.0 / 41, 10.0, 41))
-    rows = []
-    for gamma_m in gammas:
-        base = SystemParams(1.0, 1.0, 1.0, 1.0, float(gamma_m), 0.0)
-        out = []
-        for objective in ("s12", "s21"):
-            spec = SweepSpec(base=base, axes=axes, objective=objective)
-            point = minimize_steering(spec)[0]
-            out.append(point.value if point.feasible else float("nan"))
-        rows.append((float(gamma_m), out[0], out[1]))
+    specs = [
+        SweepSpec(SystemParams(1.0, 1.0, 1.0, 1.0, float(gamma_m), 0.0), axes, objective)
+        for gamma_m in gammas
+        for objective in ("s12", "s21")
+    ]
+    values = [point.value if point.feasible else float("nan") for (point,) in _minimize(specs)]
+    rows = [(float(g), s12, s21) for g, s12, s21 in zip(gammas, values[::2], values[1::2])]
     manifest = [
         "kappa1 = kappa2 = 1.0",
         "n_th = 0.0",

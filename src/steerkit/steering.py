@@ -184,6 +184,10 @@ class RegimePredicates:
     notes: dict[str, str] = field(default_factory=dict)
 
 
+#: the predicates that hold when ``lhs < rhs``; every other one holds when ``lhs > rhs``
+_HOLDS_BELOW = frozenset({"s12_cond_strong"})
+
+
 def regime_predicates(params: SystemParams) -> RegimePredicates:
     """Evaluate every applicable closed-form regime test for ``params``."""
     k1, k2 = params.kappa1, params.kappa2

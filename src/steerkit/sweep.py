@@ -9,8 +9,9 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections.abc import Generator, Mapping
+from collections.abc import Generator, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,13 +159,14 @@ def _evaluate(phi, stable, solved, *, with_en: bool) -> tuple[bool, float, float
 
 
 def _evaluate_grid(
-    rates: np.ndarray, *, with_en: bool
+    rates: np.ndarray, with_en: Iterable[bool]
 ) -> list[tuple[bool, float, float, float]]:
-    """:func:`_evaluate` of every rate row, from one batched steady solve."""
+    """:func:`_evaluate` of every rate row, from one batched steady solve;
+    ``with_en`` holds each row's flag."""
     batch = _steady_batch(rates)
     return [
-        _evaluate(*row, with_en=with_en)
-        for row in zip(batch.phi, batch.stable, batch.solved)
+        _evaluate(*row, with_en=en)
+        for *row, en in zip(batch.phi, batch.stable, batch.solved, with_en)
     ]
 
 
@@ -177,7 +179,7 @@ def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     names = [axis.name for axis in spec.axes]
     grid = np.array(list(itertools.product(*(axis.values() for axis in spec.axes))))
-    cells = _evaluate_grid(_grid_rates(spec, dict(zip(names, grid.T))), with_en=True)
+    cells = _evaluate_grid(_grid_rates(spec, dict(zip(names, grid.T))), itertools.repeat(True))
     rows = [
         SweepRow(dict(zip(names, map(float, combo))), *cell)
         for combo, cell in zip(grid, cells)
@@ -234,59 +236,125 @@ def minimize_steering(
     of all slices advance in lockstep, each round one kernel call with one
     trial row per live search.  Axes with ``lo == hi`` stay fixed.
     Infeasible frontier points (no steady state anywhere on the grid) are
-    flagged rather than raised.
+    flagged rather than raised; :class:`EmptySweepWarning` is emitted when
+    every point is infeasible.
 
     For the ``"en"`` objective the reported ``value`` is the maximized
-    logarithmic negativity itself.
+    logarithmic negativity itself.  This is the one-spec call of
+    :func:`_minimize`, which runs several specs' searches in lockstep and
+    gives each spec these same bits.
     """
-    _check_swept(spec, swept)
-    with_en = spec.objective == "en"
-    sign = -1.0 if with_en else 1.0
-    index = {"s12": 1, "s21": 2, "en": 3}[spec.objective]
-    names = [axis.name for axis in spec.axes]
-    los = np.asarray([axis.lo for axis in spec.axes])
-    spans = np.asarray([axis.hi - axis.lo for axis in spec.axes])
-    swept_values = [math.nan] if swept is None else list(map(float, swept.values()))
+    (points,) = _minimize([spec], swept)
+    return points
 
-    def objectives(xs: np.ndarray, swept_column: list[float]) -> list[float]:
-        columns = dict(zip(names, (los + xs * spans).T))
-        if swept is not None:
-            columns[swept.name] = np.asarray(swept_column)
-        cells = _evaluate_grid(_grid_rates(spec, columns), with_en=with_en)
-        return [math.inf if math.isnan(c[index]) else sign * c[index] for c in cells]
 
-    grids = [
-        (axis.values() - axis.lo) / (axis.hi - axis.lo)
-        if axis.hi > axis.lo
-        else np.asarray([0.0])
+#: the :func:`_evaluate` field each objective reads
+_COLUMN = {"s12": 1, "s21": 2, "en": 3}
+
+
+class _Box(NamedTuple):
+    """A spec's search box: ``los + x * spans`` maps unit points ``x`` to axis values."""
+
+    los: np.ndarray
+    spans: np.ndarray
+    grid: np.ndarray  # the coarse grid in unit coordinates, one point per row
+    free: np.ndarray  # the coordinates a compass search moves
+    step0: float
+
+
+def _box(spec: SweepSpec) -> _Box:
+    units = [
+        (axis.values() - axis.lo) / (axis.hi - axis.lo) if axis.hi > axis.lo else np.asarray([0.0])
         for axis in spec.axes
     ]
-    xs = np.array(list(itertools.product(*grids)))
+    spans = np.asarray([axis.hi - axis.lo for axis in spec.axes])
     free = np.flatnonzero(spans)
-    step0 = max((1.0 / (spec.axes[i].steps - 1) for i in free), default=0.0)
-    points = [FrontierPoint(value, None, math.nan, False) for value in swept_values]
-    sends = []  # (slice, its search, the objective of its last trial)
-    for k, value in enumerate(swept_values):
-        f = objectives(xs, [value] * len(xs))
-        best = int(np.argmin(f))
-        if math.isfinite(f[best]):
-            sends.append((k, _compass(xs[best], f[best], step0, free), None))
+    return _Box(
+        np.asarray([axis.lo for axis in spec.axes]),
+        spans,
+        np.array(list(itertools.product(*units))),
+        free,
+        max((1.0 / (spec.axes[i].steps - 1) for i in free), default=0.0),
+    )
+
+
+def _minimize(
+    specs: Sequence[SweepSpec], swept: AxisSpec | None = None
+) -> list[list[FrontierPoint]]:
+    """:func:`minimize_steering` of every spec in ``specs`` over the same ``swept`` axis.
+
+    The compass searches of every slice of every spec advance in lockstep:
+    each round is one :func:`_evaluate_grid` call with one row per live
+    search.  Specs that differ only in a steering objective share each
+    slice's coarse grid call; an ``"en"`` spec shares only with ``"en"``
+    specs, because an unphysical state voids a row's steering products
+    when E_N is computed.  Coarse calls stay one slice at a time.  Every
+    kernel row has the bits of its lone solve, so each spec's points are
+    the bits of its own :func:`minimize_steering` call, and each spec with
+    no feasible point warns once.
+    """
+    for spec in specs:
+        _check_swept(spec, swept)
+    swept_values = [math.nan] if swept is None else list(map(float, swept.values()))
+    boxes = [_box(spec) for spec in specs]
+    names = [[axis.name for axis in spec.axes] for spec in specs]
+
+    def evaluate(trials: list[tuple[int, int, np.ndarray]]) -> list[tuple]:
+        """The cells of ``(spec, slice, unit point)`` trials, from one kernel call."""
+        blocks = []
+        for s, group in itertools.groupby(trials, key=lambda trial: trial[0]):
+            group = list(group)
+            box, xs = boxes[s], np.array([x for _, _, x in group])
+            columns = dict(zip(names[s], (box.los + xs * box.spans).T))
+            if swept is not None:
+                columns[swept.name] = np.asarray([swept_values[k] for _, k, _ in group])
+            blocks.append(_grid_rates(specs[s], columns))
+        with_en = [specs[s].objective == "en" for s, _, _ in trials]
+        return _evaluate_grid(np.concatenate(blocks), with_en)
+
+    signs = [-1.0 if spec.objective == "en" else 1.0 for spec in specs]
+
+    def objective(s: int, cell: tuple) -> float:
+        """What the search of ``specs[s]`` minimizes: inf where NaN, -E_N for ``"en"``."""
+        value = cell[_COLUMN[specs[s].objective]]
+        return math.inf if math.isnan(value) else signs[s] * value
+
+    groups: dict[tuple, list[int]] = {}
+    for s, spec in enumerate(specs):
+        key = (spec.base, spec.axes, frozenset(spec.ties.items()), spec.objective == "en")
+        groups.setdefault(key, []).append(s)
+    sends = []  # (spec, slice, its search, the objective of its last trial)
+    for members in groups.values():
+        grid = boxes[members[0]].grid
+        for k in range(len(swept_values)):
+            cells = evaluate([(members[0], k, x) for x in grid])
+            for s in members:
+                f = [objective(s, cell) for cell in cells]
+                best = int(np.argmin(f))
+                if math.isfinite(f[best]):
+                    search = _compass(grid[best], f[best], boxes[s].step0, boxes[s].free)
+                    sends.append((s, k, search, None))
+    sends.sort(key=lambda send: send[:2])
+    points = [
+        [FrontierPoint(value, None, math.nan, False) for value in swept_values] for _ in specs
+    ]
     while sends:
         live = []
-        for k, search, f_trial in sends:
+        for s, k, search, f_trial in sends:
             try:
-                live.append((k, search, search.send(f_trial)))
+                live.append((s, k, search, search.send(f_trial)))
             except StopIteration as stop:
                 x, fx = stop.value
-                coords = dict(zip(names, map(float, los + x * spans)))
-                points[k] = FrontierPoint(swept_values[k], coords, sign * fx, True)
+                box = boxes[s]
+                coords = dict(zip(names[s], map(float, box.los + x * box.spans)))
+                points[s][k] = FrontierPoint(swept_values[k], coords, signs[s] * fx, True)
         if not live:
             break
-        trials = np.array([trial for _, _, trial in live])
-        f = objectives(trials, [swept_values[k] for k, _, _ in live])
-        sends = [(k, search, fk) for (k, search, _), fk in zip(live, f)]
-    if not any(point.feasible for point in points):
-        warnings.warn(
-            "no feasible point on any frontier slice", EmptySweepWarning, stacklevel=2
-        )
+        cells = evaluate([(s, k, trial) for s, k, _, trial in live])
+        sends = [(s, k, search, objective(s, cell)) for (s, k, search, _), cell in zip(live, cells)]
+    for spec_points in points:
+        if not any(point.feasible for point in spec_points):
+            warnings.warn(
+                "no feasible point on any frontier slice", EmptySweepWarning, stacklevel=3
+            )
     return points

@@ -71,3 +71,27 @@ def test_tracer_runs_over_every_noted_site(tmp_path):
     assert work["dynamics.evolve_moments.report_times"] == 2
     assert list(seconds) == ["4b"] and seconds["4b"] > 0.0 and "4b" in counts
     assert (tmp_path / "fig4b_manifest.txt").is_file()
+
+
+def test_traced_frontier_figure_evaluates_every_kernel_row(monkeypatch):
+    # figures minimize through sweep._minimize: the tracer's sweep sites still
+    # resolve, and its per-row count is the rows the steady kernel was given
+    kernel_rows = []
+    steady_batch = steerkit.sweep._steady_batch
+
+    def recording(rates):
+        kernel_rows.append(len(rates))
+        return steady_batch(rates)
+
+    monkeypatch.setattr(steerkit.sweep, "_steady_batch", recording)
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        sk.build_figure("2d")
+        layers = tracer.layers()
+    finally:
+        tracer.uninstall()
+    assert layers["figures.build_figure.calls"] == 1
+    assert layers["sweep.minimize_steering.calls"] == 0
+    assert tracer.work["sweep.evaluations"] == layers["sweep._evaluate.calls"] == sum(kernel_rows)
+    assert sum(kernel_rows) == 4_992  # 3 x 26 coarse grids of 41 cells, then compass trials

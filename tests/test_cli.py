@@ -388,6 +388,23 @@ def test_check_reports_key_value_lines(tmp_path, capsys):
     assert lines["squeezed_frame"].startswith("n/a (")
 
 
+@pytest.mark.parametrize(
+    "gamma_m, verdict",
+    [
+        ("5.2", "pass (lhs=5.2 < rhs=5.41657386773941"),
+        ("6.0", "fail (lhs=6.0 >= rhs=5.41657386773941"),
+    ],
+)
+def test_check_prints_the_relation_each_predicate_tests(tmp_path, capsys, gamma_m, verdict):
+    # s12_cond_strong holds when gamma_m / kappa lies below its bound
+    text = FIG2A.replace("kappa2 = 0.4", "kappa2 = 1.0").replace("g1 = 10.0", "g1 = 6.0")
+    text = text.replace("g2 = 20.0", "g2 = 10.0").replace("gamma_m = 0.01", f"gamma_m = {gamma_m}")
+    assert main(["check", "--config", write_config(tmp_path, text)]) == 0
+    lines = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["predicate.s12_cond_strong"].startswith(verdict)
+    assert lines["predicate.entangled_weak"].startswith("pass (lhs=100.0 > rhs=36.0")
+
+
 def test_check_reports_why_the_strong_damping_predicates_do_not_apply(tmp_path, capsys):
     text = (
         FIG2A.replace("kappa2 = 0.4", "kappa2 = 1.0")

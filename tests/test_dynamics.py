@@ -44,7 +44,7 @@ from steerkit import (
     vacuum_thermal_state,
 )
 import steerkit.dynamics as dynamics
-from steerkit.dynamics import _kronecker_sum, _margins, _steady_batch
+from steerkit.dynamics import _kronecker_sums, _margins, _steady_batch
 
 P_ASYM = SystemParams(1.0, 0.4, 10.0, 20.0, 0.01, 0.0)
 
@@ -321,11 +321,29 @@ def test_overflow_rescaling_gives_the_bits_of_the_unscaled_row(rates, k):
     assert batch.phi[0].tobytes() == batch.phi[1].tobytes()
 
 
-def test_kronecker_sum_equals_numpy_kron():
-    rng = np.random.default_rng(15)
+@pytest.mark.parametrize(
+    "rates",
+    [
+        np.exp(np.random.default_rng(15).uniform(-5.0, 5.0, size=(40, 6))),
+        EDGE_GRID,
+        # zero couplings, damping and occupation: -1j * 0.0 is -0.0 in the drift
+        np.array([
+            (1.0, 0.7, g1, g2, gm, 0.0)
+            for g1 in (0.0, 2.0)
+            for g2 in (0.0, 3.0)
+            for gm in (0.0, 0.5)
+        ]),
+        np.array([(1.0, 1.0, 6.0, 10.0, 0.5, 0.3)]),
+    ],
+    ids=["random", "edge-grid", "zero-rates", "one-row"],
+)
+def test_kronecker_sums_equal_numpy_kron(rates):
     eye = np.eye(6)
-    for a in rng.normal(size=(20, 6, 6)) + 1j * rng.normal(size=(20, 6, 6)):
-        assert _kronecker_sum(a).tobytes() == (np.kron(a, eye) + np.kron(eye, a)).tobytes()
+    drifts = dynamics._drifts(rates)
+    lhs = _kronecker_sums(drifts)
+    assert lhs.shape == (len(rates), 36, 36)
+    for a, block in zip(drifts, lhs):
+        assert block.tobytes() == (np.kron(a, eye) + np.kron(eye, a)).tobytes()
 
 
 def test_batched_kernel_matches_kronecker_oracle():
@@ -626,7 +644,7 @@ def test_real_flow_equals_the_kronecker_flow(exponents, x):
     rates = np.array([[10.0**e for e in exponents]])
     m, q = dynamics._real_flow(rates)
     vec_phi = _one_row_fill(np.array(x)).reshape(-1)
-    lhs = _kronecker_sum(dynamics._drifts(rates)[0])
+    (lhs,) = _kronecker_sums(dynamics._drifts(rates))
     kron = lhs @ vec_phi + dynamics._noise_vectors(rates)[0]
     real = _one_row_fill(m[0] @ x + q[0]) - vacuum_thermal_state().phi
     scale = float((np.abs(lhs) @ np.abs(vec_phi)).max() + np.abs(q).max())

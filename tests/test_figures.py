@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import steerkit.dynamics
 import steerkit.figures
 import steerkit.spectra
+import steerkit.sweep
 from helpers import evolve_oracle, exact_steady_moments
 from steerkit import (
     MomentState,
@@ -95,19 +97,42 @@ def test_light_figures_have_manifest_params():
         assert "kappa1" in keys, figure_id
 
 
-@pytest.mark.parametrize("figure_id, calls", [("2c", 6), ("2d", 3)])
-def test_minimized_vs_g2_sweeps_g2_once_per_occupation(monkeypatch, figure_id, calls):
-    swept = []
-    minimize = steerkit.figures.minimize_steering
+def _record(monkeypatch, module, name) -> list:
+    """The arguments of each call of ``module.name``, which still runs."""
+    calls = []
+    original = getattr(module, name)
 
-    def recording(spec, *args):
-        swept.append(args)
-        return minimize(spec, *args)
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(steerkit.figures, "minimize_steering", recording)
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("figure_id, n_ths", [("2c", 6), ("2d", 3)])
+def test_minimized_vs_g2_sweeps_g2_once_per_occupation(monkeypatch, figure_id, n_ths):
+    calls = _record(monkeypatch, steerkit.figures, "_minimize")
     (_, _, rows), = build_figure(figure_id).files
-    assert len(swept) == calls and len(rows) == 26 * calls
+    ((specs, swept),) = calls
+    assert len(specs) == n_ths and swept.name == "g2" and swept.steps == 26
+    assert [spec.base.n_th for spec in specs] == sorted({row[0] for row in rows})
+    assert len(rows) == 26 * n_ths
     assert [row[1] for row in rows[:26]] == [float(g2) for g2 in range(5, 31)]
+
+
+def test_fig6_is_one_lockstep_search(monkeypatch):
+    searches = _record(monkeypatch, steerkit.figures, "_minimize")
+    kernel_calls = _record(monkeypatch, steerkit.sweep, "_steady_batch")
+    solves = _record(monkeypatch, steerkit.dynamics, "_solve")
+    build_figure("6")
+    ((specs,),) = searches
+    assert [spec.objective for spec in specs] == ["s12", "s21"] * 24
+    # s12 and s21 share each damping's 41 x 41 coarse grid, then one call per round
+    assert [len(rates) for (rates,) in kernel_calls[:24]] == [41 * 41] * 24
+    assert len(kernel_calls) == 63
+    assert sum(len(rates) for (rates,) in kernel_calls) == 41_831
+    assert len(solves) == 23_690
 
 
 @pytest.mark.parametrize("figure_id, n_rows", [("4b", 241), ("5b", 201)])

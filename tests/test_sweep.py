@@ -310,6 +310,55 @@ def test_swept_slices_equal_lone_problems(monkeypatch, objective):
         assert _same(point.value, lone.value)
 
 
+#: specs of every objective, twins on one base, a tie, STAGGERED's infeasible
+#: slices, and one spec with no steady state anywhere (g1 > g2 at equal losses)
+LOCKSTEP_SPECS = [
+    *(replace(STAGGERED, objective=objective) for objective in ("s12", "s21", "en")),
+    replace(MIXED, objective="s21"),
+    replace(MIXED, objective="en"),
+    SweepSpec(BASE.with_(gamma_m=0.5), (AxisSpec("g1", 1.0, 8.0, 8),), ties={"kappa2": "kappa1"}),
+    SweepSpec(SystemParams(1.0, 1.0, 10.0, 2.0, 0.01), (AxisSpec("g1", 19.0, 21.0, 3),)),
+]
+
+
+@pytest.mark.parametrize("swept", [None, AxisSpec("g2", 6.0, 14.0, 5)], ids=["unswept", "swept-g2"])
+def test_lockstep_points_equal_lone_searches(swept):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lockstep = steerkit.sweep._minimize(LOCKSTEP_SPECS, swept)
+    empty = [w for w in caught if issubclass(w.category, EmptySweepWarning)]
+    lone_empty = 0
+    for spec, points in zip(LOCKSTEP_SPECS, lockstep):
+        with warnings.catch_warnings(record=True) as lone_caught:
+            warnings.simplefilter("always")
+            lone = minimize_steering(spec, swept)
+        lone_empty += len(lone_caught)
+        # repr spells every float exactly, signed zeros and NaN included
+        assert repr(points) == repr(lone)
+    assert len(empty) == lone_empty == 1
+    staggered = [True] if swept is None else [False, False, True, True, True]
+    assert [point.feasible for point in lockstep[0]] == staggered
+
+
+def test_objective_twins_share_each_coarse_grid(monkeypatch):
+    kernel_calls = _record_kernel_calls(monkeypatch)
+    swept = AxisSpec("n_th", 0.0, 2.0, 3)
+    specs = [replace(MIXED, objective=objective) for objective in ("s12", "s21", "en")]
+    points = steerkit.sweep._minimize(specs, swept)
+    assert all(point.feasible for spec_points in points for point in spec_points)
+    # s12 and s21 read one coarse call per slice; "en" makes its own, on the same rows
+    coarse, rounds = kernel_calls[:6], kernel_calls[6:]
+    assert [len(rows) for rows in coarse] == [15] * 6
+    assert coarse[:3] == coarse[3:]
+    assert [rows[0][5] for rows in coarse[:3]] == [0.0, 1.0, 2.0]
+    # then one call per round, one row per live search of any spec
+    assert len(rounds[0]) == 9 and all(0 < len(rows) <= 9 for rows in rounds)
+    kernel_calls.clear()
+    for spec in specs:
+        minimize_steering(spec, swept)
+    assert len(kernel_calls) > 9 + len(rounds)
+
+
 def test_fixed_axis_changes_nothing(monkeypatch):
     kernel_calls = _record_kernel_calls(monkeypatch)
     base = SystemParams(1.0, 1.0, 6.0, 10.0, 0.5)
