@@ -90,9 +90,8 @@ def _csv(summary: list[str], header, rows: list):
 
 
 def _steady(cfg):
-    # before the solve, so rates whose float margins overflow fail as OverflowError
-    report = assess_stability(cfg.params)
     moments = steady_state_lyapunov(cfg.params)
+    report = assess_stability(cfg.params)
     result = steering_result(moments)
     c = moments.c
     summary = [
@@ -238,14 +237,8 @@ def _check(cfg):
     ]
 
     preds = regime_predicates(params)
-    for name in (
-        "s12_oneway_weak",
-        "s21_oneway_weak",
-        "entangled_weak",
-        "s21_cond_strong",
-        "s12_cond_strong",
-    ):
-        lines.append(f"predicate.{name} = {_verdict(preds, name)}")
+    for field in fields(preds)[:5]:  # the five predicates, in declaration order
+        lines.append(f"predicate.{field.name} = {_verdict(preds, field.name)}")
     lines.append(
         "omega = " + (f"{preds.omega!r}" if preds.omega is not None else "n/a (needs g2 > g1)")
     )

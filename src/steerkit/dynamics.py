@@ -125,9 +125,23 @@ class StabilityReport:
 
 def _margins(k1, k2, g1, g2, gm):
     """``(m1, m2)`` of :func:`stability_margins`, of floats or of rate columns."""
-    m1 = (k2 + gm) * ((k1 + k2) * (k1 + gm) + g2**2) - (k1 + gm) * g1**2
-    m2 = k1 * g2**2 - k2 * g1**2 + gm * k1 * k2
+    m1 = (k2 + gm) * ((k1 + k2) * (k1 + gm) + g2 * g2) - (k1 + gm) * (g1 * g1)
+    m2 = k1 * (g2 * g2) - k2 * (g1 * g1) + gm * k1 * k2
     return m1, m2
+
+
+def _judge(rates) -> tuple:
+    """The one stability verdict: ``(unit, stable)`` of the five rates (floats, or a
+    ``(5, n)`` array) over the power of two that brings the largest into [0.5, 1), and
+    ``m1 > 0 and m2 > 0`` there: their sign in the rates' own units wherever those do not
+    overflow.  :func:`_margins` squares by product in both forms, as libm ``pow`` may not."""
+    if isinstance(rates, np.ndarray):
+        unit = np.ldexp(rates, -np.frexp(rates.max(axis=0))[1])
+    else:  # one set, in floats: numpy's scalar calls would cost more than the margins
+        top = math.frexp(max(rates))[1]
+        unit = [math.ldexp(rate, -top) for rate in rates]
+    m1, m2 = _margins(*unit)
+    return unit, (m1 > 0.0) & (m2 > 0.0)
 
 
 def stability_margins(params: SystemParams) -> tuple[float, float]:
@@ -141,10 +155,9 @@ def stability_margins(params: SystemParams) -> tuple[float, float]:
 
 def assess_stability(params: SystemParams) -> StabilityReport:
     """Evaluate closed-form and spectral stability for ``params``."""
-    m1, m2 = stability_margins(params)
     max_re = float(np.linalg.eigvals(build_generators(params).drift).real.max())
     return StabilityReport(
-        analytic_pass=bool(m1 > 0.0 and m2 > 0.0),
+        analytic_pass=_judge([getattr(params, name) for name in _RATE_FIELDS[:5]])[1],
         spectral_pass=max_re < 0.0,
         max_real_eigenvalue=max_re,
     )
@@ -387,10 +400,10 @@ def _solve(lhs: NDArray, q: NDArray) -> tuple[NDArray, float, float]:
 class _SteadyBatch(NamedTuple):
     """Steady states of ``n`` rate rows, from :func:`_steady_batch`.
 
-    ``stable`` is each row's closed-form verdict ``m1 > 0 and m2 > 0``;
-    ``solved`` is the one reading of the residual gate (a NaN residual fails
-    it); ``phi`` is ``(n, 6, 6)`` and NaN on every row not solved;
-    ``residual`` and ``bound`` are the gate's operands, NaN on unstable rows.
+    ``stable`` is each row's verdict from :func:`_judge`; ``solved`` is the
+    one reading of the residual gate (a NaN residual fails it); ``phi`` is
+    ``(n, 6, 6)`` and NaN on every row not solved; ``residual`` and ``bound``
+    are the gate's operands in :func:`_judge`'s units, NaN on unstable rows.
     """
 
     phi: NDArray
@@ -403,28 +416,20 @@ class _SteadyBatch(NamedTuple):
 def _steady_batch(rates) -> _SteadyBatch:
     """Steady second moments of rate rows ``(kappa1, kappa2, g1, g2, gamma_m, n_th)``.
 
-    Each row is judged by the closed-form stability conditions.  The
-    Kronecker systems of the stable rows are assembled by
-    :func:`_kronecker_sums`, one scatter per block of ``_BLOCK`` rows, and
-    each is factored and solved on its own, exactly as
-    :func:`steady_state_lyapunov` describes.  A row's result does not
-    depend on the batch or its position in it: it has the bits of the
-    one-row call.  Rows are not validated;
-    :class:`SystemParams` holds the constraints.  A row whose margins
-    overflow is judged and solved with its five rates divided by the power
-    of two that brings the largest into [0.5, 1): exact, as the margins are
-    homogeneous of degree 3 in the rates and the steady state of degree 0.
+    Each row is judged and solved in :func:`_judge`'s power-of-two units, which
+    every operation of the solve scales exactly (the steady state is of degree
+    0 in the rates).  The Kronecker systems of the stable rows are assembled by
+    :func:`_kronecker_sums`, one scatter per block of ``_BLOCK`` rows, and each
+    is factored and solved on its own, exactly as :func:`steady_state_lyapunov`
+    describes.  A row's result does not depend on the batch or its position in
+    it: it has the bits of the one-row call.  Rows are not validated;
+    :class:`SystemParams` holds the constraints.
     """
-    rates = np.asarray(rates, dtype=float).reshape(-1, 6)
+    rates = np.array(rates, dtype=float).reshape(-1, 6)
     n = len(rates)
+    unit, stable = _judge(rates[:, :5].T)
+    rates[:, :5] = unit.T  # on the copy np.array made
     with np.errstate(over="ignore", invalid="ignore"):
-        m1, m2 = _margins(*rates[:, :5].T)
-        wild = ~(np.isfinite(m1) & np.isfinite(m2))
-        if wild.any():
-            rates, top = rates.copy(), np.frexp(rates[wild, :5].max(axis=1))[1]
-            rates[wild, :5] = np.ldexp(rates[wild, :5], -top[:, None])
-            m1, m2 = _margins(*rates[:, :5].T)
-        stable = (m1 > 0.0) & (m2 > 0.0)
         phi = np.full((n, 36), np.nan, dtype=complex)
         residual = np.full(n, np.nan)
         bound = np.full(n, np.nan)
@@ -439,10 +444,10 @@ def _steady_batch(rates) -> _SteadyBatch:
     return _SteadyBatch(phi.reshape(n, 6, 6), stable, solved, residual, bound)
 
 
-def _steady_row(batch: _SteadyBatch, row: int, params: SystemParams) -> MomentState:
-    """:func:`steady_state_lyapunov` of ``params``, solved as row ``row`` of ``batch``."""
+def _steady_row(batch: _SteadyBatch, row: int, rates: NDArray) -> MomentState:
+    """:func:`steady_state_lyapunov` of the rate row ``rates``, as row ``row`` of ``batch``."""
     if not batch.stable[row]:
-        raise UnstableSystemError(assess_stability(params))
+        raise UnstableSystemError(assess_stability(SystemParams(*rates)))
     if not batch.solved[row]:
         raise NumericalError(
             f"Lyapunov residual {batch.residual[row]:.3e} exceeds bound {batch.bound[row]:.3e}"
@@ -470,12 +475,13 @@ def steady_state_lyapunov(params: SystemParams) -> MomentState:
     Raises
     ------
     UnstableSystemError
-        If the closed-form conditions ``m1 > 0`` and ``m2 > 0`` of
-        :func:`stability_margins` fail; the report is :func:`assess_stability`'s.
+        If the closed-form verdict of :func:`_judge` fails; the report is
+        :func:`assess_stability`'s.
     NumericalError
         If the residual bound cannot be met.
     """
-    return _steady_row(_steady_batch(_rates(params)), 0, params)
+    rates = _rates(params)
+    return _steady_row(_steady_batch(rates), 0, rates[0])
 
 
 @dataclass(frozen=True)
@@ -495,11 +501,11 @@ def steady_state_closed_form(params: SystemParams) -> ClosedFormMoments:
     two :func:`stability_margins`, so they require the closed-form
     stability conditions to hold.
     """
-    m1, m2 = stability_margins(params)
-    if not (m1 > 0.0 and m2 > 0.0):
-        raise UnstableSystemError(assess_stability(params))
     k1, k2 = params.kappa1, params.kappa2
     g1, g2, gm, nth = params.g1, params.g2, params.gamma_m, params.n_th
+    if not _judge([k1, k2, g1, g2, gm])[1]:
+        raise UnstableSystemError(assess_stability(params))
+    m1, m2 = _margins(k1, k2, g1, g2, gm)
     den = m2 * m1
 
     n1 = (

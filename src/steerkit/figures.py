@@ -114,7 +114,7 @@ def _fig_3b() -> Recipe:
     batch = _steady_batch(rates)
     rows = []
     for k, rate in enumerate(rates):
-        moments = _steady_row(batch, k, SystemParams(*rate))
+        moments = _steady_row(batch, k, rate)
         s12, s21 = steering_products_reduced(moments)
         rows.append((float(rate[5]), float(rate[4]), s12, s21))
     manifest = [

@@ -164,8 +164,9 @@ def spectrum(params: SystemParams, omegas) -> SpectrumTable:
 
     Stability is not judged here: the transfer functions are evaluated for
     any set whose denominator stays clear of zero on the grid, and their
-    output is meaningful only for a stable set.  ``steerkit spectra`` checks
-    :func:`~steerkit.dynamics.stability_margins` and exits 3 otherwise.
+    output is meaningful only for a stable set.  ``steerkit spectra`` reads
+    the analytic verdict of :func:`~steerkit.dynamics.assess_stability` and
+    exits 3 where it fails.
     """
     grid = np.asarray(omegas, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

@@ -22,7 +22,7 @@ from .dynamics import (
     _steady_batch,
     steady_state_lyapunov,  # not called here; bench/test_bench.py reads this binding
 )
-from .errors import EmptySweepWarning
+from .errors import DegenerateConditioningError, EmptySweepWarning, PhysicalityError
 from .params import SystemParams
 from .steering import logarithmic_negativity, steering_products_reduced
 
@@ -153,7 +153,7 @@ def _evaluate(phi, stable, solved, *, with_en: bool) -> tuple[bool, float, float
         try:
             s12, s21 = steering_products_reduced(moments)
             return True, s12, s21, (logarithmic_negativity(moments) if with_en else math.nan)
-        except ValueError:
+        except (DegenerateConditioningError, PhysicalityError):
             pass
     return bool(stable), math.nan, math.nan, math.nan
 

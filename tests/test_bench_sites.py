@@ -5,12 +5,15 @@
 rename or a dropped import in ``src`` breaks the benchmark without failing
 any other test, so this one checks every name.  A changed signature or
 return value breaks the tracer's notes instead, so a smoke run drives every
-noted site through an installed tracer.
+noted site through an installed tracer.  The benchmark's ``reproduce``
+workload also gates every figure on the seed CSVs; the same check runs here
+on every figure but fig 6, the slow one.
 """
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,8 @@ import pytest
 import steerkit as sk
 import steerkit.cli
 
-_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_TRACER = _BENCH / "tracer.py"
 
 
 def _tracer_module():
@@ -95,3 +99,22 @@ def test_traced_frontier_figure_evaluates_every_kernel_row(monkeypatch):
     assert layers["sweep.minimize_steering.calls"] == 0
     assert tracer.work["sweep.evaluations"] == layers["sweep._evaluate.calls"] == sum(kernel_rows)
     assert sum(kernel_rows) == 4_992  # 3 x 26 coarse grids of 41 cells, then compass trials
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """``bench/workloads.py``, imported without writing to ``bench/`` and
+    dropped afterwards, with its ``oracle``, so no later test sees either."""
+    monkeypatch.syspath_prepend(str(_BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    yield importlib.import_module("workloads")
+    for name in ("workloads", "oracle"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("figure_id", ["2a", "2b", "2c", "2d", "3a", "3b", "4a", "4b", "5a", "5b"])
+def test_reproduce_passes_the_seed_gate(workloads, tmp_path, figure_id):
+    workload = workloads.Reproduce(0, tmp_path)
+    out = workload.run(sk, figure_id)
+    verdict = workload.check(figure_id, out, workload.expect(figure_id))
+    assert not verdict.failed, (verdict.why, verdict.err)

@@ -543,17 +543,8 @@ def test_exit_4_overflowing_spectrum(tmp_path, capsys):
     assert "overflow" in captured.err
 
 
-@pytest.mark.parametrize(
-    "command, rates",
-    [
-        # g2**2 overflows in the closed-form stability margins
-        ("steady", ("1", "1", "1e160", "2e160", "0.5")),
-        # (omega / (2 kappa))**2 overflows in the strong-damping predicate
-        ("check", ("1e-200", "1e-200", "1", "2", "1e-200")),
-    ],
-    ids=["steady-margins", "check-predicates"],
-)
-def test_exit_4_float_overflow_at_extreme_rates(tmp_path, capsys, command, rates):
+def _exit_4_error(tmp_path, capsys, command, rates) -> str:
+    """The one ``error:`` line of ``command`` at ``rates``, which must exit 4 with no output."""
     keys = ("kappa1", "kappa2", "g1", "g2", "gamma_m")
     params = "".join(f"{key} = {value}\n" for key, value in zip(keys, rates))
     cfg = write_config(tmp_path, "[config]\nversion = 1\n\n[params]\n" + params)
@@ -563,12 +554,33 @@ def test_exit_4_float_overflow_at_extreme_rates(tmp_path, capsys, command, rates
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and errors[0].startswith("error: OverflowError: ")
+    assert len(errors) == 1
+    return errors[0]
+
+
+@pytest.mark.parametrize(
+    "command, rates",
+    [
+        # (omega / (2 kappa))**2 overflows in the strong-damping predicate
+        ("check", ("1e-200", "1e-200", "1", "2", "1e-200")),
+    ],
+    ids=["check-predicates"],
+)
+def test_exit_4_float_overflow_at_extreme_rates(tmp_path, capsys, command, rates):
+    assert _exit_4_error(tmp_path, capsys, command, rates).startswith("error: OverflowError: ")
+
+
+def test_exit_4_residual_gate_at_overflowing_margins(tmp_path, capsys):
+    # g2**2 overflows in the rates' own units, not in the power-of-two units
+    # the stability verdict is taken in: the row passes it, and its solve
+    # then misses the residual gate
+    error = _exit_4_error(tmp_path, capsys, "steady", ("1", "1", "1e160", "2e160", "0.5"))
+    assert error.startswith("error: Lyapunov residual ") and "exceeds bound" in error
 
 
 def test_sweep_at_overflowing_margins_reports_stable_rows(tmp_path, capsys):
-    # g2**2 overflows in the closed-form margins; each row is judged on a
-    # power-of-two rescaling, and its solve then misses the residual gate
+    # g2**2 overflows in the rates' own units; each row is judged in
+    # power-of-two units, and its solve then misses the residual gate
     params = "kappa1 = 1\nkappa2 = 1\ng1 = 1e160\ng2 = 2e160\ngamma_m = 0.5\n"
     sweep = "\n[sweep]\nmode = grid\naxes = gamma_m 0.5 1.0 2\n"
     cfg = write_config(tmp_path, "[config]\nversion = 1\n\n[params]\n" + params + sweep)

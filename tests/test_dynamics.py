@@ -1,6 +1,7 @@
 """Generators, stability, steady states and time evolution."""
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import warnings
@@ -265,8 +266,10 @@ def test_a_nan_residual_fails_the_gate_everywhere(monkeypatch):
     solve = dynamics._solve
 
     def nan_at_gamma_m_2(lhs, q):
+        # q is in the row's power-of-two units; q[29] / q[1] = gamma_m / kappa1
+        # at n_th = 0, exactly in any such units
         x, residual, bound = solve(lhs, q)
-        return x, (math.nan if q[29] == 4.0 else residual), bound
+        return x, (math.nan if q[29] == 2.0 * q[1] else residual), bound
 
     monkeypatch.setattr(dynamics, "_solve", nan_at_gamma_m_2)
     params = SystemParams(1.0, 1.0, 6.0, 10.0, 2.0)
@@ -395,17 +398,58 @@ def test_steady_kernel_is_affine_in_thermal_occupation(exponents, a, b):
     assert np.abs(phi_mid - (phi_a + phi_b) / 2).max() <= 1e-9 * scale
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(_RATE_ROWS, st.integers(-7, 5))
-def test_steady_state_is_invariant_under_power_of_two_rate_scaling(rates, k):
-    # A Phi + Phi A^T + 2KD is homogeneous of degree 1 in the five rates, and a
-    # power of two scales every operation of the solve exactly
-    row = np.array(rates)
-    scaled = row.copy()
-    scaled[:5] *= 2.0**k
-    batch = _steady_batch([row, scaled])
-    assert batch.stable[0] == batch.stable[1] and batch.solved[0] == batch.solved[1]
-    assert batch.phi[0].tobytes() == batch.phi[1].tobytes()
+@pytest.mark.parametrize(
+    "rates",
+    [np.exp(np.random.default_rng(18).uniform(-5.0, 5.0, size=(200, 6))), EDGE_GRID],
+    ids=["random", "edge-grid"],
+)
+def test_kernel_rows_have_the_bits_of_the_solve_in_their_own_units(rates):
+    # the kernel judges and solves each row in power-of-two units; A Phi +
+    # Phi A^T + 2KD is homogeneous of degree 1 in the five rates, and a power
+    # of two scales every operation of the solve exactly
+    batch = _steady_batch(rates)
+    m1, m2 = _margins(*rates[:, :5].T)
+    np.testing.assert_array_equal(batch.stable, (m1 > 0.0) & (m2 > 0.0))
+    assert 10 < batch.stable.sum() < len(rates) - 10
+    assert np.isnan(batch.phi[~batch.stable]).all()
+    lhs, noise = _kronecker_sums(dynamics._drifts(rates)), dynamics._noise_vectors(rates)
+    for k in batch.stable.nonzero()[0]:
+        x, residual, bound = dynamics._solve(lhs[k], noise[k])
+        assert batch.solved[k] == (residual <= bound)
+        if batch.solved[k]:
+            assert batch.phi[k].tobytes() == x.reshape(6, 6).tobytes()
+
+
+#: ``(kappa2, g1, g2, gamma_m)`` at kappa1 = 1 on the edge m2 = 0, where a
+#: libm ``pow`` square and a product square give margins of opposite signs:
+#: margins squared by product call the first three stable and the last three
+#: unstable, margins squared by ``pow`` the opposite
+POW_EDGE_ROWS = [
+    (0.8433838779553169, 0.3488885075215008, 0.261679563560076, 0.04053098891475552),
+    (2.1410818463866232, 4.812756289373864, 7.032858395231711, 0.06163922639876591),
+    (1.2127301721971715, 0.6952049306176357, 0.35288767228565887, 0.380624473763699),
+    (4.056281583003497, 0.4154532490578539, 0.29644581155157496, 0.15093621018116776),
+    (2.2550065750348165, 1.70689395376099, 0.4937943494659532, 2.8053574134616963),
+    (3.476549483237667, 7.390979073638781, 13.7795300557087, 0.010507816394985178),
+]
+
+
+def test_one_stability_verdict_on_the_edge():
+    rates = np.array([(1.0, *row, 0.0) for row in POW_EDGE_ROWS])
+    batch = _steady_batch(rates)
+    params = [SystemParams(*row) for row in rates]
+    assert batch.stable.tolist() == [assess_stability(p).analytic_pass for p in params]
+    assert batch.stable.tolist() == [True, True, True, False, False, False]
+    for p, stable in zip(params, batch.stable):
+        if stable:
+            with contextlib.suppress(NumericalError):  # the gate may refuse an edge row
+                steady_state_lyapunov(p)
+            steady_state_closed_form(p)
+            continue
+        for solve in (steady_state_lyapunov, steady_state_closed_form):
+            with pytest.raises(UnstableSystemError) as err:
+                solve(p)
+            assert not err.value.report.analytic_pass
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

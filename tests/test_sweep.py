@@ -17,6 +17,7 @@ from steerkit import (
     SweepSpec,
     SystemParams,
     assess_stability,
+    build_moment_state,
     grid_sweep,
     logarithmic_negativity,
     minimize_steering,
@@ -390,6 +391,37 @@ def test_steering_objectives_skip_entanglement(monkeypatch, objective):
     (point,) = minimize_steering(replace(MIXED, objective=objective))
     assert point.feasible
     assert calls == []
+
+
+def _cell(phi, *, with_en: bool) -> tuple:
+    """:func:`steerkit.sweep._evaluate` of a solved row, NaNs made comparable."""
+    stable, *values = steerkit.sweep._evaluate(phi, True, True, with_en=with_en)
+    return (stable, *("nan" if math.isnan(value) else value for value in values))
+
+
+@pytest.mark.parametrize("with_en", [False, True])
+def test_unphysical_solved_row_is_a_nan_cell(with_en):
+    # n1 = n2 = 0 and c = 1: |c|^2 = 1 exceeds its bound (n1 + 1/2)(n2 + 1/2)
+    phi = build_moment_state(c=1.0).phi
+    assert _cell(phi, with_en=with_en) == (True, "nan", "nan", "nan")
+
+
+def test_degenerate_partial_transpose_drops_steering_only_with_entanglement():
+    # n1 = n2 = 0 and c = 1/2: |c|^2 meets its bound, so S12 = S21 = 0, while
+    # nu = 0 leaves E_N undefined and the cell all NaN where E_N is read;
+    # so an "en" coarse grid is never shared with steering specs
+    phi = build_moment_state(c=0.5).phi
+    assert _cell(phi, with_en=False) == (True, 0.0, 0.0, "nan")
+    assert _cell(phi, with_en=True) == (True, "nan", "nan", "nan")
+
+
+def test_a_value_error_from_a_fault_is_not_a_nan_cell(monkeypatch):
+    def faulty(moments):
+        raise ValueError("not a physics verdict")
+
+    monkeypatch.setattr(steerkit.sweep, "steering_products_reduced", faulty)
+    with pytest.raises(ValueError, match="not a physics verdict"):
+        steerkit.sweep._evaluate(build_moment_state().phi, True, True, with_en=False)
 
 
 def test_entanglement_is_computed_where_it_is_read(monkeypatch):
