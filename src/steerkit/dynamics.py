@@ -125,9 +125,8 @@ class StabilityReport:
 
 def _margins(k1, k2, g1, g2, gm):
     """``(m1, m2)`` of :func:`stability_margins`, of floats or of rate columns."""
-    m1 = (k2 + gm) * ((k1 + k2) * (k1 + gm) + g2 * g2) - (k1 + gm) * (g1 * g1)
-    m2 = k1 * (g2 * g2) - k2 * (g1 * g1) + gm * k1 * k2
-    return m1, m2
+    g11, g22, k1gm = g1 * g1, g2 * g2, k1 + gm
+    return (k2 + gm) * ((k1 + k2) * k1gm + g22) - k1gm * g11, k1 * g22 - k2 * g11 + gm * k1 * k2
 
 
 def _judge(rates) -> tuple:
@@ -316,7 +315,7 @@ _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=complex)
 
 
 def _kronecker_positions() -> tuple[NDArray, NDArray, NDArray, NDArray]:
-    """Flat positions in L, and the drift entries they take: first the 36 set, then the 132 added.
+    """Flat positions in L, and the ``_DRIFT_ENTRIES`` they take: the 36 set, then the 132 added.
 
     ``kron(A, I)`` puts ``A[i, j]`` at ``(6i + k, 6j + k)`` and ``kron(I, A)`` at
     ``(6k + i, 6k + j)``, k = 0..5; they share only the diagonal, which the
@@ -327,7 +326,7 @@ def _kronecker_positions() -> tuple[NDArray, NDArray, NDArray, NDArray]:
     k = np.arange(6)[:, None]
     left = ((6 * i + k) * 36 + 6 * j + k).ravel()
     right = ((6 * k + i) * 36 + 6 * k + j).ravel()
-    source, first = np.tile(entries, 6), np.tile(i == j, 6)
+    source, first = np.tile(np.arange(len(entries)), 6), np.tile(i == j, 6)
     return (
         left[first],
         source[first],
@@ -339,61 +338,64 @@ def _kronecker_positions() -> tuple[NDArray, NDArray, NDArray, NDArray]:
 _KRONECKER_SET, _KRONECKER_SET_FROM, _KRONECKER_ADD, _KRONECKER_ADD_FROM = _kronecker_positions()
 
 
-def _kronecker_sums(drifts: NDArray) -> NDArray:
-    """``L = kron(A, I) + kron(I, A)``, shape ``(n, 36, 36)``, of ``n`` drifts ``A``.
+def _kronecker_sums(rates: NDArray) -> NDArray:
+    """``L = kron(A, I) + kron(I, A)``, shape ``(n, 36, 36)``, of the drifts ``A`` of rate rows.
 
-    L acts on vec Phi.  The drift entries are scattered into a zeroed block:
-    the diagonal is set to ``A[i, i]`` and gets ``A[k, k]`` added, every other
-    entry is added to a zero, which turns the -0 of ``-1j * 0.0`` into the +0
+    L acts on vec Phi.  The 14 nonzero drift entries are scattered into a zeroed
+    block: the diagonal is set to ``A[i, i]`` and gets ``A[k, k]`` added, every
+    other entry is added to a zero, which turns the -0 of ``-1j * 0.0`` into the +0
     of ``np.kron``.  So for rates >= +0 every entry has the bits of the
-    ``np.kron`` assembly.
+    ``np.kron`` assembly from :func:`_drifts`.
     """
-    flat = drifts.reshape(len(drifts), 36)
-    lhs = np.zeros((len(drifts), 1296), dtype=complex)
-    lhs[:, _KRONECKER_SET] = flat[:, _KRONECKER_SET_FROM]
-    lhs[:, _KRONECKER_ADD] += flat[:, _KRONECKER_ADD_FROM]
+    _, factors, columns = _DRIFT_ENTRIES
+    entries = factors * rates.take(columns, axis=1)
+    lhs = np.zeros((len(rates), 1296), dtype=complex)
+    lhs[:, _KRONECKER_SET] = entries[:, _KRONECKER_SET_FROM]
+    lhs[:, _KRONECKER_ADD] += entries[:, _KRONECKER_ADD_FROM]
     return lhs.reshape(-1, 36, 36)
 
 
-#: stable rows whose Kronecker systems :func:`_steady_batch` assembles at once
+#: stable rows whose Kronecker systems :func:`_steady_batch` assembles and checks at once
 _BLOCK = 32
 
 
 def _noise_vectors(rates: NDArray) -> NDArray:
-    """``q = vec 2KD``, shape ``(n, 36)``, of ``n`` rate rows."""
-    k1, k2, gm, nth = rates[:, 0], rates[:, 1], rates[:, 4], rates[:, 5]
+    """``q = vec 2KD``, shape ``(n, 36)``, of ``n`` rate rows: 2KD[0, 1], [2, 3], [4, 5], [5, 4]."""
+    k1, k2, two_gm, nth = rates[:, 0], rates[:, 1], 2.0 * rates[:, 4], rates[:, 5]
     q = np.zeros((len(rates), 36), dtype=complex)
-    q[:, 1] = 2.0 * k1                  # 2KD[0, 1]
-    q[:, 15] = 2.0 * k2                 # 2KD[2, 3]
-    q[:, 29] = 2.0 * gm * (nth + 1.0)   # 2KD[4, 5]
-    q[:, 34] = 2.0 * gm * nth           # 2KD[5, 4]
+    q[:, 1], q[:, 15], q[:, 29], q[:, 34] = 2.0 * k1, 2.0 * k2, two_gm * (nth + 1.0), two_gm * nth
     return q
 
 
-def _norm(v: NDArray) -> float:
-    """``np.linalg.norm`` of a complex vector, by the same formula, minus its overhead."""
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+def _norms(v: NDArray) -> NDArray:
+    """``np.linalg.norm`` of each complex row of ``v`` by the same formula, one batched
+    real dot per part: each row gets the bits of its own ``sqrt(re.dot(re) + im.dot(im))``."""
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 
 
-def _solve(lhs: NDArray, q: NDArray) -> tuple[NDArray, float, float]:
-    """``x`` with ``lhs x = -q`` by LU and refinement, its residual and the bound."""
-    lu, piv, _ = _getrf(lhs)
-    x = _getrs(lu, piv, -q)[0]
-    bound = 1e-10 * _norm(q)
-    r = lhs @ x + q
-    residual = _norm(r)
+def _solve(rates: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+    """``vec Phi`` of a block of rate rows, its residuals and its bounds: the block's
+    Kronecker systems, each factored and solved on its own by LU, with every residual
+    and norm of the gate taken at once, each with the bits of its own row; only a
+    row that misses the gate (NaN included) is refined, on its own."""
+    lhs, q = _kronecker_sums(rates), _noise_vectors(rates)
+    factors = [_getrf(a)[:2] for a in lhs]
+    x = np.array([_getrs(lu, piv, b)[0] for (lu, piv), b in zip(factors, -q)])
+    r = (lhs @ x[..., None])[..., 0] + q
+    residual, bound = _norms(r), 1e-10 * _norms(q)
     # iterative refinement keeps small moments accurate and rescues
     # ill-conditioned near-boundary systems; stop once it stagnates
-    for _ in range(10):
-        if residual <= bound:
-            break
-        refined = x - _getrs(lu, piv, r)[0]
-        refined_r = lhs @ refined + q
-        refined_residual = _norm(refined_r)
-        if refined_residual >= residual:
-            break
-        x, r, residual = refined, refined_r, refined_residual
+    for k in [k for k, ok in enumerate((residual <= bound).tolist()) if not ok]:
+        for _ in range(10):
+            refined = x[k] - _getrs(*factors[k], r[k])[0]
+            refined_r = lhs[k] @ refined + q[k]
+            refined_residual = _norms(refined_r)
+            if refined_residual >= residual[k]:
+                break
+            x[k], r[k], residual[k] = refined, refined_r, refined_residual
+            if residual[k] <= bound[k]:
+                break
     return x, residual, bound
 
 
@@ -418,27 +420,23 @@ def _steady_batch(rates) -> _SteadyBatch:
 
     Each row is judged and solved in :func:`_judge`'s power-of-two units, which
     every operation of the solve scales exactly (the steady state is of degree
-    0 in the rates).  The Kronecker systems of the stable rows are assembled by
-    :func:`_kronecker_sums`, one scatter per block of ``_BLOCK`` rows, and each
-    is factored and solved on its own, exactly as :func:`steady_state_lyapunov`
-    describes.  A row's result does not depend on the batch or its position in
-    it: it has the bits of the one-row call.  Rows are not validated;
-    :class:`SystemParams` holds the constraints.
+    0 in the rates).  :func:`_solve` takes the stable rows in blocks of
+    ``_BLOCK``: only the LU factorization and solve run row by row, and a row's
+    result has the bits of the one-row call whatever its batch or its position
+    in it.  Rows are not validated; :class:`SystemParams` holds the constraints.
     """
-    rates = np.array(rates, dtype=float).reshape(-1, 6)
+    rates = np.array(rates, dtype=float).reshape(-1, 6)  # a copy, put in units below
     n = len(rates)
-    unit, stable = _judge(rates[:, :5].T)
-    rates[:, :5] = unit.T  # on the copy np.array made
+    # a lone row is judged in floats, where numpy's calls would cost more than its margins
+    unit, stable = _judge(rates[:, :5].T if n > 1 else rates[0, :5].tolist())
+    rates[:, :5], stable = np.transpose(unit), np.array(stable, ndmin=1)
+    phi = np.full((n, 36), np.nan, dtype=complex)
+    residual, bound = np.full(n, np.nan), np.full(n, np.nan)
+    rows = stable.nonzero()[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.full((n, 36), np.nan, dtype=complex)
-        residual = np.full(n, np.nan)
-        bound = np.full(n, np.nan)
-        rows = stable.nonzero()[0]
         for start in range(0, len(rows), _BLOCK):
             chunk = rows[start:start + _BLOCK]
-            lhs = _kronecker_sums(_drifts(rates[chunk]))
-            for row, a, q in zip(chunk, lhs, _noise_vectors(rates[chunk])):
-                phi[row], residual[row], bound[row] = _solve(a, q)
+            phi[chunk], residual[chunk], bound[chunk] = _solve(rates[chunk])
     solved = residual <= bound
     phi[~solved] = np.nan
     return _SteadyBatch(phi.reshape(n, 6, 6), stable, solved, residual, bound)
@@ -462,15 +460,15 @@ def steady_state_lyapunov(params: SystemParams) -> MomentState:
     ``L = kron(A, I) + kron(I, A)`` (transpose, not conjugate-transpose, so
     standard Lyapunov solvers do not apply), L assembled by scattering the
     drift's 14 nonzero entries, and solved by dense LU (LAPACK
-    ``zgetrf``/``zgetrs``) with iterative refinement.  The result is
-    rejected unless the residual satisfies
-    ``||A Phi + Phi A^T + 2KD||_F <= 1e-10 ||2KD||_F``.
+    ``zgetrf``/``zgetrs``).  The result is rejected unless the residual
+    satisfies ``||A Phi + Phi A^T + 2KD||_F <= 1e-10 ||2KD||_F``; a system that
+    misses it is first refined, up to ten times while that helps.
 
     This is the one-row call of the batched kernel :func:`_steady_batch`,
-    which each grid sweep, each coarse minimization grid slice and each
-    lockstep compass round (over every search of every spec) calls once; a
-    row's moments and verdict are the same bits whether it is solved alone
-    or in a batch.
+    which each grid sweep, coarse minimization grid slice and lockstep compass
+    round calls once, and which takes the residuals and norms of a block of
+    rows at once; a row's moments and verdict are the same bits alone or in a
+    batch.
 
     Raises
     ------
@@ -499,31 +497,33 @@ def steady_state_closed_form(params: SystemParams) -> ClosedFormMoments:
     Exact for ``n1``, ``n2`` and ``c`` at any bath temperature: all three
     are affine in ``n_th`` over the common denominator ``m2 * m1`` of the
     two :func:`stability_margins`, so they require the closed-form
-    stability conditions to hold.
+    stability conditions to hold.  They are evaluated in :func:`_judge`'s power-of-two
+    units (they are of degree 0 in the rates), where ``m2 * m1`` stays finite.
     """
-    k1, k2 = params.kappa1, params.kappa2
-    g1, g2, gm, nth = params.g1, params.g2, params.gamma_m, params.n_th
-    if not _judge([k1, k2, g1, g2, gm])[1]:
+    unit, stable = _judge([getattr(params, name) for name in _RATE_FIELDS[:5]])
+    if not stable:
         raise UnstableSystemError(assess_stability(params))
-    m1, m2 = _margins(k1, k2, g1, g2, gm)
+    (k1, k2, g1, g2, gm), nth = unit, params.n_th
+    g11, g22 = g1 * g1, g2 * g2  # squares by product, as in the margins
+    m1, m2 = _margins(*unit)
     den = m2 * m1
 
     n1 = (
-        k2 * (k1 + k2 + gm) * g1**2 * g2**2
+        k2 * (k1 + k2 + gm) * g11 * g22
         + gm * (nth + 1.0)
-        * (k1 * g2**2 - k2 * g1**2 + k2 * (k1 + k2) * (k2 + gm))
-        * g1**2
+        * (k1 * g22 - k2 * g11 + k2 * (k1 + k2) * (k2 + gm))
+        * g11
     ) / den
     n2 = (
-        k1 * (k1 + k2 + gm) * g1**2 * g2**2
+        k1 * (k1 + k2 + gm) * g11 * g22
         + gm * nth
-        * (k1 * g2**2 - k2 * g1**2 + k1 * (k1 + k2) * (k1 + gm))
-        * g2**2
+        * (k1 * g22 - k2 * g11 + k1 * (k1 + k2) * (k1 + gm))
+        * g22
     ) / den
 
     c = g1 * g2 * (
-        -k1 * (k2 * g1**2 + (k2 + gm) * (g2**2 + k2 * gm))
-        + gm * nth * (k2 * g1**2 - k1 * g2**2 - k1 * k2 * (k1 + k2 + 2.0 * gm))
+        -k1 * (k2 * g11 + (k2 + gm) * (g22 + k2 * gm))
+        + gm * nth * (k2 * g11 - k1 * g22 - k1 * k2 * (k1 + k2 + 2.0 * gm))
     ) / den
     return ClosedFormMoments(n1=n1, n2=n2, c=c)
 

@@ -39,29 +39,30 @@ __all__ = [
 _STRONG_DAMPING_MIN_RATIO = 5.0
 
 
-def _invariants(moments: MomentState) -> tuple[float, float, float]:
-    """Checked ``(n1, n2, |c|)`` of a phase-symmetric state.
-
-    Raises
-    ------
-    DegenerateConditioningError
-        If a cavity's quadrature variance ``n_j + 1/2`` is not positive and finite.
-    PhysicalityError
-        If ``|c|^2`` exceeds its bound ``(n1 + 1/2)(n2 + 1/2)`` by more than
-        1e-12 relative to ``max(1, bound)``, or is NaN.
-    """
-    n1, n2 = moments.n1, moments.n2
+def _steering(n1: float, n2: float, c: float, with_en: bool) -> tuple[float, float, float]:
+    """``(S12, S21, E_N)`` of a phase-symmetric state's ``(n1, n2, |c|)``, E_N NaN
+    unless ``with_en``: the one formula of :func:`steering_products_reduced`,
+    :func:`logarithmic_negativity` and :func:`steering_result`, its one-row calls.
+    ``|c|^2`` may exceed its bound ``(n1 + 1/2)(n2 + 1/2)`` by 1e-12 of ``max(1, bound)``."""
     if not (0.0 < n1 + 0.5 < math.inf and 0.0 < n2 + 0.5 < math.inf):
         raise DegenerateConditioningError(
             "a quadrature variance is not positive and finite; inference undefined"
         )
-    c = abs(moments.c)
-    bound = (n1 + 0.5) * (n2 + 0.5)
-    if not c**2 - bound <= 1e-12 * max(1.0, bound):
+    a, b = n1 + 0.5, n2 + 0.5
+    c2, bound = c**2, a * b
+    if not c2 - bound <= 1e-12 * max(1.0, bound):
         raise PhysicalityError(
             "pairing moment exceeds its physical bound |c|^2 <= (n1+1/2)(n2+1/2)"
         )
-    return n1, n2, c
+    w12 = max((2.0 * n1 + 1.0) - 4.0 * c2 / (2.0 * n2 + 1.0), 0.0)
+    w21 = max((2.0 * n2 + 1.0) - 4.0 * c2 / (2.0 * n1 + 1.0), 0.0)
+    e_n = math.nan
+    if with_en:
+        nu = 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
+        if not nu > 0.0:
+            raise PhysicalityError("the partially transposed state is degenerate")
+        e_n = max(0.0, -math.log(2.0 * nu))
+    return w12 * w12, w21 * w21, e_n
 
 
 def steering_products_reduced(moments: MomentState) -> tuple[float, float]:
@@ -79,11 +80,7 @@ def steering_products_reduced(moments: MomentState) -> tuple[float, float]:
     PhysicalityError
         If ``|c|^2`` exceeds ``(n1 + 1/2)(n2 + 1/2)``.
     """
-    n1, n2, c = _invariants(moments)
-    c2 = c**2
-    w12 = max((2.0 * n1 + 1.0) - 4.0 * c2 / (2.0 * n2 + 1.0), 0.0)
-    w21 = max((2.0 * n2 + 1.0) - 4.0 * c2 / (2.0 * n1 + 1.0), 0.0)
-    return w12 * w12, w21 * w21
+    return _steering(moments.n1, moments.n2, abs(moments.c), False)[:2]
 
 
 def logarithmic_negativity(moments: MomentState) -> float:
@@ -103,12 +100,7 @@ def logarithmic_negativity(moments: MomentState) -> float:
     PhysicalityError
         If ``|c|^2`` exceeds ``a b``, or if ``nu`` is not positive.
     """
-    n1, n2, c = _invariants(moments)
-    a, b = n1 + 0.5, n2 + 0.5
-    nu = 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
-    if not nu > 0.0:
-        raise PhysicalityError("the partially transposed state is degenerate")
-    return max(0.0, -math.log(2.0 * nu))
+    return _steering(moments.n1, moments.n2, abs(moments.c), True)[2]
 
 
 def classify(s12: float, s21: float) -> str:
@@ -141,8 +133,7 @@ class SteeringResult:
 
 def steering_result(moments: MomentState) -> SteeringResult:
     """Evaluate all steering quantities for one moment state."""
-    s12, s21 = steering_products_reduced(moments)
-    e_n = logarithmic_negativity(moments)
+    s12, s21, e_n = _steering(moments.n1, moments.n2, abs(moments.c), True)
     return SteeringResult(s12=s12, s21=s21, e_n=e_n, classification=classify(s12, s21))
 
 

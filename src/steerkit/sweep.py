@@ -17,14 +17,13 @@ import numpy as np
 
 from .dynamics import (
     _RATE_FIELDS,
-    MomentState,
     _rates,
     _steady_batch,
     steady_state_lyapunov,  # not called here; bench/test_bench.py reads this binding
 )
 from .errors import DegenerateConditioningError, EmptySweepWarning, PhysicalityError
 from .params import SystemParams
-from .steering import logarithmic_negativity, steering_products_reduced
+from .steering import _steering
 
 __all__ = [
     "AxisSpec",
@@ -121,38 +120,45 @@ class FrontierPoint:
     feasible: bool
 
 
-def _grid_rates(spec: SweepSpec, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Rate rows of a grid: ``spec.base`` with value ``columns`` and ties applied.
+def _layouts(specs: Sequence[SweepSpec], swept: AxisSpec | None = None) -> tuple:
+    """Three ``(len(specs), 6)`` arrays: each spec's base as a rate row, the mask of
+    the columns its axes (and ``swept``) set, and the column each rate copies, its
+    tie's source or itself."""
+    extra = {swept.name} if swept else set()
+    sets = [{axis.name for axis in spec.axes} | extra for spec in specs]
+    return (
+        np.concatenate([_rates(spec.base) for spec in specs]),
+        np.array([[name in names for name in _SWEEPABLE] for names in sets]),
+        np.array([[_SWEEPABLE.index(spec.ties.get(name, name)) for name in _SWEEPABLE]
+                  for spec in specs]),
+    )
+
+
+def _grid_rates(layouts: tuple, s, values: np.ndarray) -> np.ndarray:
+    """Rate rows: row ``i`` is the base of spec ``s`` (or ``s[i]``) of ``layouts`` with
+    the columns it sets taken from ``values[i]``, then its ties applied.
 
     Raises :class:`ParameterError` as :class:`SystemParams` would for any
     row: every constraint on a rate is finiteness or a lower bound, so the
     column minima and maxima stand for all rows.
     """
-    size = len(next(iter(columns.values())))
-    rates = np.repeat(_rates(spec.base), size, axis=0)
-    for name, values in columns.items():
-        rates[:, _SWEEPABLE.index(name)] = values
-    if spec.ties:
-        dst = [_SWEEPABLE.index(name) for name in spec.ties]
-        src = [_SWEEPABLE.index(name) for name in spec.ties.values()]
-        rates[:, dst] = rates[:, src]
+    base, sets, source = layouts
+    rates = np.where(sets[s], values, base[s])[np.arange(len(values))[:, None], source[s]]
     SystemParams(*rates.min(axis=0))
     SystemParams(*rates.max(axis=0))
     return rates
 
 
-def _evaluate(phi, stable, solved, *, with_en: bool) -> tuple[bool, float, float, float]:
-    """``(stable, s12, s21, e_n)`` of one kernel row; E_N is NaN unless ``with_en``.
+def _evaluate(stable, solved, n1, n2, c, *, with_en: bool) -> tuple[bool, float, float, float]:
+    """``(stable, s12, s21, e_n)`` of a kernel row's ``(n1, n2, |c|)``; E_N NaN unless ``with_en``.
 
     Steering is NaN where there is no steady state (unstable, or rejected
     by the residual gate near the stability boundary) and where the
     moments are degenerate or unphysical.
     """
     if solved:
-        moments = MomentState(phi)
         try:
-            s12, s21 = steering_products_reduced(moments)
-            return True, s12, s21, (logarithmic_negativity(moments) if with_en else math.nan)
+            return (True, *_steering(n1, n2, c, with_en))
         except (DegenerateConditioningError, PhysicalityError):
             pass
     return bool(stable), math.nan, math.nan, math.nan
@@ -161,12 +167,13 @@ def _evaluate(phi, stable, solved, *, with_en: bool) -> tuple[bool, float, float
 def _evaluate_grid(
     rates: np.ndarray, with_en: Iterable[bool]
 ) -> list[tuple[bool, float, float, float]]:
-    """:func:`_evaluate` of every rate row, from one batched steady solve;
-    ``with_en`` holds each row's flag."""
+    """:func:`_evaluate` of every rate row, from one batched steady solve that
+    each column is read from once; ``with_en`` holds each row's flag."""
     batch = _steady_batch(rates)
+    columns = (batch.phi[:, i, j].tolist() for i, j in ((1, 0), (3, 2), (0, 2)))
     return [
-        _evaluate(*row, with_en=en)
-        for *row, en in zip(batch.phi, batch.stable, batch.solved, with_en)
+        _evaluate(stable, solved, n1.real, n2.real, abs(c), with_en=en)
+        for stable, solved, n1, n2, c, en in zip(batch.stable, batch.solved, *columns, with_en)
     ]
 
 
@@ -179,7 +186,9 @@ def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     names = [axis.name for axis in spec.axes]
     grid = np.array(list(itertools.product(*(axis.values() for axis in spec.axes))))
-    cells = _evaluate_grid(_grid_rates(spec, dict(zip(names, grid.T))), itertools.repeat(True))
+    values = np.zeros((len(grid), len(_SWEEPABLE)))
+    values[:, [_SWEEPABLE.index(name) for name in names]] = grid
+    cells = _evaluate_grid(_grid_rates(_layouts([spec]), 0, values), itertools.repeat(True))
     rows = [
         SweepRow(dict(zip(names, map(float, combo))), *cell)
         for combo, cell in zip(grid, cells)
@@ -253,29 +262,29 @@ _COLUMN = {"s12": 1, "s21": 2, "en": 3}
 
 
 class _Box(NamedTuple):
-    """A spec's search box: ``los + x * spans`` maps unit points ``x`` to axis values."""
+    """A spec's search box: ``los + x * spans`` maps unit points ``x`` to rate columns."""
 
     los: np.ndarray
     spans: np.ndarray
     grid: np.ndarray  # the coarse grid in unit coordinates, one point per row
-    free: np.ndarray  # the coordinates a compass search moves
+    free: np.ndarray  # the columns a compass search moves, in axis order
     step0: float
 
 
-def _box(spec: SweepSpec) -> _Box:
+def _box(axes: tuple[AxisSpec, ...]) -> _Box:
+    columns = [_SWEEPABLE.index(axis.name) for axis in axes]
     units = [
         (axis.values() - axis.lo) / (axis.hi - axis.lo) if axis.hi > axis.lo else np.asarray([0.0])
-        for axis in spec.axes
+        for axis in axes
     ]
-    spans = np.asarray([axis.hi - axis.lo for axis in spec.axes])
-    free = np.flatnonzero(spans)
-    return _Box(
-        np.asarray([axis.lo for axis in spec.axes]),
-        spans,
-        np.array(list(itertools.product(*units))),
-        free,
-        max((1.0 / (spec.axes[i].steps - 1) for i in free), default=0.0),
-    )
+    los, spans = np.zeros(len(_SWEEPABLE)), np.zeros(len(_SWEEPABLE))
+    los[columns] = [axis.lo for axis in axes]
+    spans[columns] = [axis.hi - axis.lo for axis in axes]
+    grid = np.zeros((math.prod(map(len, units)), len(_SWEEPABLE)))
+    grid[:, columns] = list(itertools.product(*units))
+    free = [i for i, axis in enumerate(axes) if axis.hi > axis.lo]
+    step0 = max((1.0 / (axes[i].steps - 1) for i in free), default=0.0)
+    return _Box(los, spans, grid, np.asarray(columns)[free], step0)
 
 
 def _minimize(
@@ -284,40 +293,38 @@ def _minimize(
     """:func:`minimize_steering` of every spec in ``specs`` over the same ``swept`` axis.
 
     The compass searches of every slice of every spec advance in lockstep:
-    each round is one :func:`_evaluate_grid` call with one row per live
-    search.  Specs that differ only in a steering objective share each
-    slice's coarse grid call; an ``"en"`` spec shares only with ``"en"``
-    specs, because an unphysical state voids a row's steering products
-    when E_N is computed.  Coarse calls stay one slice at a time.  Every
-    kernel row has the bits of its lone solve, so each spec's points are
-    the bits of its own :func:`minimize_steering` call, and each spec with
-    no feasible point warns once.
+    each round builds and validates the rate rows of every live search at
+    once and makes one :func:`_evaluate_grid` call.  Specs that differ only
+    in a steering objective share each slice's coarse grid call; an ``"en"``
+    spec shares only with ``"en"`` specs, because an unphysical state voids
+    a row's steering products when E_N is computed.  Coarse calls stay one
+    slice at a time, and each grid is scored as one array.  Every kernel row
+    has the bits of its lone solve, so each spec's points are the bits of
+    its own :func:`minimize_steering` call, and each spec with no feasible
+    point warns once.
     """
     for spec in specs:
         _check_swept(spec, swept)
     swept_values = [math.nan] if swept is None else list(map(float, swept.values()))
-    boxes = [_box(spec) for spec in specs]
-    names = [[axis.name for axis in spec.axes] for spec in specs]
+    shared = {axes: _box(axes) for axes in dict.fromkeys(spec.axes for spec in specs)}
+    boxes = [shared[spec.axes] for spec in specs]  # specs on the same axes share one box
+    layouts = _layouts(specs, swept)
+    los, spans = np.array([box.los for box in boxes]), np.array([box.spans for box in boxes])
+    with_en = np.array([spec.objective == "en" for spec in specs])
+    sign, column = np.where(with_en, -1.0, 1.0), np.array([_COLUMN[sp.objective] for sp in specs])
 
-    def evaluate(trials: list[tuple[int, int, np.ndarray]]) -> list[tuple]:
-        """The cells of ``(spec, slice, unit point)`` trials, from one kernel call."""
-        blocks = []
-        for s, group in itertools.groupby(trials, key=lambda trial: trial[0]):
-            group = list(group)
-            box, xs = boxes[s], np.array([x for _, _, x in group])
-            columns = dict(zip(names[s], (box.los + xs * box.spans).T))
-            if swept is not None:
-                columns[swept.name] = np.asarray([swept_values[k] for _, k, _ in group])
-            blocks.append(_grid_rates(specs[s], columns))
-        with_en = [specs[s].objective == "en" for s, _, _ in trials]
-        return _evaluate_grid(np.concatenate(blocks), with_en)
+    def evaluate(s, k, xs: np.ndarray) -> np.ndarray:
+        """The cells of unit points ``xs`` of specs ``s`` at slices ``k``, from one kernel call."""
+        values = los[s] + xs * spans[s]
+        if swept is not None:
+            values[:, _SWEEPABLE.index(swept.name)] = np.take(swept_values, k)
+        rates = _grid_rates(layouts, s, values)
+        return np.array(_evaluate_grid(rates, np.broadcast_to(with_en[s], len(rates))))
 
-    signs = [-1.0 if spec.objective == "en" else 1.0 for spec in specs]
-
-    def objective(s: int, cell: tuple) -> float:
-        """What the search of ``specs[s]`` minimizes: inf where NaN, -E_N for ``"en"``."""
-        value = cell[_COLUMN[specs[s].objective]]
-        return math.inf if math.isnan(value) else signs[s] * value
+    def score(s, cells: np.ndarray) -> np.ndarray:
+        """What the searches of specs ``s`` minimize: inf where NaN, -E_N for ``"en"``."""
+        values = cells[np.arange(len(cells)), column[s]]
+        return np.where(np.isnan(values), np.inf, sign[s] * values)
 
     groups: dict[tuple, list[int]] = {}
     for s, spec in enumerate(specs):
@@ -327,12 +334,12 @@ def _minimize(
     for members in groups.values():
         grid = boxes[members[0]].grid
         for k in range(len(swept_values)):
-            cells = evaluate([(members[0], k, x) for x in grid])
+            cells = evaluate(members[0], k, grid)
             for s in members:
-                f = [objective(s, cell) for cell in cells]
+                f = score(s, cells)
                 best = int(np.argmin(f))
-                if math.isfinite(f[best]):
-                    search = _compass(grid[best], f[best], boxes[s].step0, boxes[s].free)
+                if np.isfinite(f[best]):
+                    search = _compass(grid[best], float(f[best]), boxes[s].step0, boxes[s].free)
                     sends.append((s, k, search, None))
     sends.sort(key=lambda send: send[:2])
     points = [
@@ -345,13 +352,14 @@ def _minimize(
                 live.append((s, k, search, search.send(f_trial)))
             except StopIteration as stop:
                 x, fx = stop.value
-                box = boxes[s]
-                coords = dict(zip(names[s], map(float, box.los + x * box.spans)))
-                points[s][k] = FrontierPoint(swept_values[k], coords, signs[s] * fx, True)
+                values = dict(zip(_SWEEPABLE, boxes[s].los + x * boxes[s].spans))
+                coords = {axis.name: float(values[axis.name]) for axis in specs[s].axes}
+                points[s][k] = FrontierPoint(swept_values[k], coords, float(sign[s] * fx), True)
         if not live:
             break
-        cells = evaluate([(s, k, trial) for s, k, _, trial in live])
-        sends = [(s, k, search, objective(s, cell)) for (s, k, search, _), cell in zip(live, cells)]
+        at, slices, xs = map(np.array, zip(*((s, k, trial) for s, k, _, trial in live)))
+        f = score(at, evaluate(at, slices, xs)).tolist()
+        sends = [(s, k, search, fs) for (s, k, search, _), fs in zip(live, f)]
     for spec_points in points:
         if not any(point.feasible for point in spec_points):
             warnings.warn(

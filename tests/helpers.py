@@ -12,7 +12,11 @@ forms in (n1, n2, |c|).
 exact rational arithmetic, where ``spectra`` splits them into real
 polynomials in ``omega**2``.
 ``propagate_per_report`` is no oracle: it is the one-build-per-report-time
-propagation that the shared step matrices must match bit for bit.
+propagation that the shared step matrices must match bit for bit.  Nor are
+``solve_row``, the steady kernel's solve one system at a time, which the
+block solve must match bit for bit, and ``closed_form_in_own_units``, the
+closed form as evaluated in the rates' own units, whose bits the
+power-of-two evaluation keeps where those units do not overflow.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from steerkit import SystemParams, assess_stability, build_generators
-from steerkit.dynamics import _rk4_step
+from steerkit.dynamics import _getrf, _getrs, _rk4_step
 
 _SWAP = np.array([1, 0, 3, 2, 5, 4])
 
@@ -123,6 +127,65 @@ def propagate_per_report(generator, x0, times, h) -> np.ndarray:
             t = tk
         out.append(y[:-1].copy())
     return np.array(out)
+
+
+#: a grid across the stability edge g1 = g2 (equal losses); the residual gate
+#: rejects cells next to it, among them g1 = g2 = 10, gamma_m = 0.1259...,
+#: which fig 6 also meets, and refines others
+EDGE_GRID = np.array([
+    (1.0, 1.0, g1, 10.0, gamma_m, n_th)
+    for gamma_m in (0.01, 0.12590552330005395, 2.0)
+    for g1 in np.linspace(8.0, 12.0, 9)
+    for n_th in (0.0, 0.3)
+])
+
+
+def solve_row(lhs: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+    """``(x, residual, bound, steps)`` of one Kronecker system ``lhs x = -q``: LU,
+    the residual ``lhs @ x + q`` and its norm ``sqrt(re.dot(re) + im.dot(im))``,
+    refined until the gate ``residual <= 1e-10 ||q||`` holds or a step stops
+    helping, at most ten times; ``steps`` counts the refinements kept."""
+
+    def norm(v: np.ndarray) -> float:
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+
+    lu, piv, _ = _getrf(lhs)
+    x = _getrs(lu, piv, -q)[0]
+    bound = 1e-10 * norm(q)
+    r = lhs @ x + q
+    residual, steps = norm(r), 0
+    while steps < 10 and not residual <= bound:
+        refined = x - _getrs(lu, piv, r)[0]
+        refined_r = lhs @ refined + q
+        refined_residual = norm(refined_r)
+        if refined_residual >= residual:
+            break
+        x, r, residual, steps = refined, refined_r, refined_residual, steps + 1
+    return x, residual, bound, steps
+
+
+def closed_form_in_own_units(params: SystemParams) -> tuple[float, float, float]:
+    """``(n1, n2, c)`` of the closed-form steady state, evaluated in the rates'
+    own units with ``**`` squares, for rates whose margins do not overflow."""
+    k1, k2 = params.kappa1, params.kappa2
+    g1, g2, gm, nth = params.g1, params.g2, params.gamma_m, params.n_th
+    m1 = (k2 + gm) * ((k1 + k2) * (k1 + gm) + g2 * g2) - (k1 + gm) * (g1 * g1)
+    m2 = k1 * (g2 * g2) - k2 * (g1 * g1) + gm * k1 * k2
+    den = m2 * m1
+    n1 = (
+        k2 * (k1 + k2 + gm) * g1**2 * g2**2
+        + gm * (nth + 1.0) * (k1 * g2**2 - k2 * g1**2 + k2 * (k1 + k2) * (k2 + gm)) * g1**2
+    ) / den
+    n2 = (
+        k1 * (k1 + k2 + gm) * g1**2 * g2**2
+        + gm * nth * (k1 * g2**2 - k2 * g1**2 + k1 * (k1 + k2) * (k1 + gm)) * g2**2
+    ) / den
+    c = g1 * g2 * (
+        -k1 * (k2 * g1**2 + (k2 + gm) * (g2**2 + k2 * gm))
+        + gm * nth * (k2 * g1**2 - k1 * g2**2 - k1 * k2 * (k1 + k2 + 2.0 * gm))
+    ) / den
+    return n1, n2, c
 
 
 def damping_and_diffusion(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:

@@ -121,18 +121,33 @@ def test_minimized_vs_g2_sweeps_g2_once_per_occupation(monkeypatch, figure_id, n
     assert [row[1] for row in rows[:26]] == [float(g2) for g2 in range(5, 31)]
 
 
-def test_fig6_is_one_lockstep_search(monkeypatch):
-    searches = _record(monkeypatch, steerkit.figures, "_minimize")
-    kernel_calls = _record(monkeypatch, steerkit.sweep, "_steady_batch")
-    solves = _record(monkeypatch, steerkit.dynamics, "_solve")
-    build_figure("6")
+@pytest.fixture(scope="module")
+def fig6():
+    """Figure 6, built once: ``(bundle, _minimize calls, kernel calls, LU factorizations)``."""
+    factorizations = []
+    getrf = steerkit.dynamics._getrf
+
+    def counting(a):
+        factorizations.append(len(a))  # not ``a``: holding every block would take 0.5 GB
+        return getrf(a)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        searches = _record(monkeypatch, steerkit.figures, "_minimize")
+        kernel_calls = _record(monkeypatch, steerkit.sweep, "_steady_batch")
+        monkeypatch.setattr(steerkit.dynamics, "_getrf", counting)
+        bundle = build_figure("6")
+    return bundle, searches, kernel_calls, factorizations
+
+
+def test_fig6_is_one_lockstep_search(fig6):
+    _, searches, kernel_calls, factorizations = fig6
     ((specs,),) = searches
     assert [spec.objective for spec in specs] == ["s12", "s21"] * 24
     # s12 and s21 share each damping's 41 x 41 coarse grid, then one call per round
     assert [len(rates) for (rates,) in kernel_calls[:24]] == [41 * 41] * 24
     assert len(kernel_calls) == 63
     assert sum(len(rates) for (rates,) in kernel_calls) == 41_831
-    assert len(solves) == 23_690
+    assert factorizations == [36] * 23_690
 
 
 @pytest.mark.parametrize("figure_id, n_rows", [("4b", 241), ("5b", 201)])
@@ -182,8 +197,8 @@ def test_fig2b_rows_equal_the_eigenbasis_propagation():
     assert worst <= 1e-6
 
 
-def test_fig6_minimization_frontier():
-    bundle = build_figure("6")
+def test_fig6_minimization_frontier(fig6):
+    bundle = fig6[0]
     (name, header, rows), = bundle.files
     assert name == "fig6_minimized_steering_vs_gamma.csv"
     assert header == ["gamma_m", "s12_min", "s21_min"]

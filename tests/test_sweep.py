@@ -1,6 +1,7 @@
 """Grid sweeps and derivative-free steering minimization."""
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -10,10 +11,14 @@ import pytest
 
 import steerkit.dynamics
 import steerkit.sweep
+from helpers import EDGE_GRID
 from steerkit import (
     AxisSpec,
+    DegenerateConditioningError,
     EmptySweepWarning,
+    MomentState,
     ParameterError,
+    PhysicalityError,
     SweepSpec,
     SystemParams,
     assess_stability,
@@ -192,18 +197,6 @@ def test_grid_stable_flag_matches_spectral_check():
             assert all(math.isnan(value) for value in (row.s12, row.s21, row.e_n))
 
 
-def _record_calls(monkeypatch, module, name) -> list:
-    calls = []
-    original = getattr(module, name)
-
-    def recording(params, *args, **kwargs):
-        calls.append(params)
-        return original(params, *args, **kwargs)
-
-    monkeypatch.setattr(module, name, recording)
-    return calls
-
-
 def _rate_row(params: SystemParams) -> tuple[float, ...]:
     return (params.kappa1, params.kappa2, params.g1, params.g2, params.gamma_m, params.n_th)
 
@@ -272,8 +265,9 @@ def test_minimize_solves_each_evaluation_once(monkeypatch):
         expected = [
             _rate_row(
                 BASE.with_(
-                    gamma_m=0.01 + trials[r][0] * (2.0 - 0.01),
-                    g1=8.0 + trials[r][1] * (12.0 - 8.0),
+                    # a trial has one unit coordinate per rate column: gamma_m, g1 at 4, 2
+                    gamma_m=0.01 + trials[r][4] * (2.0 - 0.01),
+                    g1=8.0 + trials[r][2] * (12.0 - 8.0),
                     n_th=n_th,
                 )
             )
@@ -385,17 +379,33 @@ def test_swept_field_overwritten_by_an_axis_or_tie_raises(swept, ties):
         minimize_steering(spec, swept)
 
 
+def _record_entanglement(monkeypatch) -> list:
+    """The ``with_en`` flag of each steering-core call made from ``sweep``."""
+    flags = []
+    core = steerkit.sweep._steering
+
+    def recording(n1, n2, c, with_en):
+        flags.append(with_en)
+        return core(n1, n2, c, with_en)
+
+    monkeypatch.setattr(steerkit.sweep, "_steering", recording)
+    return flags
+
+
 @pytest.mark.parametrize("objective", ["s12", "s21"])
 def test_steering_objectives_skip_entanglement(monkeypatch, objective):
-    calls = _record_calls(monkeypatch, steerkit.sweep, "logarithmic_negativity")
+    flags = _record_entanglement(monkeypatch)
     (point,) = minimize_steering(replace(MIXED, objective=objective))
     assert point.feasible
-    assert calls == []
+    assert flags and not any(flags)
 
 
 def _cell(phi, *, with_en: bool) -> tuple:
     """:func:`steerkit.sweep._evaluate` of a solved row, NaNs made comparable."""
-    stable, *values = steerkit.sweep._evaluate(phi, True, True, with_en=with_en)
+    state = MomentState(phi)
+    stable, *values = steerkit.sweep._evaluate(
+        True, True, state.n1, state.n2, abs(state.c), with_en=with_en
+    )
     return (stable, *("nan" if math.isnan(value) else value for value in values))
 
 
@@ -415,28 +425,72 @@ def test_degenerate_partial_transpose_drops_steering_only_with_entanglement():
     assert _cell(phi, with_en=True) == (True, "nan", "nan", "nan")
 
 
+def _one_row_cell(phi, stable, solved, with_en: bool) -> tuple:
+    """A kernel row's cell from the public one-row functions on its ``MomentState``."""
+    if solved:
+        moments = MomentState(phi)
+        try:
+            s12, s21 = steering_products_reduced(moments)
+            return True, s12, s21, (logarithmic_negativity(moments) if with_en else math.nan)
+        except (DegenerateConditioningError, PhysicalityError):
+            pass
+    return bool(stable), math.nan, math.nan, math.nan
+
+
+#: solved rows no kernel gives: NaN moments, a degenerate variance (n1 = -1/2),
+#: unphysical pairing (c = 1), a degenerate partial transpose (c = 1/2), and
+#: a complex pairing moment
+CRAFTED = np.array([
+    np.full((6, 6), np.nan, dtype=complex),
+    build_moment_state(n1=-0.5).phi,
+    build_moment_state(c=1.0).phi,
+    build_moment_state(c=0.5).phi,
+    build_moment_state(n1=0.3, n2=0.2, c=0.1 + 0.2j).phi,
+])
+
+
+@pytest.mark.parametrize("with_en", [False, True])
+def test_grid_cells_have_the_bits_of_the_one_row_functions(monkeypatch, with_en):
+    # the grid reads each column once and evaluates floats; each cell must
+    # be the one-row functions' on the row's MomentState, NaN verdicts too
+    random = np.exp(np.random.default_rng(20).uniform(-3.0, 3.0, (300, 6)))
+    rates = np.concatenate([random, EDGE_GRID])
+    batch = steerkit.dynamics._steady_batch(rates)
+    flags = np.ones(len(CRAFTED), dtype=bool)
+    gate = np.full(len(CRAFTED), np.nan)
+    rows = type(batch)(*map(np.concatenate, zip(batch, (CRAFTED, flags, flags, gate, gate))))
+    assert rows.stable.any() and not rows.stable.all()
+    assert (rows.stable & ~rows.solved).any()
+    monkeypatch.setattr(steerkit.sweep, "_steady_batch", lambda rates: rows)
+    cells = steerkit.sweep._evaluate_grid(rates, itertools.repeat(with_en))
+    expected = [_one_row_cell(*row[:3], with_en) for row in zip(*rows)]
+    # repr spells every float exactly, NaN included
+    assert repr(cells) == repr(expected)
+    assert sum(math.isnan(cell[1]) for cell in cells[-len(CRAFTED):]) == 3 + with_en
+
+
 def test_a_value_error_from_a_fault_is_not_a_nan_cell(monkeypatch):
-    def faulty(moments):
+    def faulty(n1, n2, c, with_en):
         raise ValueError("not a physics verdict")
 
-    monkeypatch.setattr(steerkit.sweep, "steering_products_reduced", faulty)
+    monkeypatch.setattr(steerkit.sweep, "_steering", faulty)
     with pytest.raises(ValueError, match="not a physics verdict"):
-        steerkit.sweep._evaluate(build_moment_state().phi, True, True, with_en=False)
+        steerkit.sweep._evaluate(True, True, 0.0, 0.0, 0.0, with_en=False)
 
 
 def test_entanglement_is_computed_where_it_is_read(monkeypatch):
-    calls = _record_calls(monkeypatch, steerkit.sweep, "logarithmic_negativity")
+    flags = _record_entanglement(monkeypatch)
     solved = [row for row in grid_sweep(MIXED) if not math.isnan(row.s12)]
-    assert len(calls) == len(solved) > 0
+    assert flags.count(True) == len(flags) == len(solved) > 0
     for row in solved:
         result = steering_result(steady_state_lyapunov(BASE.with_(**row.values)))
         assert row.e_n == result.e_n
         assert row.s12 == pytest.approx(result.s12, rel=1e-12)
         assert row.s21 == pytest.approx(result.s21, rel=1e-12)
 
-    calls.clear()
+    flags.clear()
     (point,) = minimize_steering(replace(MIXED, objective="en"))
-    assert point.feasible and calls
+    assert point.feasible and all(flags) and flags
     state = steady_state_lyapunov(BASE.with_(**point.best))
     assert point.value == steering_result(state).e_n
 
