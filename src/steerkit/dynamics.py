@@ -19,7 +19,8 @@ phase-symmetric pattern, whose flow closes as ``x' = M x + q``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -63,8 +64,8 @@ class Generators:
     noise: NDArray        # 2 K D: real 6x6
 
 
-#: the columns of a rate row, the kernels' input layout
-_RATE_FIELDS = ("kappa1", "kappa2", "g1", "g2", "gamma_m", "n_th")
+#: the columns of a rate row, the kernels' input: the first six SystemParams fields, in order
+_RATE_FIELDS = tuple(f.name for f in fields(SystemParams))[:6]
 
 
 def _rates(params: SystemParams) -> NDArray:
@@ -114,8 +115,9 @@ class StabilityReport:
     ``analytic_pass`` evaluates the two closed-form inequalities that are
     necessary and sufficient for this model, the verdict the steady kernel
     uses; ``spectral_pass`` checks that every drift eigenvalue has a
-    strictly negative real part.  The two can disagree only on numerical
-    boundary cases, which is reported rather than raised.
+    strictly negative real part.  The two disagree on numerical boundary cases,
+    reported rather than raised, and ``spectral_pass`` cannot be resolved where the
+    dampings fall below about eps times the largest rate (``eigvals`` rounds there).
     """
 
     analytic_pass: bool
@@ -153,7 +155,8 @@ def stability_margins(params: SystemParams) -> tuple[float, float]:
 
 
 def assess_stability(params: SystemParams) -> StabilityReport:
-    """Evaluate closed-form and spectral stability for ``params``."""
+    """Evaluate closed-form and spectral stability for ``params``; ``spectral_pass``
+    cannot be resolved where the dampings fall below about eps times the largest rate."""
     max_re = float(np.linalg.eigvals(build_generators(params).drift).real.max())
     return StabilityReport(
         analytic_pass=_judge([getattr(params, name) for name in _RATE_FIELDS[:5]])[1],
@@ -498,7 +501,9 @@ def steady_state_closed_form(params: SystemParams) -> ClosedFormMoments:
     are affine in ``n_th`` over the common denominator ``m2 * m1`` of the
     two :func:`stability_margins`, so they require the closed-form
     stability conditions to hold.  They are evaluated in :func:`_judge`'s power-of-two
-    units (they are of degree 0 in the rates), where ``m2 * m1`` stays finite.
+    units (they are of degree 0 in the rates), where ``m2 * m1`` stays finite.  It is
+    subnormal there where the dampings fall below about 1e-154 of the couplings, and
+    the products of dampings lose their digits: that raises :class:`NumericalError`.
     """
     unit, stable = _judge([getattr(params, name) for name in _RATE_FIELDS[:5]])
     if not stable:
@@ -507,6 +512,8 @@ def steady_state_closed_form(params: SystemParams) -> ClosedFormMoments:
     g11, g22 = g1 * g1, g2 * g2  # squares by product, as in the margins
     m1, m2 = _margins(*unit)
     den = m2 * m1
+    if abs(den) < sys.float_info.min:
+        raise NumericalError(f"closed-form denominator m2 * m1 = {den:.3e} is subnormal")
 
     n1 = (
         k2 * (k1 + k2 + gm) * g11 * g22

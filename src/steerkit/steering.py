@@ -186,6 +186,11 @@ def regime_predicates(params: SystemParams) -> RegimePredicates:
     numbers: dict[str, tuple[float, float]] = {}
     notes: dict[str, str] = {}
 
+    def holds(name: str, lhs: float, rhs: float) -> bool:
+        """Record ``(lhs, rhs)`` for ``name`` and compare them as :data:`_HOLDS_BELOW` says."""
+        numbers[name] = (lhs, rhs)
+        return bool(lhs < rhs if name in _HOLDS_BELOW else lhs > rhs)
+
     equal_kappas = params.equal_losses
     omega = math.sqrt(g2**2 - g1**2) if g2 > g1 else None
 
@@ -194,16 +199,11 @@ def regime_predicates(params: SystemParams) -> RegimePredicates:
         notes["s12_oneway_weak"] = notes["s21_oneway_weak"] = "needs kappa1 != kappa2"
     else:
         rhs = k1 * k2 * (k1 + k2) ** 2
-        lhs12 = (k1 - k2) * (k2 * g2**2 - k1 * g1**2)
-        lhs21 = (k2 - k1) * (k2 * g2**2 - k1 * g1**2)
-        s12_weak = bool(lhs12 > rhs)
-        s21_weak = bool(lhs21 > rhs)
-        numbers["s12_oneway_weak"] = (lhs12, rhs)
-        numbers["s21_oneway_weak"] = (lhs21, rhs)
+        s12_weak = holds("s12_oneway_weak", (k1 - k2) * (k2 * g2**2 - k1 * g1**2), rhs)
+        s21_weak = holds("s21_oneway_weak", (k2 - k1) * (k2 * g2**2 - k1 * g1**2), rhs)
 
     if g2 > g1 > 0.0:
-        entangled = bool(k2 * g2**2 > k1 * g1**2)
-        numbers["entangled_weak"] = (k2 * g2**2, k1 * g1**2)
+        entangled = holds("entangled_weak", k2 * g2**2, k1 * g1**2)
     else:
         entangled = None
         notes["entangled_weak"] = "needs g2 > g1 > 0"
@@ -221,8 +221,7 @@ def regime_predicates(params: SystemParams) -> RegimePredicates:
         if denom <= 0.0:
             notes["s21_cond_strong"] = "needs Omega > 2 kappa"
         else:
-            s21_strong = bool(ratio > 1.0 / denom)
-            numbers["s21_cond_strong"] = (ratio, 1.0 / denom)
+            s21_strong = holds("s21_cond_strong", ratio, 1.0 / denom)
         omega_sq = omega * omega
         if omega_sq <= 8.0 * kappa**2:
             notes["s12_cond_strong"] = "needs Omega^2 > 8 kappa^2"
@@ -235,8 +234,7 @@ def regime_predicates(params: SystemParams) -> RegimePredicates:
             bound = (g2 * math.sqrt(omega_sq - 8.0 * kappa**2) - omega_sq) / (
                 2.0 * kappa**2
             )
-            s12_strong = bool(ratio < bound)
-            numbers["s12_cond_strong"] = (ratio, bound)
+            s12_strong = holds("s12_cond_strong", ratio, bound)
 
     return RegimePredicates(
         s12_oneway_weak=s12_weak,

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 _SWEEPABLE = _RATE_FIELDS  # every rate; a grid is built as rate rows
-_OBJECTIVES = ("s12", "s21", "en")
+_OBJECTIVES = ("s12", "s21", "en")  # in the order of :func:`_evaluate`'s fields after stable
 #: compass step (in unit-box coordinates) below which a search stops
 _COMPASS_TOL = 1e-4
 
@@ -120,30 +120,20 @@ class FrontierPoint:
     feasible: bool
 
 
-def _layouts(specs: Sequence[SweepSpec], swept: AxisSpec | None = None) -> tuple:
-    """Three ``(len(specs), 6)`` arrays: each spec's base as a rate row, the mask of
-    the columns its axes (and ``swept``) set, and the column each rate copies, its
-    tie's source or itself."""
-    extra = {swept.name} if swept else set()
-    sets = [{axis.name for axis in spec.axes} | extra for spec in specs]
-    return (
-        np.concatenate([_rates(spec.base) for spec in specs]),
-        np.array([[name in names for name in _SWEEPABLE] for names in sets]),
-        np.array([[_SWEEPABLE.index(spec.ties.get(name, name)) for name in _SWEEPABLE]
-                  for spec in specs]),
-    )
+def _sources(spec: SweepSpec) -> list[int]:
+    """The column each rate of ``spec``'s rows copies: its tie's source, or itself."""
+    return [_SWEEPABLE.index(spec.ties.get(name, name)) for name in _SWEEPABLE]
 
 
-def _grid_rates(layouts: tuple, s, values: np.ndarray) -> np.ndarray:
-    """Rate rows: row ``i`` is the base of spec ``s`` (or ``s[i]``) of ``layouts`` with
-    the columns it sets taken from ``values[i]``, then its ties applied.
+def _tied(rates: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Rate rows with each column copied from its ``sources`` column (one row of sources
+    for all rows, or one each), so each tie follows its source.
 
     Raises :class:`ParameterError` as :class:`SystemParams` would for any
     row: every constraint on a rate is finiteness or a lower bound, so the
     column minima and maxima stand for all rows.
     """
-    base, sets, source = layouts
-    rates = np.where(sets[s], values, base[s])[np.arange(len(values))[:, None], source[s]]
+    rates = rates[np.arange(len(rates))[:, None], sources]
     SystemParams(*rates.min(axis=0))
     SystemParams(*rates.max(axis=0))
     return rates
@@ -186,9 +176,9 @@ def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     names = [axis.name for axis in spec.axes]
     grid = np.array(list(itertools.product(*(axis.values() for axis in spec.axes))))
-    values = np.zeros((len(grid), len(_SWEEPABLE)))
-    values[:, [_SWEEPABLE.index(name) for name in names]] = grid
-    cells = _evaluate_grid(_grid_rates(_layouts([spec]), 0, values), itertools.repeat(True))
+    rates = np.repeat(_rates(spec.base), len(grid), axis=0)
+    rates[:, [_SWEEPABLE.index(name) for name in names]] = grid
+    cells = _evaluate_grid(_tied(rates, np.array(_sources(spec))), itertools.repeat(True))
     rows = [
         SweepRow(dict(zip(names, map(float, combo))), *cell)
         for combo, cell in zip(grid, cells)
@@ -257,14 +247,9 @@ def minimize_steering(
     return points
 
 
-#: the :func:`_evaluate` field each objective reads
-_COLUMN = {"s12": 1, "s21": 2, "en": 3}
-
-
 class _Box(NamedTuple):
-    """A spec's search box: ``los + x * spans`` maps unit points ``x`` to rate columns."""
+    """A search box: a search's rate rows are ``origin + x * spans`` at unit points ``x``."""
 
-    los: np.ndarray
     spans: np.ndarray
     grid: np.ndarray  # the coarse grid in unit coordinates, one point per row
     free: np.ndarray  # the columns a compass search moves, in axis order
@@ -277,14 +262,13 @@ def _box(axes: tuple[AxisSpec, ...]) -> _Box:
         (axis.values() - axis.lo) / (axis.hi - axis.lo) if axis.hi > axis.lo else np.asarray([0.0])
         for axis in axes
     ]
-    los, spans = np.zeros(len(_SWEEPABLE)), np.zeros(len(_SWEEPABLE))
-    los[columns] = [axis.lo for axis in axes]
+    spans = np.zeros(len(_SWEEPABLE))
     spans[columns] = [axis.hi - axis.lo for axis in axes]
     grid = np.zeros((math.prod(map(len, units)), len(_SWEEPABLE)))
     grid[:, columns] = list(itertools.product(*units))
     free = [i for i, axis in enumerate(axes) if axis.hi > axis.lo]
     step0 = max((1.0 / (axes[i].steps - 1) for i in free), default=0.0)
-    return _Box(los, spans, grid, np.asarray(columns)[free], step0)
+    return _Box(spans, grid, np.asarray(columns)[free], step0)
 
 
 def _minimize(
@@ -292,33 +276,34 @@ def _minimize(
 ) -> list[list[FrontierPoint]]:
     """:func:`minimize_steering` of every spec in ``specs`` over the same ``swept`` axis.
 
-    The compass searches of every slice of every spec advance in lockstep:
-    each round builds and validates the rate rows of every live search at
-    once and makes one :func:`_evaluate_grid` call.  Specs that differ only
-    in a steering objective share each slice's coarse grid call; an ``"en"``
-    spec shares only with ``"en"`` specs, because an unphysical state voids
-    a row's steering products when E_N is computed.  Coarse calls stay one
-    slice at a time, and each grid is scored as one array.  Every kernel row
-    has the bits of its lone solve, so each spec's points are the bits of
-    its own :func:`minimize_steering` call, and each spec with no feasible
-    point warns once.
+    The compass searches of every slice of every spec advance in lockstep,
+    one :func:`_evaluate_grid` call per round.  Every kernel row is
+    :func:`_tied` of ``origins[s, k] + x * spans[s]``, spec ``s``'s row at
+    slice ``k`` and unit point ``x``.  Specs that differ only in a steering
+    objective share each slice's coarse grid call; an ``"en"`` spec shares
+    only with ``"en"`` specs, because an unphysical state voids a row's
+    steering products when E_N is computed.  Coarse calls stay one slice at
+    a time.  Every kernel row has the bits of its lone solve, so each spec's
+    points are the bits of its own :func:`minimize_steering` call, and each
+    spec with no feasible point warns once.
     """
     for spec in specs:
         _check_swept(spec, swept)
     swept_values = [math.nan] if swept is None else list(map(float, swept.values()))
     shared = {axes: _box(axes) for axes in dict.fromkeys(spec.axes for spec in specs)}
     boxes = [shared[spec.axes] for spec in specs]  # specs on the same axes share one box
-    layouts = _layouts(specs, swept)
-    los, spans = np.array([box.los for box in boxes]), np.array([box.spans for box in boxes])
+    slices = [{}] if swept is None else [{swept.name: value} for value in swept_values]
+    origins = np.array([  # each spec's base with every axis at lo, the swept field at slice k
+        [_rates(spec.base.with_(**{a.name: a.lo for a in spec.axes}, **at))[0] for at in slices]
+        for spec in specs])
+    spans, sources = np.array([box.spans for box in boxes]), np.array(list(map(_sources, specs)))
     with_en = np.array([spec.objective == "en" for spec in specs])
-    sign, column = np.where(with_en, -1.0, 1.0), np.array([_COLUMN[sp.objective] for sp in specs])
+    sign = np.where(with_en, -1.0, 1.0)
+    column = np.array([1 + _OBJECTIVES.index(spec.objective) for spec in specs])
 
     def evaluate(s, k, xs: np.ndarray) -> np.ndarray:
         """The cells of unit points ``xs`` of specs ``s`` at slices ``k``, from one kernel call."""
-        values = los[s] + xs * spans[s]
-        if swept is not None:
-            values[:, _SWEEPABLE.index(swept.name)] = np.take(swept_values, k)
-        rates = _grid_rates(layouts, s, values)
+        rates = _tied(origins[s, k] + xs * spans[s], sources[s])
         return np.array(_evaluate_grid(rates, np.broadcast_to(with_en[s], len(rates))))
 
     def score(s, cells: np.ndarray) -> np.ndarray:
@@ -341,7 +326,6 @@ def _minimize(
                 if np.isfinite(f[best]):
                     search = _compass(grid[best], float(f[best]), boxes[s].step0, boxes[s].free)
                     sends.append((s, k, search, None))
-    sends.sort(key=lambda send: send[:2])
     points = [
         [FrontierPoint(value, None, math.nan, False) for value in swept_values] for _ in specs
     ]
@@ -352,7 +336,7 @@ def _minimize(
                 live.append((s, k, search, search.send(f_trial)))
             except StopIteration as stop:
                 x, fx = stop.value
-                values = dict(zip(_SWEEPABLE, boxes[s].los + x * boxes[s].spans))
+                values = dict(zip(_SWEEPABLE, origins[s, k] + x * spans[s]))
                 coords = {axis.name: float(values[axis.name]) for axis in specs[s].axes}
                 points[s][k] = FrontierPoint(swept_values[k], coords, float(sign[s] * fx), True)
         if not live:

@@ -7,7 +7,7 @@ any other test, so this one checks every name.  A changed signature or
 return value breaks the tracer's notes instead, so a smoke run drives every
 noted site through an installed tracer.  The benchmark's ``reproduce``
 workload also gates every figure on the seed CSVs; the same check runs here
-on every figure but fig 6, the slow one.
+on every figure.
 """
 from __future__ import annotations
 
@@ -112,7 +112,9 @@ def workloads(monkeypatch):
         sys.modules.pop(name, None)
 
 
-@pytest.mark.parametrize("figure_id", ["2a", "2b", "2c", "2d", "3a", "3b", "4a", "4b", "5a", "5b"])
+@pytest.mark.parametrize(
+    "figure_id", ["2a", "2b", "2c", "2d", "3a", "3b", "4a", "4b", "5a", "5b", "6"]
+)
 def test_reproduce_passes_the_seed_gate(workloads, tmp_path, figure_id):
     workload = workloads.Reproduce(0, tmp_path)
     out = workload.run(sk, figure_id)

@@ -5,6 +5,7 @@ exact bytes on stdout/stderr are observable without spawning subprocesses.
 """
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -12,12 +13,16 @@ import pytest
 
 from steerkit import (
     EmptySweepWarning,
+    StepConvergenceError,
     SystemParams,
     assess_stability,
+    evolve_moments,
     steady_state_lyapunov,
     steering_result,
+    vacuum_thermal_state,
 )
 import steerkit.cli
+import steerkit.dynamics
 from steerkit.cli import main
 
 FIG2A = """\
@@ -153,6 +158,22 @@ def test_evolve_csv_structure_and_steady_limit(tmp_path, capsys):
     steady = steering_result(steady_state_lyapunov(params))
     assert float(rows[-1][1]) == pytest.approx(steady.s12, abs=1e-4)
     assert float(rows[-1][2]) == pytest.approx(steady.s21, abs=1e-4)
+
+
+def test_evolve_that_cannot_converge_exits_4(tmp_path, capsys, monkeypatch):
+    # no tolerance is met and one halving is allowed: the integrator gives up
+    monkeypatch.setattr(steerkit.dynamics, "_MAX_HALVINGS", 1)
+    monkeypatch.setattr(steerkit.dynamics, "_EVOLVE_TOL", 0.0)
+    params = SystemParams(1.0, 0.4, 10.0, 20.0, 0.01, 0.0)
+    with pytest.raises(StepConvergenceError) as err:
+        evolve_moments(params, vacuum_thermal_state(), [0.5, 1.0])
+    assert err.value.halvings == 1
+    assert math.isfinite(err.value.step) and math.isfinite(err.value.max_difference)
+    cfg = write_config(tmp_path, FIG2A + "\n[evolve]\nt_max = 1.0\nn_points = 4\n")
+    assert main(["evolve", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: moment integration did not converge after 1 step")
 
 
 @pytest.mark.parametrize("t_max", ["inf", "nan"])

@@ -44,6 +44,7 @@ from steerkit import (
     stability_margins,
     steady_state_closed_form,
     steady_state_lyapunov,
+    steering_result,
     to_correlation_matrix,
     vacuum_thermal_state,
 )
@@ -296,6 +297,18 @@ def test_overflowing_margins_are_judged_on_a_power_of_two_rescaling():
     assert batch.stable.all()
     # the rescaled solve leaves occupations the residual gate cannot certify
     assert not batch.solved.any() and np.isnan(batch.phi).all()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: eigvals rounds the drift's real parts at about eps times the "
+    "largest rate, so at dampings far below it spectral_pass is noise (2.2e144 here)",
+)
+def test_spectral_verdict_agrees_with_the_analytic_one_at_extreme_rates():
+    report = assess_stability(SystemParams(*OVERFLOW_ROWS[0]))
+    assert report.analytic_pass
+    assert report.spectral_pass
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -553,6 +566,28 @@ def test_lyapunov_unstable_raises_with_report():
     assert err.value.report.max_real_eigenvalue > 0.0
 
 
+#: edges of the rate space: no coupling, a hot bath on the fig 3a and 2a sets,
+#: and loss ratios kappa2 / kappa1 from 1e-4 to 1e4 (unstable from 100 up)
+EDGE_SETS = [
+    SystemParams(1.0, 1.0, 0.0, 0.0, 0.5),
+    SystemParams(1.0, 0.4, 0.0, 0.0, 0.5, 3.0),
+    *(SystemParams(1.0, 1.0, 6.0, 10.0, gamma_m, 1e6) for gamma_m in (6.0, 8.0, 10.0)),
+    SystemParams(1.0, 0.4, 10.0, 20.0, 0.01, 1e6),
+    *(SystemParams(1.0, ratio, 1.0, 2.0, 0.5) for ratio in (1e-4, 1e-3, 1e-2, 1e2, 1e3, 1e4)),
+]
+
+
+@pytest.mark.parametrize("p", EDGE_SETS, ids=repr)
+def test_edge_sets_give_finite_steering_or_a_typed_error(p):
+    try:
+        result = steering_result(steady_state_lyapunov(p))
+    except UnstableSystemError:
+        assert p.kappa2 / p.kappa1 >= 100.0
+        return
+    assert p.kappa2 / p.kappa1 < 100.0
+    assert all(math.isfinite(value) for value in (result.s12, result.s21, result.e_n))
+
+
 def test_closed_form_matches_lyapunov_cold():
     rng = np.random.default_rng(12)
     for p in sample_stable(rng, 100):
@@ -605,6 +640,17 @@ def test_closed_form_is_finite_where_its_own_units_overflow():
     assert cf.n1 == pytest.approx(kernel.n1, rel=1e-12)
     assert cf.n2 == pytest.approx(kernel.n2, rel=1e-12)
     assert cf.c == pytest.approx(kernel.c.real, rel=1e-12)
+
+
+def test_closed_form_refuses_a_subnormal_denominator():
+    # at g 1e160, 2e160 the dampings are about 3.6e-161 in power-of-two units,
+    # m2 * m1 is 2.7e-322 and products of dampings lose their digits: the
+    # closed form gave n1 = 0.8545..., against 0.8518... from the kernel's solve
+    with pytest.raises(NumericalError, match="subnormal"):
+        steady_state_closed_form(SystemParams(1.0, 1.0, 1e160, 2e160, 0.5))
+    assert steady_state_closed_form(SystemParams(1.0, 1.0, 1e100, 2e100, 0.5)).n1 == (
+        0.8518518518518519
+    )
 
 
 def test_closed_form_anchor_values():

@@ -30,6 +30,12 @@ def test_squeeze_parameter_domain(g1, g2):
         squeeze_parameter(g1, g2)
 
 
+@pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+def test_composite_occupations_need_a_finite_squeeze(r):
+    with pytest.raises(UndefinedTransformError, match="finite"):
+        composite_occupations(build_moment_state(n1=0.5, n2=0.25, c=0.1), r)
+
+
 def test_transform_pair_inverse():
     for r in (0.0, 0.4, 1.3):
         t, ti = _transform_pair(r)

@@ -29,6 +29,7 @@ from steerkit import (
     steering_result,
     vacuum_thermal_state,
 )
+from steerkit.steering import _HOLDS_BELOW
 
 P_ASYM = SystemParams(1.0, 0.4, 10.0, 20.0, 0.01, 0.0)
 
@@ -269,3 +270,31 @@ def test_weak_predicates_match_steady_classification():
             assert expect is None or result.classification == expect
         if preds.s21_oneway_weak:
             assert result.s21 < 1.0
+
+
+_PREDICATES = (
+    "s12_oneway_weak", "s21_oneway_weak", "entangled_weak", "s21_cond_strong", "s12_cond_strong"
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.1, 10.0),
+    st.one_of(st.none(), st.floats(0.1, 10.0)),  # None: equal losses
+    st.floats(0.0, 30.0),
+    st.floats(0.0, 30.0),
+    st.floats(0.0, 60.0),
+)
+def test_each_predicate_is_its_numbers_compared_by_its_relation(k1, k2, g1, g2, gamma_m):
+    # s12_cond_strong holds below its bound, every other predicate above its
+    # rhs; the relation printed by ``check`` reads the same set
+    preds = regime_predicates(SystemParams(k1, k1 if k2 is None else k2, g1, g2, gamma_m))
+    for name in _PREDICATES:
+        flag = getattr(preds, name)
+        if flag is None:
+            assert name not in preds.numbers and name in preds.notes
+            continue
+        lhs, rhs = preds.numbers[name]
+        assert type(flag) is bool
+        assert flag == (lhs < rhs if name in _HOLDS_BELOW else lhs > rhs), (name, lhs, rhs)
+    assert set(preds.numbers) | set(preds.notes) == set(_PREDICATES)

@@ -150,6 +150,19 @@ def test_grid_warns_when_everything_unstable():
     assert all(math.isnan(row.s12) for row in rows)
 
 
+@pytest.mark.parametrize("kappa1", [1.0, 1e4])
+def test_grid_over_loss_ratios_is_nan_only_where_unstable(kappa1):
+    # kappa2 from 1e-4 to 1e4 at g 1, 2: kappa2 / kappa1 spans 1e-8 .. 1e4
+    spec = SweepSpec(
+        SystemParams(kappa1, 1.0, 1.0, 2.0, 0.5, 3.0), (AxisSpec("kappa2", 1e-4, 1e4, 21),)
+    )
+    rows = grid_sweep(spec)
+    assert any(row.stable for row in rows)
+    for row in rows:
+        values = (row.s12, row.s21, row.e_n)
+        assert all(map(math.isfinite, values)) if row.stable else all(map(math.isnan, values))
+
+
 @pytest.mark.parametrize(
     "axes, ties",
     [
@@ -366,6 +379,70 @@ def test_fixed_axis_changes_nothing(monkeypatch):
     assert fixed.value == free.value
     assert fixed.best == {**free.best, "g2": 10.0}
     assert sum(map(len, kernel_calls)) == free_rows
+
+
+#: two specs over one swept axis, each with a tie and a fixed axis; their bases
+#: differ (so neither shares a coarse grid) in n_th, which tells their rows apart
+TEMPLATE_AXES = (
+    AxisSpec("kappa1", 0.7, 1.3, 3),
+    AxisSpec("g1", 5.0, 9.0, 5),
+    AxisSpec("gamma_m", 0.3, 0.3, 1),
+)
+TEMPLATE_SPECS = [
+    SweepSpec(BASE.with_(n_th=n_th), TEMPLATE_AXES, objective, ties={"kappa2": "kappa1"})
+    for n_th, objective in ((0.0, "s12"), (0.5, "s21"))
+]
+TEMPLATE_SWEPT = AxisSpec("g2", 8.0, 12.0, 3)
+RATE_NAMES = ("kappa1", "kappa2", "g1", "g2", "gamma_m", "n_th")
+
+
+def _template_row(spec: SweepSpec, swept_value: float, units: dict) -> list[str]:
+    """The kernel row, as exact hex floats, of ``spec`` at ``units`` (a unit coordinate
+    per axis) and ``TEMPLATE_SWEPT`` at ``swept_value``, built by hand: the base row,
+    then every axis at ``lo + x * span``, then the swept value, then the ties."""
+    row = dict(zip(RATE_NAMES, _rate_row(spec.base)))
+    for axis in spec.axes:
+        row[axis.name] = axis.lo + units[axis.name] * (axis.hi - axis.lo)
+    row[TEMPLATE_SWEPT.name] = swept_value
+    for dst, src in spec.ties.items():
+        row[dst] = row[src]
+    return [float(value).hex() for value in row.values()]
+
+
+def test_every_kernel_row_of_a_lockstep_search_is_its_hand_built_row(monkeypatch):
+    kernel_calls = _record_kernel_calls(monkeypatch)
+    searches = _record_searches(monkeypatch)
+    points = steerkit.sweep._minimize(TEMPLATE_SPECS, TEMPLATE_SWEPT)
+    assert all(point.feasible for spec_points in points for point in spec_points)
+    hexed = [[[value.hex() for value in row] for row in rows] for rows in kernel_calls]
+    swept_values = [float(value) for value in TEMPLATE_SWEPT.values()]
+    # one coarse call per spec and slice, on the unit grid (v - lo) / span, last axis fastest
+    names = [axis.name for axis in TEMPLATE_AXES]
+    units = [
+        (axis.values() - axis.lo) / (axis.hi - axis.lo) if axis.hi > axis.lo else [0.0]
+        for axis in TEMPLATE_AXES
+    ]
+    grid = [dict(zip(names, map(float, point))) for point in itertools.product(*units)]
+    coarse = [
+        [_template_row(spec, value, point) for point in grid]
+        for spec in TEMPLATE_SPECS
+        for value in swept_values
+    ]
+    assert hexed[: len(coarse)] == coarse
+    # then one call per round: a row per live search, in the order the searches
+    # began; a row's spec is told by its n_th and its slice by its swept g2
+    rounds = hexed[len(coarse):]
+    assert len(rounds) == max(map(len, searches)) > 0
+    specs_by_n_th = {spec.base.n_th: spec for spec in TEMPLATE_SPECS}
+    for r, rows in enumerate(rounds):
+        trials = [trials[r] for trials in searches if r < len(trials)]
+        assert len(rows) == len(trials)
+        for row, trial in zip(rows, trials):
+            spec = specs_by_n_th[float.fromhex(row[5])]
+            swept_value = float.fromhex(row[3])
+            assert swept_value in swept_values
+            x = {name: float(trial[RATE_NAMES.index(name)]) for name in RATE_NAMES}
+            assert row == _template_row(spec, swept_value, x)
 
 
 @pytest.mark.parametrize(
