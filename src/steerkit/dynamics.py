@@ -48,10 +48,6 @@ __all__ = [
     "to_correlation_matrix",
 ]
 
-#: index of the conjugate partner of each mode-vector component
-_SWAP = np.array([1, 0, 3, 2, 5, 4])
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -242,31 +238,6 @@ class MomentState:
         """Two-cavity pairing moment <a1 a2>."""
         return complex(self.phi[0, 2])
 
-    @property
-    def d1(self) -> complex:
-        """Single-cavity pairing moment <a1 a1> (zero by phase symmetry)."""
-        return complex(self.phi[0, 0])
-
-    @property
-    def d2(self) -> complex:
-        """Single-cavity pairing moment <a2 a2> (zero by phase symmetry)."""
-        return complex(self.phi[2, 2])
-
-    @property
-    def x12(self) -> complex:
-        """Photon-exchange moment <a1 a2+> (zero by phase symmetry)."""
-        return complex(self.phi[0, 3])
-
-    def conjugation_defect(self) -> float:
-        """Max deviation from the self-conjugacy Phi* = S Phi^T S.
-
-        ``S`` swaps each operator with its conjugate; the flow preserves
-        this structure exactly, so the defect measures accumulated numeric
-        error (it also vanishes for any valid moment matrix).
-        """
-        mirrored = self.phi.T[np.ix_(_SWAP, _SWAP)]
-        return float(np.abs(np.conj(self.phi) - mirrored).max())
-
 
 def vacuum_thermal_state(n_th: float = 0.0) -> MomentState:
     """Both cavities in vacuum, mechanics thermal at ``n_th``."""
@@ -305,6 +276,17 @@ def _fill(n1, n2, nm, c, pair_1m, pair_2m) -> NDArray:
     phi[..., 2, 5] = phi[..., 5, 2] = pair_2m
     phi[..., 3, 4] = phi[..., 4, 3] = np.conj(pair_2m)
     return phi
+
+
+#: ``x = (n1, n2, nm, Re c, Im<a1 b>, Im<a2 b+>)`` in vec Phi read as (re, im) pairs:
+#: Re Phi[1, 0], [3, 2], [5, 4], [0, 2] and Im Phi[0, 4], [2, 5]
+_MOMENT_POSITIONS = np.array([12, 40, 68, 4, 9, 35])
+
+
+def _moments(vec_phi: NDArray) -> NDArray:
+    """The six real moments ``x``, shape ``(..., 6)``, of complex vec Phi rows ``(..., 36)``:
+    the one reader of the layout that :func:`_fill` writes, one flat take of the pairs."""
+    return vec_phi.view(float).take(_MOMENT_POSITIONS, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +387,13 @@ def _solve(rates: NDArray) -> tuple[NDArray, NDArray, NDArray]:
 class _SteadyBatch(NamedTuple):
     """Steady states of ``n`` rate rows, from :func:`_steady_batch`.
 
-    ``stable`` is each row's verdict from :func:`_judge`; ``solved`` is the
-    one reading of the residual gate (a NaN residual fails it); ``phi`` is
-    ``(n, 6, 6)`` and NaN on every row not solved; ``residual`` and ``bound``
+    ``x`` is each row's six real moments of :func:`_moments`, ``(n, 6)``, NaN unless
+    solved; ``stable`` is each row's :func:`_judge` verdict; ``solved`` is the one
+    reading of the residual gate (a NaN residual fails it); ``residual`` and ``bound``
     are the gate's operands in :func:`_judge`'s units, NaN on unstable rows.
     """
 
-    phi: NDArray
+    x: NDArray
     stable: NDArray
     solved: NDArray
     residual: NDArray
@@ -433,16 +415,16 @@ def _steady_batch(rates) -> _SteadyBatch:
     # a lone row is judged in floats, where numpy's calls would cost more than its margins
     unit, stable = _judge(rates[:, :5].T if n > 1 else rates[0, :5].tolist())
     rates[:, :5], stable = np.transpose(unit), np.array(stable, ndmin=1)
-    phi = np.full((n, 36), np.nan, dtype=complex)
-    residual, bound = np.full(n, np.nan), np.full(n, np.nan)
+    x, residual, bound = np.full((n, 6), np.nan), np.full(n, np.nan), np.full(n, np.nan)
     rows = stable.nonzero()[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(rows), _BLOCK):
             chunk = rows[start:start + _BLOCK]
-            phi[chunk], residual[chunk], bound[chunk] = _solve(rates[chunk])
+            vec_phi, residual[chunk], bound[chunk] = _solve(rates[chunk])
+            x[chunk] = _moments(vec_phi)
     solved = residual <= bound
-    phi[~solved] = np.nan
-    return _SteadyBatch(phi.reshape(n, 6, 6), stable, solved, residual, bound)
+    x[~solved] = np.nan
+    return _SteadyBatch(x, stable, solved, residual, bound)
 
 
 def _steady_row(batch: _SteadyBatch, row: int, rates: NDArray) -> MomentState:
@@ -453,7 +435,8 @@ def _steady_row(batch: _SteadyBatch, row: int, rates: NDArray) -> MomentState:
         raise NumericalError(
             f"Lyapunov residual {batch.residual[row]:.3e} exceeds bound {batch.bound[row]:.3e}"
         )
-    return MomentState(batch.phi[row])
+    x = batch.x[row].tolist()  # in floats, which _fill writes faster than numpy scalars
+    return MomentState(_fill(*x[:4], 1j * x[4], 1j * x[5]))
 
 
 def steady_state_lyapunov(params: SystemParams) -> MomentState:
@@ -465,7 +448,9 @@ def steady_state_lyapunov(params: SystemParams) -> MomentState:
     drift's 14 nonzero entries, and solved by dense LU (LAPACK
     ``zgetrf``/``zgetrs``).  The result is rejected unless the residual
     satisfies ``||A Phi + Phi A^T + 2KD||_F <= 1e-10 ||2KD||_F``; a system that
-    misses it is first refined, up to ten times while that helps.
+    misses it is first refined, up to ten times while that helps.  The state is
+    :func:`_fill`'s pattern of the six real moments :func:`_moments` reads off the
+    solve, so it is exactly phase symmetric where the solve's rounding is not.
 
     This is the one-row call of the batched kernel :func:`_steady_batch`,
     which each grid sweep, coarse minimization grid slice and lockstep compass
@@ -620,8 +605,8 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be non-negative and strictly increasing")
     phi = initial.phi
-    x0 = np.append(phi[[1, 3, 5, 0], [0, 2, 4, 2]].real, phi[[0, 2], [4, 5]].imag)
-    # departures below the integration tolerance are rounding (steady states reach 4.2e-9)
+    x0 = _moments(np.ascontiguousarray(phi, dtype=complex).reshape(36))
+    # the library's states are on the pattern; others may miss it by rounding, up to the tolerance
     pattern = _fill(*x0[:4], *(1j * x0[4:]))
     if not np.abs(phi - pattern).max() <= _EVOLVE_TOL * max(1.0, np.abs(phi).max()):
         raise ValueError("initial state is off the phase-symmetric pattern")

@@ -18,7 +18,7 @@ from . import __version__
 from .dynamics import _steady_batch, _steady_row, evolve_moments, vacuum_thermal_state
 from .params import SystemParams
 from .spectra import _spectrum, spectrum
-from .steering import steering_products_reduced
+from .steering import _steering, steering_products_reduced
 from .sweep import AxisSpec, SweepSpec, _minimize
 
 __all__ = ["FigureBundle", "available_figures", "build_figure"]
@@ -113,10 +113,10 @@ def _fig_3b() -> Recipe:
     )
     batch = _steady_batch(rates)
     rows = []
-    for k, rate in enumerate(rates):
-        moments = _steady_row(batch, k, rate)
-        s12, s21 = steering_products_reduced(moments)
-        rows.append((float(rate[5]), float(rate[4]), s12, s21))
+    for k, (rate, (n1, n2, _, c)) in enumerate(zip(rates.tolist(), batch.x[:, :4].tolist())):
+        if not batch.solved[k]:
+            _steady_row(batch, k, rates[k])  # raises: the row has no steady state
+        rows.append((rate[5], rate[4], *_steering(n1, n2, abs(c), False)[:2]))
     manifest = [
         "kappa1 = kappa2 = 1.0",
         "g1 = 6.0",

@@ -160,9 +160,9 @@ def _evaluate_grid(
     """:func:`_evaluate` of every rate row, from one batched steady solve that
     each column is read from once; ``with_en`` holds each row's flag."""
     batch = _steady_batch(rates)
-    columns = (batch.phi[:, i, j].tolist() for i, j in ((1, 0), (3, 2), (0, 2)))
+    columns = batch.x[:, [0, 1, 3]].T.tolist()
     return [
-        _evaluate(stable, solved, n1.real, n2.real, abs(c), with_en=en)
+        _evaluate(stable, solved, n1, n2, abs(c), with_en=en)
         for stable, solved, n1, n2, c, en in zip(batch.stable, batch.solved, *columns, with_en)
     ]
 

@@ -74,7 +74,7 @@ def test_entries_match_scattering_oracle():
     assert worst <= 1e-10
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(RANDOM_POINTS[0], RANDOM_POINTS[1], st.integers(-7, 5))
 def test_spectrum_at_scaled_rates_is_the_spectrum_at_scaled_frequencies(exponents, n_th, k):
     # S(omega; 2**k rates) = S(omega / 2**k; rates), bit for bit: the spectra
@@ -92,7 +92,7 @@ def test_spectrum_at_scaled_rates_is_the_spectrum_at_scaled_frequencies(exponent
         assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(*RANDOM_POINTS)
 def test_entries_match_scattering_oracle_at_random_frequencies(exponents, n_th, frequency):
     p, w = _random_point(exponents, n_th, frequency)
@@ -103,7 +103,7 @@ def test_entries_match_scattering_oracle_at_random_frequencies(exponents, n_th, 
     assert gap <= 1e-10, (p, w)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(*RANDOM_POINTS)
 def test_all_columns_match_the_exact_complex_entries(exponents, n_th, frequency):
     # the exact oracle is the complex closed form in rational arithmetic,
@@ -152,7 +152,7 @@ def test_entries_preserve_output_commutators():
             assert out2 == pytest.approx(1.0, abs=1e-12)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
     st.one_of(st.just(0.0), st.floats(-30.0, 30.0)),

@@ -79,7 +79,7 @@ def _assert_kernel_matches_oracle(state):
     return s12, s21, e_n
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(physical_states())
 def test_kernel_matches_oracle_and_steering_implies_entanglement(state):
     s12, s21, e_n = _assert_kernel_matches_oracle(state)
@@ -277,7 +277,7 @@ _PREDICATES = (
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     st.floats(0.1, 10.0),
     st.one_of(st.none(), st.floats(0.1, 10.0)),  # None: equal losses

@@ -502,10 +502,11 @@ def test_degenerate_partial_transpose_drops_steering_only_with_entanglement():
     assert _cell(phi, with_en=True) == (True, "nan", "nan", "nan")
 
 
-def _one_row_cell(phi, stable, solved, with_en: bool) -> tuple:
-    """A kernel row's cell from the public one-row functions on its ``MomentState``."""
+def _one_row_cell(x, stable, solved, with_en: bool) -> tuple:
+    """A kernel row's cell from the public one-row functions on the ``MomentState``
+    of its six real moments ``x``."""
     if solved:
-        moments = MomentState(phi)
+        moments = build_moment_state(*x[:4], 1j * x[4], 1j * x[5])
         try:
             s12, s21 = steering_products_reduced(moments)
             return True, s12, s21, (logarithmic_negativity(moments) if with_en else math.nan)
@@ -514,15 +515,15 @@ def _one_row_cell(phi, stable, solved, with_en: bool) -> tuple:
     return bool(stable), math.nan, math.nan, math.nan
 
 
-#: solved rows no kernel gives: NaN moments, a degenerate variance (n1 = -1/2),
-#: unphysical pairing (c = 1), a degenerate partial transpose (c = 1/2), and
-#: a complex pairing moment
+#: solved rows ``(n1, n2, nm, Re c, Im<a1 b>, Im<a2 b+>)`` no kernel gives: NaN
+#: moments, a degenerate variance (n1 = -1/2), unphysical pairing (c = 1), a
+#: degenerate partial transpose (c = 1/2), and a negative pairing moment
 CRAFTED = np.array([
-    np.full((6, 6), np.nan, dtype=complex),
-    build_moment_state(n1=-0.5).phi,
-    build_moment_state(c=1.0).phi,
-    build_moment_state(c=0.5).phi,
-    build_moment_state(n1=0.3, n2=0.2, c=0.1 + 0.2j).phi,
+    np.full(6, np.nan),
+    (-0.5, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.5, 0.0, 0.0),
+    (0.3, 0.2, 0.0, -0.1, 0.4, -0.2),
 ])
 
 
