@@ -19,7 +19,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .config import EvolveConfig, RwaConfig, SpectraConfig, SweepConfig, load_config
+from .config import _RUN_BLOCKS, RwaConfig, load_config
 from .dynamics import (
     _RATE_FIELDS,
     assess_rwa,
@@ -265,7 +265,7 @@ def _check(cfg):
     lines += _section("resonances", resonances)
     lines += _section("squeezed_frame", frame)
 
-    block = cfg.run if isinstance(cfg.run, RwaConfig) else RwaConfig()
+    block = cfg.run if cfg.run_block == "rwa" else RwaConfig()
     if block.omega_m is not None:
         params = params.with_(omega_m=block.omega_m)
     rwa = assess_rwa(params, block.margin_factor)
@@ -286,7 +286,7 @@ def _check(cfg):
 def _run(args) -> int:
     """Load ``--config``, run the command on it, and route its summary and output."""
     cfg = load_config(args.config)
-    if args.block is not None and not isinstance(cfg.run, args.block):
+    if args.command in _RUN_BLOCKS and cfg.run_block != args.command:
         article = "an" if args.command[0] in "aeiou" else "a"  # each block is named as its command
         raise ConfigError(f"the {args.command} command needs {article} [{args.command}] block")
     summary, text, size = args.scenario(cfg)
@@ -337,9 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"steerkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, scenario=None, block=None):
-        """Register ``name``: a ``scenario`` command run on ``--config`` (needing a
-        run block of type ``block``, if any), or without one the ``reproduce`` command."""
+    def add(name, help_text, scenario=None):
+        """Register ``name``: a ``scenario`` command run on ``--config`` (needing the
+        run block of its name, if there is one), or without one the ``reproduce`` command."""
         cmd = sub.add_parser(name, help=help_text)
         if scenario is None:
             cmd.add_argument("figure_id", help="reference figure id, e.g. 2a")
@@ -352,14 +352,12 @@ def _build_parser() -> argparse.ArgumentParser:
             else "output file; stdout when omitted",
         )
         cmd.add_argument("--quiet", action="store_true", help="suppress the summary")
-        cmd.set_defaults(
-            func=_cmd_reproduce if scenario is None else _run, scenario=scenario, block=block
-        )
+        cmd.set_defaults(func=_cmd_reproduce if scenario is None else _run, scenario=scenario)
 
     add("steady", "steady moments, steering products, entanglement", _steady)
-    add("evolve", "time evolution of the second moments", _evolve, EvolveConfig)
-    add("spectra", "output-field spectra and spectral steering", _spectra, SpectraConfig)
-    add("sweep", "grid sweeps or steering minimization", _sweep, SweepConfig)
+    add("evolve", "time evolution of the second moments", _evolve)
+    add("spectra", "output-field spectra and spectral steering", _spectra)
+    add("sweep", "grid sweeps or steering minimization", _sweep)
     add("check", "closed-form regime and sanity checks", _check)
     add("reproduce", "rebuild a reference figure as CSV + manifest")
     return parser

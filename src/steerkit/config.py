@@ -35,7 +35,10 @@ Schema (version 1)::
     omega_m = 1e5            # optional if already in [params]
     margin_factor = 10
 
-Unknown sections or keys are rejected so typos fail loudly.
+Unknown sections or keys are rejected so typos fail loudly.  Each run-block
+type checks its own fields, so a block built in code is held to the rules a
+file is, with the same ConfigError message; the parser reads ``[evolve]``,
+``[spectra]`` and ``[rwa]`` by their types' fields.
 """
 from __future__ import annotations
 
@@ -62,9 +65,13 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_RUN_BLOCKS = ("evolve", "spectra", "sweep", "rwa")
 _PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
 _REQUIRED_PARAM_KEYS = tuple(f.name for f in fields(SystemParams) if f.default is MISSING)
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
 
 @dataclass(frozen=True)
@@ -72,12 +79,23 @@ class EvolveConfig:
     t_max: float
     n_points: int = 600
 
+    def __post_init__(self):
+        _require(self.t_max > 0.0, "[evolve] t_max must be > 0")
+        _require(self.n_points >= 1, "[evolve] n_points must be >= 1")
+
 
 @dataclass(frozen=True)
 class SpectraConfig:
     omega_min: float | None = None
     omega_max: float | None = None
     n_points: int = _GRID_POINTS
+
+    def __post_init__(self):
+        lo, hi = self.omega_min, self.omega_max
+        _require((lo is None) == (hi is None),
+                 "[spectra] needs both omega_min and omega_max, or neither")
+        _require(lo is None or lo < hi, "[spectra] needs omega_min < omega_max")
+        _require(self.n_points >= 2, "[spectra] n_points must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -87,11 +105,26 @@ class SweepConfig:
     spec: SweepSpec
     swept: AxisSpec | None = None
 
+    def __post_init__(self):
+        try:
+            _check_swept(self.spec, self.swept)
+        except ValueError as exc:
+            raise ConfigError(f"[sweep]: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class RwaConfig:
     omega_m: float | None = None
     margin_factor: float = _MARGIN_FACTOR
+
+    def __post_init__(self):
+        _require(self.margin_factor > 0.0, "[rwa] margin_factor must be > 0")
+
+
+#: each run block's section name and type, in the order the schema lists them
+_RUN_BLOCKS = {
+    "evolve": EvolveConfig, "spectra": SpectraConfig, "sweep": SweepConfig, "rwa": RwaConfig
+}
 
 
 @dataclass(frozen=True)
@@ -104,63 +137,75 @@ class ScenarioConfig:
     @property
     def run_block(self) -> str | None:
         """The section name of ``run``, or None."""
-        return _BLOCK_NAMES.get(type(self.run))
+        return next((name for name, kind in _RUN_BLOCKS.items() if type(self.run) is kind), None)
 
 
-_BLOCK_NAMES = dict(zip((EvolveConfig, SpectraConfig, SweepConfig, RwaConfig), _RUN_BLOCKS))
-
-
-def _float(section: str, key: str, raw: str) -> float:
+def _number(kind: type, section: str, key: str, raw: str):
+    """``raw`` as a ``kind``, int or finite float."""
     try:
-        value = float(raw)
+        value = kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from exc
+    _require(kind is int or math.isfinite(value), f"[{section}] {key} = {raw!r} is not finite")
     return value
-
-
-def _int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
-
-
-def _values(section: str, block, *unparsed, required=(), **parsers) -> dict:
-    """The ``parsers`` keys present in ``block``, parsed; absent keys keep their defaults.
-    Keys other than these and the ``unparsed`` ones (the caller reads those) are
-    rejected, as is a missing ``required`` key."""
-    _check_keys(section, block, (*parsers, *unparsed), required)
-    return {key: parse(section, key, block[key]) for key, parse in parsers.items() if key in block}
 
 
 def _check_keys(section: str, present, allowed, required=()) -> None:
     unknown = sorted(set(present) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) {', '.join(unknown)} in [{section}]; "
-            f"allowed: {', '.join(allowed)}"
-        )
+    _require(not unknown, f"unknown key(s) {', '.join(unknown)} in [{section}]; "
+             f"allowed: {', '.join(allowed)}")
     for key in required:
-        if key not in present:
-            raise ConfigError(f"[{section}] is missing {key}")
+        _require(key in present, f"[{section}] is missing {key}")
 
 
-def _parse_axis(section: str, key: str, raw: str) -> AxisSpec:
+def _read_fields(section: str, block, *unparsed):
+    """Run block ``section`` as its type, each field read from ``block`` as an int or a
+    float; a field without a default is required, an absent one keeps its default.  Keys
+    other than the fields and the ``unparsed`` ones (the caller reads those) are rejected."""
+    kind = _RUN_BLOCKS[section]
+    types = {f.name: int if f.type == "int" else float for f in fields(kind)}
+    required = [f.name for f in fields(kind) if f.default is MISSING]
+    _check_keys(section, block, (*types, *unparsed), required)
+    return kind(**{key: _number(types[key], section, key, block[key]) for key in types
+                   if key in block})
+
+
+def _parse_axis(key: str, raw: str) -> AxisSpec:
     parts = raw.split()
-    if len(parts) != 4:
-        raise ConfigError(
-            f"[{section}] {key} must be 'name lo hi steps', got {raw!r}"
-        )
-    name = parts[0]
-    lo = _float(section, key, parts[1])
-    hi = _float(section, key, parts[2])
-    steps = _int(section, key, parts[3])
+    _require(len(parts) == 4, f"[sweep] {key} must be 'name lo hi steps', got {raw!r}")
+    kinds = (float, float, int)
+    lo, hi, steps = (_number(kind, "sweep", key, part) for kind, part in zip(kinds, parts[1:]))
     try:
-        return AxisSpec(name=name, lo=lo, hi=hi, steps=steps)
+        return AxisSpec(name=parts[0], lo=lo, hi=hi, steps=steps)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        raise ConfigError(f"[sweep] {key}: {exc}") from exc
+
+
+def _read_sweep(block, params: SystemParams) -> SweepConfig:
+    """The ``[sweep]`` block over base ``params``."""
+    _check_keys("sweep", block, ("mode", "objective", "axes", "swept", "ties"))
+    mode = block.get("mode", "").strip()
+    _require(mode in ("grid", "minimize"), "[sweep] mode must be 'grid' or 'minimize'")
+    _require("axes" in block, "[sweep] is missing axes")
+    chunks = (chunk.strip() for chunk in block["axes"].split(";"))
+    axes = tuple(_parse_axis("axes", chunk) for chunk in chunks if chunk)
+    _require(bool(axes), "[sweep] axes is empty")
+    ties: dict[str, str] = {}
+    for chunk in filter(None, (chunk.strip() for chunk in block.get("ties", "").split(","))):
+        _require("=" in chunk, f"[sweep] ties entry {chunk!r} is not dst=src")
+        dst, src = (part.strip() for part in chunk.split("=", 1))
+        _require(dst not in ties, f"[sweep] ties sets {dst!r} more than once")
+        ties[dst] = src
+    _require("swept" in block or mode == "grid", "[sweep] minimize mode needs a swept axis")
+    _require(mode == "minimize" or "swept" not in block,
+             "[sweep] grid mode does not take a swept axis")
+    swept = _parse_axis("swept", block["swept"]) if "swept" in block else None
+    try:
+        spec = SweepSpec(params, axes, block.get("objective", "s12").strip(), ties)
+    except ValueError as exc:
+        raise ConfigError(f"[sweep]: {exc}") from exc
+    return SweepConfig(spec, swept)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -177,109 +222,35 @@ def parse_config(text: str) -> ScenarioConfig:
     sections = parser.sections()
     allowed_sections = ("config", "params", *_RUN_BLOCKS)
     unknown = sorted(set(sections) - set(allowed_sections))
-    if unknown:
-        raise ConfigError(
-            f"unknown section(s): {', '.join(unknown)}; "
-            f"allowed: {', '.join(allowed_sections)}"
-        )
+    _require(not unknown, f"unknown section(s): {', '.join(unknown)}; "
+             f"allowed: {', '.join(allowed_sections)}")
 
-    if "config" not in sections:
-        raise ConfigError("missing [config] section with version")
+    _require("config" in sections, "missing [config] section with version")
     _check_keys("config", parser["config"], ("version",))
-    version = _int("config", "version", parser["config"].get("version", ""))
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported config version {version}; this build reads "
-            f"version {SCHEMA_VERSION}"
-        )
+    version = _number(int, "config", "version", parser["config"].get("version", ""))
+    _require(version == SCHEMA_VERSION, f"unsupported config version {version}; "
+             f"this build reads version {SCHEMA_VERSION}")
 
-    if "params" not in sections:
-        raise ConfigError("missing [params] section")
+    _require("params" in sections, "missing [params] section")
     block = parser["params"]
     _check_keys("params", block, _PARAM_KEYS, _REQUIRED_PARAM_KEYS)
-    kwargs = {key: _float("params", key, block[key]) for key in block}
     try:
-        params = SystemParams(**kwargs)
+        params = SystemParams(**{key: _number(float, "params", key, block[key]) for key in block})
     except ParameterError as exc:
         raise ConfigError(f"[params]: {exc}") from exc
 
     run_blocks = [name for name in _RUN_BLOCKS if name in sections]
-    if len(run_blocks) > 1:
-        raise ConfigError(
-            f"at most one run block per file; found {', '.join(run_blocks)}"
-        )
-    run_block = run_blocks[0] if run_blocks else None
-
-    run = None
-    if run_block == "evolve":
-        block = parser["evolve"]
-        run = EvolveConfig(
-            **_values("evolve", block, "initial", required=("t_max",), t_max=_float, n_points=_int)
-        )
-        initial = block.get("initial", "vacuum-thermal").strip()
-        if run.t_max <= 0.0:
-            raise ConfigError("[evolve] t_max must be > 0")
-        if run.n_points < 1:
-            raise ConfigError("[evolve] n_points must be >= 1")
-        if initial != "vacuum-thermal":
-            raise ConfigError(
-                f"[evolve] initial = {initial!r}; only 'vacuum-thermal' is supported"
-            )
-    elif run_block == "spectra":
-        block = parser["spectra"]
-        run = SpectraConfig(
-            **_values("spectra", block, omega_min=_float, omega_max=_float, n_points=_int)
-        )
-        if (run.omega_min is None) != (run.omega_max is None):
-            raise ConfigError("[spectra] needs both omega_min and omega_max, or neither")
-        if run.omega_min is not None and run.omega_min >= run.omega_max:
-            raise ConfigError("[spectra] needs omega_min < omega_max")
-        if run.n_points < 2:
-            raise ConfigError("[spectra] n_points must be >= 2")
-    elif run_block == "sweep":
-        block = parser["sweep"]
-        _check_keys("sweep", block, ("mode", "objective", "axes", "swept", "ties"))
-        mode = block.get("mode", "").strip()
-        if mode not in ("grid", "minimize"):
-            raise ConfigError("[sweep] mode must be 'grid' or 'minimize'")
-        objective = block.get("objective", "s12").strip()
-        if "axes" not in block:
-            raise ConfigError("[sweep] is missing axes")
-        axes = tuple(
-            _parse_axis("sweep", "axes", chunk.strip())
-            for chunk in block["axes"].split(";")
-            if chunk.strip()
-        )
-        if not axes:
-            raise ConfigError("[sweep] axes is empty")
-        ties: dict[str, str] = {}
-        for chunk in block.get("ties", "").split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if "=" not in chunk:
-                raise ConfigError(f"[sweep] ties entry {chunk!r} is not dst=src")
-            dst, src = (part.strip() for part in chunk.split("=", 1))
-            if dst in ties:
-                raise ConfigError(f"[sweep] ties sets {dst!r} more than once")
-            ties[dst] = src
-        swept = None
-        if mode == "minimize":
-            if "swept" not in block:
-                raise ConfigError("[sweep] minimize mode needs a swept axis")
-            swept = _parse_axis("sweep", "swept", block["swept"])
-        elif "swept" in block:
-            raise ConfigError("[sweep] grid mode does not take a swept axis")
-        try:
-            run = SweepConfig(SweepSpec(params, axes, objective, ties), swept)
-            _check_swept(run.spec, swept)
-        except ValueError as exc:
-            raise ConfigError(f"[sweep]: {exc}") from exc
-    elif run_block == "rwa":
-        run = RwaConfig(**_values("rwa", parser["rwa"], omega_m=_float, margin_factor=_float))
-        if run.margin_factor <= 0.0:
-            raise ConfigError("[rwa] margin_factor must be > 0")
-
+    _require(len(run_blocks) <= 1,
+             f"at most one run block per file; found {', '.join(run_blocks)}")
+    if not run_blocks:
+        return ScenarioConfig(params)
+    name = run_blocks[0]
+    if name == "sweep":
+        return ScenarioConfig(params, _read_sweep(parser[name], params))
+    run = _read_fields(name, parser[name], *(("initial",) if name == "evolve" else ()))
+    initial = parser[name].get("initial", "vacuum-thermal").strip()  # only [evolve] may set it
+    _require(initial == "vacuum-thermal",
+             f"[evolve] initial = {initial!r}; only 'vacuum-thermal' is supported")
     return ScenarioConfig(params, run)
 
 

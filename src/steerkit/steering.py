@@ -40,9 +40,10 @@ _STRONG_DAMPING_MIN_RATIO = 5.0
 
 
 def _steering(n1: float, n2: float, c: float, with_en: bool) -> tuple[float, float, float]:
-    """``(S12, S21, E_N)`` of a phase-symmetric state's ``(n1, n2, |c|)``, E_N NaN
-    unless ``with_en``: the one formula of :func:`steering_products_reduced`,
-    :func:`logarithmic_negativity` and :func:`steering_result`, its one-row calls.
+    """``(S12, S21, E_N)`` of a phase-symmetric state's ``(n1, n2, |c|)``: the one formula
+    of :func:`steering_products_reduced`, :func:`logarithmic_negativity` and
+    :func:`steering_result`, its one-row calls.  E_N is NaN unless ``with_en``, and
+    where the partial transpose is degenerate (``nu <= 0``), which voids E_N alone.
     ``|c|^2`` may exceed its bound ``(n1 + 1/2)(n2 + 1/2)`` by 1e-12 of ``max(1, bound)``."""
     if not (0.0 < n1 + 0.5 < math.inf and 0.0 < n2 + 0.5 < math.inf):
         raise DegenerateConditioningError(
@@ -59,10 +60,17 @@ def _steering(n1: float, n2: float, c: float, with_en: bool) -> tuple[float, flo
     e_n = math.nan
     if with_en:
         nu = 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
-        if not nu > 0.0:
-            raise PhysicalityError("the partially transposed state is degenerate")
-        e_n = max(0.0, -math.log(2.0 * nu))
+        if nu > 0.0:
+            e_n = max(0.0, -math.log(2.0 * nu))
     return w12 * w12, w21 * w21, e_n
+
+
+def _with_entanglement(moments: MomentState) -> tuple[float, float, float]:
+    """:func:`_steering` of ``moments`` with E_N, raising where E_N is undefined."""
+    s12, s21, e_n = _steering(moments.n1, moments.n2, abs(moments.c), True)
+    if math.isnan(e_n):
+        raise PhysicalityError("the partially transposed state is degenerate")
+    return s12, s21, e_n
 
 
 def steering_products_reduced(moments: MomentState) -> tuple[float, float]:
@@ -100,7 +108,7 @@ def logarithmic_negativity(moments: MomentState) -> float:
     PhysicalityError
         If ``|c|^2`` exceeds ``a b``, or if ``nu`` is not positive.
     """
-    return _steering(moments.n1, moments.n2, abs(moments.c), True)[2]
+    return _with_entanglement(moments)[2]
 
 
 def classify(s12: float, s21: float) -> str:
@@ -133,7 +141,7 @@ class SteeringResult:
 
 def steering_result(moments: MomentState) -> SteeringResult:
     """Evaluate all steering quantities for one moment state."""
-    s12, s21, e_n = _steering(moments.n1, moments.n2, abs(moments.c), True)
+    s12, s21, e_n = _with_entanglement(moments)
     return SteeringResult(s12=s12, s21=s21, e_n=e_n, classification=classify(s12, s21))
 
 

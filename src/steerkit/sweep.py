@@ -144,7 +144,8 @@ def _evaluate(stable, solved, n1, n2, c, *, with_en: bool) -> tuple[bool, float,
 
     Steering is NaN where there is no steady state (unstable, or rejected
     by the residual gate near the stability boundary) and where the
-    moments are degenerate or unphysical.
+    moments are degenerate or unphysical; E_N alone is also NaN where the
+    partial transpose is degenerate.
     """
     if solved:
         try:
@@ -279,13 +280,13 @@ def _minimize(
     The compass searches of every slice of every spec advance in lockstep,
     one :func:`_evaluate_grid` call per round.  Every kernel row is
     :func:`_tied` of ``origins[s, k] + x * spans[s]``, spec ``s``'s row at
-    slice ``k`` and unit point ``x``.  Specs that differ only in a steering
-    objective share each slice's coarse grid call; an ``"en"`` spec shares
-    only with ``"en"`` specs, because an unphysical state voids a row's
-    steering products when E_N is computed.  Coarse calls stay one slice at
-    a time.  Every kernel row has the bits of its lone solve, so each spec's
-    points are the bits of its own :func:`minimize_steering` call, and each
-    spec with no feasible point warns once.
+    slice ``k`` and unit point ``x``.  Specs that differ only in their
+    objective share each slice's coarse grid call, which computes E_N when
+    any of them reads it; E_N never changes a row's steering products.
+    Coarse calls stay one slice at a time.  Every kernel row has the bits
+    of its lone solve, so each spec's points are the bits of its own
+    :func:`minimize_steering` call, and each spec with no feasible point
+    warns once.
     """
     for spec in specs:
         _check_swept(spec, swept)
@@ -301,10 +302,11 @@ def _minimize(
     sign = np.where(with_en, -1.0, 1.0)
     column = np.array([1 + _OBJECTIVES.index(spec.objective) for spec in specs])
 
-    def evaluate(s, k, xs: np.ndarray) -> np.ndarray:
-        """The cells of unit points ``xs`` of specs ``s`` at slices ``k``, from one kernel call."""
+    def evaluate(s, k, xs: np.ndarray, en) -> np.ndarray:
+        """The cells of unit points ``xs`` of specs ``s`` at slices ``k``, from one kernel
+        call, with E_N where ``en``."""
         rates = _tied(origins[s, k] + xs * spans[s], sources[s])
-        return np.array(_evaluate_grid(rates, np.broadcast_to(with_en[s], len(rates))))
+        return np.array(_evaluate_grid(rates, np.broadcast_to(en, len(rates))))
 
     def score(s, cells: np.ndarray) -> np.ndarray:
         """What the searches of specs ``s`` minimize: inf where NaN, -E_N for ``"en"``."""
@@ -313,13 +315,13 @@ def _minimize(
 
     groups: dict[tuple, list[int]] = {}
     for s, spec in enumerate(specs):
-        key = (spec.base, spec.axes, frozenset(spec.ties.items()), spec.objective == "en")
+        key = (spec.base, spec.axes, frozenset(spec.ties.items()))
         groups.setdefault(key, []).append(s)
     sends = []  # (spec, slice, its search, the objective of its last trial)
     for members in groups.values():
         grid = boxes[members[0]].grid
         for k in range(len(swept_values)):
-            cells = evaluate(members[0], k, grid)
+            cells = evaluate(members[0], k, grid, with_en[members].any())
             for s in members:
                 f = score(s, cells)
                 best = int(np.argmin(f))
@@ -342,7 +344,7 @@ def _minimize(
         if not live:
             break
         at, slices, xs = map(np.array, zip(*((s, k, trial) for s, k, _, trial in live)))
-        f = score(at, evaluate(at, slices, xs)).tolist()
+        f = score(at, evaluate(at, slices, xs, with_en[at])).tolist()
         sends = [(s, k, search, fs) for (s, k, search, _), fs in zip(live, f)]
     for spec_points in points:
         if not any(point.feasible for point in spec_points):

@@ -228,3 +228,52 @@ def test_load_config_roundtrip(tmp_path):
     path.write_text(HEADER, encoding="utf-8")
     cfg = load_config(path)
     assert cfg.params.g2 == 20.0
+
+
+def _axis(text: str) -> AxisSpec:
+    """The ``AxisSpec`` of a ``name lo hi steps`` axis entry."""
+    name, lo, hi, steps = text.split()
+    return AxisSpec(name, float(lo), float(hi), int(steps))
+
+
+def _sweep_config(swept: str, ties: dict) -> SweepConfig:
+    """A minimize-mode ``SweepConfig`` over axis ``g1 1 2 3`` and ``HEADER``'s params."""
+    spec = SweepSpec(parse_config(HEADER).params, (_axis("g1 1 2 3"),), ties=ties)
+    return SweepConfig(spec, _axis(swept))
+
+
+@pytest.mark.parametrize(
+    "block, build",
+    [
+        ("[evolve]\nt_max = 0\n", lambda: EvolveConfig(t_max=0.0)),
+        ("[evolve]\nt_max = -1\n", lambda: EvolveConfig(t_max=-1.0)),
+        ("[evolve]\nt_max = 1\nn_points = 0\n", lambda: EvolveConfig(1.0, n_points=0)),
+        ("[spectra]\nn_points = 1\n", lambda: SpectraConfig(n_points=1)),
+        ("[spectra]\nomega_min = -1\n", lambda: SpectraConfig(omega_min=-1.0)),
+        ("[spectra]\nomega_max = 1\n", lambda: SpectraConfig(omega_max=1.0)),
+        ("[spectra]\nomega_min = 2\nomega_max = 2\n", lambda: SpectraConfig(2.0, 2.0)),
+        (
+            "[spectra]\nomega_min = 3\nomega_max = -3\nn_points = 1\n",
+            lambda: SpectraConfig(omega_min=3.0, omega_max=-3.0, n_points=1),
+        ),
+        ("[rwa]\nmargin_factor = 0\n", lambda: RwaConfig(margin_factor=0.0)),
+        ("[rwa]\nmargin_factor = -2\n", lambda: RwaConfig(margin_factor=-2.0)),
+        (
+            "[sweep]\nmode = minimize\naxes = g1 1 2 3\nswept = g1 2 3 2\n",
+            lambda: _sweep_config("g1 2 3 2", {}),
+        ),
+        (
+            "[sweep]\nmode = minimize\naxes = g1 1 2 3\nswept = kappa2 1 3 3\n"
+            "ties = kappa2=kappa1\n",
+            lambda: _sweep_config("kappa2 1 3 3", {"kappa2": "kappa1"}),
+        ),
+    ],
+)
+def test_run_block_types_reject_what_the_parser_rejects(block, build):
+    # each type holds its block's checks: built in code, it raises the parser's message
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(HEADER + "\n" + block)
+    with pytest.raises(ConfigError) as built:
+        build()
+    assert str(built.value) == str(parsed.value)
+    assert str(parsed.value).startswith(block.split("\n", 1)[0])

@@ -298,3 +298,30 @@ def test_each_predicate_is_its_numbers_compared_by_its_relation(k1, k2, g1, g2, 
         assert type(flag) is bool
         assert flag == (lhs < rhs if name in _HOLDS_BELOW else lhs > rhs), (name, lhs, rhs)
     assert set(preds.numbers) | set(preds.notes) == set(_PREDICATES)
+
+
+#: rate sets whose five predicates are all evaluated (unequal losses) or whose
+#: strong-damping predicates are (equal losses, gamma_m >= 5 kappa)
+SCALED_PREDICATE_SETS = [
+    SystemParams(1.0, 2.0, 1.0, 3.0, 1.0),
+    SystemParams(1.0, 1.0, 6.0, 10.0, 6.0),
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(AssertionError, OverflowError),
+    reason="regime_predicates squares the rates in their own units: at 2**-664 the squares "
+    "underflow to 0 and verdicts flip without an error, at 2**664 they overflow",
+)
+def test_predicates_do_not_depend_on_a_power_of_two_rate_scale():
+    # every predicate compares terms of one degree in the rates, and Omega has
+    # the unit of a rate, so a power-of-two scale changes no verdict and no bit
+    rates = ("kappa1", "kappa2", "g1", "g2", "gamma_m")
+    for params in SCALED_PREDICATE_SETS:
+        preds = regime_predicates(params)
+        verdicts = [getattr(preds, name) for name in _PREDICATES]
+        for scale in (2.0**-664, 2.0**664):
+            scaled = regime_predicates(params.with_(**{r: scale * getattr(params, r) for r in rates}))
+            assert [getattr(scaled, name) for name in _PREDICATES] == verdicts, scale
+            assert scaled.omega / scale == preds.omega, scale

@@ -1,6 +1,7 @@
 """Grid sweeps and derivative-free steering minimization."""
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import warnings
@@ -354,16 +355,15 @@ def test_objective_twins_share_each_coarse_grid(monkeypatch):
     specs = [replace(MIXED, objective=objective) for objective in ("s12", "s21", "en")]
     points = steerkit.sweep._minimize(specs, swept)
     assert all(point.feasible for spec_points in points for point in spec_points)
-    # s12 and s21 read one coarse call per slice; "en" makes its own, on the same rows
-    coarse, rounds = kernel_calls[:6], kernel_calls[6:]
-    assert [len(rows) for rows in coarse] == [15] * 6
-    assert coarse[:3] == coarse[3:]
-    assert [rows[0][5] for rows in coarse[:3]] == [0.0, 1.0, 2.0]
+    # s12, s21 and "en" read one coarse call per slice, which computes E_N
+    coarse, rounds = kernel_calls[:3], kernel_calls[3:]
+    assert [len(rows) for rows in coarse] == [15] * 3
+    assert [rows[0][5] for rows in coarse] == [0.0, 1.0, 2.0]
     # then one call per round, one row per live search of any spec
     assert len(rounds[0]) == 9 and all(0 < len(rows) <= 9 for rows in rounds)
     kernel_calls.clear()
-    for spec in specs:
-        minimize_steering(spec, swept)
+    for spec, spec_points in zip(specs, points):
+        assert repr(minimize_steering(spec, swept)) == repr(spec_points)
     assert len(kernel_calls) > 9 + len(rounds)
 
 
@@ -493,25 +493,34 @@ def test_unphysical_solved_row_is_a_nan_cell(with_en):
     assert _cell(phi, with_en=with_en) == (True, "nan", "nan", "nan")
 
 
-def test_degenerate_partial_transpose_drops_steering_only_with_entanglement():
+def test_degenerate_partial_transpose_voids_only_entanglement():
     # n1 = n2 = 0 and c = 1/2: |c|^2 meets its bound, so S12 = S21 = 0, while
-    # nu = 0 leaves E_N undefined and the cell all NaN where E_N is read;
-    # so an "en" coarse grid is never shared with steering specs
-    phi = build_moment_state(c=0.5).phi
-    assert _cell(phi, with_en=False) == (True, 0.0, 0.0, "nan")
-    assert _cell(phi, with_en=True) == (True, "nan", "nan", "nan")
+    # nu = 0 leaves E_N undefined: the cell keeps its steering products whether
+    # E_N is read or not, so an "en" spec can share a coarse grid with steering
+    # specs; the one-row calls that hand out E_N still raise
+    state = build_moment_state(c=0.5)
+    for with_en in (False, True):
+        assert _cell(state.phi, with_en=with_en) == (True, 0.0, 0.0, "nan")
+    for fn in (logarithmic_negativity, steering_result):
+        with pytest.raises(PhysicalityError, match="partially transposed"):
+            fn(state)
 
 
 def _one_row_cell(x, stable, solved, with_en: bool) -> tuple:
     """A kernel row's cell from the public one-row functions on the ``MomentState``
-    of its six real moments ``x``."""
+    of its six real moments ``x``; where the products stand, a degenerate partial
+    transpose voids E_N alone."""
     if solved:
         moments = build_moment_state(*x[:4], 1j * x[4], 1j * x[5])
         try:
             s12, s21 = steering_products_reduced(moments)
-            return True, s12, s21, (logarithmic_negativity(moments) if with_en else math.nan)
         except (DegenerateConditioningError, PhysicalityError):
-            pass
+            return bool(stable), math.nan, math.nan, math.nan
+        e_n = math.nan
+        if with_en:
+            with contextlib.suppress(PhysicalityError):
+                e_n = logarithmic_negativity(moments)
+        return True, s12, s21, e_n
     return bool(stable), math.nan, math.nan, math.nan
 
 
@@ -544,7 +553,8 @@ def test_grid_cells_have_the_bits_of_the_one_row_functions(monkeypatch, with_en)
     expected = [_one_row_cell(*row[:3], with_en) for row in zip(*rows)]
     # repr spells every float exactly, NaN included
     assert repr(cells) == repr(expected)
-    assert sum(math.isnan(cell[1]) for cell in cells[-len(CRAFTED):]) == 3 + with_en
+    assert sum(math.isnan(cell[1]) for cell in cells[-len(CRAFTED):]) == 3
+    assert math.isnan(cells[-2][3]) and cells[-2][1:3] == (0.0, 0.0)
 
 
 def test_a_value_error_from_a_fault_is_not_a_nan_cell(monkeypatch):
