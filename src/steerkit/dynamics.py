@@ -359,13 +359,20 @@ def _norms(v: NDArray) -> NDArray:
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 
 
-def _solve(rates: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+def _solve(rates: NDArray, fresh: NDArray | None = None) -> tuple[NDArray, NDArray, NDArray]:
     """``vec Phi`` of a block of rate rows, its residuals and its bounds: the block's
-    Kronecker systems, each factored and solved on its own by LU, with every residual
-    and norm of the gate taken at once, each with the bits of its own row; only a
-    row that misses the gate (NaN included) is refined, on its own."""
+    Kronecker systems solved by LU, with every residual and norm of the gate taken at
+    once, each with the bits of its own row; only a row that misses the gate (NaN
+    included) is refined, on its own.  ``fresh`` marks the rows that start a run of equal
+    drifts: the block factors its first row and each fresh one, and every other row is
+    solved from the factor of the row before it (None: every row is factored)."""
     lhs, q = _kronecker_sums(rates), _noise_vectors(rates)
-    factors = [_getrf(a)[:2] for a in lhs]
+    if fresh is None:
+        factors = [_getrf(a)[:2] for a in lhs]
+    else:
+        factors = []
+        for a, new in zip(lhs, fresh.tolist()):
+            factors.append(_getrf(a)[:2] if new or not factors else factors[-1])
     x = np.array([_getrs(lu, piv, b)[0] for (lu, piv), b in zip(factors, -q)])
     r = (lhs @ x[..., None])[..., 0] + q
     residual, bound = _norms(r), 1e-10 * _norms(q)
@@ -406,9 +413,13 @@ def _steady_batch(rates) -> _SteadyBatch:
     Each row is judged and solved in :func:`_judge`'s power-of-two units, which
     every operation of the solve scales exactly (the steady state is of degree
     0 in the rates).  :func:`_solve` takes the stable rows in blocks of
-    ``_BLOCK``: only the LU factorization and solve run row by row, and a row's
+    ``_BLOCK``: only the LU factorizations and solves run row by row, and a row's
     result has the bits of the one-row call whatever its batch or its position
-    in it.  Rows are not validated; :class:`SystemParams` holds the constraints.
+    in it.  The drift does not read ``n_th``: where the stable rows hold more than
+    one ``n_th``, they are ordered by the bits of their unit rates, and each block
+    factors each run of equal drifts once.  A call with one ``n_th`` keeps the rows
+    in their order and factors each.  Rows are not validated; :class:`SystemParams`
+    holds the constraints.
     """
     rates = np.array(rates, dtype=float).reshape(-1, 6)  # a copy, put in units below
     n = len(rates)
@@ -416,11 +427,19 @@ def _steady_batch(rates) -> _SteadyBatch:
     unit, stable = _judge(rates[:, :5].T if n > 1 else rates[0, :5].tolist())
     rates[:, :5], stable = np.transpose(unit), np.array(stable, ndmin=1)
     x, residual, bound = np.full((n, 6), np.nan), np.full(n, np.nan), np.full(n, np.nan)
-    rows = stable.nonzero()[0]
+    rows, fresh = stable.nonzero()[0], None
+    if len(rows) > 1 and (rates[rows, 5] != rates[rows[0], 5]).any():
+        # rows that differ only in n_th share a drift: order by the bits of the unit
+        # rates (so -0.0 and +0.0 stay apart) and mark where each run starts
+        keys = rates[rows, :5].view(np.int64)
+        order = np.lexsort(keys.T)
+        rows, keys = rows[order], keys[order]
+        fresh = np.append(True, (keys[1:] != keys[:-1]).any(axis=1))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(rows), _BLOCK):
             chunk = rows[start:start + _BLOCK]
-            vec_phi, residual[chunk], bound[chunk] = _solve(rates[chunk])
+            runs = None if fresh is None else fresh[start:start + _BLOCK]
+            vec_phi, residual[chunk], bound[chunk] = _solve(rates[chunk], runs)
             x[chunk] = _moments(vec_phi)
     solved = residual <= bound
     x[~solved] = np.nan
@@ -453,10 +472,11 @@ def steady_state_lyapunov(params: SystemParams) -> MomentState:
     solve, so it is exactly phase symmetric where the solve's rounding is not.
 
     This is the one-row call of the batched kernel :func:`_steady_batch`,
-    which each grid sweep, coarse minimization grid slice and lockstep compass
-    round calls once, and which takes the residuals and norms of a block of
-    rows at once; a row's moments and verdict are the same bits alone or in a
-    batch.
+    which each grid sweep, coarse minimization call and lockstep compass
+    round calls once, which takes the residuals and norms of a block of
+    rows at once, and which factors a drift once for the rows of a block that
+    differ only in ``n_th``; a row's moments and verdict are the same bits alone
+    or in a batch.
 
     Raises
     ------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import MomentState
+from .dynamics import MomentState, _judge
 from .errors import DegenerateConditioningError, PhysicalityError
 from .params import SystemParams
 
@@ -170,7 +170,9 @@ class RegimePredicates:
 
     Fields are None when the corresponding test is not applicable; the
     reason is recorded in ``notes`` and each evaluated comparison's
-    (lhs, rhs) pair in ``numbers``.
+    (lhs, rhs) pair in ``numbers``, in the rates' own units wherever those
+    hold it exactly (otherwise in :func:`regime_predicates`' power-of-two
+    units, where the verdict is taken).
     """
 
     s12_oneway_weak: bool | None
@@ -187,31 +189,49 @@ class RegimePredicates:
 _HOLDS_BELOW = frozenset({"s12_cond_strong"})
 
 
+def _own_units(lhs: float, rhs: float, exponent: int) -> tuple[float, float]:
+    """``(lhs, rhs)`` times ``2**exponent``, or as they are where that is not exact."""
+    try:
+        own = math.ldexp(lhs, exponent), math.ldexp(rhs, exponent)
+    except OverflowError:
+        return lhs, rhs
+    exact = math.ldexp(own[0], -exponent) == lhs and math.ldexp(own[1], -exponent) == rhs
+    return own if exact else (lhs, rhs)
+
+
 def regime_predicates(params: SystemParams) -> RegimePredicates:
-    """Evaluate every applicable closed-form regime test for ``params``."""
-    k1, k2 = params.kappa1, params.kappa2
-    g1, g2, gm = params.g1, params.g2, params.gamma_m
+    """Evaluate every applicable closed-form regime test for ``params``.
+
+    Every test compares two terms of one degree in the rates, so each is taken in
+    :func:`_judge`'s power-of-two units, where no product of rates overflows and a
+    uniform scale changes no verdict; ``omega`` and the recorded operands are scaled
+    back to the rates' own units wherever that is exact.
+    """
+    rates = [params.kappa1, params.kappa2, params.g1, params.g2, params.gamma_m]
+    top = math.frexp(max(rates))[1]
+    k1, k2, g1, g2, gm = _judge(rates)[0]
     numbers: dict[str, tuple[float, float]] = {}
     notes: dict[str, str] = {}
 
-    def holds(name: str, lhs: float, rhs: float) -> bool:
-        """Record ``(lhs, rhs)`` for ``name`` and compare them as :data:`_HOLDS_BELOW` says."""
-        numbers[name] = (lhs, rhs)
+    def holds(name: str, lhs: float, rhs: float, degree: int = 0) -> bool:
+        """Record ``(lhs, rhs)``, of ``degree`` in the rates, for ``name`` and compare
+        them as :data:`_HOLDS_BELOW` says."""
+        numbers[name] = _own_units(lhs, rhs, degree * top) if degree else (lhs, rhs)
         return bool(lhs < rhs if name in _HOLDS_BELOW else lhs > rhs)
 
     equal_kappas = params.equal_losses
-    omega = math.sqrt(g2**2 - g1**2) if g2 > g1 else None
+    omega = math.sqrt(g2**2 - g1**2) if g2 > g1 else None  # in units until returned
 
     if equal_kappas:
         s12_weak = s21_weak = None
         notes["s12_oneway_weak"] = notes["s21_oneway_weak"] = "needs kappa1 != kappa2"
     else:
         rhs = k1 * k2 * (k1 + k2) ** 2
-        s12_weak = holds("s12_oneway_weak", (k1 - k2) * (k2 * g2**2 - k1 * g1**2), rhs)
-        s21_weak = holds("s21_oneway_weak", (k2 - k1) * (k2 * g2**2 - k1 * g1**2), rhs)
+        s12_weak = holds("s12_oneway_weak", (k1 - k2) * (k2 * g2**2 - k1 * g1**2), rhs, 4)
+        s21_weak = holds("s21_oneway_weak", (k2 - k1) * (k2 * g2**2 - k1 * g1**2), rhs, 4)
 
     if g2 > g1 > 0.0:
-        entangled = holds("entangled_weak", k2 * g2**2, k1 * g1**2)
+        entangled = holds("entangled_weak", k2 * g2**2, k1 * g1**2, 3)
     else:
         entangled = None
         notes["entangled_weak"] = "needs g2 > g1 > 0"
@@ -250,7 +270,7 @@ def regime_predicates(params: SystemParams) -> RegimePredicates:
         entangled_weak=entangled,
         s21_cond_strong=s21_strong,
         s12_cond_strong=s12_strong,
-        omega=omega,
+        omega=None if omega is None else math.ldexp(omega, top),
         numbers=numbers,
         notes=notes,
     )

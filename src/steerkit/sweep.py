@@ -127,13 +127,17 @@ def _sources(spec: SweepSpec) -> list[int]:
 
 def _tied(rates: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Rate rows with each column copied from its ``sources`` column (one row of sources
-    for all rows, or one each), so each tie follows its source.
+    for all rows, or one each), so each tie follows its source."""
+    return rates[np.arange(len(rates))[:, None], sources]
+
+
+def _validated(rates: np.ndarray) -> np.ndarray:
+    """``rates``, once :class:`SystemParams` has taken their column minima and maxima.
 
     Raises :class:`ParameterError` as :class:`SystemParams` would for any
     row: every constraint on a rate is finiteness or a lower bound, so the
     column minima and maxima stand for all rows.
     """
-    rates = rates[np.arange(len(rates))[:, None], sources]
     SystemParams(*rates.min(axis=0))
     SystemParams(*rates.max(axis=0))
     return rates
@@ -179,7 +183,9 @@ def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
     grid = np.array(list(itertools.product(*(axis.values() for axis in spec.axes))))
     rates = np.repeat(_rates(spec.base), len(grid), axis=0)
     rates[:, [_SWEEPABLE.index(name) for name in names]] = grid
-    cells = _evaluate_grid(_tied(rates, np.array(_sources(spec))), itertools.repeat(True))
+    cells = _evaluate_grid(
+        _validated(_tied(rates, np.array(_sources(spec)))), itertools.repeat(True)
+    )
     rows = [
         SweepRow(dict(zip(names, map(float, combo))), *cell)
         for combo, cell in zip(grid, cells)
@@ -230,11 +236,12 @@ def minimize_steering(
     """Optimize the objective over the axis box, once per swept value.
 
     For each value of ``swept`` (or just once when it is None) the
-    objective is evaluated on the coarse axis grid, one kernel call per
-    slice, and the best cell is refined by compass search clamped to the
-    axis box; termination at step < 1e-4 of each axis span.  The searches
-    of all slices advance in lockstep, each round one kernel call with one
-    trial row per live search.  Axes with ``lo == hi`` stay fixed.
+    objective is evaluated on the coarse axis grid, one validated kernel
+    call per slice, and the best cell is refined by compass search clamped
+    to the axis box; termination at step < 1e-4 of each axis span.  The
+    searches of all slices advance in lockstep, each round one kernel call
+    with one trial row per live search, inside the box the coarse call
+    validated.  Axes with ``lo == hi`` stay fixed.
     Infeasible frontier points (no steady state anywhere on the grid) are
     flagged rather than raised; :class:`EmptySweepWarning` is emitted when
     every point is infeasible.
@@ -281,12 +288,15 @@ def _minimize(
     one :func:`_evaluate_grid` call per round.  Every kernel row is
     :func:`_tied` of ``origins[s, k] + x * spans[s]``, spec ``s``'s row at
     slice ``k`` and unit point ``x``.  Specs that differ only in their
-    objective share each slice's coarse grid call, which computes E_N when
-    any of them reads it; E_N never changes a row's steering products.
-    Coarse calls stay one slice at a time.  Every kernel row has the bits
-    of its lone solve, so each spec's points are the bits of its own
-    :func:`minimize_steering` call, and each spec with no feasible point
-    warns once.
+    objective share each slice's coarse grid, which computes E_N when any
+    of them reads it; E_N never changes a row's steering products.  Coarse
+    calls are one per slice and ``n_th`` family: the grids of specs that
+    differ only in their base ``n_th`` go to one kernel call, which factors
+    their shared drifts once.  Each coarse call is :func:`_validated`, and
+    the compass rows, which lie inside its boxes, are not validated again.
+    Every kernel row has the bits of its lone solve, so each spec's points
+    are the bits of its own :func:`minimize_steering` call, and each spec
+    with no feasible point warns once.
     """
     for spec in specs:
         _check_swept(spec, swept)
@@ -302,10 +312,8 @@ def _minimize(
     sign = np.where(with_en, -1.0, 1.0)
     column = np.array([1 + _OBJECTIVES.index(spec.objective) for spec in specs])
 
-    def evaluate(s, k, xs: np.ndarray, en) -> np.ndarray:
-        """The cells of unit points ``xs`` of specs ``s`` at slices ``k``, from one kernel
-        call, with E_N where ``en``."""
-        rates = _tied(origins[s, k] + xs * spans[s], sources[s])
+    def evaluate(rates: np.ndarray, en) -> np.ndarray:
+        """The cells of kernel rows ``rates`` from one kernel call, with E_N where ``en``."""
         return np.array(_evaluate_grid(rates, np.broadcast_to(en, len(rates))))
 
     def score(s, cells: np.ndarray) -> np.ndarray:
@@ -313,21 +321,30 @@ def _minimize(
         values = cells[np.arange(len(cells)), column[s]]
         return np.where(np.isnan(values), np.inf, sign[s] * values)
 
-    groups: dict[tuple, list[int]] = {}
+    # specs with one base share a grid; the grids of bases that differ only in n_th
+    # (a family) go to the kernel together, whose rows then share their drifts
+    families: dict[tuple, dict[SystemParams, list[int]]] = {}
     for s, spec in enumerate(specs):
-        key = (spec.base, spec.axes, frozenset(spec.ties.items()))
-        groups.setdefault(key, []).append(s)
+        key = (spec.base.with_(n_th=0.0), spec.axes, frozenset(spec.ties.items()))
+        families.setdefault(key, {}).setdefault(spec.base, []).append(s)
     sends = []  # (spec, slice, its search, the objective of its last trial)
-    for members in groups.values():
-        grid = boxes[members[0]].grid
+    for groups in families.values():
+        members = list(groups.values())
+        leaders = [group[0] for group in members]
+        grid = boxes[leaders[0]].grid
+        at, xs = np.repeat(leaders, len(grid)), np.tile(grid, (len(leaders), 1))
+        en = np.repeat([with_en[group].any() for group in members], len(grid))
         for k in range(len(swept_values)):
-            cells = evaluate(members[0], k, grid, with_en[members].any())
-            for s in members:
-                f = score(s, cells)
-                best = int(np.argmin(f))
-                if np.isfinite(f[best]):
-                    search = _compass(grid[best], float(f[best]), boxes[s].step0, boxes[s].free)
-                    sends.append((s, k, search, None))
+            # the coarse call checks its box's corners, which hold every trial row below
+            rates = _validated(_tied(origins[at, k] + xs * spans[at], sources[at]))
+            for group, cells in zip(members, np.split(evaluate(rates, en), len(members))):
+                for s in group:
+                    f = score(s, cells)
+                    best = int(np.argmin(f))
+                    if np.isfinite(f[best]):
+                        box = boxes[s]
+                        search = _compass(grid[best], float(f[best]), box.step0, box.free)
+                        sends.append((s, k, search, None))
     points = [
         [FrontierPoint(value, None, math.nan, False) for value in swept_values] for _ in specs
     ]
@@ -344,7 +361,8 @@ def _minimize(
         if not live:
             break
         at, slices, xs = map(np.array, zip(*((s, k, trial) for s, k, _, trial in live)))
-        f = score(at, evaluate(at, slices, xs, with_en[at])).tolist()
+        rates = _tied(origins[at, slices] + xs * spans[at], sources[at])
+        f = score(at, evaluate(rates, with_en[at])).tolist()
         sends = [(s, k, search, fs) for (s, k, search, _), fs in zip(live, f)]
     for spec_points in points:
         if not any(point.feasible for point in spec_points):

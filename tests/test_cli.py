@@ -1,12 +1,17 @@
 """End-to-end checks of the ``steerkit`` command-line interface.
 
-Every test drives ``steerkit.cli.main`` in-process so exit codes and the
-exact bytes on stdout/stderr are observable without spawning subprocesses.
+Every test but one drives ``steerkit.cli.main`` in-process so exit codes and
+the exact bytes on stdout/stderr are observable without spawning subprocesses;
+that one runs ``python -m steerkit``.
 """
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -484,6 +489,18 @@ def test_reproduce_writes_bundle(tmp_path, capsys):
     manifest = (out_dir / "fig4a_manifest.txt").read_text(encoding="utf-8")
     assert manifest.startswith("figure: 4a")
     assert "writer: steerkit" in manifest
+
+
+def test_python_dash_m_steerkit_runs_the_command_line(tmp_path, capsys):
+    # the package runs as a module from wherever it is imported, a checkout's src/ included
+    env = {**os.environ, "PYTHONPATH": str(Path(steerkit.cli.__file__).parents[1])}
+    command = [sys.executable, "-m", "steerkit", "reproduce", "3b", "--out", str(tmp_path / "m")]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert main(["reproduce", "3b", "--out", str(tmp_path / "in_process")]) == 0
+    assert done.stdout == capsys.readouterr().out.replace("in_process", "m")
+    for path in (tmp_path / "in_process").iterdir():
+        assert (tmp_path / "m" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_reproduce_unknown_figure(tmp_path, capsys):

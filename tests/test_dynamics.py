@@ -258,6 +258,41 @@ def test_batched_kernel_equals_one_row_solves_bit_for_bit():
                 assert report == assess_stability(SystemParams(*EDGE_GRID[row]))
 
 
+def test_rows_that_share_a_drift_share_one_factorization_per_block(monkeypatch):
+    # the drift does not depend on n_th: each distinct drift of a block is factored
+    # once, and every row keeps the bits of its lone call, gate included
+    rng = np.random.default_rng(23)
+    stable = [dynamics._rates(params)[0, :5] for params in sample_stable(rng, 40)]
+    signed_zeros = [(1.0, 1.0, 0.0, 10.0, 0.5), (1.0, 1.0, -0.0, 10.0, 0.5)]  # two drifts
+    drifts = np.concatenate([stable, signed_zeros, EDGE_GRID[::2, :5]])
+    rates = np.array([(*drift, n_th) for n_th in (0.0, 0.5, 40.0) for drift in drifts])
+    rates = rates[rng.permutation(len(rates))]
+    lone = [_steady_batch(row) for row in rates]
+    factorizations, blocks = [], []
+    getrf, solve = dynamics._getrf, dynamics._solve
+
+    def counting(a):
+        factorizations.append(len(a))  # not ``a``, as in the fig 6 count
+        return getrf(a)
+
+    def per_block(block, fresh=None):
+        made = len(factorizations)
+        solved = solve(block, fresh)
+        distinct = len({row.tobytes() for row in block[:, :5]})  # the drift, in units
+        blocks.append((distinct, len(factorizations) - made))
+        return solved
+
+    monkeypatch.setattr(dynamics, "_getrf", counting)
+    monkeypatch.setattr(dynamics, "_solve", per_block)
+    batch = _steady_batch(rates)
+    for k, one in enumerate(lone):
+        for name, column in zip(batch._fields, batch):
+            assert column[k].tobytes() == getattr(one, name)[0].tobytes(), (k, name)
+    assert batch.stable.sum() > 3 * dynamics._BLOCK and not batch.solved.all()
+    assert len(blocks) > 3 and all(distinct == made for distinct, made in blocks)
+    assert len(factorizations) < batch.stable.sum()
+
+
 def test_batched_kernel_makes_no_eigenvalue_call(monkeypatch):
     def refuse(a):
         raise AssertionError("the steady kernel computed a spectrum")
@@ -272,9 +307,9 @@ def test_a_nan_residual_fails_the_gate_everywhere(monkeypatch):
     # gate must be the one mask ``residual <= bound`` for it to fail
     solve = dynamics._solve
 
-    def nan_at_gamma_m_2(rates):
+    def nan_at_gamma_m_2(rates, fresh=None):
         # rates are in the rows' power-of-two units, where gamma_m / kappa1 is exact
-        x, residual, bound = solve(rates)
+        x, residual, bound = solve(rates, fresh)
         residual[rates[:, 4] == 2.0 * rates[:, 0]] = math.nan
         return x, residual, bound
 

@@ -121,9 +121,8 @@ def test_minimized_vs_g2_sweeps_g2_once_per_occupation(monkeypatch, figure_id, n
     assert [row[1] for row in rows[:26]] == [float(g2) for g2 in range(5, 31)]
 
 
-@pytest.fixture(scope="module")
-def fig6():
-    """Figure 6, built once: ``(bundle, _minimize calls, kernel calls, LU factorizations)``."""
+def _count_factorizations(monkeypatch) -> list:
+    """The size of each matrix the steady kernel factors by LU, one entry per factorization."""
     factorizations = []
     getrf = steerkit.dynamics._getrf
 
@@ -131,10 +130,17 @@ def fig6():
         factorizations.append(len(a))  # not ``a``: holding every block would take 0.5 GB
         return getrf(a)
 
+    monkeypatch.setattr(steerkit.dynamics, "_getrf", counting)
+    return factorizations
+
+
+@pytest.fixture(scope="module")
+def fig6():
+    """Figure 6, built once: ``(bundle, _minimize calls, kernel calls, LU factorizations)``."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         searches = _record(monkeypatch, steerkit.figures, "_minimize")
         kernel_calls = _record(monkeypatch, steerkit.sweep, "_steady_batch")
-        monkeypatch.setattr(steerkit.dynamics, "_getrf", counting)
+        factorizations = _count_factorizations(monkeypatch)
         bundle = build_figure("6")
     return bundle, searches, kernel_calls, factorizations
 
@@ -148,6 +154,16 @@ def test_fig6_is_one_lockstep_search(fig6):
     assert len(kernel_calls) == 63
     assert sum(len(rates) for (rates,) in kernel_calls) == 41_831
     assert factorizations == [36] * 23_690
+
+
+@pytest.mark.parametrize("figure_id, count", [("2c", 3_390), ("2d", 836), ("3b", 261)])
+def test_occupations_of_one_drift_share_its_factorization(monkeypatch, figure_id, count):
+    # each figure repeats its rates at several n_th, which the drift does not
+    # read; one factorization per row made 5,672, 2,351 and 522.  Fig 6 has one
+    # n_th, and keeps one per row
+    factorizations = _count_factorizations(monkeypatch)
+    build_figure(figure_id)
+    assert factorizations == [36] * count
 
 
 @pytest.mark.parametrize("figure_id, n_rows", [("4b", 241), ("5b", 201)])

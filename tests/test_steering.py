@@ -308,12 +308,6 @@ SCALED_PREDICATE_SETS = [
 ]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=(AssertionError, OverflowError),
-    reason="regime_predicates squares the rates in their own units: at 2**-664 the squares "
-    "underflow to 0 and verdicts flip without an error, at 2**664 they overflow",
-)
 def test_predicates_do_not_depend_on_a_power_of_two_rate_scale():
     # every predicate compares terms of one degree in the rates, and Omega has
     # the unit of a rate, so a power-of-two scale changes no verdict and no bit

@@ -382,7 +382,8 @@ def test_fixed_axis_changes_nothing(monkeypatch):
 
 
 #: two specs over one swept axis, each with a tie and a fixed axis; their bases
-#: differ (so neither shares a coarse grid) in n_th, which tells their rows apart
+#: differ in n_th alone, which tells their rows apart: they share each coarse
+#: kernel call, not a grid
 TEMPLATE_AXES = (
     AxisSpec("kappa1", 0.7, 1.3, 3),
     AxisSpec("g1", 5.0, 9.0, 5),
@@ -416,7 +417,8 @@ def test_every_kernel_row_of_a_lockstep_search_is_its_hand_built_row(monkeypatch
     assert all(point.feasible for spec_points in points for point in spec_points)
     hexed = [[[value.hex() for value in row] for row in rows] for rows in kernel_calls]
     swept_values = [float(value) for value in TEMPLATE_SWEPT.values()]
-    # one coarse call per spec and slice, on the unit grid (v - lo) / span, last axis fastest
+    # one coarse call per slice, which holds each spec's unit grid (v - lo) / span in
+    # spec order, last axis fastest: the specs differ only in n_th and objective
     names = [axis.name for axis in TEMPLATE_AXES]
     units = [
         (axis.values() - axis.lo) / (axis.hi - axis.lo) if axis.hi > axis.lo else [0.0]
@@ -424,8 +426,7 @@ def test_every_kernel_row_of_a_lockstep_search_is_its_hand_built_row(monkeypatch
     ]
     grid = [dict(zip(names, map(float, point))) for point in itertools.product(*units)]
     coarse = [
-        [_template_row(spec, value, point) for point in grid]
-        for spec in TEMPLATE_SPECS
+        [_template_row(spec, value, point) for spec in TEMPLATE_SPECS for point in grid]
         for value in swept_values
     ]
     assert hexed[: len(coarse)] == coarse
