@@ -215,7 +215,10 @@ def _verdict(preds, name: str) -> str:
         return f"n/a ({preds.notes[name]})"
     lhs, rhs = preds.numbers[name]  # every evaluated predicate records its operands
     holds, fails = ("<", ">=") if name in _HOLDS_BELOW else (">", "<=")
-    return f"{'pass' if flag else 'fail'} (lhs={lhs!r} {holds if flag else fails} rhs={rhs!r})"
+    relation = f"lhs={lhs!r} {holds if flag else fails} rhs={rhs!r}"
+    if name in preds.notes:  # operands not in the rates' own units
+        relation += f", {preds.notes[name]}"
+    return f"{'pass' if flag else 'fail'} ({relation})"
 
 
 def _section(name: str, lines) -> list[str]:

@@ -127,16 +127,23 @@ def _margins(k1, k2, g1, g2, gm):
     return (k2 + gm) * ((k1 + k2) * k1gm + g22) - k1gm * g11, k1 * g22 - k2 * g11 + gm * k1 * k2
 
 
-def _judge(rates) -> tuple:
-    """The one stability verdict: ``(unit, stable)`` of the five rates (floats, or a
-    ``(5, n)`` array) over the power of two that brings the largest into [0.5, 1), and
-    ``m1 > 0 and m2 > 0`` there: their sign in the rates' own units wherever those do not
-    overflow.  :func:`_margins` squares by product in both forms, as libm ``pow`` may not."""
+def _units(rates) -> tuple:
+    """``(top, unit)``: the exponent of the power of two that brings the largest of the
+    five rates (floats, or a ``(5, n)`` array) into [0.5, 1), and the rates over it."""
     if isinstance(rates, np.ndarray):
-        unit = np.ldexp(rates, -np.frexp(rates.max(axis=0))[1])
-    else:  # one set, in floats: numpy's scalar calls would cost more than the margins
-        top = math.frexp(max(rates))[1]
-        unit = [math.ldexp(rate, -top) for rate in rates]
+        top = np.frexp(rates.max(axis=0))[1]
+        return top, np.ldexp(rates, -top)
+    # one set, in floats: numpy's scalar calls would cost more than the margins
+    top = math.frexp(max(rates))[1]
+    return top, [math.ldexp(rate, -top) for rate in rates]
+
+
+def _judge(rates) -> tuple:
+    """The one stability verdict: ``(unit, stable)`` of the five rates in
+    :func:`_units`' power-of-two units, and ``m1 > 0 and m2 > 0`` there: their sign in
+    the rates' own units wherever those do not overflow.  :func:`_margins` squares by
+    product in both forms, as libm ``pow`` may not."""
+    unit = _units(rates)[1]
     m1, m2 = _margins(*unit)
     return unit, (m1 > 0.0) & (m2 > 0.0)
 
@@ -364,15 +371,12 @@ def _solve(rates: NDArray, fresh: NDArray | None = None) -> tuple[NDArray, NDArr
     Kronecker systems solved by LU, with every residual and norm of the gate taken at
     once, each with the bits of its own row; only a row that misses the gate (NaN
     included) is refined, on its own.  ``fresh`` marks the rows that start a run of equal
-    drifts: the block factors its first row and each fresh one, and every other row is
-    solved from the factor of the row before it (None: every row is factored)."""
+    drifts, by default every row: the block factors its first row and each fresh one,
+    and every other row is solved from the factor of the row before it."""
     lhs, q = _kronecker_sums(rates), _noise_vectors(rates)
-    if fresh is None:
-        factors = [_getrf(a)[:2] for a in lhs]
-    else:
-        factors = []
-        for a, new in zip(lhs, fresh.tolist()):
-            factors.append(_getrf(a)[:2] if new or not factors else factors[-1])
+    factors: list = []
+    for a, new in zip(lhs, [True] * len(lhs) if fresh is None else fresh.tolist()):
+        factors.append(_getrf(a)[:2] if new or not factors else factors[-1])
     x = np.array([_getrs(lu, piv, b)[0] for (lu, piv), b in zip(factors, -q)])
     r = (lhs @ x[..., None])[..., 0] + q
     residual, bound = _norms(r), 1e-10 * _norms(q)

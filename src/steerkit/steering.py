@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import MomentState, _judge
+from .dynamics import MomentState, _units
 from .errors import DegenerateConditioningError, PhysicalityError
 from .params import SystemParams
 
@@ -171,8 +171,9 @@ class RegimePredicates:
     Fields are None when the corresponding test is not applicable; the
     reason is recorded in ``notes`` and each evaluated comparison's
     (lhs, rhs) pair in ``numbers``, in the rates' own units wherever those
-    hold it exactly (otherwise in :func:`regime_predicates`' power-of-two
-    units, where the verdict is taken).
+    hold it exactly.  Otherwise the pair stays in the power-of-two units
+    where the verdict is taken, and ``notes`` names them: "operands in
+    units of 2**e" means the pair times ``2**e`` is its own-unit value.
     """
 
     s12_oneway_weak: bool | None
@@ -189,34 +190,35 @@ class RegimePredicates:
 _HOLDS_BELOW = frozenset({"s12_cond_strong"})
 
 
-def _own_units(lhs: float, rhs: float, exponent: int) -> tuple[float, float]:
-    """``(lhs, rhs)`` times ``2**exponent``, or as they are where that is not exact."""
+def _own_units(pair: tuple[float, float], exponent: int) -> tuple[float, float] | None:
+    """``pair`` times ``2**exponent``, or None where that is not exact."""
     try:
-        own = math.ldexp(lhs, exponent), math.ldexp(rhs, exponent)
+        own = math.ldexp(pair[0], exponent), math.ldexp(pair[1], exponent)
     except OverflowError:
-        return lhs, rhs
-    exact = math.ldexp(own[0], -exponent) == lhs and math.ldexp(own[1], -exponent) == rhs
-    return own if exact else (lhs, rhs)
+        return None
+    return own if (math.ldexp(own[0], -exponent), math.ldexp(own[1], -exponent)) == pair else None
 
 
 def regime_predicates(params: SystemParams) -> RegimePredicates:
     """Evaluate every applicable closed-form regime test for ``params``.
 
     Every test compares two terms of one degree in the rates, so each is taken in
-    :func:`_judge`'s power-of-two units, where no product of rates overflows and a
-    uniform scale changes no verdict; ``omega`` and the recorded operands are scaled
-    back to the rates' own units wherever that is exact.
+    the stability verdict's power-of-two units, where no product of rates overflows
+    and a uniform scale changes no verdict; ``omega`` and the recorded operands are
+    scaled back to the rates' own units wherever that is exact.
     """
     rates = [params.kappa1, params.kappa2, params.g1, params.g2, params.gamma_m]
-    top = math.frexp(max(rates))[1]
-    k1, k2, g1, g2, gm = _judge(rates)[0]
+    top, (k1, k2, g1, g2, gm) = _units(rates)
     numbers: dict[str, tuple[float, float]] = {}
     notes: dict[str, str] = {}
 
     def holds(name: str, lhs: float, rhs: float, degree: int = 0) -> bool:
         """Record ``(lhs, rhs)``, of ``degree`` in the rates, for ``name`` and compare
         them as :data:`_HOLDS_BELOW` says."""
-        numbers[name] = _own_units(lhs, rhs, degree * top) if degree else (lhs, rhs)
+        own = _own_units((lhs, rhs), degree * top)
+        if own is None:
+            own, notes[name] = (lhs, rhs), f"operands in units of 2**{degree * top}"
+        numbers[name] = own
         return bool(lhs < rhs if name in _HOLDS_BELOW else lhs > rhs)
 
     equal_kappas = params.equal_losses

@@ -431,6 +431,23 @@ def test_check_prints_the_relation_each_predicate_tests(tmp_path, capsys, gamma_
     assert lines["predicate.entangled_weak"].startswith("pass (lhs=100.0 > rhs=36.0")
 
 
+def test_check_names_the_units_of_operands_its_rates_cannot_hold(tmp_path, capsys):
+    # at rates of 1e-200 the cubes and quartics of the weak-damping tests underflow,
+    # so their operands are printed in the power-of-two units of the verdict
+    text = "[config]\nversion = 1\n\n[params]\n" + "".join(
+        f"{key} = {value}e-200\n"
+        for key, value in zip(("kappa1", "kappa2", "g1", "g2", "gamma_m"), (1, 2, 1, 3, 1))
+    )
+    assert main(["check", "--config", write_config(tmp_path, text)]) == 0
+    lines = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["predicate.entangled_weak"] == (
+        "pass (lhs=0.12613740548667346 > rhs=0.007007633638148525, "
+        "operands in units of 2**-1986)"
+    )
+    assert lines["predicate.s12_oneway_weak"].endswith(", operands in units of 2**-2648)")
+    assert lines["omega"] == "2.82842712474619e-200"
+
+
 def test_check_reports_why_the_strong_damping_predicates_do_not_apply(tmp_path, capsys):
     text = (
         FIG2A.replace("kappa2 = 0.4", "kappa2 = 1.0")

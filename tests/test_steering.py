@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -319,3 +320,29 @@ def test_predicates_do_not_depend_on_a_power_of_two_rate_scale():
             scaled = regime_predicates(params.with_(**{r: scale * getattr(params, r) for r in rates}))
             assert [getattr(scaled, name) for name in _PREDICATES] == verdicts, scale
             assert scaled.omega / scale == preds.omega, scale
+
+
+#: each predicate's degree in the rates: its operands scale by ``scale**degree``
+_PREDICATE_DEGREES = {
+    "s12_oneway_weak": 4, "s21_oneway_weak": 4, "entangled_weak": 3,
+    "s21_cond_strong": 0, "s12_cond_strong": 0,
+}
+
+
+def test_predicate_operands_scale_by_their_degree_or_name_their_units():
+    # a recorded pair is either in the rates' own units, exactly scale**degree times
+    # the unscaled pair, or a note names the power of two that brings it there
+    rates = ("kappa1", "kappa2", "g1", "g2", "gamma_m")
+    for params in SCALED_PREDICATE_SETS:
+        preds = regime_predicates(params)
+        for scale in (2.0**-20, 2.0**-664, 2.0**664):
+            scaled = regime_predicates(params.with_(**{r: scale * getattr(params, r) for r in rates}))
+            assert set(scaled.numbers) == set(preds.numbers)
+            for name, pair in scaled.numbers.items():
+                degree = _PREDICATE_DEGREES[name]
+                note = scaled.notes.get(name)
+                exponent = 0 if note is None else int(note.removeprefix("operands in units of 2**"))
+                assert (note is not None) == (scale != 2.0**-20 and degree > 0), (name, scale)
+                assert [Fraction(v) * Fraction(2) ** exponent for v in pair] == [
+                    Fraction(v) * Fraction(scale) ** degree for v in preds.numbers[name]
+                ], (name, scale)
