@@ -6,8 +6,11 @@ vacuum/thermal inputs through five independent transfer functions (the
 remaining ones follow by the 1 <-> 2 exchange symmetry of the closed
 expressions).  All share one denominator ``d`` with real coefficients in
 ``i*omega``, so each spectrum is real in ``u = omega**2`` over one ``|d|**2 =
-d_re**2 + u*d_im**2`` per grid.  That grows as ``omega**6``: beyond about
-``|omega| = 1e51`` (rates of order 1) it overflows and raises NumericalError.
+d_re**2 + u*d_im**2`` per grid.  Every quantity is evaluated in the power-of-two
+units of :func:`~steerkit.dynamics._units`, the rates and ``omega`` over the one
+``2**top`` that brings the largest rate into [0.5, 1), where a uniform scale of
+the rates changes no bit.  ``|d|**2`` grows as ``omega**6``: beyond about
+``|omega| = 2e51 * 2**top`` it overflows and raises NumericalError.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.typing import NDArray
 
+from .dynamics import _units
 from .errors import NumericalError, UndefinedTransformError
 from .params import SystemParams
 
@@ -38,26 +42,37 @@ _DENOM_FLOOR = 1e-14
 _GRID_POINTS = 2001
 
 
-def _cubic(params: SystemParams, u, k1: float, k2: float, gm: float):
-    """``(re, im)`` of ``d = re + i*omega*im`` at dampings ``k1, k2, gm``.  Reversing one
-    gives ``m11 = -d(-k1)/d``, ``m22 = -d(-k2)/d`` and ``m11 m22 + m12**2 = -conj(d(-gm))/d``.
+def _rate_units(params: SystemParams) -> tuple:
+    """``(top, unit)`` of the five rates of ``params``, as :func:`~steerkit.dynamics._units`
+    gives them: the rates over ``2**top``, which brings the largest into [0.5, 1)."""
+    return _units([params.kappa1, params.kappa2, params.g1, params.g2, params.gamma_m])
+
+
+def _cubic(rates, u, k1: float, k2: float, gm: float):
+    """``(re, im)`` of ``d = re + i*omega*im`` at dampings ``k1, k2, gm``, with the
+    couplings of the five ``rates``.  Reversing one damping gives ``m11 = -d(-k1)/d``,
+    ``m22 = -d(-k2)/d`` and ``m11 m22 + m12**2 = -conj(d(-gm))/d``.
     """
-    g1s, g2s = params.g1**2, params.g2**2
+    g1s, g2s = rates[2] ** 2, rates[3] ** 2
     re = k1 * g2s - k2 * g1s + k1 * k2 * gm - (k1 + k2 + gm) * u
     return re, g1s - g2s - k1 * k2 - gm * (k1 + k2) + u
 
 
-def _parts(params: SystemParams, omega):
-    """``u = omega**2``, ``|d|**2`` and ``(re, im)`` pairs of ``d`` and of the numerators
-    of ``-m11, m12, -m22, i*m1b, i*m2b`` over it (see :func:`_cubic` for the first two).
+def _parts(units: tuple, omega):
+    """``u``, ``|d|**2`` and ``(re, im)`` pairs of ``d`` and of the numerators of ``-m11,
+    m12, -m22, i*m1b, i*m2b`` over it (see :func:`_cubic` for the first two), all in the
+    power-of-two units ``units = (top, rates)`` of :func:`_rate_units`: ``u`` is the
+    square of ``omega / 2**top``.
     """
-    k1, k2, gm, g1, g2 = params.kappa1, params.kappa2, params.gamma_m, params.g1, params.g2
+    top, rates = units
+    k1, k2, g1, g2, gm = rates
     omega = np.asarray(omega, dtype=float)
     if not np.isfinite(omega).all():
         raise ValueError("frequencies must be finite")
     with np.errstate(over="ignore"):
-        u = omega * omega
-        d_re, d_im = _cubic(params, u, k1, k2, gm)
+        w = np.ldexp(omega, -top)
+        u = w * w
+        d_re, d_im = _cubic(rates, u, k1, k2, gm)
         dd = d_re * d_re + u * d_im * d_im
     if not float(dd.min()) >= _DENOM_FLOOR**2:
         raise NumericalError(
@@ -68,7 +83,7 @@ def _parts(params: SystemParams, omega):
         raise NumericalError("transfer functions overflow at a requested frequency")
     c1b, c2b = 2.0 * math.sqrt(k1 * gm) * g1, 2.0 * math.sqrt(k2 * gm) * g2
     n12 = (2.0 * math.sqrt(k1 * k2) * g1 * g2, 0.0)
-    rev1, rev2 = _cubic(params, u, -k1, k2, gm), _cubic(params, u, k1, -k2, gm)
+    rev1, rev2 = _cubic(rates, u, -k1, k2, gm), _cubic(rates, u, k1, -k2, gm)
     return u, dd, ((d_re, d_im), rev1, n12, rev2, (c1b * k2, -c1b), (c2b * k1, -c2b))
 
 
@@ -93,7 +108,10 @@ class TransferMatrix:
 def transfer_matrix(params: SystemParams, omega: float) -> TransferMatrix:
     """Evaluate the transfer amplitudes at a single frequency."""
     omega = float(omega)
-    d, rev1, n12, rev2, p1b, p2b = (complex(re, omega * im) for re, im in _parts(params, omega)[2])
+    units = _rate_units(params)
+    parts = _parts(units, omega)[2]
+    w = math.ldexp(omega, -units[0])  # finite once _parts has passed it
+    d, rev1, n12, rev2, p1b, p2b = (complex(re, w * im) for re, im in parts)
     return TransferMatrix(omega, -rev1 / d, n12 / d, -rev2 / d, -1j * (p1b / d), -1j * (p2b / d))
 
 
@@ -135,7 +153,8 @@ class SpectrumTable:
 
 def _spectrum(params: SystemParams, omegas: NDArray, nth) -> SpectrumTable:
     """:func:`spectrum` at occupation ``nth``, a float or an array broadcast on the grid."""
-    u, dd, (_, (r1, i1), (c12, _), (r2, i2), (r1b, i1b), (r2b, i2b)) = _parts(params, omegas)
+    units = _rate_units(params)
+    u, dd, (_, (r1, i1), (c12, _), (r2, i2), (r1b, i1b), (r2b, i2b)) = _parts(units, omegas)
     a12 = c12 * c12 / dd
     b1, b2 = (r1b * r1b + u * (i1b * i1b)) / dd, (r2b * r2b + u * (i2b * i2b)) / dd
     weight = 2.0 * nth + 1.0
@@ -147,7 +166,8 @@ def _spectrum(params: SystemParams, omegas: NDArray, nth) -> SpectrumTable:
     im_cross = (c12 * (i1 + i2) + (r1b * i2b - i1b * r2b) * weight) / dd
     # var_x1 * var_x2 - cross**2 by Lagrange's identity over the three inputs:
     # |d(-gm)/d|**2 + (b1 + b2) * weight + Im**2, so s12 and s21 lose no digits
-    rbb, ibb = _cubic(params, u, params.kappa1, params.kappa2, -params.gamma_m)
+    k1, k2, _, _, gm = rates = units[1]
+    rbb, ibb = _cubic(rates, u, k1, k2, -gm)
     det = (rbb * rbb + u * (ibb * ibb)) / dd + (b1 + b2) * weight + u * im_cross * im_cross
     s12, s21 = (det / var_x2) ** 2, (det / var_x1) ** 2
     omega = np.broadcast_to(omegas, s12.shape).copy()
@@ -164,9 +184,11 @@ def spectrum(params: SystemParams, omegas) -> SpectrumTable:
 
     Stability is not judged here: the transfer functions are evaluated for
     any set whose denominator stays clear of zero on the grid, and their
-    output is meaningful only for a stable set.  ``steerkit spectra`` reads
-    the analytic verdict of :func:`~steerkit.dynamics.assess_stability` and
-    exits 3 where it fails.
+    output is meaningful only for a stable set.  That floor applies in the
+    power-of-two units of :func:`~steerkit.dynamics._units`, so a set whose
+    rates and frequencies are scaled by any power of two gives the same
+    columns.  ``steerkit spectra`` reads the analytic verdict of
+    :func:`~steerkit.dynamics.assess_stability` and exits 3 where it fails.
     """
     grid = np.asarray(omegas, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

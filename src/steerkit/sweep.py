@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections.abc import Generator, Iterable, Mapping, Sequence
+from collections.abc import Generator, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -199,29 +199,64 @@ def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 def _compass(
     x0: np.ndarray, fx0: float, step0: float, free: np.ndarray
-) -> Generator[np.ndarray, float, tuple[np.ndarray, float]]:
+) -> Generator[
+    tuple[list[float], Iterator[list[float]]], Sequence[float], tuple[list[float], float]
+]:
     """Coordinate pattern search on the unit box, strict-descent, halving.
 
-    Only the coordinates ``free`` move.  Yields each trial point, is sent
-    its objective and returns ``(x, fx)``.
+    Only the coordinates ``free`` move.  A poll tries ``+step`` then
+    ``-step`` on each of them in turn, moving to each trial that improves;
+    the step halves after a poll that did not improve, and the search
+    returns ``(x, fx)`` once it falls below :data:`_COMPASS_TOL`.  Points
+    are lists of floats.  Each yield is the next trial and a lazy iterator
+    of the trials that follow it if it and they fail, through the end of
+    the next poll.  The search is sent the objectives of that trial and of
+    as many of the following ones as the caller took, in order, and moves
+    to the first that improves: it accepts the points, and returns the
+    ``(x, fx)``, of sending one trial at a time.  :func:`_minimize` takes
+    them all for a lone search, so it sends the rest of its poll and the
+    next one per kernel call; crowded rounds send one trial per search.
     """
-    x, fx = x0.copy(), fx0
-    step = step0
-    while step >= _COMPASS_TOL:
-        improved = False
-        for i in free:
-            for sign in (1.0, -1.0):
-                trial = x.copy()
-                trial[i] = min(max(trial[i] + sign * step, 0.0), 1.0)
-                if trial[i] == x[i]:
-                    continue
-                f_trial = yield trial
-                if f_trial < fx:
-                    x, fx = trial, f_trial
-                    improved = True
-        if not improved:
-            step /= 2.0
+    moves = [(int(i), sign) for i in free for sign in (1.0, -1.0)]
+    x, fx, state = x0.tolist(), fx0, (0, step0, 0, False)  # poll, step, next move, improved
+    while (first := _next_trial(x, state, moves)) is not None:
+        plan = [first]  # each trial taken, with the state that follows if it fails
+        values = yield first[0], _ahead(x, first, moves, plan)
+        for (trial, state), f_trial in zip(plan, values):
+            if f_trial < fx:
+                x, fx, state = trial, f_trial, (*state[:3], True)
+                break
     return x, fx
+
+
+def _next_trial(x: list[float], state: tuple, moves: list) -> tuple[list[float], tuple] | None:
+    """The next trial of a compass search at ``x`` in ``state``, with the state that
+    follows if it fails, or None once the step falls below :data:`_COMPASS_TOL`.
+
+    Moves the unit box clamps to ``x`` are skipped.  At the end of a poll the step
+    halves unless the poll improved, and the next poll starts with that flag reset.
+    """
+    poll, step, move, improved = state
+    while True:
+        if move == len(moves):
+            poll, step, move, improved = poll + 1, step if improved else step / 2.0, 0, False
+        if step < _COMPASS_TOL:
+            return None
+        i, sign = moves[move]
+        move += 1
+        trial = x.copy()
+        trial[i] = min(max(trial[i] + sign * step, 0.0), 1.0)
+        if trial[i] != x[i]:
+            return trial, (poll, step, move, improved)
+
+
+def _ahead(x: list[float], first: tuple, moves: list, plan: list) -> Iterator[list[float]]:
+    """Lazily, the trials that follow ``first`` if it and they fail, through the end
+    of the poll after its own; each one taken is appended to ``plan``."""
+    last_poll = first[1][0] + 1
+    while (planned := _next_trial(x, plan[-1][1], moves)) and planned[1][0] <= last_poll:
+        plan.append(planned)
+        yield planned[0]
 
 
 def _check_swept(spec: SweepSpec, swept: AxisSpec | None) -> None:
@@ -240,8 +275,10 @@ def minimize_steering(
     call per slice, and the best cell is refined by compass search clamped
     to the axis box; termination at step < 1e-4 of each axis span.  The
     searches of all slices advance in lockstep, each round one kernel call
-    with one trial row per live search, inside the box the coarse call
-    validated.  Axes with ``lo == hi`` stay fixed.
+    inside the box the coarse call validated: a lone search sends the rest
+    of its poll and the next one per kernel call; crowded rounds send one
+    trial per search.  Either way each search accepts the points of sending
+    one trial at a time.  Axes with ``lo == hi`` stay fixed.
     Infeasible frontier points (no steady state anywhere on the grid) are
     flagged rather than raised; :class:`EmptySweepWarning` is emitted when
     every point is infeasible.
@@ -285,7 +322,9 @@ def _minimize(
     """:func:`minimize_steering` of every spec in ``specs`` over the same ``swept`` axis.
 
     The compass searches of every slice of every spec advance in lockstep,
-    one :func:`_evaluate_grid` call per round.  Every kernel row is
+    one :func:`_evaluate_grid` call per round.  A lone search sends the rest
+    of its poll and the next one per kernel call; crowded rounds send one
+    trial per search, in the order the searches began.  Every kernel row is
     :func:`_tied` of ``origins[s, k] + x * spans[s]``, spec ``s``'s row at
     slice ``k`` and unit point ``x``.  Specs that differ only in their
     objective share each slice's coarse grid, which computes E_N when any
@@ -293,7 +332,8 @@ def _minimize(
     calls are one per slice and ``n_th`` family: the grids of specs that
     differ only in their base ``n_th`` go to one kernel call, which factors
     their shared drifts once.  Each coarse call is :func:`_validated`, and
-    the compass rows, which lie inside its boxes, are not validated again.
+    the compass rows, planned ones included, are clamped to the unit box, so
+    they lie inside its boxes and are not validated again.
     Every kernel row has the bits of its lone solve, so each spec's points
     are the bits of its own :func:`minimize_steering` call, and each spec
     with no feasible point warns once.
@@ -327,7 +367,7 @@ def _minimize(
     for s, spec in enumerate(specs):
         key = (spec.base.with_(n_th=0.0), spec.axes, frozenset(spec.ties.items()))
         families.setdefault(key, {}).setdefault(spec.base, []).append(s)
-    sends = []  # (spec, slice, its search, the objective of its last trial)
+    sends = []  # (spec, slice, its search, the objectives of its last trials)
     for groups in families.values():
         members = list(groups.values())
         leaders = [group[0] for group in members]
@@ -350,9 +390,9 @@ def _minimize(
     ]
     while sends:
         live = []
-        for s, k, search, f_trial in sends:
+        for s, k, search, objectives in sends:
             try:
-                live.append((s, k, search, search.send(f_trial)))
+                live.append((s, k, search, *search.send(objectives)))
             except StopIteration as stop:
                 x, fx = stop.value
                 values = dict(zip(_SWEEPABLE, origins[s, k] + x * spans[s]))
@@ -360,10 +400,18 @@ def _minimize(
                 points[s][k] = FrontierPoint(swept_values[k], coords, float(sign[s] * fx), True)
         if not live:
             break
-        at, slices, xs = map(np.array, zip(*((s, k, trial) for s, k, _, trial in live)))
+        lone = len(live) == 1
+        if lone:  # a lone search sends the rest of its poll and the next one
+            ((s, k, search, first, ahead),) = live
+            rows = [(s, k, trial) for trial in (first, *ahead)]
+        else:  # a crowded round sends one trial per search, in the order they began
+            rows = [(s, k, first) for s, k, _, first, _ in live]
+        at, slices, xs = map(np.array, zip(*rows))
         rates = _tied(origins[at, slices] + xs * spans[at], sources[at])
         f = score(at, evaluate(rates, with_en[at])).tolist()
-        sends = [(s, k, search, fs) for (s, k, search, _), fs in zip(live, f)]
+        sends = [(s, k, search, f)] if lone else [
+            (s, k, search, (fs,)) for (s, k, search, _, _), fs in zip(live, f)
+        ]
     for spec_points in points:
         if not any(point.feasible for point in spec_points):
             warnings.warn(

@@ -14,9 +14,11 @@ polynomials in ``omega**2``.
 ``propagate_per_report`` is no oracle: it is the one-build-per-report-time
 propagation that the shared step matrices must match bit for bit.  Nor are
 ``solve_row``, the steady kernel's solve one system at a time, which the
-block solve must match bit for bit, and ``closed_form_in_own_units``, the
+block solve must match bit for bit, ``closed_form_in_own_units``, the
 closed form as evaluated in the rates' own units, whose bits the
-power-of-two evaluation keeps where those units do not overflow.
+power-of-two evaluation keeps where those units do not overflow, and
+``one_trial_compass``, the compass search sent one trial at a time, whose
+points and result the look-ahead search must keep.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import numpy as np
 
 from steerkit import SystemParams, assess_stability, build_generators
 from steerkit.dynamics import _getrf, _getrs, _rk4_step
+from steerkit.sweep import _COMPASS_TOL
 
 _SWAP = np.array([1, 0, 3, 2, 5, 4])
 
@@ -163,6 +166,28 @@ def solve_row(lhs: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float, float,
             break
         x, r, residual, steps = refined, refined_r, refined_residual, steps + 1
     return x, residual, bound, steps
+
+
+def one_trial_compass(x0: np.ndarray, fx0: float, step0: float, free):
+    """Coordinate pattern search on the unit box, strict-descent, halving, one trial
+    at a time: yields each trial point, is sent its objective, returns ``(x, fx)``."""
+    x, fx = x0.copy(), fx0
+    step = step0
+    while step >= _COMPASS_TOL:
+        improved = False
+        for i in free:
+            for sign in (1.0, -1.0):
+                trial = x.copy()
+                trial[i] = min(max(trial[i] + sign * step, 0.0), 1.0)
+                if trial[i] == x[i]:
+                    continue
+                f_trial = yield trial
+                if f_trial < fx:
+                    x, fx = trial, f_trial
+                    improved = True
+        if not improved:
+            step /= 2.0
+    return x, fx
 
 
 def closed_form_in_own_units(params: SystemParams) -> tuple[float, float, float]:

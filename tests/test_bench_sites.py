@@ -6,8 +6,9 @@ rename or a dropped import in ``src`` breaks the benchmark without failing
 any other test, so this one checks every name.  A changed signature or
 return value breaks the tracer's notes instead, so a smoke run drives every
 noted site through an installed tracer.  The benchmark's ``reproduce``
-workload also gates every figure on the seed CSVs; the same check runs here
-on every figure.
+workload also gates every figure on the seed CSVs, and its ``frontier``
+workload every optimum on its oracle; the same checks run here, on every
+figure and on seed 0's frontier problems.
 """
 from __future__ import annotations
 
@@ -101,13 +102,14 @@ def test_traced_frontier_figure_evaluates_every_kernel_row(monkeypatch):
     assert sum(kernel_rows) == 4_992  # 3 x 26 coarse grids of 41 cells, then compass trials
 
 
-@pytest.fixture
-def workloads(monkeypatch):
-    """``bench/workloads.py``, imported without writing to ``bench/`` and
-    dropped afterwards, with its ``oracle``, so no later test sees either."""
-    monkeypatch.syspath_prepend(str(_BENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    yield importlib.import_module("workloads")
+@pytest.fixture(scope="module")
+def workloads():
+    """``bench/workloads.py``, imported once without writing to ``bench/`` and
+    dropped after this module, with its ``oracle``, so no later test sees either."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(_BENCH))
+        patch.setattr(sys, "dont_write_bytecode", True)
+        yield importlib.import_module("workloads")
     for name in ("workloads", "oracle"):
         sys.modules.pop(name, None)
 
@@ -120,3 +122,20 @@ def test_reproduce_passes_the_seed_gate(workloads, tmp_path, figure_id):
     out = workload.run(sk, figure_id)
     verdict = workload.check(figure_id, out, workload.expect(figure_id))
     assert not verdict.failed, (verdict.why, verdict.err)
+
+
+@pytest.fixture(scope="module")
+def frontier(workloads, tmp_path_factory):
+    """The benchmark's ``frontier`` workload at seed 0: 54 two-axis problems, each
+    with the oracle's best coarse-grid value (drawing them takes a few seconds)."""
+    return workloads.Frontier(0, tmp_path_factory.mktemp("frontier"))
+
+
+def test_frontier_passes_its_oracle_check(frontier):
+    # each problem is one lone minimize_steering search, the look-ahead path
+    failed = []
+    for item in frontier.items:
+        verdict = frontier.check(item, frontier.run(sk, item), frontier.expect(item))
+        if verdict.failed:
+            failed.append((item, verdict.why, verdict.err))
+    assert len(frontier.items) == 54 and not failed

@@ -184,15 +184,37 @@ def test_singular_point_raises_before_any_division():
 
 
 def test_overflowing_frequencies_raise_without_warnings():
-    # |d|**2 grows as omega**6, past the largest float near |omega| = 2.4e51
+    # |d|**2 grows as omega**6, past the largest float near |omega| = 2.4e51 in the
+    # power-of-two units of P_FLAT's rates, 2**4 = 16, so near 3.8e52 in its own
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isfinite(spectrum_point(P_FLAT, 2e51).s12)
-        for omegas in ([1e110], [-1e120, 0.0, 1e120], [0.0, 3e51], [1e200]):
+        assert math.isfinite(spectrum_point(P_FLAT, 3.7e52).s12)
+        for omegas in ([1e110], [-1e120, 0.0, 1e120], [0.0, 3.9e52], [1e200]):
             with pytest.raises(NumericalError, match="overflow"):
                 spectrum(P_FLAT, omegas)
             with pytest.raises(NumericalError, match="overflow"):
                 transfer_matrix(P_FLAT, omegas[-1])
+
+
+@pytest.mark.parametrize("exponent", [-600, -20, 20, 500])
+def test_rates_scaled_by_a_power_of_two_give_the_same_columns(exponent):
+    # the singular floor and the overflow are judged in power-of-two units, so a
+    # healthy set with every rate and omega times 2**exponent is no singular one
+    healthy = SystemParams(1.0, 1.0, 6.0, 10.0, 0.5)
+    scale = 2.0**exponent
+    scaled = SystemParams(*(scale * rate for rate in (1.0, 1.0, 6.0, 10.0, 0.5)))
+    grid = default_omega_grid(healthy, 201)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table, reference = spectrum(scaled, grid * scale), spectrum(healthy, grid)
+        entries = transfer_matrix(scaled, 3.0 * scale)
+    np.testing.assert_array_equal(table.omega, grid * scale)
+    for name in SPECTRUM_COLUMNS:
+        np.testing.assert_array_equal(getattr(table, name), getattr(reference, name))
+    assert [getattr(entries, name) for name in ("m11", "m12", "m22", "m1b", "m2b")] == [
+        getattr(transfer_matrix(healthy, 3.0), name) for name in ("m11", "m12", "m22", "m1b", "m2b")
+    ]
 
 
 # ---------------------------------------------------------------------------

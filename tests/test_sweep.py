@@ -7,12 +7,16 @@ import math
 import warnings
 from dataclasses import replace
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steerkit.dynamics
 import steerkit.sweep
-from helpers import EDGE_GRID
+from helpers import EDGE_GRID, one_trial_compass
 from steerkit import (
     AxisSpec,
     DegenerateConditioningError,
@@ -237,25 +241,32 @@ def test_grid_solves_each_cell_once(monkeypatch):
 
 
 def _record_searches(monkeypatch) -> list:
-    """The trial points of each compass search, one list per search."""
+    """The trials each compass search sent, one list per search of one list per round."""
     searches = []
     compass = steerkit.sweep._compass
 
     def recording(*args, **kwargs):
-        trials = []
-        searches.append(trials)
+        rounds = []
+        searches.append(rounds)
         search = compass(*args, **kwargs)
-        f_trial = None
+        values = None
         while True:
             try:
-                trial = search.send(f_trial)
+                trial, ahead = search.send(values)
             except StopIteration as stop:
                 return stop.value
-            trials.append(trial)
-            f_trial = yield trial
+            rounds.append([trial])
+            values = yield trial, _taking(ahead, rounds[-1])
 
     monkeypatch.setattr(steerkit.sweep, "_compass", recording)
     return searches
+
+
+def _taking(trials, taken: list):
+    """``trials``, each appended to ``taken`` as the caller takes it."""
+    for trial in trials:
+        taken.append(trial)
+        yield trial
 
 
 def test_minimize_solves_each_evaluation_once(monkeypatch):
@@ -272,23 +283,134 @@ def test_minimize_solves_each_evaluation_once(monkeypatch):
             for g1 in (8.0, 9.0, 10.0, 11.0, 12.0)
         ]
         np.testing.assert_allclose(rows, grid, rtol=1e-15)
-    # then one call per lockstep round, one row per search still running
+    # then one call per lockstep round: one row per search still running, or
+    # a lone search's trials through the end of its next poll
     rounds = kernel_calls[3:]
     assert len(rounds) == max(map(len, searches)) > 0
+    lone_rows = []
     for r, rows in enumerate(rounds):
+        sent = [
+            (n_th, plans[r]) for n_th, plans in zip((0.0, 1.0, 2.0), searches) if r < len(plans)
+        ]
+        if len(sent) > 1:
+            assert [len(trials) for _, trials in sent] == [1] * len(sent)
+        else:
+            lone_rows.append(len(rows))
         expected = [
             _rate_row(
                 BASE.with_(
                     # a trial has one unit coordinate per rate column: gamma_m, g1 at 4, 2
-                    gamma_m=0.01 + trials[r][4] * (2.0 - 0.01),
-                    g1=8.0 + trials[r][2] * (12.0 - 8.0),
+                    gamma_m=0.01 + trial[4] * (2.0 - 0.01),
+                    g1=8.0 + trial[2] * (12.0 - 8.0),
                     n_th=n_th,
                 )
             )
-            for n_th, trials in zip((0.0, 1.0, 2.0), searches)
-            if r < len(trials)
+            for n_th, trials in sent
+            for trial in trials
         ]
         assert rows == expected
+    # the n_th = 1 search outlasts the others and then sends whole polls at once
+    assert max(lone_rows) > 4
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+#: more rounds than any search below makes: about 14 polls from step 1 to 1e-4, and
+#: one more per improvement, of at most 6 trials each
+_MAX_ROUNDS = 1000
+
+
+def _one_trial_drive(objective, x0, fx0, step0, free):
+    """``(x, fx)`` of the one-trial reference search, and every ``(trial, value)`` it read."""
+    search = one_trial_compass(np.array(x0), fx0, step0, np.array(free))
+    read, f_trial = [], None
+    for _ in range(_MAX_ROUNDS):
+        try:
+            trial = search.send(f_trial)
+        except StopIteration as stop:
+            return stop.value, read
+        f_trial = objective(trial)
+        read.append((_bits(trial), f_trial))
+    raise AssertionError("the search did not end")
+
+
+def _look_ahead_drive(objective, x0, fx0, step0, free, lone: bool):
+    """``(x, fx)`` of :func:`_compass` sent its whole look-ahead each round (``lone``) or
+    one trial per round, and the ``(trial, value)`` pairs it read: those of each round
+    through the first that improves."""
+    search = steerkit.sweep._compass(np.array(x0), fx0, step0, np.array(free))
+    read, values, fx = [], None, fx0
+    for _ in range(_MAX_ROUNDS):
+        try:
+            trial, ahead = search.send(values)
+        except StopIteration as stop:
+            return stop.value, read
+        trials = [trial, *ahead] if lone else [trial]
+        values = [objective(trial) for trial in trials]
+        for trial, value in zip(trials, values):
+            read.append((_bits(trial), value))
+            if value < fx:
+                fx = value
+                break
+    raise AssertionError("the search did not end")
+
+
+@settings(max_examples=300)
+@given(
+    st.permutations(range(3)),
+    st.integers(1, 3),
+    st.lists(st.sampled_from((0.0, 1.0)), min_size=3, max_size=3),
+    st.integers(2, 41),
+    st.lists(st.sampled_from((-1.0, 0.0, 0.5, 2.0, math.inf)), min_size=1, max_size=12),
+)
+def test_look_ahead_search_reads_what_the_one_trial_search_reads(order, n_free, x0, steps, cells):
+    # a random objective over few values, so trials tie, with inf (no steady state) cells
+    def objective(x) -> float:
+        return cells[zlib.crc32(_bits(x)) % len(cells)]
+
+    free, step0 = order[:n_free], 1.0 / (steps - 1)
+    (x, fx), read = _one_trial_drive(objective, x0, objective(x0), step0, free)
+    for lone in (True, False):
+        (x_ahead, fx_ahead), read_ahead = _look_ahead_drive(
+            objective, x0, objective(x0), step0, free, lone
+        )
+        assert (_bits(x_ahead), fx_ahead) == (_bits(x), fx)
+        assert read_ahead == read
+
+
+def _one_trial_at_a_time(x0, fx0, step0, free):
+    """The one-trial reference search in :func:`_compass`'s protocol, with nothing ahead."""
+    search = one_trial_compass(x0, fx0, step0, free)
+    f_trial = None
+    while True:
+        try:
+            trial = search.send(f_trial)
+        except StopIteration as stop:
+            return stop.value
+        (f_trial,) = yield trial, iter(())
+
+
+def test_a_lone_search_sends_its_next_polls_in_one_kernel_call(monkeypatch):
+    # a two-axis problem with one search, as each item of the frontier benchmark
+    spec = SweepSpec(
+        SystemParams(1.0, 0.5, 1.0, 1.0, 2.0),
+        (AxisSpec("g1", 0.2, 8.0, 11), AxisSpec("g2", 0.3, 12.0, 21)),
+        objective="s21",
+    )
+    kernel_calls = _record_kernel_calls(monkeypatch)
+    (point,) = minimize_steering(spec)
+    look_ahead = len(kernel_calls), sum(map(len, kernel_calls))
+    kernel_calls.clear()
+    monkeypatch.setattr(steerkit.sweep, "_compass", _one_trial_at_a_time)
+    (one_trial,) = minimize_steering(spec)
+    one_at_a_time = len(kernel_calls), sum(map(len, kernel_calls))
+    assert repr(point) == repr(one_trial) and point.feasible
+    # (kernel calls, kernel rows): one coarse call of 231 cells, then one call per
+    # trial, or one per rest of a poll and the next, whose rows past the first
+    # improving trial are speculative
+    assert (one_at_a_time, look_ahead) == ((43, 273), (10, 278))
 
 
 # a swept spec whose slices are infeasible (g1 > g2) or end in different rounds
@@ -431,12 +553,15 @@ def test_every_kernel_row_of_a_lockstep_search_is_its_hand_built_row(monkeypatch
     ]
     assert hexed[: len(coarse)] == coarse
     # then one call per round: a row per live search, in the order the searches
-    # began; a row's spec is told by its n_th and its slice by its swept g2
+    # began (two or more run in every round); a row's spec is told by its n_th
+    # and its slice by its swept g2
     rounds = hexed[len(coarse):]
     assert len(rounds) == max(map(len, searches)) > 0
     specs_by_n_th = {spec.base.n_th: spec for spec in TEMPLATE_SPECS}
     for r, rows in enumerate(rounds):
-        trials = [trials[r] for trials in searches if r < len(trials)]
+        sent = [plans[r] for plans in searches if r < len(plans)]
+        assert len(sent) > 1 and all(len(trials) == 1 for trials in sent)
+        trials = [trial for trials in sent for trial in trials]
         assert len(rows) == len(trials)
         for row, trial in zip(rows, trials):
             spec = specs_by_n_th[float.fromhex(row[5])]
