@@ -228,22 +228,22 @@ class MomentState:
     @property
     def n1(self) -> float:
         """Cavity-1 occupation <a1+ a1>."""
-        return float(self.phi[1, 0].real)
+        return float(self.phi.item(1, 0).real)
 
     @property
     def n2(self) -> float:
         """Cavity-2 occupation <a2+ a2>."""
-        return float(self.phi[3, 2].real)
+        return float(self.phi.item(3, 2).real)
 
     @property
     def nm(self) -> float:
         """Mechanical occupation <b+ b>."""
-        return float(self.phi[5, 4].real)
+        return float(self.phi.item(5, 4).real)
 
     @property
     def c(self) -> complex:
         """Two-cavity pairing moment <a1 a2>."""
-        return complex(self.phi[0, 2])
+        return complex(self.phi.item(0, 2))
 
 
 def vacuum_thermal_state(n_th: float = 0.0) -> MomentState:
@@ -270,18 +270,18 @@ def build_moment_state(
     return MomentState(_fill(n1, n2, nm, c, pair_1m, pair_2m))
 
 
+#: the flat positions in Phi of the 18 entries :func:`_fill` writes, in its order
+_FILL_POSITIONS = np.array([6, 1, 20, 15, 34, 29, 2, 12, 9, 19, 4, 24, 11, 31, 17, 32, 22, 27])
+
+
 def _fill(n1, n2, nm, c, pair_1m, pair_2m) -> NDArray:
-    """The phase-symmetric moment matrices, ``(..., 6, 6)``, of broadcast moment arrays."""
-    phi = np.zeros(np.broadcast(n1, n2, nm, c, pair_1m, pair_2m).shape + (6, 6), dtype=complex)
-    phi[..., 1, 0], phi[..., 0, 1] = n1, n1 + 1.0
-    phi[..., 3, 2], phi[..., 2, 3] = n2, n2 + 1.0
-    phi[..., 5, 4], phi[..., 4, 5] = nm, nm + 1.0
-    phi[..., 0, 2] = phi[..., 2, 0] = c
-    phi[..., 1, 3] = phi[..., 3, 1] = np.conj(c)
-    phi[..., 0, 4] = phi[..., 4, 0] = pair_1m
-    phi[..., 1, 5] = phi[..., 5, 1] = np.conj(pair_1m)
-    phi[..., 2, 5] = phi[..., 5, 2] = pair_2m
-    phi[..., 3, 4] = phi[..., 4, 3] = np.conj(pair_2m)
+    """The phase-symmetric moment matrices, ``(6, 6)`` of scalar moments or ``(n, 6, 6)`` of
+    1-D arrays of length n, in one write; a conjugate keeps its value's type (real c stays real)."""
+    cc, c1, c2 = c.conjugate(), pair_1m.conjugate(), pair_2m.conjugate()
+    phi = np.zeros(np.shape(n1) + (6, 6), dtype=complex)  # owns its data; a flat view writes it
+    phi.reshape(np.shape(n1) + (36,)).T[_FILL_POSITIONS] = [
+        n1, n1 + 1.0, n2, n2 + 1.0, nm, nm + 1.0, c, c, cc, cc,
+        pair_1m, pair_1m, c1, c1, pair_2m, pair_2m, c2, c2]
     return phi
 
 
@@ -548,24 +548,31 @@ def steady_state_closed_form(params: SystemParams) -> ClosedFormMoments:
 # time evolution
 
 
+#: M's 18 nonzero entries: flat index, factor, column of the rates extended by k1+k2, k1+gm, k2+gm
+_FLOW_ENTRIES = (
+    np.array([0, 4, 7, 11, 14, 16, 17, 21, 22, 23, 24, 26, 27, 28, 31, 32, 33, 35]),
+    np.array([-2.0, -2, -2, -2, -2, -2, 2, -1, 1, 1, -1, -1, -1, -1, 1, -1, 1, -1]),
+    np.array([0, 2, 1, 3, 4, 2, 3, 6, 3, 2, 2, 2, 3, 7, 3, 3, 2, 8]),
+)
+
+
 def _real_flow(rates: NDArray) -> tuple[NDArray, NDArray]:
     """``(M, q)``, shapes ``(n, 6, 6)`` and ``(n, 6)``, of ``n`` rate rows: the flow
     ``A Phi + Phi A^T + 2 K D`` as ``x' = M x + q`` on the six real moments ``x = (n1,
-    n2, nm, Re c, Im<a1 b>, Im<a2 b+>)``, which no other moment feeds."""
-    k1, k2, g1, g2, gm, nth = rates.T
-    o = np.zeros_like(k1)
-    m = np.array([[-2 * k1, o, o, o, -2 * g1, o],
-                  [o, -2 * k2, o, o, o, -2 * g2],
-                  [o, o, -2 * gm, o, -2 * g1, 2 * g2],
-                  [o, o, o, -(k1 + k2), g2, g1],
-                  [-g1, o, -g1, -g2, -(k1 + gm), o],
-                  [o, g2, -g2, g1, o, -(k2 + gm)]])
-    return np.moveaxis(m, -1, 0), np.array([o, o, 2 * gm * nth, o, -g1, o]).T
+    n2, nm, Re c, Im<a1 b>, Im<a2 b+>)``, which no other moment feeds.  M is one scatter
+    of its 18 nonzero entries into a zeroed block, as :func:`_drifts` builds A."""
+    entries, factors, columns = _FLOW_ENTRIES
+    extended = np.hstack([rates, rates[:, [0, 0, 1]] + rates[:, [1, 4, 4]]])
+    m, q = np.zeros((len(rates), 36)), np.zeros((len(rates), 6))
+    m[:, entries] = factors * extended.take(columns, axis=1)
+    q[:, 2], q[:, 4] = 2.0 * rates[:, 4] * rates[:, 5], -rates[:, 2]
+    return m.reshape(-1, 6, 6), q
 
 
-def _rk4_step(generator: NDArray, h: float) -> NDArray:
-    """One classical RK4 step of y' = G y: ``I + P + P²/2 + P³/6 + P⁴/24``, P = hG."""
-    p = h * generator
+def _rk4_step(generator: NDArray, h: float | NDArray) -> NDArray:
+    """One classical RK4 step of y' = G y: ``I + P + P²/2 + P³/6 + P⁴/24``, P = hG, ``(d, d)``
+    for a step ``h``; ``(k, d, d)`` for a 1-D stack of k steps, each slice its own call's bits."""
+    p = np.multiply.outer(h, generator)
     p2 = p @ p
     p3 = p2 @ p
     p4 = p3 @ p
@@ -573,23 +580,23 @@ def _rk4_step(generator: NDArray, h: float) -> NDArray:
 
 
 def _propagate(generator: NDArray, x0: NDArray, times: NDArray, h: float) -> NDArray:
-    """Rows ``x(times[k])`` for base step ``h``, by powers of the augmented step
-    matrix.  A spacing alone fixes its step count, so one matrix is built per distinct
-    (exact float) spacing: bit for bit the result of one build per report time."""
-    out = np.empty((len(times), len(x0)))
+    """Rows ``x(times[k])`` for base step ``h``, by powers of the augmented step matrix.  A
+    spacing alone fixes its step count ``n``: the distinct (exact float) spacings of one ``n``
+    get one stacked RK4 build and one stacked power, each slice the bits of its own 2-D
+    build, so the rows are bit for bit those of one build per report time."""
+    spacings = np.diff(times, prepend=0.0).tolist()
+    by_count: dict[int, list[float]] = {}
+    for dt in {dt for dt in spacings if dt > 0.0}:
+        by_count.setdefault(max(1, math.ceil(dt / h - 1e-12)), []).append(dt)
     steps = {}
-    y = np.append(x0, 1.0)
-    t = 0.0
-    for k, tk in enumerate(times):
-        dt = tk - t
+    for n, dts in by_count.items():
+        steps.update(zip(dts, np.linalg.matrix_power(_rk4_step(generator, np.array(dts) / n), n)))
+    y, rows = np.append(x0, 1.0), []
+    for dt in spacings:
         if dt > 0.0:
-            if dt not in steps:
-                n = max(1, math.ceil(dt / h - 1e-12))
-                steps[dt] = np.linalg.matrix_power(_rk4_step(generator, dt / n), n)
             y = steps[dt] @ y
-            t = tk
-        out[k] = y[:-1]
-    return out
+        rows.append(y)
+    return np.array(rows)[:, :-1]
 
 
 _EVOLVE_TOL = 1e-8  # agreement between two refinement levels that ends halving
@@ -608,10 +615,11 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     the report states, each on its own copy.  The starting step sits at the edge of
     the RK4 stability region — starting smaller would not help, because over long
     horizons the matrix powers' rounding noise grows with the step count while the
-    halving loop controls truncation.  Each level builds one step matrix per
-    distinct report spacing (results equal one build per report time); RK4's errors
-    stand until exact propagation replaces it: the false convergence at mid spacings
-    (``bench/README.md``, "Known defects") and fig 2b's S21 error of up to 8.3e-3.
+    halving loop controls truncation.  Each level builds the step matrices of its
+    distinct report spacings in one stacked call per step count (results equal one
+    build per report time); RK4's errors stand until exact propagation replaces it: the
+    false convergence at mid spacings (``bench/README.md``, "Known defects") and fig
+    2b's S21 error of up to 8.3e-3.
 
     Raises
     ------

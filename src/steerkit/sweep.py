@@ -229,9 +229,12 @@ def _compass(
     return x, fx
 
 
-def _next_trial(x: list[float], state: tuple, moves: list) -> tuple[list[float], tuple] | None:
+def _next_trial(
+    x: list[float], state: tuple, moves: list, last_poll: float = math.inf
+) -> tuple[list[float], tuple] | None:
     """The next trial of a compass search at ``x`` in ``state``, with the state that
-    follows if it fails, or None once the step falls below :data:`_COMPASS_TOL`.
+    follows if it fails, or None once the step falls below :data:`_COMPASS_TOL` or the
+    poll passes ``last_poll``, before the trial is built.
 
     Moves the unit box clamps to ``x`` are skipped.  At the end of a poll the step
     halves unless the poll improved, and the next poll starts with that flag reset.
@@ -240,7 +243,7 @@ def _next_trial(x: list[float], state: tuple, moves: list) -> tuple[list[float],
     while True:
         if move == len(moves):
             poll, step, move, improved = poll + 1, step if improved else step / 2.0, 0, False
-        if step < _COMPASS_TOL:
+        if step < _COMPASS_TOL or poll > last_poll:
             return None
         i, sign = moves[move]
         move += 1
@@ -253,8 +256,7 @@ def _next_trial(x: list[float], state: tuple, moves: list) -> tuple[list[float],
 def _ahead(x: list[float], first: tuple, moves: list, plan: list) -> Iterator[list[float]]:
     """Lazily, the trials that follow ``first`` if it and they fail, through the end
     of the poll after its own; each one taken is appended to ``plan``."""
-    last_poll = first[1][0] + 1
-    while (planned := _next_trial(x, plan[-1][1], moves)) and planned[1][0] <= last_poll:
+    while planned := _next_trial(x, plan[-1][1], moves, first[1][0] + 1):
         plan.append(planned)
         yield planned[0]
 

@@ -12,11 +12,13 @@ forms in (n1, n2, |c|).
 exact rational arithmetic, where ``spectra`` splits them into real
 polynomials in ``omega**2``.
 ``propagate_per_report`` is no oracle: it is the one-build-per-report-time
-propagation that the shared step matrices must match bit for bit.  Nor are
-``solve_row``, the steady kernel's solve one system at a time, which the
-block solve must match bit for bit, ``closed_form_in_own_units``, the
-closed form as evaluated in the rates' own units, whose bits the
-power-of-two evaluation keeps where those units do not overflow, and
+propagation that the stacked step builds must match bit for bit.  Nor are
+``fill_per_entry``, the pattern written one entry pair at a time, whose bits
+the one flat write keeps, ``solve_row``, the steady kernel's solve one system
+at a time, which the block solve must match bit for bit,
+``closed_form_in_own_units``, the closed form as evaluated in the rates' own
+units, whose bits the power-of-two evaluation keeps where those units do not
+overflow, and
 ``one_trial_compass``, the compass search sent one trial at a time, whose
 points and result the look-ahead search must keep.
 """
@@ -130,6 +132,23 @@ def propagate_per_report(generator, x0, times, h) -> np.ndarray:
             t = tk
         out.append(y[:-1].copy())
     return np.array(out)
+
+
+def fill_per_entry(n1, n2, nm, c, pair_1m, pair_2m) -> np.ndarray:
+    """``dynamics._fill`` as it was before its one flat write: the phase-symmetric
+    pattern, ``(..., 6, 6)``, written one entry pair at a time from broadcast moments,
+    each conjugate by ``np.conj`` of the moment itself."""
+    phi = np.zeros(np.broadcast(n1, n2, nm, c, pair_1m, pair_2m).shape + (6, 6), dtype=complex)
+    phi[..., 1, 0], phi[..., 0, 1] = n1, n1 + 1.0
+    phi[..., 3, 2], phi[..., 2, 3] = n2, n2 + 1.0
+    phi[..., 5, 4], phi[..., 4, 5] = nm, nm + 1.0
+    phi[..., 0, 2] = phi[..., 2, 0] = c
+    phi[..., 1, 3] = phi[..., 3, 1] = np.conj(c)
+    phi[..., 0, 4] = phi[..., 4, 0] = pair_1m
+    phi[..., 1, 5] = phi[..., 5, 1] = np.conj(pair_1m)
+    phi[..., 2, 5] = phi[..., 5, 2] = pair_2m
+    phi[..., 3, 4] = phi[..., 4, 3] = np.conj(pair_2m)
+    return phi
 
 
 #: a grid across the stability edge g1 = g2 (equal losses); the residual gate

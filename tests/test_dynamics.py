@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -18,6 +18,7 @@ from helpers import (
     damping_and_diffusion,
     evolve_oracle,
     exact_steady_moments,
+    fill_per_entry,
     kronecker_oracle,
     lyapunov_oracle,
     propagate_per_report,
@@ -763,21 +764,21 @@ PROPAGATION_GRIDS = {
 
 def _record_propagation(monkeypatch, params, times):
     """Evolve under ``params``; return each level's ``_propagate`` arguments and
-    result, with its ``_rk4_step`` call count, and the returned states."""
+    result, with the step arguments of its ``_rk4_step`` calls, and the returned states."""
     calls, steps = [], []
     propagate, rk4_step = dynamics._propagate, dynamics._rk4_step
 
-    def counted_step(generator, h):
-        steps[-1] += 1
+    def recorded_step(generator, h):
+        steps[-1].append(np.array(h))
         return rk4_step(generator, h)
 
     def recorded(generator, x0, grid, h):
-        steps.append(0)
+        steps.append([])
         out = propagate(generator, x0, grid, h)
         calls.append(((generator, x0, grid, h), out, steps[-1]))
         return out
 
-    monkeypatch.setattr(dynamics, "_rk4_step", counted_step)
+    monkeypatch.setattr(dynamics, "_rk4_step", recorded_step)
     monkeypatch.setattr(dynamics, "_propagate", recorded)
     states = evolve_moments(params, vacuum_thermal_state(params.n_th), times)
     return calls, states
@@ -803,7 +804,17 @@ def test_step_matrices_are_built_once_per_spacing_and_states_own_their_memory(mo
     assert 1 < len(spacings) < len(times) / 10
     calls, states = _record_propagation(monkeypatch, P_ASYM, times)
     assert len(calls) >= 2
-    assert all(1 <= built <= len(spacings) for _, _, built in calls)
+    for (_, _, _, h), _, stacks in calls:
+        # one _rk4_step call per distinct step count n, on the stack of every distinct
+        # spacing of that count over n, so each spacing is built once
+        by_count = {}
+        for dt in spacings.tolist():
+            n = max(1, math.ceil(dt / h - 1e-12))
+            by_count.setdefault(n, []).append(dt / n)
+        assert all(stack.ndim == 1 for stack in stacks)
+        assert sorted(sorted(stack.tolist()) for stack in stacks) == sorted(
+            sorted(steps) for steps in by_count.values()
+        )
     # rows of one array never overlap, so a view would pass the pairwise check
     # alone; it is the stacked array that a view would keep alive
     stacked = calls[-1][1]
@@ -812,6 +823,37 @@ def test_step_matrices_are_built_once_per_spacing_and_states_own_their_memory(mo
     assert all(state.phi.base is None for state in states)
     for a, b in itertools.combinations(states, 2):
         assert not np.shares_memory(a.phi, b.phi)
+
+
+def _augmented_generator(params):
+    """Van Loan's augmented 7x7 generator of ``params``' real flow, as evolution builds it."""
+    m, q = dynamics._real_flow(dynamics._rates(params))
+    return np.vstack([np.column_stack([m[0], q[0]]), np.zeros(7)])
+
+
+@settings(max_examples=150)
+@given(
+    _STABLE_SETS,
+    st.lists(st.sampled_from((0.05, 0.3, 1.0, 2.5, 7.0)), min_size=1, max_size=25),
+    st.floats(0.5, 2.0),
+    st.booleans(),
+    st.integers(0, 6),
+)
+# spacings of step counts 1, 2, 10 and 28 at one level, after a report at t = 0
+@example(((0.0, 0.0, 0.0, 0.0), 0.0), [0.05, 0.3, 2.5, 0.3, 7.0], 1.0, True, 2)
+@example(((0.0, 0.0, 0.0, 0.0), 0.0), [1.0], 1.0, False, 0)  # a single report time
+def test_stacked_step_builds_match_one_build_per_report(rates, spacings, scale, zero, halvings):
+    # stacked matmul and matrix_power give each slice the bits of the 2-D call; the
+    # spacings (in units of the starting step) reach several step counts per level
+    p = _stable_params(*rates)
+    generator = _augmented_generator(p)
+    start = 1.25 / float(np.abs(np.linalg.eigvals(build_generators(p).drift)).max())
+    times = np.cumsum(np.array(spacings) * scale * start)
+    times = np.append(0.0, times) if zero else times
+    x0 = dynamics._moments(vacuum_thermal_state(p.n_th).phi.reshape(36))
+    h = start / 2.0**halvings
+    out = dynamics._propagate(generator, x0, times, h)
+    assert out.tobytes() == propagate_per_report(generator, x0, times, h).tobytes()
 
 
 def test_evolution_preserves_structure():
@@ -931,6 +973,46 @@ def test_evolution_accepts_unstable_systems():
     oracle = evolve_oracle(p, vacuum_thermal_state().phi, 0.4)
     scale = max(float(np.abs(oracle).max()), 1.0)
     assert float(np.abs(state.phi - oracle).max()) / scale <= 1e-8
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_moment_state_views_read_the_python_scalars_of_phi(layout, dtype):
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(6, 6)).astype(dtype)
+    values += 1j * rng.normal(size=(6, 6)) if dtype is complex else 0.0
+    values[3, 2] = -0.0  # a signed zero keeps its sign
+    if layout == "strided":
+        phi = np.zeros((12, 18), dtype=dtype)[1::2, ::3]
+        phi[...] = values
+    else:
+        phi = np.array(values, order=layout)
+    state = MomentState(phi)
+    expected = (float(phi[1, 0].real), float(phi[3, 2].real), float(phi[5, 4].real),
+                complex(phi[0, 2]))
+    views = (state.n1, state.n2, state.nm, state.c)
+    assert [(type(v), repr(v)) for v in views] == [(type(v), repr(v)) for v in expected]
+
+
+_MOMENTS = st.lists(st.floats(-1e3, 1e3) | st.sampled_from((0.0, -0.0)), min_size=6, max_size=6)
+
+
+@settings(max_examples=200)
+@given(st.lists(_MOMENTS, min_size=1, max_size=4))
+def test_the_one_flat_write_keeps_every_entry_bits(rows):
+    # the entry-pair writer's bits, signed zeros of 1j * x and their conjugates
+    # included, for each kind of moment the library fills the pattern from
+    x = np.array(rows).T
+    first = x[:, 0].tolist()
+    for moments in (
+        (*first[:4], 1j * first[4], 1j * first[5]),  # Python scalars, as steady states
+        (*x[:4], *(1j * x[4:])),  # arrays, as evolution's report states
+        (*x[:4, 0], *(1j * x[4:, 0])),  # numpy scalars, as the initial-state check
+        (*first[:3], complex(first[3], first[4]), complex(-0.0, first[5]), 0.0),  # complex c
+    ):
+        phi, reference = dynamics._fill(*moments), fill_per_entry(*moments)
+        assert phi.shape == reference.shape and phi.tobytes() == reference.tobytes()
+        assert phi.base is None  # a steady state's phi holds no second array alive
 
 
 def test_moment_state_views_are_live():

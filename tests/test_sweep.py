@@ -392,25 +392,45 @@ def _one_trial_at_a_time(x0, fx0, step0, free):
         (f_trial,) = yield trial, iter(())
 
 
+#: a two-axis problem with one search, as each item of the frontier benchmark
+LONE = SweepSpec(
+    SystemParams(1.0, 0.5, 1.0, 1.0, 2.0),
+    (AxisSpec("g1", 0.2, 8.0, 11), AxisSpec("g2", 0.3, 12.0, 21)),
+    objective="s21",
+)
+
+
 def test_a_lone_search_sends_its_next_polls_in_one_kernel_call(monkeypatch):
-    # a two-axis problem with one search, as each item of the frontier benchmark
-    spec = SweepSpec(
-        SystemParams(1.0, 0.5, 1.0, 1.0, 2.0),
-        (AxisSpec("g1", 0.2, 8.0, 11), AxisSpec("g2", 0.3, 12.0, 21)),
-        objective="s21",
-    )
     kernel_calls = _record_kernel_calls(monkeypatch)
-    (point,) = minimize_steering(spec)
+    (point,) = minimize_steering(LONE)
     look_ahead = len(kernel_calls), sum(map(len, kernel_calls))
     kernel_calls.clear()
     monkeypatch.setattr(steerkit.sweep, "_compass", _one_trial_at_a_time)
-    (one_trial,) = minimize_steering(spec)
+    (one_trial,) = minimize_steering(LONE)
     one_at_a_time = len(kernel_calls), sum(map(len, kernel_calls))
     assert repr(point) == repr(one_trial) and point.feasible
     # (kernel calls, kernel rows): one coarse call of 231 cells, then one call per
     # trial, or one per rest of a poll and the next, whose rows past the first
     # improving trial are speculative
     assert (one_at_a_time, look_ahead) == ((43, 273), (10, 278))
+
+
+def test_a_lone_search_builds_only_the_trials_it_sends(monkeypatch):
+    # the look-ahead stops at the end of the next poll before it builds a trial there
+    built = []
+    next_trial = steerkit.sweep._next_trial
+
+    def counted(*args):
+        planned = next_trial(*args)
+        if planned is not None:
+            built.append(planned[0])
+        return planned
+
+    monkeypatch.setattr(steerkit.sweep, "_next_trial", counted)
+    kernel_calls = _record_kernel_calls(monkeypatch)
+    minimize_steering(LONE)
+    compass_rows = [row for rows in kernel_calls[1:] for row in rows]
+    assert len(built) == len(compass_rows) == 278 - 231
 
 
 # a swept spec whose slices are infeasible (g1 > g2) or end in different rounds
