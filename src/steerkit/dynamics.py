@@ -18,6 +18,7 @@ phase-symmetric pattern, whose flow closes as ``x' = M x + q``.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -423,7 +424,7 @@ def _steady_batch(rates) -> _SteadyBatch:
     one ``n_th``, they are ordered by the bits of their unit rates, and each block
     factors each run of equal drifts once.  A call with one ``n_th`` keeps the rows
     in their order and factors each.  Rows are not validated; :class:`SystemParams`
-    holds the constraints.
+    holds the constraints; ``sweep._minimize`` sends it the cells :func:`_real_steady` ranks.
     """
     rates = np.array(rates, dtype=float).reshape(-1, 6)  # a copy, put in units below
     n = len(rates)
@@ -569,6 +570,17 @@ def _real_flow(rates: NDArray) -> tuple[NDArray, NDArray]:
     return m.reshape(-1, 6, 6), q
 
 
+def _real_steady(rates) -> tuple[NDArray, NDArray]:
+    """``(stable, x)``: :func:`_judge`'s verdict of each rate row, and where stable its moments
+    ``solve(M, -q)`` of :func:`_real_flow` in those units; NaN elsewhere, or if an M is singular."""
+    unit, stable = _judge(rates[:, :5].T)
+    m, q = _real_flow(np.hstack([unit.T, rates[:, 5:]])[stable])
+    x = np.full((len(rates), 6), np.nan)
+    with contextlib.suppress(np.linalg.LinAlgError):
+        x[stable] = np.linalg.solve(m, -q[..., None])[..., 0]
+    return stable, x
+
+
 def _rk4_step(generator: NDArray, h: float | NDArray) -> NDArray:
     """One classical RK4 step of y' = G y: ``I + P + P²/2 + P³/6 + P⁴/24``, P = hG, ``(d, d)``
     for a step ``h``; ``(k, d, d)`` for a 1-D stack of k steps, each slice its own call's bits."""
@@ -594,7 +606,7 @@ def _propagate(generator: NDArray, x0: NDArray, times: NDArray, h: float) -> NDA
     y, rows = np.append(x0, 1.0), []
     for dt in spacings:
         if dt > 0.0:
-            y = steps[dt] @ y
+            y = steps[dt].dot(y)
         rows.append(y)
     return np.array(rows)[:, :-1]
 

@@ -99,7 +99,9 @@ def test_traced_frontier_figure_evaluates_every_kernel_row(monkeypatch):
     assert layers["figures.build_figure.calls"] == 1
     assert layers["sweep.minimize_steering.calls"] == 0
     assert tracer.work["sweep.evaluations"] == layers["sweep._evaluate.calls"] == sum(kernel_rows)
-    assert sum(kernel_rows) == 4_992  # 3 x 26 coarse grids of 41 cells, then compass trials
+    # 26 coarse grids of 3 x 41 cells are screened; 78 cells reach the kernel, then
+    # compass trials (every cell reached it, 4,992 rows in all, before the screen)
+    assert kernel_rows[:26] == [3] * 26 and sum(kernel_rows) == 1_872
 
 
 @pytest.fixture(scope="module")

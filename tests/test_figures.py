@@ -136,31 +136,38 @@ def _count_factorizations(monkeypatch) -> list:
 
 @pytest.fixture(scope="module")
 def fig6():
-    """Figure 6, built once: ``(bundle, _minimize calls, kernel calls, LU factorizations)``."""
+    """Figure 6, built once: ``(bundle, _minimize calls, kernel calls, LU factorizations,
+    screen calls)``."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         searches = _record(monkeypatch, steerkit.figures, "_minimize")
         kernel_calls = _record(monkeypatch, steerkit.sweep, "_steady_batch")
+        screens = _record(monkeypatch, steerkit.sweep, "_real_steady")
         factorizations = _count_factorizations(monkeypatch)
         bundle = build_figure("6")
-    return bundle, searches, kernel_calls, factorizations
+    return bundle, searches, kernel_calls, factorizations, screens
 
 
 def test_fig6_is_one_lockstep_search(fig6):
-    _, searches, kernel_calls, factorizations = fig6
+    _, searches, kernel_calls, factorizations, screens = fig6
     ((specs,),) = searches
     assert [spec.objective for spec in specs] == ["s12", "s21"] * 24
-    # s12 and s21 share each damping's 41 x 41 coarse grid, then one call per round
-    assert [len(rates) for (rates,) in kernel_calls[:24]] == [41 * 41] * 24
+    # s12 and s21 share each damping's 41 x 41 coarse grid, which the screen scores
+    # whole; only the cells that can hold a minimum reach the kernel (41 x 41 each, and
+    # 41,831 rows and 23,690 factorizations in all, before the screen), then one call
+    # per round
+    assert [len(rates) for (rates,) in screens] == [41 * 41] * 24
+    assert sum(len(rates) for (rates,) in kernel_calls[:24]) == 241
     assert len(kernel_calls) == 63
-    assert sum(len(rates) for (rates,) in kernel_calls) == 41_831
-    assert factorizations == [36] * 23_690
+    assert sum(len(rates) for (rates,) in kernel_calls) == 1_728
+    assert factorizations == [36] * 1_728
 
 
-@pytest.mark.parametrize("figure_id, count", [("2c", 3_390), ("2d", 836), ("3b", 261)])
+@pytest.mark.parametrize("figure_id, count", [("2c", 3_057), ("2d", 445), ("3b", 261)])
 def test_occupations_of_one_drift_share_its_factorization(monkeypatch, figure_id, count):
     # each figure repeats its rates at several n_th, which the drift does not
-    # read; one factorization per row made 5,672, 2,351 and 522.  Fig 6 has one
-    # n_th, and keeps one per row
+    # read; one factorization per row made 5,672, 2,351 and 522.  Figs 2c and 2d
+    # made 3,390 and 836 before their coarse grids were screened: a screened grid
+    # sends only the few cells that can hold a minimum, which share fewer drifts
     factorizations = _count_factorizations(monkeypatch)
     build_figure(figure_id)
     assert factorizations == [36] * count

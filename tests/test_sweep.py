@@ -233,6 +233,25 @@ def _record_kernel_calls(monkeypatch) -> list:
     return calls
 
 
+def _record_screens(monkeypatch) -> list:
+    """The rate rows of each call of the coarse grids' screen, a list per call."""
+    calls = []
+    original = steerkit.sweep._real_steady
+
+    def recording(rates):
+        calls.append(list(map(tuple, np.asarray(rates).tolist())))
+        return original(rates)
+
+    monkeypatch.setattr(steerkit.sweep, "_real_steady", recording)
+    return calls
+
+
+def _within(rows: list, of: list) -> bool:
+    """Whether ``rows`` are rows of ``of``, in its order."""
+    rest = iter(of)
+    return all(row in rest for row in rows)
+
+
 def test_grid_solves_each_cell_once(monkeypatch):
     kernel_calls = _record_kernel_calls(monkeypatch)
     rows = grid_sweep(MIXED)
@@ -271,18 +290,23 @@ def _taking(trials, taken: list):
 
 def test_minimize_solves_each_evaluation_once(monkeypatch):
     kernel_calls = _record_kernel_calls(monkeypatch)
+    screens = _record_screens(monkeypatch)
     searches = _record_searches(monkeypatch)
     swept = AxisSpec("n_th", 0.0, 2.0, 3)
     points = minimize_steering(MIXED, swept)
     assert all(point.feasible for point in points) and len(searches) == 3
-    # one call per slice grid, each cell once, with the slice's swept value
-    for n_th, rows in zip((0.0, 1.0, 2.0), kernel_calls):
+    # one screen call per slice grid, each cell once, with the slice's swept value
+    for n_th, rows in zip((0.0, 1.0, 2.0), screens):
         grid = [
             _rate_row(BASE.with_(gamma_m=gamma_m, g1=g1, n_th=n_th))
             for gamma_m in (0.01, 1.005, 2.0)
             for g1 in (8.0, 9.0, 10.0, 11.0, 12.0)
         ]
         np.testing.assert_allclose(rows, grid, rtol=1e-15)
+    # then one kernel call per slice, of the cells that can hold its minimum (each of
+    # the 15 cells before the screen): here one each
+    assert [len(rows) for rows in kernel_calls[:3]] == [1, 1, 1]
+    assert all(map(_within, kernel_calls[:3], screens))
     # then one call per lockstep round: one row per search still running, or
     # a lone search's trials through the end of its next poll
     rounds = kernel_calls[3:]
@@ -409,10 +433,11 @@ def test_a_lone_search_sends_its_next_polls_in_one_kernel_call(monkeypatch):
     (one_trial,) = minimize_steering(LONE)
     one_at_a_time = len(kernel_calls), sum(map(len, kernel_calls))
     assert repr(point) == repr(one_trial) and point.feasible
-    # (kernel calls, kernel rows): one coarse call of 231 cells, then one call per
-    # trial, or one per rest of a poll and the next, whose rows past the first
-    # improving trial are speculative
-    assert (one_at_a_time, look_ahead) == ((43, 273), (10, 278))
+    # (kernel calls, kernel rows): one coarse call of the one cell of 231 the screen
+    # keeps (all 231 before the screen: 273 and 278 rows), then one call per trial, or
+    # one per rest of a poll and the next, whose rows past the first improving trial
+    # are speculative
+    assert (one_at_a_time, look_ahead) == ((43, 43), (10, 48))
 
 
 def test_a_lone_search_builds_only_the_trials_it_sends(monkeypatch):
@@ -493,13 +518,17 @@ def test_lockstep_points_equal_lone_searches(swept):
 
 def test_objective_twins_share_each_coarse_grid(monkeypatch):
     kernel_calls = _record_kernel_calls(monkeypatch)
+    screens = _record_screens(monkeypatch)
     swept = AxisSpec("n_th", 0.0, 2.0, 3)
     specs = [replace(MIXED, objective=objective) for objective in ("s12", "s21", "en")]
     points = steerkit.sweep._minimize(specs, swept)
     assert all(point.feasible for spec_points in points for point in spec_points)
-    # s12, s21 and "en" read one coarse call per slice, which computes E_N
+    # s12, s21 and "en" read one screened grid per slice, and one coarse kernel call
+    # of the cells any of them keeps (all 15 before the screen), which computes E_N
     coarse, rounds = kernel_calls[:3], kernel_calls[3:]
-    assert [len(rows) for rows in coarse] == [15] * 3
+    assert [len(rows) for rows in screens] == [15] * 3
+    assert [len(rows) for rows in coarse] == [1, 1, 2]
+    assert all(map(_within, coarse, screens))
     assert [rows[0][5] for rows in coarse] == [0.0, 1.0, 2.0]
     # then one call per round, one row per live search of any spec
     assert len(rounds[0]) == 9 and all(0 < len(rows) <= 9 for rows in rounds)
@@ -554,13 +583,14 @@ def _template_row(spec: SweepSpec, swept_value: float, units: dict) -> list[str]
 
 def test_every_kernel_row_of_a_lockstep_search_is_its_hand_built_row(monkeypatch):
     kernel_calls = _record_kernel_calls(monkeypatch)
+    screens = _record_screens(monkeypatch)
     searches = _record_searches(monkeypatch)
     points = steerkit.sweep._minimize(TEMPLATE_SPECS, TEMPLATE_SWEPT)
     assert all(point.feasible for spec_points in points for point in spec_points)
     hexed = [[[value.hex() for value in row] for row in rows] for rows in kernel_calls]
     swept_values = [float(value) for value in TEMPLATE_SWEPT.values()]
-    # one coarse call per slice, which holds each spec's unit grid (v - lo) / span in
-    # spec order, last axis fastest: the specs differ only in n_th and objective
+    # one screened coarse grid per slice, which holds each spec's unit grid (v - lo) /
+    # span in spec order, last axis fastest: the specs differ only in n_th and objective
     names = [axis.name for axis in TEMPLATE_AXES]
     units = [
         (axis.values() - axis.lo) / (axis.hi - axis.lo) if axis.hi > axis.lo else [0.0]
@@ -571,7 +601,11 @@ def test_every_kernel_row_of_a_lockstep_search_is_its_hand_built_row(monkeypatch
         [_template_row(spec, value, point) for spec in TEMPLATE_SPECS for point in grid]
         for value in swept_values
     ]
-    assert hexed[: len(coarse)] == coarse
+    assert [[[value.hex() for value in row] for row in rows] for rows in screens] == coarse
+    # its coarse kernel call holds the cells that can hold a minimum, in that order: one
+    # per spec here (all 30 before the screen)
+    assert [len(rows) for rows in hexed[: len(coarse)]] == [2, 2, 2]
+    assert all(map(_within, hexed[: len(coarse)], coarse))
     # then one call per round: a row per live search, in the order the searches
     # began (two or more run in every round); a row's spec is told by its n_th
     # and its slice by its swept g2
@@ -799,3 +833,154 @@ def test_minimize_deterministic():
     first = minimize_steering(spec)
     second = minimize_steering(spec)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# screened coarse grids
+
+
+def _unscreened(monkeypatch, specs, swept=None):
+    """``_minimize(specs, swept)`` with every stable coarse cell sent to the kernel."""
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySweepWarning)
+        patch.setattr(steerkit.sweep, "_SCREEN_TOL", math.inf)
+        return steerkit.sweep._minimize(specs, swept)
+
+
+def _screened(specs, swept=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptySweepWarning)
+        return steerkit.sweep._minimize(specs, swept)
+
+
+#: axis ranges that reach across the stability edge: g1 above g2 at small damping
+_AXIS_RANGES = {"g1": (0.1, 20.0), "g2": (0.1, 20.0), "kappa2": (0.2, 4.0), "gamma_m": (0.01, 4.0)}
+
+
+@st.composite
+def _screen_problems(draw):
+    """``(specs, swept)``: one base and box, a nonempty set of objectives (twins), one or
+    two base ``n_th`` (a family), one or two axes, maybe a tie and a swept field."""
+    unit = st.floats(0.0, 1.0)
+    g1 = 0.1 + 15.0 * draw(unit)  # g2 from 0.6 g1 to 2 g1: either side of the edge
+    base = SystemParams(
+        1.0, 0.3 + 2.7 * draw(unit), g1, g1 * (0.6 + 1.4 * draw(unit)),
+        10.0 ** (-2.0 + 2.5 * draw(unit)), 50.0 * draw(unit),
+    )
+    names = draw(st.lists(st.sampled_from(sorted(_AXIS_RANGES)), min_size=1, max_size=2,
+                          unique=True))
+    axes = []
+    for name in names:
+        low, high = _AXIS_RANGES[name]
+        lo = low + (high - low) * draw(unit) / 2.0
+        hi = lo + (high - lo) * draw(st.floats(0.05, 1.0))
+        axes.append(AxisSpec(name, lo, hi, draw(st.integers(2, 9))))
+    ties = {"kappa2": "kappa1"} if "kappa2" not in names and draw(st.booleans()) else {}
+    objectives = draw(st.lists(st.sampled_from(steerkit.sweep._OBJECTIVES), min_size=1,
+                               max_size=3, unique=True))
+    n_ths = draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=2, unique=True))
+    specs = [
+        SweepSpec(base.with_(n_th=n_th), tuple(axes), objective, ties)
+        for n_th in n_ths for objective in objectives
+    ]
+    free = [name for name in ("g2", "gamma_m", "n_th") if name not in names]
+    swept = None
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(free))
+        low, high = _AXIS_RANGES.get(name, (0.0, 50.0))
+        swept = AxisSpec(name, low + (high - low) * draw(unit) / 2.0, high, 2)
+    return specs, swept
+
+
+@settings(max_examples=60)
+@given(_screen_problems())
+def test_screened_coarse_grids_give_the_points_of_unscreened_ones(problem):
+    # boxes are drawn across the stability edge and kept as drawn: the screen may
+    # keep only the cells that can hold a minimum, and every point keeps its bits
+    specs, swept = problem
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        unscreened = _unscreened(monkeypatch, specs, swept)
+    assert repr(_screened(specs, swept)) == repr(unscreened)
+
+
+#: LONE's box on a 5 x 5 grid, whose best s21 cell lies 0.06 below the next: raised
+#: by 10 * _SCREEN_TOL, it stays the screen's least
+SPARSE = replace(LONE, axes=(AxisSpec("g1", 0.2, 8.0, 5), AxisSpec("g2", 0.3, 12.0, 5)))
+
+
+def _sparse_grid():
+    """``SPARSE``'s coarse rate rows, which of them are stable, and its s21 cells'
+    kernel scores (inf where NaN)."""
+    box = steerkit.sweep._box(SPARSE.axes)
+    rates = steerkit.dynamics._rates(SPARSE.base.with_(g1=0.2, g2=0.3)) + box.grid * box.spans
+    cells = np.array(steerkit.sweep._evaluate_grid(rates, itertools.repeat(False)))
+    return rates, cells[:, 0].astype(bool), np.where(np.isnan(cells[:, 2]), math.inf, cells[:, 2])
+
+
+@pytest.mark.parametrize("perturbation", ["raise-best", "lower-worst"])
+def test_a_screen_off_the_kernel_falls_back_to_every_stable_cell(monkeypatch, perturbation):
+    # the screen of SPARSE's s21 is moved by 10 * _SCREEN_TOL: the kernel-best cell up,
+    # where it stays the screen's least, or the kernel-worst stable cell down to below
+    # the least.  The kept cell strays from the kernel, so every stable cell goes to the
+    # kernel and the point is the unscreened one; without the fallback the second would
+    # start its search from the worst cell
+    rates, stable, scores = _sparse_grid()
+    best, worst = int(np.argmin(scores)), int(np.argmax(np.where(stable, scores, -math.inf)))
+    expected = _unscreened(monkeypatch, [SPARSE])
+    screen = steerkit.sweep._screen
+
+    def perturbed(stable_rows, x):
+        cells = screen(stable_rows, x)
+        low = np.nanmin(cells[:, 2])
+        shift = 10.0 * steerkit.sweep._SCREEN_TOL * max(1.0, low)
+        if perturbation == "raise-best":
+            cells[best, 2] += shift
+        else:
+            cells[worst, 2] = low - shift
+        return cells
+
+    monkeypatch.setattr(steerkit.sweep, "_screen", perturbed)
+    kernel_calls = _record_kernel_calls(monkeypatch)
+    assert repr(_screened([SPARSE])) == repr(expected)
+    # the kept cell, then the other stable cells, before the compass rounds
+    coarse = kernel_calls[0] + kernel_calls[1]
+    assert len(kernel_calls[0]) == 1 and stable.sum() == 16
+    assert sorted(coarse) == sorted(map(tuple, rates[stable].tolist()))
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 0.99)),
+        min_size=1, max_size=20,
+    )
+)
+def test_the_screen_scores_with_the_steering_formula(draws):
+    # random physical (n1, n2, |c|): occupations log-uniform from 1e-3 to 1e3 and |c|
+    # up to 0.99 of its bound sqrt((n1 + 1/2)(n2 + 1/2)).  There a last-bit difference
+    # of libm pow, hypot or log against numpy's moves no score by 1e-12 (measured
+    # worst: 3.2e-13, in E_N); nearer the bound or at larger occupations the formulas
+    # cancel, and such a difference can move E_N by 1e-2
+    n1, n2, share = map(np.array, zip(*draws))
+    n1, n2 = 10.0 ** n1, 10.0 ** n2
+    c = share * np.sqrt((n1 + 0.5) * (n2 + 0.5))
+    zero = np.zeros_like(n1)
+    x = np.column_stack([n1, n2, zero, -c, zero, zero])  # |Re c| is read: its sign is free
+    cells = steerkit.sweep._screen(np.ones(len(x), dtype=bool), x)
+    for row, moments in zip(cells[:, 1:], zip(n1.tolist(), n2.tolist(), c.tolist())):
+        s12, s21, e_n = steerkit.sweep._steering(*moments, True)
+        for value, exact in zip((row[0], row[1], -row[2]), (s12, s21, -e_n)):
+            assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_the_screen_voids_what_the_steering_formula_refuses():
+    # CRAFTED's rows: NaN moments, a degenerate variance and unphysical pairing void
+    # the cell, a degenerate partial transpose (c = 1/2 at n = 0) voids E_N alone
+    cells = steerkit.sweep._screen(np.ones(len(CRAFTED), dtype=bool), CRAFTED)
+    for row, (n1, n2, _, c, _, _) in zip(cells[:, 1:], CRAFTED.tolist()):
+        try:
+            expected = steerkit.sweep._steering(n1, n2, abs(c), True)
+        except (DegenerateConditioningError, PhysicalityError):
+            expected = (math.nan,) * 3
+        assert all(map(_same, row.tolist(), expected))
+    assert np.isnan(cells[:3, 1:]).all() and np.isnan(cells[3, 3]) and (cells[3, 1:3] == 0.0).all()
