@@ -222,40 +222,43 @@ def _compass(
 ]:
     """Coordinate pattern search on the unit box, strict-descent, halving.
 
-    Only the coordinates ``free`` move.  A poll tries ``+step`` then
-    ``-step`` on each of them in turn, moving to each trial that improves;
-    the step halves after a poll that did not improve, and the search
-    returns ``(x, fx)`` once it falls below :data:`_COMPASS_TOL`.  Points
-    are lists of floats.  Each yield is the next trial and a lazy iterator
-    of the trials that follow it if it and they fail, through the end of
-    the next poll.  The search is sent the objectives of that trial and of
-    as many of the following ones as the caller took, in order, and moves
-    to the first that improves: it accepts the points, and returns the
-    ``(x, fx)``, of sending one trial at a time.  :func:`_minimize` takes
-    them all for a lone search, so it sends the rest of its poll and the
-    next one per kernel call; crowded rounds send one trial per search.
+    Only the coordinates ``free`` move.  A poll tries ``+step`` then ``-step`` on each
+    of them in turn, moving to each trial that improves; the step halves after a poll
+    that did not improve, and the search returns ``(x, fx)`` once it falls below
+    :data:`_COMPASS_TOL`.  Points are lists of floats; a trial at a point scored (the
+    start, or a trial read) is skipped, as it cannot beat ``fx``, which only falls.
+    Tuples key them exactly: a trial is ``min(max(x ± step, 0.0), 1.0)`` of a point
+    with no negative coordinate, so none is -0.0 (equal to 0.0) or NaN.  Each yield is
+    the next trial and a lazy iterator of the trials that follow it if it and they
+    fail, through the end of the second poll after its own.  The search is sent the
+    objectives of that trial and of as many of the following ones as the caller took,
+    in order, and moves to the first that improves: it accepts the points, and returns
+    the ``(x, fx)``, of sending one trial at a time.  :func:`_minimize` takes them all
+    for a lone search; crowded rounds send one trial per search.
     """
     moves = [(int(i), sign) for i in free for sign in (1.0, -1.0)]
     x, fx, state = x0.tolist(), fx0, (0, step0, 0, False)  # poll, step, next move, improved
-    while (first := _next_trial(x, state, moves)) is not None:
+    seen = {tuple(x)}  # the points scored, and the trials planned this round
+    while (first := _next_trial(x, state, moves, seen)) is not None:
         plan = [first]  # each trial taken, with the state that follows if it fails
-        values = yield first[0], _ahead(x, first, moves, plan)
-        for (trial, state), f_trial in zip(plan, values):
+        values = yield first[0], _ahead(x, first, moves, plan, seen)
+        for read, ((trial, state), f_trial) in enumerate(zip(plan, values), 1):
             if f_trial < fx:
                 x, fx, state = trial, f_trial, (*state[:3], True)
                 break
+        seen.difference_update(tuple(trial) for trial, _ in plan[read:])  # planned, not read
     return x, fx
 
 
 def _next_trial(
-    x: list[float], state: tuple, moves: list, last_poll: float = math.inf
+    x: list[float], state: tuple, moves: list, seen: set, last_poll: float = math.inf
 ) -> tuple[list[float], tuple] | None:
     """The next trial of a compass search at ``x`` in ``state``, with the state that
     follows if it fails, or None once the step falls below :data:`_COMPASS_TOL` or the
     poll passes ``last_poll``, before the trial is built.
 
-    Moves the unit box clamps to ``x`` are skipped.  At the end of a poll the step
-    halves unless the poll improved, and the next poll starts with that flag reset.
+    Moves to a point in ``seen`` (``x`` where the box clamps) are skipped; the trial returned
+    joins it.  A poll's end halves the step unless the poll improved, and resets the flag.
     """
     poll, step, move, improved = state
     while True:
@@ -267,14 +270,15 @@ def _next_trial(
         move += 1
         trial = x.copy()
         trial[i] = min(max(trial[i] + sign * step, 0.0), 1.0)
-        if trial[i] != x[i]:
+        if (key := tuple(trial)) not in seen:
+            seen.add(key)
             return trial, (poll, step, move, improved)
 
 
-def _ahead(x: list[float], first: tuple, moves: list, plan: list) -> Iterator[list[float]]:
+def _ahead(x: list, first: tuple, moves: list, plan: list, seen: set) -> Iterator[list[float]]:
     """Lazily, the trials that follow ``first`` if it and they fail, through the end
-    of the poll after its own; each one taken is appended to ``plan``."""
-    while planned := _next_trial(x, plan[-1][1], moves, first[1][0] + 1):
+    of the second poll after its own; each one taken is appended to ``plan``."""
+    while planned := _next_trial(x, plan[-1][1], moves, seen, first[1][0] + 2):
         plan.append(planned)
         yield planned[0]
 
@@ -296,9 +300,9 @@ def minimize_steering(
     to the axis box; termination at step < 1e-4 of each axis span.  The
     searches of all slices advance in lockstep, each round one kernel call
     inside the box the coarse call validated: a lone search sends the rest
-    of its poll and the next one per kernel call; crowded rounds send one
-    trial per search.  Either way each search accepts the points of sending
-    one trial at a time.  Axes with ``lo == hi`` stay fixed.
+    of its poll and the two after it per kernel call; crowded rounds send one
+    trial per search.  No search sends a point it scored, and each accepts
+    the points of sending one trial at a time.  Axes with ``lo == hi`` stay fixed.
     Infeasible frontier points (no steady state anywhere on the grid) are
     flagged rather than raised; :class:`EmptySweepWarning` is emitted when
     every point is infeasible.
@@ -341,22 +345,22 @@ def _minimize(
 ) -> list[list[FrontierPoint]]:
     """:func:`minimize_steering` of every spec in ``specs`` over the same ``swept`` axis.
 
-    The compass searches of every slice of every spec advance in lockstep,
-    one :func:`_evaluate_grid` call per round (a lone search sends the rest of
-    its poll and the next one; crowded rounds one trial per search, in the
-    order the searches began).  Every kernel row is :func:`_tied` of
-    ``origins[s, k] + x * spans[s]``, spec ``s``'s row at slice ``k`` and unit
-    point ``x``.  Specs that differ only in objective share each coarse grid,
-    which computes E_N when any of them reads it (E_N never changes a row's
-    steering products).  Each slice's grids of an ``n_th`` family (specs that
-    differ only in base ``n_th``) are :func:`_validated` and scored by
+    The compass searches of every slice of every spec advance in lockstep, one
+    :func:`_evaluate_grid` call per round (a lone search sends the rest of its
+    poll and the two after it; crowded rounds one trial per search, in the order
+    the searches began), of no point a search scored.  Every kernel row is
+    :func:`_tied` of ``origins[s, k] + x * spans[s]``, spec ``s``'s row at slice
+    ``k`` and unit point ``x``.  Specs that differ only in objective share each
+    coarse grid, which computes E_N when any of them reads it (E_N never changes
+    a row's steering products).  Each slice's grids of an ``n_th`` family (specs
+    that differ only in base ``n_th``) are :func:`_validated` and scored by
     :func:`_screen` at once; one kernel call gets each spec's stable cells
-    within ``tol = _SCREEN_TOL * max(1, |lo|)`` of its least screened ``lo``,
-    or unscored, and one more its other stable cells if one of those strays
-    from its screen by ``tol / 2``.  The kernel's best cell is dropped only if
-    the screen strays by more than that there, so each spec's points are the
-    bits of its own unscreened :func:`minimize_steering` call; each spec with
-    no feasible point warns once.  Compass rows are clamped to the unit box.
+    within ``tol = _SCREEN_TOL * max(1, |lo|)`` of its least screened ``lo``, or
+    unscored, and one more its other stable cells if one of those strays from
+    its screen by ``tol / 2``.  The kernel's best cell is dropped only if the
+    screen strays by more than that there, so each spec's points are the bits of
+    its own unscreened :func:`minimize_steering` call; each spec with no
+    feasible point warns once.  Compass rows are clamped to the unit box.
     """
     for spec in specs:
         _check_swept(spec, swept)
@@ -430,7 +434,7 @@ def _minimize(
         if not live:
             break
         lone = len(live) == 1
-        if lone:  # a lone search sends the rest of its poll and the next one
+        if lone:  # a lone search sends the rest of its poll and the two after it
             ((s, k, search, first, ahead),) = live
             rows = [(s, k, trial) for trial in (first, *ahead)]
         else:  # a crowded round sends one trial per search, in the order they began

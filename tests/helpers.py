@@ -20,7 +20,8 @@ at a time, which the block solve must match bit for bit,
 units, whose bits the power-of-two evaluation keeps where those units do not
 overflow, and
 ``one_trial_compass``, the compass search sent one trial at a time, whose
-points and result the look-ahead search must keep.
+result the look-ahead search must keep, reading its trials less each repeat
+of a point it scored.
 """
 from __future__ import annotations
 

@@ -22,6 +22,7 @@ import pytest
 
 import steerkit as sk
 import steerkit.cli
+from test_figures import FIGURE_TRAFFIC
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 _TRACER = _BENCH / "tracer.py"
@@ -101,7 +102,7 @@ def test_traced_frontier_figure_evaluates_every_kernel_row(monkeypatch):
     assert tracer.work["sweep.evaluations"] == layers["sweep._evaluate.calls"] == sum(kernel_rows)
     # 26 coarse grids of 3 x 41 cells are screened; 78 cells reach the kernel, then
     # compass trials (every cell reached it, 4,992 rows in all, before the screen)
-    assert kernel_rows[:26] == [3] * 26 and sum(kernel_rows) == 1_872
+    assert kernel_rows[:26] == [3] * 26 and sum(kernel_rows) == FIGURE_TRAFFIC["2d"].rows
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steerkit.dynamics
+import steerkit.figures
 import steerkit.sweep
 from helpers import EDGE_GRID, one_trial_compass
 from steerkit import (
@@ -27,6 +28,7 @@ from steerkit import (
     SweepSpec,
     SystemParams,
     assess_stability,
+    build_figure,
     build_moment_state,
     grid_sweep,
     logarithmic_negativity,
@@ -259,15 +261,21 @@ def test_grid_solves_each_cell_once(monkeypatch):
     assert kernel_calls == [[_rate_row(BASE.with_(**row.values)) for row in rows]]
 
 
+class _Search(list):
+    """One recorded compass search: the trials it sent, one list per round, with its
+    ``start`` point and value ``fx0`` and the objectives it was sent, one list per round."""
+
+
 def _record_searches(monkeypatch) -> list:
-    """The trials each compass search sent, one list per search of one list per round."""
+    """Each compass search made through ``steerkit.sweep._compass``, as a :class:`_Search`."""
     searches = []
     compass = steerkit.sweep._compass
 
-    def recording(*args, **kwargs):
-        rounds = []
+    def recording(x0, fx0, *args):
+        rounds = _Search()
+        rounds.start, rounds.fx0, rounds.values = list(x0), fx0, []
         searches.append(rounds)
-        search = compass(*args, **kwargs)
+        search = compass(x0, fx0, *args)
         values = None
         while True:
             try:
@@ -276,9 +284,29 @@ def _record_searches(monkeypatch) -> list:
                 return stop.value
             rounds.append([trial])
             values = yield trial, _taking(ahead, rounds[-1])
+            rounds.values.append(list(values))
 
     monkeypatch.setattr(steerkit.sweep, "_compass", recording)
     return searches
+
+
+def _resent(search: _Search) -> list:
+    """The trials ``search`` sent at points it had scored: its start, a trial it read
+    in an earlier round (each trial of a round through the first that improved), or a
+    trial sent before in the same round."""
+    scored, fx, resent = {_bits(search.start)}, search.fx0, []
+    for trials, values in zip(search, search.values):
+        sent = set()
+        for trial in trials:
+            if _bits(trial) in scored or _bits(trial) in sent:
+                resent.append(trial)
+            sent.add(_bits(trial))
+        for trial, value in zip(trials, values):
+            scored.add(_bits(trial))
+            if value < fx:
+                fx = value
+                break
+    return resent
 
 
 def _taking(trials, taken: list):
@@ -308,7 +336,7 @@ def test_minimize_solves_each_evaluation_once(monkeypatch):
     assert [len(rows) for rows in kernel_calls[:3]] == [1, 1, 1]
     assert all(map(_within, kernel_calls[:3], screens))
     # then one call per lockstep round: one row per search still running, or
-    # a lone search's trials through the end of its next poll
+    # a lone search's trials through the end of the second poll after its own
     rounds = kernel_calls[3:]
     assert len(rounds) == max(map(len, searches)) > 0
     lone_rows = []
@@ -381,6 +409,16 @@ def _look_ahead_drive(objective, x0, fx0, step0, free, lone: bool):
     raise AssertionError("the search did not end")
 
 
+def _first_reads(read: list, start) -> list:
+    """The ``(trial, value)`` pairs of ``read`` at points not read before, nor at ``start``."""
+    scored, first = {_bits(start)}, []
+    for trial, value in read:
+        if trial not in scored:
+            scored.add(trial)
+            first.append((trial, value))
+    return first
+
+
 @settings(max_examples=300)
 @given(
     st.permutations(range(3)),
@@ -390,18 +428,20 @@ def _look_ahead_drive(objective, x0, fx0, step0, free, lone: bool):
     st.lists(st.sampled_from((-1.0, 0.0, 0.5, 2.0, math.inf)), min_size=1, max_size=12),
 )
 def test_look_ahead_search_reads_what_the_one_trial_search_reads(order, n_free, x0, steps, cells):
-    # a random objective over few values, so trials tie, with inf (no steady state) cells
+    # 1 to 3 free axes from a corner of the box, so moves clamp, and a random objective
+    # over few values, so trials tie, with inf (no steady state) cells
     def objective(x) -> float:
         return cells[zlib.crc32(_bits(x)) % len(cells)]
 
     free, step0 = order[:n_free], 1.0 / (steps - 1)
     (x, fx), read = _one_trial_drive(objective, x0, objective(x0), step0, free)
-    for lone in (True, False):
+    for lone in (True, False):  # sent its whole look-ahead each round, or one trial
         (x_ahead, fx_ahead), read_ahead = _look_ahead_drive(
             objective, x0, objective(x0), step0, free, lone
         )
+        # the same bits, from the reference's reads less each repeat of a scored point
         assert (_bits(x_ahead), fx_ahead) == (_bits(x), fx)
-        assert read_ahead == read
+        assert read_ahead == _first_reads(read, x0)
 
 
 def _one_trial_at_a_time(x0, fx0, step0, free):
@@ -434,14 +474,16 @@ def test_a_lone_search_sends_its_next_polls_in_one_kernel_call(monkeypatch):
     one_at_a_time = len(kernel_calls), sum(map(len, kernel_calls))
     assert repr(point) == repr(one_trial) and point.feasible
     # (kernel calls, kernel rows): one coarse call of the one cell of 231 the screen
-    # keeps (all 231 before the screen: 273 and 278 rows), then one call per trial, or
-    # one per rest of a poll and the next, whose rows past the first improving trial
-    # are speculative
-    assert (one_at_a_time, look_ahead) == ((43, 43), (10, 48))
+    # keeps, then one call per trial, or one per rest of a poll and the two after it:
+    # 41 trial rows, the one-trial search's 42 reads less its 9 of points it had
+    # scored, plus 8 speculative rows past an improving trial (10 calls and 48 rows
+    # when the look-ahead ended with the next poll and re-sent scored points)
+    assert (one_at_a_time, look_ahead) == ((43, 43), (7, 42))
 
 
 def test_a_lone_search_builds_only_the_trials_it_sends(monkeypatch):
-    # the look-ahead stops at the end of the next poll before it builds a trial there
+    # the look-ahead stops at the end of the second poll after its own before it builds
+    # a trial there, and a skipped trial at a scored point is never returned
     built = []
     next_trial = steerkit.sweep._next_trial
 
@@ -455,7 +497,32 @@ def test_a_lone_search_builds_only_the_trials_it_sends(monkeypatch):
     kernel_calls = _record_kernel_calls(monkeypatch)
     minimize_steering(LONE)
     compass_rows = [row for rows in kernel_calls[1:] for row in rows]
-    assert len(built) == len(compass_rows) == 278 - 231
+    assert len(built) == len(compass_rows) == 41
+
+
+@pytest.mark.parametrize("problem", ["2c", "2d", "6", "LONE"])
+def test_searches_keep_the_one_trial_points_and_send_no_scored_point(monkeypatch, problem):
+    # the minimizations of the frontier figures, and LONE, on the real kernel
+    runs = []
+    minimize = steerkit.sweep._minimize
+
+    def recording(specs, swept=None):
+        runs.append((specs, swept, minimize(specs, swept)))
+        return runs[-1][2]
+
+    searches = _record_searches(monkeypatch)
+    if problem == "LONE":
+        recording([LONE])
+    else:
+        monkeypatch.setattr(steerkit.figures, "_minimize", recording)
+        build_figure(problem)
+    ((specs, swept, points),) = runs
+    assert searches and not any(map(_resent, searches))
+    # the one-trial search, with no skip and no look-ahead, reads scored points again
+    monkeypatch.setattr(steerkit.sweep, "_compass", _one_trial_at_a_time)
+    one_trial_searches = _record_searches(monkeypatch)
+    assert repr(minimize(specs, swept)) == repr(points)
+    assert any(map(_resent, one_trial_searches))
 
 
 # a swept spec whose slices are infeasible (g1 > g2) or end in different rounds
@@ -530,8 +597,10 @@ def test_objective_twins_share_each_coarse_grid(monkeypatch):
     assert [len(rows) for rows in coarse] == [1, 1, 2]
     assert all(map(_within, coarse, screens))
     assert [rows[0][5] for rows in coarse] == [0.0, 1.0, 2.0]
-    # then one call per round, one row per live search of any spec
-    assert len(rounds[0]) == 9 and all(0 < len(rows) <= 9 for rows in rounds)
+    # then one call per round, one row per live search of any spec, or the trials of a
+    # lone search through the end of the second poll after its own: at most 3 + 4 + 4
+    # on two free axes
+    assert len(rounds[0]) == 9 and all(0 < len(rows) <= 11 for rows in rounds)
     kernel_calls.clear()
     for spec, spec_points in zip(specs, points):
         assert repr(minimize_steering(spec, swept)) == repr(spec_points)
@@ -607,14 +676,19 @@ def test_every_kernel_row_of_a_lockstep_search_is_its_hand_built_row(monkeypatch
     assert [len(rows) for rows in hexed[: len(coarse)]] == [2, 2, 2]
     assert all(map(_within, hexed[: len(coarse)], coarse))
     # then one call per round: a row per live search, in the order the searches
-    # began (two or more run in every round); a row's spec is told by its n_th
-    # and its slice by its swept g2
+    # began, or a lone search's trials (the last two rounds, which one search
+    # outlasts the rest by); a row's spec is told by its n_th and its slice by
+    # its swept g2
     rounds = hexed[len(coarse):]
     assert len(rounds) == max(map(len, searches)) > 0
     specs_by_n_th = {spec.base.n_th: spec for spec in TEMPLATE_SPECS}
+    lone = []
     for r, rows in enumerate(rounds):
         sent = [plans[r] for plans in searches if r < len(plans)]
-        assert len(sent) > 1 and all(len(trials) == 1 for trials in sent)
+        if len(sent) == 1:
+            lone.append(r)
+        else:
+            assert all(len(trials) == 1 for trials in sent)
         trials = [trial for trials in sent for trial in trials]
         assert len(rows) == len(trials)
         for row, trial in zip(rows, trials):
@@ -623,6 +697,7 @@ def test_every_kernel_row_of_a_lockstep_search_is_its_hand_built_row(monkeypatch
             assert swept_value in swept_values
             x = {name: float(trial[RATE_NAMES.index(name)]) for name in RATE_NAMES}
             assert row == _template_row(spec, swept_value, x)
+    assert lone == [len(rounds) - 2, len(rounds) - 1]
 
 
 @pytest.mark.parametrize(
