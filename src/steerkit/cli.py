@@ -11,6 +11,7 @@ stdout (summary to stderr); ``--quiet`` drops the summary either way.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -58,6 +59,8 @@ __all__ = ["main"]
 
 def _fmt(value) -> str:
     """Shortest round-trip text for one CSV cell."""
+    if type(value) is float:  # most cells: the cheapest test first
+        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
@@ -331,6 +334,7 @@ def _cmd_reproduce(args) -> int:
 # argument parsing and dispatch
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steerkit",

@@ -18,7 +18,6 @@ phase-symmetric pattern, whose flow closes as ``x' = M x + q``.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -161,7 +160,7 @@ def stability_margins(params: SystemParams) -> tuple[float, float]:
 def assess_stability(params: SystemParams) -> StabilityReport:
     """Evaluate closed-form and spectral stability for ``params``; ``spectral_pass``
     cannot be resolved where the dampings fall below about eps times the largest rate."""
-    max_re = float(np.linalg.eigvals(build_generators(params).drift).real.max())
+    max_re = float(np.linalg.eigvals(_drifts(_rates(params))[0]).real.max())
     return StabilityReport(
         analytic_pass=_judge([getattr(params, name) for name in _RATE_FIELDS[:5]])[1],
         spectral_pass=max_re < 0.0,
@@ -424,7 +423,8 @@ def _steady_batch(rates) -> _SteadyBatch:
     one ``n_th``, they are ordered by the bits of their unit rates, and each block
     factors each run of equal drifts once.  A call with one ``n_th`` keeps the rows
     in their order and factors each.  Rows are not validated; :class:`SystemParams`
-    holds the constraints; ``sweep._minimize`` sends it the cells :func:`_real_steady` ranks.
+    holds the constraints; ``sweep._minimize`` sends it the cells that its screen of
+    :func:`_closed_form`'s moments ranks.
     """
     rates = np.array(rates, dtype=float).reshape(-1, 6)  # a copy, put in units below
     n = len(rates)
@@ -504,6 +504,26 @@ class ClosedFormMoments:
     c: float
 
 
+def _closed_form(k1, k2, g1, g2, gm, nth) -> tuple:
+    """``(n1, n2, c)`` of :func:`steady_state_closed_form` from the five rates in :func:`_judge`'s
+    units and ``n_th``, floats or rate columns; where ``m2 * m1`` is subnormal a float call
+    raises :class:`NumericalError` and the columns are NaN (unstable ones are not masked)."""
+    g11, g22 = g1 * g1, g2 * g2  # squares by product, as in the margins
+    m1, m2 = _margins(k1, k2, g1, g2, gm)
+    den = m2 * m1
+    if isinstance(den, np.ndarray):
+        den[abs(den) < sys.float_info.min] = np.nan
+    elif abs(den) < sys.float_info.min:
+        raise NumericalError(f"closed-form denominator m2 * m1 = {den:.3e} is subnormal")
+    n1 = (k2 * (k1 + k2 + gm) * g11 * g22
+          + gm * (nth + 1.0) * (k1 * g22 - k2 * g11 + k2 * (k1 + k2) * (k2 + gm)) * g11) / den
+    n2 = (k1 * (k1 + k2 + gm) * g11 * g22
+          + gm * nth * (k1 * g22 - k2 * g11 + k1 * (k1 + k2) * (k1 + gm)) * g22) / den
+    c = g1 * g2 * (-k1 * (k2 * g11 + (k2 + gm) * (g22 + k2 * gm))
+                   + gm * nth * (k2 * g11 - k1 * g22 - k1 * k2 * (k1 + k2 + 2.0 * gm))) / den
+    return n1, n2, c
+
+
 def steady_state_closed_form(params: SystemParams) -> ClosedFormMoments:
     """Explicit rational expressions for the steady moments.
 
@@ -514,34 +534,12 @@ def steady_state_closed_form(params: SystemParams) -> ClosedFormMoments:
     units (they are of degree 0 in the rates), where ``m2 * m1`` stays finite.  It is
     subnormal there where the dampings fall below about 1e-154 of the couplings, and
     the products of dampings lose their digits: that raises :class:`NumericalError`.
+    The one-row call of :func:`_closed_form`, which ``sweep._minimize`` screens with.
     """
     unit, stable = _judge([getattr(params, name) for name in _RATE_FIELDS[:5]])
     if not stable:
         raise UnstableSystemError(assess_stability(params))
-    (k1, k2, g1, g2, gm), nth = unit, params.n_th
-    g11, g22 = g1 * g1, g2 * g2  # squares by product, as in the margins
-    m1, m2 = _margins(*unit)
-    den = m2 * m1
-    if abs(den) < sys.float_info.min:
-        raise NumericalError(f"closed-form denominator m2 * m1 = {den:.3e} is subnormal")
-
-    n1 = (
-        k2 * (k1 + k2 + gm) * g11 * g22
-        + gm * (nth + 1.0)
-        * (k1 * g22 - k2 * g11 + k2 * (k1 + k2) * (k2 + gm))
-        * g11
-    ) / den
-    n2 = (
-        k1 * (k1 + k2 + gm) * g11 * g22
-        + gm * nth
-        * (k1 * g22 - k2 * g11 + k1 * (k1 + k2) * (k1 + gm))
-        * g22
-    ) / den
-
-    c = g1 * g2 * (
-        -k1 * (k2 * g11 + (k2 + gm) * (g22 + k2 * gm))
-        + gm * nth * (k2 * g11 - k1 * g22 - k1 * k2 * (k1 + k2 + 2.0 * gm))
-    ) / den
+    n1, n2, c = _closed_form(*unit, params.n_th)
     return ClosedFormMoments(n1=n1, n2=n2, c=c)
 
 
@@ -568,17 +566,6 @@ def _real_flow(rates: NDArray) -> tuple[NDArray, NDArray]:
     m[:, entries] = factors * extended.take(columns, axis=1)
     q[:, 2], q[:, 4] = 2.0 * rates[:, 4] * rates[:, 5], -rates[:, 2]
     return m.reshape(-1, 6, 6), q
-
-
-def _real_steady(rates) -> tuple[NDArray, NDArray]:
-    """``(stable, x)``: :func:`_judge`'s verdict of each rate row, and where stable its moments
-    ``solve(M, -q)`` of :func:`_real_flow` in those units; NaN elsewhere, or if an M is singular."""
-    unit, stable = _judge(rates[:, :5].T)
-    m, q = _real_flow(np.hstack([unit.T, rates[:, 5:]])[stable])
-    x = np.full((len(rates), 6), np.nan)
-    with contextlib.suppress(np.linalg.LinAlgError):
-        x[stable] = np.linalg.solve(m, -q[..., None])[..., 0]
-    return stable, x
 
 
 def _rk4_step(generator: NDArray, h: float | NDArray) -> NDArray:
@@ -654,7 +641,13 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     pattern = _fill(*x0[:4], *(1j * x0[4:]))
     if not np.abs(phi - pattern).max() <= _EVOLVE_TOL * max(1.0, np.abs(phi).max()):
         raise ValueError("initial state is off the phase-symmetric pattern")
+    x = _evolve(params, x0, times).T
+    return [MomentState(p.copy()) for p in _fill(*x[:4], *(1j * x[4:]))]
 
+
+def _evolve(params: SystemParams, x0: NDArray, times: NDArray) -> NDArray:
+    """The rows ``(len(times), 6)`` of :func:`evolve_moments` from the six real moments ``x0``,
+    at float ``times`` it does not check."""
     rates = _rates(params)
     m, q = _real_flow(rates)
     # Van Loan's augmented generator G = [[M, q], [0, 0]]: y' = G y on
@@ -671,7 +664,7 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
         diff = float(np.abs(states - previous).max())
         scale = max(float(np.abs(states).max()), float(np.abs(states[:, :3] + 1.0).max()))
         if diff < _EVOLVE_TOL * max(1.0, scale):
-            return [MomentState(p.copy()) for p in _fill(*states.T[:4], *(1j * states.T[4:]))]
+            return states
         previous = states
     raise StepConvergenceError(step=h, max_difference=diff, halvings=_MAX_HALVINGS)
 

@@ -15,10 +15,10 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .dynamics import _steady_batch, _steady_row, evolve_moments, vacuum_thermal_state
+from .dynamics import _evolve, _steady_batch, _steady_row
 from .params import SystemParams
 from .spectra import _spectrum, spectrum
-from .steering import _steering, steering_products_reduced
+from .steering import _steering
 from .sweep import AxisSpec, SweepSpec, _minimize
 
 __all__ = ["FigureBundle", "available_figures", "build_figure"]
@@ -46,8 +46,9 @@ def _param_lines(params: SystemParams) -> list[str]:
 
 
 def _steering_vs_time(params: SystemParams, times: np.ndarray) -> list[tuple]:
-    states = evolve_moments(params, vacuum_thermal_state(params.n_th), times)
-    return [(float(t), *steering_products_reduced(state)) for t, state in zip(times, states)]
+    x = _evolve(params, np.array([0.0, 0.0, params.n_th, 0.0, 0.0, 0.0]), times)  # vacuum cavities
+    return [(float(t), *_steering(n1, n2, abs(c), False)[:2]) for t, (n1, n2, _, c, _, _)
+            in zip(times, x.tolist())]
 
 
 def _evolution(params: SystemParams, dt: float, n_steps: int) -> Recipe:

@@ -17,8 +17,9 @@ import numpy as np
 
 from .dynamics import (
     _RATE_FIELDS,
+    _closed_form,
+    _judge,
     _rates,
-    _real_steady,
     _steady_batch,
     steady_state_lyapunov,  # not called here; bench/test_bench.py reads this binding
 )
@@ -40,7 +41,7 @@ _OBJECTIVES = ("s12", "s21", "en")  # in the order of :func:`_evaluate`'s fields
 #: compass step (in unit-box coordinates) below which a search stops
 _COMPASS_TOL = 1e-4
 #: a coarse cell screened within this of the least, times max(1, |least|), goes to the kernel;
-#: the screen's worst gap to it on 145,860 figure and benchmark cells: 2.1e-5 of max(1, |f|)
+#: the screen's worst gap to it on 98,473 figure and frontier cells: 2.1e-5 of max(1, |f|)
 _SCREEN_TOL = 1e-3
 
 
@@ -176,18 +177,18 @@ def _evaluate_grid(
     ]
 
 
-def _screen(stable: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cells ``(stable, s12, s21, e_n)`` of :func:`_real_steady`'s rows by :func:`_steering`'s
-    formula on arrays, NaN where it raises and E_N NaN where it is void: a ranking only."""
-    n1, n2, c = x[:, 0], x[:, 1], np.abs(x[:, 3])
-    a, b, c2 = n1 + 0.5, n2 + 0.5, c * c
+def _screen(stable: np.ndarray, n1: np.ndarray, n2: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Cells ``(stable, s12, s21, e_n, 2 nu)`` of moment columns (``c`` of either sign) by
+    :func:`_steering`'s formula on arrays: NaN where unstable or it raises, E_N also where void."""
+    a, b, c, n = n1 + 0.5, n2 + 0.5, np.abs(c), np.stack([n1, n2])
+    c2 = c * c
     with np.errstate(all="ignore"):
-        ok = (0.0 < a) & (a < math.inf) & (0.0 < b) & (b < math.inf) & (
+        ok = stable & (0.0 < a) & (a < math.inf) & (0.0 < b) & (b < math.inf) & (
             c2 - a * b <= 1e-12 * np.maximum(1.0, a * b))
-        w = np.maximum((2.0 * x[:, :2] + 1.0) - 4.0 * c2[:, None] / (2.0 * x[:, 1::-1] + 1.0), 0.0)
-        nu = 0.5 * (a + b) - np.hypot(0.5 * (a - b), c)
-        e_n = np.where(nu > 0.0, np.maximum(0.0, -np.log(2.0 * nu)), np.nan)
-        return np.column_stack([stable, *np.where(ok, [*(w * w).T, e_n], np.nan)])
+        w = np.maximum((2.0 * n + 1.0) - 4.0 * c2 / (2.0 * n[::-1] + 1.0), 0.0)
+        two_nu = 2.0 * (0.5 * (a + b) - np.hypot(0.5 * (a - b), c))
+        e_n = np.where(two_nu > 0.0, np.maximum(0.0, -np.log(two_nu)), np.nan)
+        return np.column_stack([stable, *np.where(ok, [*(w * w), e_n, two_nu], np.nan)])
 
 
 def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -334,7 +335,7 @@ def _box(axes: tuple[AxisSpec, ...]) -> _Box:
     spans = np.zeros(len(_SWEEPABLE))
     spans[columns] = [axis.hi - axis.lo for axis in axes]
     grid = np.zeros((math.prod(map(len, units)), len(_SWEEPABLE)))
-    grid[:, columns] = list(itertools.product(*units))
+    grid[:, columns] = np.stack(np.meshgrid(*units, indexing="ij"), axis=-1).reshape(-1, len(axes))
     free = [i for i, axis in enumerate(axes) if axis.hi > axis.lo]
     step0 = max((1.0 / (axes[i].steps - 1) for i in free), default=0.0)
     return _Box(spans, grid, np.asarray(columns)[free], step0)
@@ -353,14 +354,17 @@ def _minimize(
     ``k`` and unit point ``x``.  Specs that differ only in objective share each
     coarse grid, which computes E_N when any of them reads it (E_N never changes
     a row's steering products).  Each slice's grids of an ``n_th`` family (specs
-    that differ only in base ``n_th``) are :func:`_validated` and scored by
-    :func:`_screen` at once; one kernel call gets each spec's stable cells
-    within ``tol = _SCREEN_TOL * max(1, |lo|)`` of its least screened ``lo``, or
-    unscored, and one more its other stable cells if one of those strays from
-    its screen by ``tol / 2``.  The kernel's best cell is dropped only if the
+    that differ only in base ``n_th``) are :func:`_validated` and scored at once by
+    :func:`_screen` of :func:`_closed_form`'s moments; one kernel call gets each
+    spec's stable cells within ``tol = _SCREEN_TOL * max(1, |lo|)`` of its least
+    screened ``lo``, or unscored, but of an ``"en"`` spec's flat cells (screened
+    ``2 nu >= exp(tol / 2)``: E_N is 0 with margin, so they tie) only the first,
+    which alone can be the argmin.  One more call gets the other flat cells if a
+    flat cell's E_N is not 0, and the other stable cells if a kept cell strays
+    from its screen by ``tol / 2``.  The kernel's best cell is dropped only if the
     screen strays by more than that there, so each spec's points are the bits of
-    its own unscreened :func:`minimize_steering` call; each spec with no
-    feasible point warns once.  Compass rows are clamped to the unit box.
+    its own unscreened :func:`minimize_steering` call; each spec with no feasible
+    point warns once.  Compass rows are clamped to the unit box.
     """
     for spec in specs:
         _check_swept(spec, swept)
@@ -398,18 +402,26 @@ def _minimize(
         for k in range(len(swept_values)):
             # the coarse call checks its box's corners, which hold every trial row below
             rates = _validated(_tied(origins[at, k] + xs * spans[at], sources[at]))
-            stable, x = _real_steady(rates)
-            screened, cells = _screen(stable, x), np.full((len(rates), 4), np.nan)
+            unit, stable = _judge(rates[:, :5].T)
+            with np.errstate(all="ignore"):
+                screened = _screen(stable, *_closed_form(*unit, rates[:, 5]))
+            cells = np.full((len(rates), 4), np.nan)
             (wanted, sent), checks = np.zeros((2, len(rates)), dtype=bool), []
             for s, part in parts:  # the stable cells within tol of the screen's least, or unscored
                 g = score(s, screened[part])
                 tol = _SCREEN_TOL * max(1.0, abs(g.min()))
                 kept = stable[part] & ((g <= g.min() + tol) | ~np.isfinite(g))
-                wanted[part] |= kept
-                checks.append((s, part, kept & np.isfinite(g), g, tol / 2.0))
+                # E_N is 0 with margin where 2 nu >= exp(tol / 2): these cells tie at -0.0,
+                # so only the first can be the argmin, and the rest wait on its E_N
+                flat = kept & with_en[s] & (screened[part, 4] >= math.exp(tol / 2.0))
+                wanted[part] |= kept & ~(flat & (np.cumsum(flat) > 1))
+                checks.append((s, part, kept & np.isfinite(g), flat, g, tol / 2.0))
             while (new := wanted & ~sent).any():
                 cells[new], sent = _evaluate_grid(rates[new], en[new]), sent | new
-                for s, part, scored, g, half in checks:  # a kept cell off its screen: send all
+                for s, part, scored, flat, g, half in checks:
+                    if (cells[part][flat & sent[part], 3] != 0.0).any():  # one is not flat
+                        wanted[part] |= flat
+                    scored = scored & sent[part]  # a kept cell off its screen: send all
                     if not (abs(score(s, cells[part])[scored] - g[scored]) <= half).all():
                         wanted[part] |= stable[part]
             for s, part in parts:

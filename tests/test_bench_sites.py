@@ -22,7 +22,7 @@ import pytest
 
 import steerkit as sk
 import steerkit.cli
-from test_figures import FIGURE_TRAFFIC
+from test_figures import FIGURE_TRAFFIC, Traffic, _count_factorizations, _record
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 _TRACER = _BENCH / "tracer.py"
@@ -142,3 +142,17 @@ def test_frontier_passes_its_oracle_check(frontier):
         if verdict.failed:
             failed.append((item, verdict.why, verdict.err))
     assert len(frontier.items) == 54 and not failed
+
+
+#: the steady-kernel traffic of seed 0's frontier pass, pinned beside the figures' (2,471
+#: rows and 2,470 factorizations while every flat cell of an "en" grid went to the kernel)
+FRONTIER_TRAFFIC = Traffic(368, 1_940, 1_939)
+
+
+def test_frontier_pass_kernel_traffic(monkeypatch, frontier):
+    kernel_calls = _record(monkeypatch, steerkit.sweep, "_steady_batch")
+    factorizations = _count_factorizations(monkeypatch)
+    for item in frontier.items:
+        frontier.run(sk, item)
+    rows = sum(len(rates) for (rates,) in kernel_calls)
+    assert Traffic(len(kernel_calls), rows, len(factorizations)) == FRONTIER_TRAFFIC

@@ -704,6 +704,42 @@ def test_closed_form_refuses_a_subnormal_denominator():
     )
 
 
+#: rate rows around kappa1 = 1 with both couplings raised by 10**0, 10**100 or 10**160: at
+#: 10**160 the denominator m2 * m1 is subnormal in power-of-two units
+_SCALED_ROWS = st.builds(
+    lambda exponents, scale, n_th: (
+        1.0, 10.0 ** exponents[0], 10.0 ** (exponents[1] + scale),
+        10.0 ** (exponents[2] + scale), 10.0 ** exponents[3], n_th,
+    ),
+    st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    st.sampled_from([0.0, 100.0, 160.0]),
+    st.floats(0.0, 10.0),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_SCALED_ROWS, min_size=1, max_size=8))
+@example([(1.0, 1.0, 1e160, 2e160, 0.5, 0.0), (1.0, 1.0, 1e100, 2e100, 0.5, 0.0)])
+def test_closed_form_columns_are_its_one_row_calls(rows):
+    # the screen's columns of a batch hold, bit for bit, what steady_state_closed_form
+    # gives each stable row alone, and are NaN where it refuses a subnormal denominator
+    rates = np.array(rows)
+    unit, stable = dynamics._judge(rates[:, :5].T)
+    with np.errstate(all="ignore"):
+        columns = np.column_stack(dynamics._closed_form(*unit, rates[:, 5])).tolist()
+    for row, row_stable, moments in zip(rows, stable.tolist(), columns):
+        if not row_stable:
+            with pytest.raises(UnstableSystemError):
+                steady_state_closed_form(SystemParams(*row))
+            continue
+        try:
+            cf = steady_state_closed_form(SystemParams(*row))
+        except NumericalError:
+            assert all(map(math.isnan, moments)), row
+            continue
+        assert [value.hex() for value in moments] == [cf.n1.hex(), cf.n2.hex(), cf.c.hex()], row
+
+
 def test_closed_form_anchor_values():
     # Frozen reference numbers for the asymmetric-loss working point,
     # computed from the rational expressions at high precision.

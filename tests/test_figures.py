@@ -160,7 +160,7 @@ def fig6():
     with pytest.MonkeyPatch.context() as monkeypatch:
         searches = _record(monkeypatch, steerkit.figures, "_minimize")
         kernel_calls = _record(monkeypatch, steerkit.sweep, "_steady_batch")
-        screens = _record(monkeypatch, steerkit.sweep, "_real_steady")
+        screens = _record(monkeypatch, steerkit.sweep, "_closed_form")
         factorizations = _count_factorizations(monkeypatch)
         bundle = build_figure("6")
     return bundle, searches, kernel_calls, factorizations, screens
@@ -174,7 +174,7 @@ def test_fig6_is_one_lockstep_search(fig6):
     # whole; only the cells that can hold a minimum reach the kernel (41 x 41 each, and
     # 41,831 rows and 23,690 factorizations in all, before the screen), then one call
     # per round, of no point a search had scored (63 calls and 1,728 rows before)
-    assert [len(rates) for (rates,) in screens] == [41 * 41] * 24
+    assert [len(n_th) for *_, n_th in screens] == [41 * 41] * 24
     assert sum(len(rates) for (rates,) in kernel_calls[:24]) == 241
     rows = sum(len(rates) for (rates,) in kernel_calls)
     assert Traffic(len(kernel_calls), rows, len(factorizations)) == FIGURE_TRAFFIC["6"]

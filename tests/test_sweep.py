@@ -235,16 +235,24 @@ def _record_kernel_calls(monkeypatch) -> list:
     return calls
 
 
+def _in_units(rows) -> list:
+    """Rate rows as the screen's closed form reads them: the five rates in
+    ``dynamics._judge``'s power-of-two units, then n_th; exact, so rows keep their bits."""
+    rates = np.array(rows, dtype=float).reshape(-1, 6)
+    unit = steerkit.dynamics._units(rates[:, :5].T)[1]
+    return list(map(tuple, np.column_stack([unit.T, rates[:, 5]]).tolist()))
+
+
 def _record_screens(monkeypatch) -> list:
-    """The rate rows of each call of the coarse grids' screen, a list per call."""
+    """The rate rows of each call of the coarse grids' screen, :func:`_in_units`, a list per call."""
     calls = []
-    original = steerkit.sweep._real_steady
+    original = steerkit.sweep._closed_form
 
-    def recording(rates):
-        calls.append(list(map(tuple, np.asarray(rates).tolist())))
-        return original(rates)
+    def recording(*columns):
+        calls.append(list(map(tuple, np.column_stack(columns).tolist())))
+        return original(*columns)
 
-    monkeypatch.setattr(steerkit.sweep, "_real_steady", recording)
+    monkeypatch.setattr(steerkit.sweep, "_closed_form", recording)
     return calls
 
 
@@ -330,11 +338,11 @@ def test_minimize_solves_each_evaluation_once(monkeypatch):
             for gamma_m in (0.01, 1.005, 2.0)
             for g1 in (8.0, 9.0, 10.0, 11.0, 12.0)
         ]
-        np.testing.assert_allclose(rows, grid, rtol=1e-15)
+        np.testing.assert_allclose(rows, _in_units(grid), rtol=1e-15)
     # then one kernel call per slice, of the cells that can hold its minimum (each of
     # the 15 cells before the screen): here one each
     assert [len(rows) for rows in kernel_calls[:3]] == [1, 1, 1]
-    assert all(map(_within, kernel_calls[:3], screens))
+    assert all(map(_within, map(_in_units, kernel_calls[:3]), screens))
     # then one call per lockstep round: one row per search still running, or
     # a lone search's trials through the end of the second poll after its own
     rounds = kernel_calls[3:]
@@ -595,7 +603,7 @@ def test_objective_twins_share_each_coarse_grid(monkeypatch):
     coarse, rounds = kernel_calls[:3], kernel_calls[3:]
     assert [len(rows) for rows in screens] == [15] * 3
     assert [len(rows) for rows in coarse] == [1, 1, 2]
-    assert all(map(_within, coarse, screens))
+    assert all(map(_within, map(_in_units, coarse), screens))
     assert [rows[0][5] for rows in coarse] == [0.0, 1.0, 2.0]
     # then one call per round, one row per live search of any spec, or the trials of a
     # lone search through the end of the second poll after its own: at most 3 + 4 + 4
@@ -670,7 +678,8 @@ def test_every_kernel_row_of_a_lockstep_search_is_its_hand_built_row(monkeypatch
         [_template_row(spec, value, point) for spec in TEMPLATE_SPECS for point in grid]
         for value in swept_values
     ]
-    assert [[[value.hex() for value in row] for row in rows] for rows in screens] == coarse
+    hex_rows = [[[float.fromhex(value) for value in row] for row in rows] for rows in coarse]
+    assert screens == list(map(_in_units, hex_rows))
     # its coarse kernel call holds the cells that can hold a minimum, in that order: one
     # per spec here (all 30 before the screen)
     assert [len(rows) for rows in hexed[: len(coarse)]] == [2, 2, 2]
@@ -1004,8 +1013,8 @@ def test_a_screen_off_the_kernel_falls_back_to_every_stable_cell(monkeypatch, pe
     expected = _unscreened(monkeypatch, [SPARSE])
     screen = steerkit.sweep._screen
 
-    def perturbed(stable_rows, x):
-        cells = screen(stable_rows, x)
+    def perturbed(*columns):
+        cells = screen(*columns)
         low = np.nanmin(cells[:, 2])
         shift = 10.0 * steerkit.sweep._SCREEN_TOL * max(1.0, low)
         if perturbation == "raise-best":
@@ -1021,6 +1030,67 @@ def test_a_screen_off_the_kernel_falls_back_to_every_stable_cell(monkeypatch, pe
     coarse = kernel_calls[0] + kernel_calls[1]
     assert len(kernel_calls[0]) == 1 and stable.sum() == 16
     assert sorted(coarse) == sorted(map(tuple, rates[stable].tolist()))
+
+
+#: the benchmark's frontier seed 0, item 43: E_N is 0 on every stable cell of its 41 x 21
+#: grid, so every screened score ties at -0.0 and every stable cell is within tol
+PLATEAU = SweepSpec(
+    SystemParams(1.0, 2.948803834317616, 1.0, 1.0, 11.650109990430531, 7.105710395989101),
+    (AxisSpec("g1", 0.2603306860099383, 10.673558126407471, 41),
+     AxisSpec("g2", 0.4470419760063118, 18.328721016258783, 21)),
+    objective="en",
+)
+
+
+def _flat_rows(spec: SweepSpec) -> list:
+    """The rate rows of ``spec``'s flat coarse cells, in grid order: stable, with a
+    screened ``2 nu`` of at least ``exp(tol / 2)``, where E_N is 0 with margin."""
+    box = steerkit.sweep._box(spec.axes)
+    origin = spec.base.with_(**{axis.name: axis.lo for axis in spec.axes})
+    rates = steerkit.dynamics._rates(origin) + box.grid * box.spans
+    unit, stable = steerkit.dynamics._judge(rates[:, :5].T)
+    with np.errstate(all="ignore"):
+        cells = steerkit.sweep._screen(stable, *steerkit.dynamics._closed_form(*unit, rates[:, 5]))
+    g = np.where(np.isnan(cells[:, 3]), math.inf, -cells[:, 3])
+    tol = steerkit.sweep._SCREEN_TOL * max(1.0, abs(g.min()))
+    flat = stable & (g <= g.min() + tol) & (cells[:, 4] >= math.exp(tol / 2.0))
+    return list(map(tuple, rates[flat].tolist()))
+
+
+def test_a_flat_entanglement_grid_sends_its_first_flat_cell(monkeypatch):
+    # every stable cell is flat, so only the first in grid order can be the argmin: it
+    # alone is sent to the kernel, and the compass search starts there (550 kernel rows
+    # when every flat cell was sent)
+    flat = _flat_rows(PLATEAU)
+    assert len(flat) > 500
+    expected = _unscreened(monkeypatch, [PLATEAU])
+    kernel_calls = _record_kernel_calls(monkeypatch)
+    assert repr(_screened([PLATEAU])) == repr(expected)
+    assert kernel_calls[0] == flat[:1] and sum(map(len, kernel_calls)) <= 20
+
+
+@pytest.mark.parametrize("first_cell", ["rejected", "entangled"])
+def test_a_first_flat_cell_off_zero_sends_every_flat_cell(monkeypatch, first_cell):
+    # the kernel refuses the first flat cell (its residual gate fails) or gives it E_N > 0:
+    # the other flat cells no longer tie below it, so all of them go to the kernel, and
+    # the point is the unscreened one under the same kernel
+    flat = _flat_rows(PLATEAU)
+    evaluate_grid = steerkit.sweep._evaluate_grid
+
+    def patched(rates, with_en):
+        cells = evaluate_grid(rates, with_en)
+        for i, row in enumerate(map(tuple, rates.tolist())):
+            if row == flat[0]:
+                stable, s12, s21, _ = cells[i]
+                cells[i] = (True, math.nan, math.nan, math.nan) if first_cell == "rejected" else (
+                    stable, s12, s21, 1e-9)
+        return cells
+
+    monkeypatch.setattr(steerkit.sweep, "_evaluate_grid", patched)
+    expected = _unscreened(monkeypatch, [PLATEAU])
+    kernel_calls = _record_kernel_calls(monkeypatch)
+    assert repr(_screened([PLATEAU])) == repr(expected)
+    assert set(flat) <= {row for rows in kernel_calls for row in rows}
 
 
 @settings(max_examples=200)
@@ -1041,7 +1111,7 @@ def test_the_screen_scores_with_the_steering_formula(draws):
     c = share * np.sqrt((n1 + 0.5) * (n2 + 0.5))
     zero = np.zeros_like(n1)
     x = np.column_stack([n1, n2, zero, -c, zero, zero])  # |Re c| is read: its sign is free
-    cells = steerkit.sweep._screen(np.ones(len(x), dtype=bool), x)
+    cells = steerkit.sweep._screen(np.ones(len(x), dtype=bool), *x[:, [0, 1, 3]].T)
     for row, moments in zip(cells[:, 1:], zip(n1.tolist(), n2.tolist(), c.tolist())):
         s12, s21, e_n = steerkit.sweep._steering(*moments, True)
         for value, exact in zip((row[0], row[1], -row[2]), (s12, s21, -e_n)):
@@ -1051,8 +1121,8 @@ def test_the_screen_scores_with_the_steering_formula(draws):
 def test_the_screen_voids_what_the_steering_formula_refuses():
     # CRAFTED's rows: NaN moments, a degenerate variance and unphysical pairing void
     # the cell, a degenerate partial transpose (c = 1/2 at n = 0) voids E_N alone
-    cells = steerkit.sweep._screen(np.ones(len(CRAFTED), dtype=bool), CRAFTED)
-    for row, (n1, n2, _, c, _, _) in zip(cells[:, 1:], CRAFTED.tolist()):
+    cells = steerkit.sweep._screen(np.ones(len(CRAFTED), dtype=bool), *CRAFTED[:, [0, 1, 3]].T)
+    for row, (n1, n2, _, c, _, _) in zip(cells[:, 1:4], CRAFTED.tolist()):
         try:
             expected = steerkit.sweep._steering(n1, n2, abs(c), True)
         except (DegenerateConditioningError, PhysicalityError):
