@@ -21,14 +21,8 @@ import numpy as np
 
 from . import __version__
 from .config import _RUN_BLOCKS, RwaConfig, load_config
-from .dynamics import (
-    _RATE_FIELDS,
-    assess_rwa,
-    assess_stability,
-    evolve_moments,
-    steady_state_lyapunov,
-    vacuum_thermal_state,
-)
+from .dynamics import _RATE_FIELDS, assess_rwa, assess_stability, steady_state_lyapunov
+from .dynamics import _evolve as _evolve_rows
 from .errors import (
     ConfigError,
     DegenerateConditioningError,
@@ -47,7 +41,7 @@ from .spectra import (
     thermal_window,
 )
 from .squeezed import transformed_drift
-from .steering import _HOLDS_BELOW, regime_predicates, steering_result
+from .steering import _HOLDS_BELOW, _with_entanglement, regime_predicates, steering_result
 from .sweep import grid_sweep, minimize_steering
 
 __all__ = ["main"]
@@ -129,23 +123,13 @@ def _steady(cfg):
 def _evolve(cfg):
     n = cfg.run.n_points
     times = np.arange(1, n + 1) * (cfg.run.t_max / n)
-    initial = vacuum_thermal_state(cfg.params.n_th)
-    states = evolve_moments(cfg.params, initial, times)
+    x0 = np.array([0.0, 0.0, cfg.params.n_th, 0.0, 0.0, 0.0])  # vacuum cavities, thermal mechanics
+    x = np.vstack([x0, _evolve_rows(cfg.params, x0, times)])
     header = ["t", "s12", "s21", "e_n", "n1", "n2", "nm"]
-    rows = []
-    for t, state in zip(np.concatenate(([0.0], times)), [initial, *states]):
-        result = steering_result(state)
-        rows.append(
-            (
-                float(t),
-                result.s12,
-                result.s21,
-                result.e_n,
-                state.n1,
-                state.n2,
-                state.nm,
-            )
-        )
+    rows = [
+        (t, *_with_entanglement(n1, n2, abs(c)), n1, n2, nm)
+        for t, (n1, n2, nm, c, _, _) in zip([0.0, *times.tolist()], x.tolist())
+    ]
     summary = [
         f"evolved to t = {float(times[-1])!r} in {len(times)} reported steps",
         f"final s12 = {rows[-1][1]!r}, s21 = {rows[-1][2]!r}",
@@ -165,7 +149,7 @@ def _spectra(cfg):
     if not report.analytic_pass:
         raise UnstableSystemError(report)
     header = [f.name for f in fields(table)]
-    rows = list(zip(*(getattr(table, name) for name in header)))
+    rows = list(zip(*(getattr(table, name).tolist() for name in header)))
     summary = [
         f"omega grid: {float(grid[0])!r} .. {float(grid[-1])!r}, {grid.size} points",
         f"min s12 = {float(table.s12.min())!r} "

@@ -423,8 +423,8 @@ def _steady_batch(rates) -> _SteadyBatch:
     one ``n_th``, they are ordered by the bits of their unit rates, and each block
     factors each run of equal drifts once.  A call with one ``n_th`` keeps the rows
     in their order and factors each.  Rows are not validated; :class:`SystemParams`
-    holds the constraints; ``sweep._minimize`` sends it the cells that its screen of
-    :func:`_closed_form`'s moments ranks.
+    holds the constraints; ``sweep._minimize`` sends it the cells that
+    ``steering._steering_columns`` of :func:`_closed_form`'s moments ranks.
     """
     rates = np.array(rates, dtype=float).reshape(-1, 6)  # a copy, put in units below
     n = len(rates)
@@ -628,13 +628,6 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     StepConvergenceError
         If refinement does not settle within ``_MAX_HALVINGS`` levels.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty 1-D sequence")
-    if not np.isfinite(times).all():
-        raise ValueError("times must be finite")
-    if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be non-negative and strictly increasing")
     phi = initial.phi
     x0 = _moments(np.ascontiguousarray(phi, dtype=complex).reshape(36))
     # the library's states are on the pattern; others may miss it by rounding, up to the tolerance
@@ -645,9 +638,16 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     return [MomentState(p.copy()) for p in _fill(*x[:4], *(1j * x[4:]))]
 
 
-def _evolve(params: SystemParams, x0: NDArray, times: NDArray) -> NDArray:
-    """The rows ``(len(times), 6)`` of :func:`evolve_moments` from the six real moments ``x0``,
-    at float ``times`` it does not check."""
+def _evolve(params: SystemParams, x0: NDArray, times) -> NDArray:
+    """The rows ``(len(times), 6)`` of :func:`evolve_moments` from the six real moments ``x0``;
+    raises its ValueError for ``times``."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a non-empty 1-D sequence")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
+        raise ValueError("times must be non-negative and strictly increasing")
     rates = _rates(params)
     m, q = _real_flow(rates)
     # Van Loan's augmented generator G = [[M, q], [0, 0]]: y' = G y on

@@ -18,7 +18,7 @@ from . import __version__
 from .dynamics import _evolve, _steady_batch, _steady_row
 from .params import SystemParams
 from .spectra import _spectrum, spectrum
-from .steering import _steering
+from .steering import _row_products
 from .sweep import AxisSpec, SweepSpec, _minimize
 
 __all__ = ["FigureBundle", "available_figures", "build_figure"]
@@ -47,8 +47,7 @@ def _param_lines(params: SystemParams) -> list[str]:
 
 def _steering_vs_time(params: SystemParams, times: np.ndarray) -> list[tuple]:
     x = _evolve(params, np.array([0.0, 0.0, params.n_th, 0.0, 0.0, 0.0]), times)  # vacuum cavities
-    return [(float(t), *_steering(n1, n2, abs(c), False)[:2]) for t, (n1, n2, _, c, _, _)
-            in zip(times, x.tolist())]
+    return list(zip(times.tolist(), *_row_products(x)))
 
 
 def _evolution(params: SystemParams, dt: float, n_steps: int) -> Recipe:
@@ -93,8 +92,7 @@ def _fig_3a() -> Recipe:
     rows = []
     for gamma_m in (6.0, 8.0, 10.0):
         params = SystemParams(1.0, 1.0, 6.0, 10.0, gamma_m, 0.0)
-        for t, s12, s21 in _steering_vs_time(params, times):
-            rows.append((gamma_m, t, s12, s21))
+        rows.extend((gamma_m, *row) for row in _steering_vs_time(params, times))
     manifest = [
         "kappa1 = kappa2 = 1.0",
         "g1 = 6.0",
@@ -113,11 +111,9 @@ def _fig_3b() -> Recipe:
         [(1.0, 1.0, 6.0, 10.0, gamma_m, n_th) for n_th in (0.0, 0.3) for gamma_m in gammas]
     )
     batch = _steady_batch(rates)
-    rows = []
-    for k, (rate, (n1, n2, _, c)) in enumerate(zip(rates.tolist(), batch.x[:, :4].tolist())):
-        if not batch.solved[k]:
-            _steady_row(batch, k, rates[k])  # raises: the row has no steady state
-        rows.append((rate[5], rate[4], *_steering(n1, n2, abs(c), False)[:2]))
+    for k in (~batch.solved).nonzero()[0][:1]:
+        _steady_row(batch, k, rates[k])  # raises: the row has no steady state
+    rows = list(zip(rates[:, 5].tolist(), rates[:, 4].tolist(), *_row_products(batch.x)))
     manifest = [
         "kappa1 = kappa2 = 1.0",
         "g1 = 6.0",
@@ -131,10 +127,7 @@ def _fig_3b() -> Recipe:
 
 def _spectral(params: SystemParams, omegas: np.ndarray) -> Recipe:
     table = spectrum(params, omegas)
-    rows = [
-        (float(w), float(s12), float(s21))
-        for w, s12, s21 in zip(table.omega, table.s12, table.s21)
-    ]
+    rows = list(zip(table.omega.tolist(), table.s12.tolist(), table.s21.tolist()))
     manifest = [
         *_param_lines(params),
         f"omega grid: {float(omegas[0])!r} .. {float(omegas[-1])!r}, "
@@ -145,7 +138,7 @@ def _spectral(params: SystemParams, omegas: np.ndarray) -> Recipe:
 
 def _zero_frequency_vs_nth(base: SystemParams, n_ths: np.ndarray) -> Recipe:
     table = _spectrum(base, np.zeros(1), n_ths)
-    rows = [(float(n), float(s12), float(s21)) for n, s12, s21 in zip(n_ths, table.s12, table.s21)]
+    rows = list(zip(n_ths.tolist(), table.s12.tolist(), table.s21.tolist()))
     manifest = [
         *_param_lines(base),
         f"n_th grid: {float(n_ths[0])!r} .. {float(n_ths[-1])!r}, "

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dynamics import MomentState, _units
 from .errors import DegenerateConditioningError, PhysicalityError
 from .params import SystemParams
@@ -44,13 +46,15 @@ def _steering(n1: float, n2: float, c: float, with_en: bool) -> tuple[float, flo
     of :func:`steering_products_reduced`, :func:`logarithmic_negativity` and
     :func:`steering_result`, its one-row calls.  E_N is NaN unless ``with_en``, and
     where the partial transpose is degenerate (``nu <= 0``), which voids E_N alone.
-    ``|c|^2`` may exceed its bound ``(n1 + 1/2)(n2 + 1/2)`` by 1e-12 of ``max(1, bound)``."""
+    ``|c|^2``, the correctly rounded product ``c * c`` (libm ``pow`` misrounds some), may
+    exceed its bound ``(n1 + 1/2)(n2 + 1/2)`` by 1e-12 of ``max(1, bound)``; squared as
+    in :func:`_steering_columns`, S12 and S21 have the same bits in both."""
     if not (0.0 < n1 + 0.5 < math.inf and 0.0 < n2 + 0.5 < math.inf):
         raise DegenerateConditioningError(
             "a quadrature variance is not positive and finite; inference undefined"
         )
     a, b = n1 + 0.5, n2 + 0.5
-    c2, bound = c**2, a * b
+    c2, bound = c * c, a * b
     if not c2 - bound <= 1e-12 * max(1.0, bound):
         raise PhysicalityError(
             "pairing moment exceeds its physical bound |c|^2 <= (n1+1/2)(n2+1/2)"
@@ -65,12 +69,38 @@ def _steering(n1: float, n2: float, c: float, with_en: bool) -> tuple[float, flo
     return w12 * w12, w21 * w21, e_n
 
 
-def _with_entanglement(moments: MomentState) -> tuple[float, float, float]:
-    """:func:`_steering` of ``moments`` with E_N, raising where E_N is undefined."""
-    s12, s21, e_n = _steering(moments.n1, moments.n2, abs(moments.c), True)
+def _with_entanglement(n1: float, n2: float, c: float) -> tuple[float, float, float]:
+    """:func:`_steering` of ``(n1, n2, |c|)`` with E_N, raising where E_N is undefined."""
+    s12, s21, e_n = _steering(n1, n2, c, True)
     if math.isnan(e_n):
         raise PhysicalityError("the partially transposed state is degenerate")
     return s12, s21, e_n
+
+
+def _steering_columns(stable, n1: np.ndarray, n2: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Cells ``(stable, s12, s21, e_n, 2 nu)`` of moment columns (``c`` of either sign): the
+    array form of :func:`_steering`, whose S12 and S21 bits it gives, NaN where a row is
+    unstable or :func:`_steering` raises.  E_N, from ``np.hypot`` and ``np.log``, may differ
+    from :func:`_steering`'s in the last bit, and is also NaN where void."""
+    a, b, c, n = n1 + 0.5, n2 + 0.5, np.abs(c), np.stack([n1, n2])
+    c2 = c * c
+    with np.errstate(all="ignore"):
+        ok = stable & (0.0 < a) & (a < math.inf) & (0.0 < b) & (b < math.inf) & (
+            c2 - a * b <= 1e-12 * np.maximum(1.0, a * b))
+        w = np.maximum((2.0 * n + 1.0) - 4.0 * c2 / (2.0 * n[::-1] + 1.0), 0.0)
+        two_nu = 2.0 * (0.5 * (a + b) - np.hypot(0.5 * (a - b), c))
+        e_n = np.where(two_nu > 0.0, np.maximum(0.0, -np.log(two_nu)), np.nan)
+        return np.column_stack([stable, *np.where(ok, [*(w * w), e_n, two_nu], np.nan)])
+
+
+def _row_products(x: np.ndarray) -> list[list[float]]:
+    """The S12 and S21 columns, as lists, of moment rows ``x`` ``(n, 6)`` from one
+    :func:`_steering_columns` call; a row it voids raises :func:`_steering`'s error."""
+    n1, n2, c = x[:, [0, 1, 3]].T
+    cells = _steering_columns(np.ones(len(x), dtype=bool), n1, n2, c)
+    for row in np.isnan(cells[:, 1]).nonzero()[0][:1]:
+        _steering(float(n1[row]), float(n2[row]), abs(float(c[row])), False)  # raises
+    return cells[:, 1:3].T.tolist()
 
 
 def steering_products_reduced(moments: MomentState) -> tuple[float, float]:
@@ -108,7 +138,7 @@ def logarithmic_negativity(moments: MomentState) -> float:
     PhysicalityError
         If ``|c|^2`` exceeds ``a b``, or if ``nu`` is not positive.
     """
-    return _with_entanglement(moments)[2]
+    return _with_entanglement(moments.n1, moments.n2, abs(moments.c))[2]
 
 
 def classify(s12: float, s21: float) -> str:
@@ -141,7 +171,7 @@ class SteeringResult:
 
 def steering_result(moments: MomentState) -> SteeringResult:
     """Evaluate all steering quantities for one moment state."""
-    s12, s21, e_n = _with_entanglement(moments)
+    s12, s21, e_n = _with_entanglement(moments.n1, moments.n2, abs(moments.c))
     return SteeringResult(s12=s12, s21=s21, e_n=e_n, classification=classify(s12, s21))
 
 

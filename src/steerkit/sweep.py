@@ -6,7 +6,6 @@ search inside the axis box, so results are reproducible bit-for-bit.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from collections.abc import Generator, Iterable, Iterator, Mapping, Sequence
@@ -25,7 +24,7 @@ from .dynamics import (
 )
 from .errors import DegenerateConditioningError, EmptySweepWarning, PhysicalityError
 from .params import SystemParams
-from .steering import _steering
+from .steering import _steering, _steering_columns
 
 __all__ = [
     "AxisSpec",
@@ -148,6 +147,7 @@ def _validated(rates: np.ndarray) -> np.ndarray:
     return rates
 
 
+# bench/tracer.py wraps this name to count the kernel's rows and their finite objectives
 def _evaluate(stable, solved, n1, n2, c, *, with_en: bool) -> tuple[bool, float, float, float]:
     """``(stable, s12, s21, e_n)`` of a kernel row's ``(n1, n2, |c|)``; E_N NaN unless ``with_en``.
 
@@ -177,20 +177,6 @@ def _evaluate_grid(
     ]
 
 
-def _screen(stable: np.ndarray, n1: np.ndarray, n2: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Cells ``(stable, s12, s21, e_n, 2 nu)`` of moment columns (``c`` of either sign) by
-    :func:`_steering`'s formula on arrays: NaN where unstable or it raises, E_N also where void."""
-    a, b, c, n = n1 + 0.5, n2 + 0.5, np.abs(c), np.stack([n1, n2])
-    c2 = c * c
-    with np.errstate(all="ignore"):
-        ok = stable & (0.0 < a) & (a < math.inf) & (0.0 < b) & (b < math.inf) & (
-            c2 - a * b <= 1e-12 * np.maximum(1.0, a * b))
-        w = np.maximum((2.0 * n + 1.0) - 4.0 * c2 / (2.0 * n[::-1] + 1.0), 0.0)
-        two_nu = 2.0 * (0.5 * (a + b) - np.hypot(0.5 * (a - b), c))
-        e_n = np.where(two_nu > 0.0, np.maximum(0.0, -np.log(two_nu)), np.nan)
-        return np.column_stack([stable, *np.where(ok, [*(w * w), e_n, two_nu], np.nan)])
-
-
 def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the full Cartesian grid, last axis varying fastest.
 
@@ -199,16 +185,12 @@ def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
     (all rows NaN).
     """
     names = [axis.name for axis in spec.axes]
-    grid = np.array(list(itertools.product(*(axis.values() for axis in spec.axes))))
+    axes = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
+    grid = np.stack(axes, axis=-1).reshape(-1, len(names))
     rates = np.repeat(_rates(spec.base), len(grid), axis=0)
     rates[:, [_SWEEPABLE.index(name) for name in names]] = grid
-    cells = _evaluate_grid(
-        _validated(_tied(rates, np.array(_sources(spec)))), itertools.repeat(True)
-    )
-    rows = [
-        SweepRow(dict(zip(names, map(float, combo))), *cell)
-        for combo, cell in zip(grid, cells)
-    ]
+    cells = _evaluate_grid(_validated(_tied(rates, np.array(_sources(spec)))), [True] * len(grid))
+    rows = [SweepRow(dict(zip(names, combo)), *cell) for combo, cell in zip(grid.tolist(), cells)]
     if all(math.isnan(row.s12) for row in rows):
         warnings.warn(
             "no sweep point produced a steady state", EmptySweepWarning, stacklevel=2
@@ -354,17 +336,17 @@ def _minimize(
     ``k`` and unit point ``x``.  Specs that differ only in objective share each
     coarse grid, which computes E_N when any of them reads it (E_N never changes
     a row's steering products).  Each slice's grids of an ``n_th`` family (specs
-    that differ only in base ``n_th``) are :func:`_validated` and scored at once by
-    :func:`_screen` of :func:`_closed_form`'s moments; one kernel call gets each
-    spec's stable cells within ``tol = _SCREEN_TOL * max(1, |lo|)`` of its least
-    screened ``lo``, or unscored, but of an ``"en"`` spec's flat cells (screened
-    ``2 nu >= exp(tol / 2)``: E_N is 0 with margin, so they tie) only the first,
-    which alone can be the argmin.  One more call gets the other flat cells if a
-    flat cell's E_N is not 0, and the other stable cells if a kept cell strays
-    from its screen by ``tol / 2``.  The kernel's best cell is dropped only if the
-    screen strays by more than that there, so each spec's points are the bits of
-    its own unscreened :func:`minimize_steering` call; each spec with no feasible
-    point warns once.  Compass rows are clamped to the unit box.
+    that differ only in base ``n_th``) are :func:`_validated` and screened at once:
+    :func:`steering._steering_columns` scores :func:`_closed_form`'s moments.  One
+    kernel call gets each spec's stable cells within ``tol = _SCREEN_TOL * max(1,
+    |lo|)`` of its least screened ``lo``, or unscored, but of an ``"en"`` spec's
+    flat cells (screened ``2 nu >= exp(tol / 2)``: E_N is 0 with margin, so they
+    tie) only the first, which alone can be the argmin.  One more call gets the
+    other flat cells if a flat cell's E_N is not 0, and the other stable cells if
+    a kept cell strays from its screen by ``tol / 2``.  The kernel's best cell is
+    dropped only if the screen strays by more than that there, so each spec's
+    points are the bits of its own unscreened :func:`minimize_steering` call; each
+    spec with no feasible point warns once.  Compass rows are clamped to the unit box.
     """
     for spec in specs:
         _check_swept(spec, swept)
@@ -404,7 +386,7 @@ def _minimize(
             rates = _validated(_tied(origins[at, k] + xs * spans[at], sources[at]))
             unit, stable = _judge(rates[:, :5].T)
             with np.errstate(all="ignore"):
-                screened = _screen(stable, *_closed_form(*unit, rates[:, 5]))
+                screened = _steering_columns(stable, *_closed_form(*unit, rates[:, 5]))
             cells = np.full((len(rates), 4), np.nan)
             (wanted, sent), checks = np.zeros((2, len(rates)), dtype=bool), []
             for s, part in parts:  # the stable cells within tol of the screen's least, or unscored

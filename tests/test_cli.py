@@ -181,6 +181,32 @@ def test_evolve_that_cannot_converge_exits_4(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("error: moment integration did not converge after 1 step")
 
 
+@pytest.mark.parametrize(
+    "params, t_max, n_points",
+    [(SystemParams(1.0, 0.4, 10.0, 20.0, 0.01, 0.0), 3.0, 60),
+     (SystemParams(1.0, 2.4, 12.0, 20.0, 0.01, 0.7), 8.0, 250)],
+)
+def test_evolve_table_is_the_one_of_the_public_moment_states(tmp_path, capsys, params, t_max,
+                                                             n_points):
+    # the command reads the integrator's moment rows; its bytes are those of the table
+    # of evolve_moments' states and steering_result
+    text = "\n".join(f"{name} = {getattr(params, name)!r}" for name in steerkit.cli._RATE_FIELDS)
+    cfg = write_config(
+        tmp_path,
+        f"[config]\nversion = 1\n\n[params]\n{text}\n\n"
+        f"[evolve]\nt_max = {t_max!r}\nn_points = {n_points}\n",
+    )
+    assert main(["evolve", "--config", cfg, "--quiet"]) == 0
+    times = np.arange(1, n_points + 1) * (t_max / n_points)
+    initial = vacuum_thermal_state(params.n_th)
+    rows = []
+    for t, state in zip([0.0, *times.tolist()], [initial, *evolve_moments(params, initial, times)]):
+        result = steering_result(state)
+        rows.append((t, result.s12, result.s21, result.e_n, state.n1, state.n2, state.nm))
+    header = ["t", "s12", "s21", "e_n", "n1", "n2", "nm"]
+    assert capsys.readouterr().out == steerkit.cli._csv_text(header, rows)
+
+
 @pytest.mark.parametrize("t_max", ["inf", "nan"])
 def test_evolve_non_finite_t_max_exits_2(tmp_path, capsys, t_max):
     cfg = write_config(tmp_path, FIG2A + f"\n[evolve]\nt_max = {t_max}\n")

@@ -984,13 +984,13 @@ def test_evolution_at_scaled_rates_is_evolution_at_scaled_times(rates, k):
 
 
 def test_evolution_validates_times():
+    # evolve_moments and the rows that figures and `steerkit evolve` read check alike
     initial = vacuum_thermal_state()
-    with pytest.raises(ValueError):
-        evolve_moments(P_ASYM, initial, [])
-    with pytest.raises(ValueError):
-        evolve_moments(P_ASYM, initial, [1.0, 0.5])
-    with pytest.raises(ValueError):
-        evolve_moments(P_ASYM, initial, [-1.0, 0.5])
+    for times in ([], [1.0, 0.5], [0.5, 0.5, 1.0], [-1.0, 0.5]):
+        with pytest.raises(ValueError):
+            evolve_moments(P_ASYM, initial, times)
+        with pytest.raises(ValueError):
+            dynamics._evolve(P_ASYM, np.zeros(6), times)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -13,7 +13,9 @@ import steerkit.spectra
 import steerkit.sweep
 from helpers import evolve_oracle, exact_steady_moments
 from steerkit import (
+    DegenerateConditioningError,
     MomentState,
+    PhysicalityError,
     SystemParams,
     UnstableSystemError,
     available_figures,
@@ -270,3 +272,34 @@ def test_fig3b_row_without_steady_state_fails_the_build(monkeypatch):
     monkeypatch.setattr(steerkit.figures, "_steady_batch", batch_with_unstable_row)
     with pytest.raises(UnstableSystemError):
         build_figure("3b")
+
+
+#: moment rows ``(n1, n2, nm, Re c, ...)`` that the steering formula refuses, and its errors
+REFUSED = [
+    ((0.0, 0.0, 0.0, 0.6, 0.0, 0.0), PhysicalityError, "pairing moment exceeds"),
+    ((-0.5, 0.2, 0.0, 0.0, 0.0, 0.0), DegenerateConditioningError, "not positive and finite"),
+]
+
+
+@pytest.mark.parametrize("figure_id", ["2a", "3b"])
+@pytest.mark.parametrize("row, error, message", REFUSED, ids=["unphysical", "degenerate"])
+def test_a_row_the_steering_formula_refuses_fails_the_build(monkeypatch, figure_id, row, error,
+                                                            message):
+    # each table's steering is one array call; a row it voids (|c|^2 over its bound, or
+    # n1 + 1/2 <= 0) must raise the one-row formula's error, not become a NaN cell
+    evolve = steerkit.figures._evolve
+
+    def evolve_with_row(params, x0, times):
+        x = evolve(params, x0, times)
+        x[7] = row
+        return x
+
+    def batch_with_row(rates):
+        batch = _steady_batch(rates)
+        batch.x[300] = row
+        return batch
+
+    monkeypatch.setattr(steerkit.figures, "_evolve", evolve_with_row)
+    monkeypatch.setattr(steerkit.figures, "_steady_batch", batch_with_row)
+    with pytest.raises(error, match=message):
+        build_figure(figure_id)
