@@ -129,12 +129,6 @@ def _sources(spec: SweepSpec) -> list[int]:
     return [_SWEEPABLE.index(spec.ties.get(name, name)) for name in _SWEEPABLE]
 
 
-def _tied(rates: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Rate rows with each column copied from its ``sources`` column (one row of sources
-    for all rows, or one each), so each tie follows its source."""
-    return rates[np.arange(len(rates))[:, None], sources]
-
-
 def _validated(rates: np.ndarray) -> np.ndarray:
     """``rates``, once :class:`SystemParams` has taken their column minima and maxima.
 
@@ -189,7 +183,7 @@ def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
     grid = np.stack(axes, axis=-1).reshape(-1, len(names))
     rates = np.repeat(_rates(spec.base), len(grid), axis=0)
     rates[:, [_SWEEPABLE.index(name) for name in names]] = grid
-    cells = _evaluate_grid(_validated(_tied(rates, np.array(_sources(spec)))), [True] * len(grid))
+    cells = _evaluate_grid(_validated(rates[:, _sources(spec)]), [True] * len(grid))
     rows = [SweepRow(dict(zip(names, combo)), *cell) for combo, cell in zip(grid.tolist(), cells)]
     if all(math.isnan(row.s12) for row in rows):
         warnings.warn(
@@ -328,36 +322,37 @@ def _minimize(
 ) -> list[list[FrontierPoint]]:
     """:func:`minimize_steering` of every spec in ``specs`` over the same ``swept`` axis.
 
-    The compass searches of every slice of every spec advance in lockstep, one
+    The specs share one search box: they may differ in base and objective, and
+    :class:`ValueError` is raised if they differ in axes or ties.  The compass
+    searches of every slice of every spec advance in lockstep, one
     :func:`_evaluate_grid` call per round (a lone search sends the rest of its
     poll and the two after it; crowded rounds one trial per search, in the order
     the searches began), of no point a search scored.  Every kernel row is
-    :func:`_tied` of ``origins[s, k] + x * spans[s]``, spec ``s``'s row at slice
-    ``k`` and unit point ``x``.  Specs that differ only in objective share each
-    coarse grid, which computes E_N when any of them reads it (E_N never changes
-    a row's steering products).  Each slice's grids of an ``n_th`` family (specs
-    that differ only in base ``n_th``) are :func:`_validated` and screened at once:
-    :func:`steering._steering_columns` scores :func:`_closed_form`'s moments.  One
-    kernel call gets each spec's stable cells within ``tol = _SCREEN_TOL * max(1,
-    |lo|)`` of its least screened ``lo``, or unscored, but of an ``"en"`` spec's
-    flat cells (screened ``2 nu >= exp(tol / 2)``: E_N is 0 with margin, so they
-    tie) only the first, which alone can be the argmin.  One more call gets the
-    other flat cells if a flat cell's E_N is not 0, and the other stable cells if
-    a kept cell strays from its screen by ``tol / 2``.  The kernel's best cell is
-    dropped only if the screen strays by more than that there, so each spec's
-    points are the bits of its own unscreened :func:`minimize_steering` call; each
-    spec with no feasible point warns once.  Compass rows are clamped to the unit box.
+    ``(origins[s, k] + x * box.spans)[:, sources]``: spec ``s``'s row at slice ``k``
+    and unit point ``x``, each tie copied from its source.  Specs that differ only
+    in objective share each coarse grid, which computes E_N when any of them reads
+    it (E_N never changes a row's steering products).  Each slice's grids of an
+    ``n_th`` family (specs that differ only in base ``n_th``) are :func:`_validated`
+    and screened at once: :func:`steering._steering_columns` scores
+    :func:`_closed_form`'s moments.  One kernel call gets each spec's stable cells
+    within ``tol = _SCREEN_TOL * max(1, |lo|)`` of its least screened ``lo``, or
+    unscored, but of an ``"en"`` spec's flat cells (screened ``2 nu >= exp(tol /
+    2)``: E_N is 0 with margin, so they tie at -0.0) only the first, which alone
+    can be the argmin.  A sent flat cell must score exactly its screen's -0.0, and
+    any other scored cell sent within ``tol / 2`` of its screen; on a miss one more
+    call gets the spec's other stable cells.  So each spec's points are the bits of
+    its own unscreened :func:`minimize_steering` call; each spec with no feasible
+    point warns once.  Compass rows are clamped to the unit box.
     """
-    for spec in specs:
-        _check_swept(spec, swept)
+    if any(spec.axes != specs[0].axes or spec.ties != specs[0].ties for spec in specs):
+        raise ValueError("specs minimized together must share their axes and ties")
+    _check_swept(specs[0], swept)
+    box, sources = _box(specs[0].axes), _sources(specs[0])
     swept_values = [math.nan] if swept is None else list(map(float, swept.values()))
-    shared = {axes: _box(axes) for axes in dict.fromkeys(spec.axes for spec in specs)}
-    boxes = [shared[spec.axes] for spec in specs]  # specs on the same axes share one box
     slices = [{}] if swept is None else [{swept.name: value} for value in swept_values]
     origins = np.array([  # each spec's base with every axis at lo, the swept field at slice k
         [_rates(spec.base.with_(**{a.name: a.lo for a in spec.axes}, **at))[0] for at in slices]
         for spec in specs])
-    spans, sources = np.array([box.spans for box in boxes]), np.array(list(map(_sources, specs)))
     with_en = np.array([spec.objective == "en" for spec in specs])
     sign = np.where(with_en, -1.0, 1.0)
     column = np.array([1 + _OBJECTIVES.index(spec.objective) for spec in specs])
@@ -369,21 +364,19 @@ def _minimize(
 
     # specs with one base share a grid; the grids of bases that differ only in n_th
     # (a family) go to the kernel together, whose rows then share their drifts
-    families: dict[tuple, dict[SystemParams, list[int]]] = {}
+    families: dict[SystemParams, dict[SystemParams, list[int]]] = {}
     for s, spec in enumerate(specs):
-        key = (spec.base.with_(n_th=0.0), spec.axes, frozenset(spec.ties.items()))
-        families.setdefault(key, {}).setdefault(spec.base, []).append(s)
+        families.setdefault(spec.base.with_(n_th=0.0), {}).setdefault(spec.base, []).append(s)
+    n = len(box.grid)
     sends = []  # (spec, slice, its search, the objectives of its last trials)
     for groups in families.values():
         members = list(groups.values())
-        leaders = [group[0] for group in members]
-        grid = boxes[leaders[0]].grid
-        at, xs = np.repeat(leaders, len(grid)), np.tile(grid, (len(leaders), 1))
-        en = np.repeat([with_en[group].any() for group in members], len(grid))
-        parts = [(s, at == group[0]) for group in members for s in group]  # s, its rows
+        at, xs = np.repeat([group[0] for group in members], n), np.tile(box.grid, (len(members), 1))
+        en = np.repeat([with_en[group].any() for group in members], n)
+        parts = [(s, slice(j * n, (j + 1) * n)) for j, group in enumerate(members) for s in group]
         for k in range(len(swept_values)):
             # the coarse call checks its box's corners, which hold every trial row below
-            rates = _validated(_tied(origins[at, k] + xs * spans[at], sources[at]))
+            rates = _validated((origins[at, k] + xs * box.spans)[:, sources])
             unit, stable = _judge(rates[:, :5].T)
             with np.errstate(all="ignore"):
                 screened = _steering_columns(stable, *_closed_form(*unit, rates[:, 5]))
@@ -394,23 +387,22 @@ def _minimize(
                 tol = _SCREEN_TOL * max(1.0, abs(g.min()))
                 kept = stable[part] & ((g <= g.min() + tol) | ~np.isfinite(g))
                 # E_N is 0 with margin where 2 nu >= exp(tol / 2): these cells tie at -0.0,
-                # so only the first can be the argmin, and the rest wait on its E_N
+                # so only the first can be the argmin, and the rest follow on a miss below
                 flat = kept & with_en[s] & (screened[part, 4] >= math.exp(tol / 2.0))
                 wanted[part] |= kept & ~(flat & (np.cumsum(flat) > 1))
-                checks.append((s, part, kept & np.isfinite(g), flat, g, tol / 2.0))
+                # a sent cell must score within tol / 2 of its screen, a flat one exactly
+                checks.append((s, part, kept & np.isfinite(g), g, np.where(flat, 0.0, tol / 2.0)))
             while (new := wanted & ~sent).any():
                 cells[new], sent = _evaluate_grid(rates[new], en[new]), sent | new
-                for s, part, scored, flat, g, half in checks:
-                    if (cells[part][flat & sent[part], 3] != 0.0).any():  # one is not flat
-                        wanted[part] |= flat
-                    scored = scored & sent[part]  # a kept cell off its screen: send all
-                    if not (abs(score(s, cells[part])[scored] - g[scored]) <= half).all():
+                for s, part, scored, g, gap in checks:  # a sent cell off its screen: send all
+                    scored = scored & sent[part]
+                    if not (abs(score(s, cells[part])[scored] - g[scored]) <= gap[scored]).all():
                         wanted[part] |= stable[part]
             for s, part in parts:
                 f = score(s, cells[part])
                 best = int(np.argmin(f))
                 if np.isfinite(f[best]):
-                    search = _compass(grid[best], float(f[best]), boxes[s].step0, boxes[s].free)
+                    search = _compass(box.grid[best], float(f[best]), box.step0, box.free)
                     sends.append((s, k, search, None))
     points = [
         [FrontierPoint(value, None, math.nan, False) for value in swept_values] for _ in specs
@@ -422,7 +414,7 @@ def _minimize(
                 live.append((s, k, search, *search.send(objectives)))
             except StopIteration as stop:
                 x, fx = stop.value
-                values = dict(zip(_SWEEPABLE, origins[s, k] + x * spans[s]))
+                values = dict(zip(_SWEEPABLE, origins[s, k] + x * box.spans))
                 coords = {axis.name: float(values[axis.name]) for axis in specs[s].axes}
                 points[s][k] = FrontierPoint(swept_values[k], coords, float(sign[s] * fx), True)
         if not live:
@@ -434,7 +426,7 @@ def _minimize(
         else:  # a crowded round sends one trial per search, in the order they began
             rows = [(s, k, first) for s, k, _, first, _ in live]
         at, slices, xs = map(np.array, zip(*rows))
-        rates = _tied(origins[at, slices] + xs * spans[at], sources[at])
+        rates = (origins[at, slices] + xs * box.spans)[:, sources]
         f = score(at, np.array(_evaluate_grid(rates, with_en[at]))).tolist()
         sends = [(s, k, search, f)] if lone else [
             (s, k, search, (fs,)) for (s, k, search, _, _), fs in zip(live, f)

@@ -562,14 +562,17 @@ def test_swept_slices_equal_lone_problems(monkeypatch, objective):
         assert _same(point.value, lone.value)
 
 
-#: specs of every objective, twins on one base, a tie, STAGGERED's infeasible
-#: slices, and one spec with no steady state anywhere (g1 > g2 at equal losses)
-LOCKSTEP_SPECS = [
-    *(replace(STAGGERED, objective=objective) for objective in ("s12", "s21", "en")),
-    replace(MIXED, objective="s21"),
-    replace(MIXED, objective="en"),
-    SweepSpec(BASE.with_(gamma_m=0.5), (AxisSpec("g1", 1.0, 8.0, 8),), ties={"kappa2": "kappa1"}),
-    SweepSpec(SystemParams(1.0, 1.0, 10.0, 2.0, 0.01), (AxisSpec("g1", 19.0, 21.0, 3),)),
+#: a tie, and a spec with no steady state anywhere (g1 > g2 at equal losses)
+TIED = SweepSpec(BASE.with_(gamma_m=0.5), (AxisSpec("g1", 1.0, 8.0, 8),), ties={"kappa2": "kappa1"})
+VOID = SweepSpec(SystemParams(1.0, 1.0, 10.0, 2.0, 0.01), (AxisSpec("g1", 19.0, 21.0, 3),))
+#: groups of specs on one box, each minimized in one call: objective twins on one base
+#: with STAGGERED's infeasible slices, twins on MIXED's box, the tie with an n_th
+#: family, and twins with no steady state
+LOCKSTEP_GROUPS = [
+    [replace(STAGGERED, objective=objective) for objective in ("s12", "s21", "en")],
+    [replace(MIXED, objective="s21"), replace(MIXED, objective="en")],
+    [TIED, replace(TIED, base=TIED.base.with_(n_th=0.5), objective="en")],
+    [VOID, replace(VOID, objective="s21")],
 ]
 
 
@@ -577,19 +580,48 @@ LOCKSTEP_SPECS = [
 def test_lockstep_points_equal_lone_searches(swept):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        lockstep = steerkit.sweep._minimize(LOCKSTEP_SPECS, swept)
+        lockstep = [steerkit.sweep._minimize(specs, swept) for specs in LOCKSTEP_GROUPS]
     empty = [w for w in caught if issubclass(w.category, EmptySweepWarning)]
     lone_empty = 0
-    for spec, points in zip(LOCKSTEP_SPECS, lockstep):
-        with warnings.catch_warnings(record=True) as lone_caught:
-            warnings.simplefilter("always")
-            lone = minimize_steering(spec, swept)
-        lone_empty += len(lone_caught)
-        # repr spells every float exactly, signed zeros and NaN included
-        assert repr(points) == repr(lone)
-    assert len(empty) == lone_empty == 1
+    for specs, group in zip(LOCKSTEP_GROUPS, lockstep):
+        for spec, points in zip(specs, group):
+            with warnings.catch_warnings(record=True) as lone_caught:
+                warnings.simplefilter("always")
+                lone = minimize_steering(spec, swept)
+            lone_empty += len(lone_caught)
+            # repr spells every float exactly, signed zeros and NaN included
+            assert repr(points) == repr(lone)
+    # one warning per spec with no feasible point: VOID's twins
+    infeasible = [not any(p.feasible for p in points) for group in lockstep for points in group]
+    assert len(empty) == lone_empty == sum(infeasible) == 2
+    assert infeasible[-2:] == [True, True]
     staggered = [True] if swept is None else [False, False, True, True, True]
-    assert [point.feasible for point in lockstep[0]] == staggered
+    assert [point.feasible for point in lockstep[0][0]] == staggered
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [[STAGGERED, MIXED], [TIED, replace(TIED, ties={})], [LONE, replace(LONE, axes=LONE.axes[:1])]],
+    ids=["axis-order", "ties", "axes"],
+)
+def test_specs_on_different_boxes_raise(specs):
+    with pytest.raises(ValueError, match="share their axes and ties"):
+        steerkit.sweep._minimize(specs)
+
+
+def test_a_swept_tie_source_carries_its_tie(monkeypatch):
+    # kappa1 is swept and kappa2 copies it: every kernel row, coarse or compass, holds
+    # kappa2 == kappa1, and each slice is the lone problem at that kappa1
+    swept = AxisSpec("kappa1", 0.8, 1.2, 3)
+    kernel_calls = _record_kernel_calls(monkeypatch)
+    points = minimize_steering(TIED, swept)
+    rows = [row for rows in kernel_calls for row in rows]
+    assert {row[0] for row in rows} == set(swept.values().tolist())
+    assert all(row[1] == row[0] for row in rows)
+    assert all(point.feasible for point in points)
+    for point, kappa1 in zip(points, swept.values().tolist()):
+        (lone,) = minimize_steering(replace(TIED, base=TIED.base.with_(kappa1=kappa1)))
+        assert (point.best, point.value) == (lone.best, lone.value)
 
 
 def test_objective_twins_share_each_coarse_grid(monkeypatch):
@@ -985,7 +1017,11 @@ def test_screened_coarse_grids_give_the_points_of_unscreened_ones(problem):
     specs, swept = problem
     with pytest.MonkeyPatch.context() as monkeypatch:
         unscreened = _unscreened(monkeypatch, specs, swept)
-    assert repr(_screened(specs, swept)) == repr(unscreened)
+    screened = _screened(specs, swept)
+    assert repr(screened) == repr(unscreened)
+    # and each spec's lockstep points are the bits of its own minimization
+    for spec, points in zip(specs, screened):
+        assert repr(_screened([spec], swept)) == repr([points])
 
 
 #: LONE's box on a 5 x 5 grid, whose best s21 cell lies 0.06 below the next: raised
