@@ -192,11 +192,14 @@ def grid_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
+#: what a search asks of the kernel: the unit points it needs scored, and a lazy look-ahead
+#: of the points it can use next, which :func:`_minimize` takes only for a lone search
+_Request = tuple[Sequence, Iterator[list[float]]]
+
+
 def _compass(
     x0: np.ndarray, fx0: float, step0: float, free: np.ndarray
-) -> Generator[
-    tuple[list[float], Iterator[list[float]]], Sequence[float], tuple[list[float], float]
-]:
+) -> Generator[_Request, Sequence[float], tuple[list[float], float]]:
     """Coordinate pattern search on the unit box, strict-descent, halving.
 
     Only the coordinates ``free`` move.  A poll tries ``+step`` then ``-step`` on each
@@ -205,20 +208,21 @@ def _compass(
     :data:`_COMPASS_TOL`.  Points are lists of floats; a trial at a point scored (the
     start, or a trial read) is skipped, as it cannot beat ``fx``, which only falls.
     Tuples key them exactly: a trial is ``min(max(x ± step, 0.0), 1.0)`` of a point
-    with no negative coordinate, so none is -0.0 (equal to 0.0) or NaN.  Each yield is
-    the next trial and a lazy iterator of the trials that follow it if it and they
-    fail, through the end of the second poll after its own.  The search is sent the
-    objectives of that trial and of as many of the following ones as the caller took,
-    in order, and moves to the first that improves: it accepts the points, and returns
-    the ``(x, fx)``, of sending one trial at a time.  :func:`_minimize` takes them all
-    for a lone search; crowded rounds send one trial per search.
+    with no negative coordinate, so none is -0.0 (equal to 0.0) or NaN.  Each yield is a
+    :data:`_Request`: ``[trial]``, the next trial, and a lazy iterator of the trials that
+    follow it if it and they fail, through the end of the second poll after its own.
+    The search is sent the objectives of that trial and of as many of the following
+    ones as the caller took, in order, and moves to the first that improves: it accepts
+    the points, and returns the ``(x, fx)``, of sending one trial at a time.
+    :func:`_minimize` takes them all for a lone search; crowded rounds send one trial
+    per search.
     """
     moves = [(int(i), sign) for i in free for sign in (1.0, -1.0)]
     x, fx, state = x0.tolist(), fx0, (0, step0, 0, False)  # poll, step, next move, improved
     seen = {tuple(x)}  # the points scored, and the trials planned this round
     while (first := _next_trial(x, state, moves, seen)) is not None:
         plan = [first]  # each trial taken, with the state that follows if it fails
-        values = yield first[0], _ahead(x, first, moves, plan, seen)
+        values = yield [first[0]], _ahead(x, first, moves, plan, seen)
         for read, ((trial, state), f_trial) in enumerate(zip(plan, values), 1):
             if f_trial < fx:
                 x, fx, state = trial, f_trial, (*state[:3], True)
@@ -271,18 +275,16 @@ def minimize_steering(
 ) -> list[FrontierPoint]:
     """Optimize the objective over the axis box, once per swept value.
 
-    For each value of ``swept`` (or just once when it is None) the
-    objective is ranked on the coarse axis grid by a screen, validated once
-    per slice, and the kernel's best cell is refined by compass search clamped
-    to the axis box; termination at step < 1e-4 of each axis span.  The
-    searches of all slices advance in lockstep, each round one kernel call
-    inside the box the coarse call validated: a lone search sends the rest
-    of its poll and the two after it per kernel call; crowded rounds send one
-    trial per search.  No search sends a point it scored, and each accepts
-    the points of sending one trial at a time.  Axes with ``lo == hi`` stay fixed.
-    Infeasible frontier points (no steady state anywhere on the grid) are
-    flagged rather than raised; :class:`EmptySweepWarning` is emitted when
-    every point is infeasible.
+    For each value of ``swept`` (or just once when it is None) the objective is
+    ranked on the coarse axis grid by a screen, the cells that can hold its optimum
+    are checked on the kernel, and the best is refined by compass search clamped to
+    the axis box; termination at step < 1e-4 of each axis span.  The searches of all
+    slices advance in lockstep, one kernel call per round: a lone search sends the
+    rest of its poll and the two after it, crowded rounds one trial per search.  No
+    search sends a point it scored, and each accepts the points of sending one trial
+    at a time.  Axes with ``lo == hi`` stay fixed.  Infeasible frontier points (no
+    steady state anywhere on the grid) are flagged rather than raised;
+    :class:`EmptySweepWarning` is emitted when every point is infeasible.
 
     For the ``"en"`` objective the reported ``value`` is the maximized
     logarithmic negativity itself.  This is the one-spec call of
@@ -317,32 +319,49 @@ def _box(axes: tuple[AxisSpec, ...]) -> _Box:
     return _Box(spans, grid, np.asarray(columns)[free], step0)
 
 
+def _search(
+    box: _Box, cells: np.ndarray, g: np.ndarray, gap: np.ndarray, stable: np.ndarray
+) -> Generator[_Request, Sequence[float], tuple[list[float], float] | None]:
+    """One problem's search: its screened coarse cells, then a compass search from the best.
+
+    It requests the grid points ``cells`` (indices in grid order) and is sent their
+    scores.  A cell the screen scored (finite ``g``) must score within ``gap`` of it;
+    on a miss it requests every ``stable`` cell.  It returns :func:`_compass`'s ``(x,
+    fx)`` from the first least-scored cell, or None where no cell scored.
+    """
+    f = np.array((yield box.grid[cells], iter(())))
+    scored = np.isfinite(g)
+    if not (abs(f[scored] - g[scored]) <= gap[scored]).all():
+        cells = np.flatnonzero(stable)
+        f = np.array((yield box.grid[cells], iter(())))
+    best = int(np.argmin(f))
+    if not np.isfinite(f[best]):
+        return None
+    return (yield from _compass(box.grid[cells[best]], float(f[best]), box.step0, box.free))
+
+
 def _minimize(
     specs: Sequence[SweepSpec], swept: AxisSpec | None = None
 ) -> list[list[FrontierPoint]]:
     """:func:`minimize_steering` of every spec in ``specs`` over the same ``swept`` axis.
 
     The specs share one search box: they may differ in base and objective, and
-    :class:`ValueError` is raised if they differ in axes or ties.  The compass
-    searches of every slice of every spec advance in lockstep, one
-    :func:`_evaluate_grid` call per round (a lone search sends the rest of its
-    poll and the two after it; crowded rounds one trial per search, in the order
-    the searches began), of no point a search scored.  Every kernel row is
-    ``(origins[s, k] + x * box.spans)[:, sources]``: spec ``s``'s row at slice ``k``
-    and unit point ``x``, each tie copied from its source.  Specs that differ only
-    in objective share each coarse grid, which computes E_N when any of them reads
-    it (E_N never changes a row's steering products).  Each slice's grids of an
-    ``n_th`` family (specs that differ only in base ``n_th``) are :func:`_validated`
-    and screened at once: :func:`steering._steering_columns` scores
-    :func:`_closed_form`'s moments.  One kernel call gets each spec's stable cells
-    within ``tol = _SCREEN_TOL * max(1, |lo|)`` of its least screened ``lo``, or
-    unscored, but of an ``"en"`` spec's flat cells (screened ``2 nu >= exp(tol /
-    2)``: E_N is 0 with margin, so they tie at -0.0) only the first, which alone
-    can be the argmin.  A sent flat cell must score exactly its screen's -0.0, and
-    any other scored cell sent within ``tol / 2`` of its screen; on a miss one more
-    call gets the spec's other stable cells.  So each spec's points are the bits of
-    its own unscreened :func:`minimize_steering` call; each spec with no feasible
-    point warns once.  Compass rows are clamped to the unit box.
+    :class:`ValueError` is raised if they differ in axes or ties.  Each slice of each
+    spec is one :func:`_search`.  Each slice's coarse grids of an ``n_th`` family
+    (specs that differ only in base ``n_th``; objective twins share a grid) are
+    :func:`_validated` and screened at once: :func:`steering._steering_columns` scores
+    :func:`_closed_form`'s moments.  A search first requests its stable cells within
+    ``tol = _SCREEN_TOL * max(1, |lo|)`` of its least screened score ``lo``, or
+    unscored, but of an ``"en"`` spec's flat cells (screened ``2 nu >= exp(tol / 2)``:
+    E_N is 0 with margin, so they tie at -0.0) only the first, which alone can be the
+    argmin; a flat cell must then score exactly -0.0, any other within ``tol / 2``.
+    The searches advance in lockstep, one :func:`_evaluate_grid` call per round of
+    every live search's requested points (and a lone search's look-ahead), in the
+    order they began.  Every kernel row is ``(origins[s, k] + x * box.spans)[:,
+    sources]``: spec ``s``'s row at slice ``k`` and unit point ``x``, each tie copied
+    from its source, inside the box its screened grid validated.  So each spec's
+    points are the bits of its own unscreened :func:`minimize_steering` call; each
+    spec with no feasible point warns once.
     """
     if any(spec.axes != specs[0].axes or spec.ties != specs[0].ties for spec in specs):
         raise ValueError("specs minimized together must share their axes and ties")
@@ -363,74 +382,54 @@ def _minimize(
         return np.where(np.isnan(values), np.inf, sign[s] * values)
 
     # specs with one base share a grid; the grids of bases that differ only in n_th
-    # (a family) go to the kernel together, whose rows then share their drifts
+    # (a family) are screened together
     families: dict[SystemParams, dict[SystemParams, list[int]]] = {}
     for s, spec in enumerate(specs):
         families.setdefault(spec.base.with_(n_th=0.0), {}).setdefault(spec.base, []).append(s)
     n = len(box.grid)
-    sends = []  # (spec, slice, its search, the objectives of its last trials)
+    sends = []  # (spec, slice, its search, the scores of its last request)
     for groups in families.values():
         members = list(groups.values())
         at, xs = np.repeat([group[0] for group in members], n), np.tile(box.grid, (len(members), 1))
-        en = np.repeat([with_en[group].any() for group in members], n)
         parts = [(s, slice(j * n, (j + 1) * n)) for j, group in enumerate(members) for s in group]
         for k in range(len(swept_values)):
-            # the coarse call checks its box's corners, which hold every trial row below
+            # the screened grid's corners hold every row its searches send
             rates = _validated((origins[at, k] + xs * box.spans)[:, sources])
             unit, stable = _judge(rates[:, :5].T)
             with np.errstate(all="ignore"):
                 screened = _steering_columns(stable, *_closed_form(*unit, rates[:, 5]))
-            cells = np.full((len(rates), 4), np.nan)
-            (wanted, sent), checks = np.zeros((2, len(rates)), dtype=bool), []
             for s, part in parts:  # the stable cells within tol of the screen's least, or unscored
                 g = score(s, screened[part])
                 tol = _SCREEN_TOL * max(1.0, abs(g.min()))
                 kept = stable[part] & ((g <= g.min() + tol) | ~np.isfinite(g))
                 # E_N is 0 with margin where 2 nu >= exp(tol / 2): these cells tie at -0.0,
-                # so only the first can be the argmin, and the rest follow on a miss below
+                # so only the first can be the argmin, and the rest follow on a miss
                 flat = kept & with_en[s] & (screened[part, 4] >= math.exp(tol / 2.0))
-                wanted[part] |= kept & ~(flat & (np.cumsum(flat) > 1))
-                # a sent cell must score within tol / 2 of its screen, a flat one exactly
-                checks.append((s, part, kept & np.isfinite(g), g, np.where(flat, 0.0, tol / 2.0)))
-            while (new := wanted & ~sent).any():
-                cells[new], sent = _evaluate_grid(rates[new], en[new]), sent | new
-                for s, part, scored, g, gap in checks:  # a sent cell off its screen: send all
-                    scored = scored & sent[part]
-                    if not (abs(score(s, cells[part])[scored] - g[scored]) <= gap[scored]).all():
-                        wanted[part] |= stable[part]
-            for s, part in parts:
-                f = score(s, cells[part])
-                best = int(np.argmin(f))
-                if np.isfinite(f[best]):
-                    search = _compass(box.grid[best], float(f[best]), box.step0, box.free)
-                    sends.append((s, k, search, None))
-    points = [
-        [FrontierPoint(value, None, math.nan, False) for value in swept_values] for _ in specs
-    ]
+                cells = np.flatnonzero(kept & ~(flat & (np.cumsum(flat) > 1)))
+                if len(cells):  # a sent cell must score within tol / 2 of its screen, flat exactly
+                    gap = np.where(flat[cells], 0.0, tol / 2.0)
+                    sends.append((s, k, _search(box, cells, g[cells], gap, stable[part]), None))
+    points = [[FrontierPoint(x, None, math.nan, False) for x in swept_values] for _ in specs]
     while sends:
         live = []
-        for s, k, search, objectives in sends:
+        for s, k, search, scores in sends:
             try:
-                live.append((s, k, search, *search.send(objectives)))
+                live.append((s, k, search, *search.send(scores)))
             except StopIteration as stop:
-                x, fx = stop.value
-                values = dict(zip(_SWEEPABLE, origins[s, k] + x * box.spans))
-                coords = {axis.name: float(values[axis.name]) for axis in specs[s].axes}
-                points[s][k] = FrontierPoint(swept_values[k], coords, float(sign[s] * fx), True)
+                if stop.value is not None:
+                    x, fx = stop.value
+                    values = dict(zip(_SWEEPABLE, origins[s, k] + x * box.spans))
+                    best = {axis.name: float(values[axis.name]) for axis in specs[s].axes}
+                    points[s][k] = FrontierPoint(swept_values[k], best, float(sign[s] * fx), True)
         if not live:
             break
-        lone = len(live) == 1
-        if lone:  # a lone search sends the rest of its poll and the two after it
-            ((s, k, search, first, ahead),) = live
-            rows = [(s, k, trial) for trial in (first, *ahead)]
-        else:  # a crowded round sends one trial per search, in the order they began
-            rows = [(s, k, first) for s, k, _, first, _ in live]
-        at, slices, xs = map(np.array, zip(*rows))
-        rates = (origins[at, slices] + xs * box.spans)[:, sources]
-        f = score(at, np.array(_evaluate_grid(rates, with_en[at]))).tolist()
-        sends = [(s, k, search, f)] if lone else [
-            (s, k, search, (fs,)) for (s, k, search, _, _), fs in zip(live, f)
-        ]
+        lone = len(live) == 1  # a lone search also sends its look-ahead
+        requests = [(s, k, search, [*required, *ahead] if lone else required)
+                    for s, k, search, required, ahead in live]
+        at, ks, xs = map(np.array, zip(*((s, k, x) for s, k, _, xs in requests for x in xs)))
+        rates = (origins[at, ks] + xs * box.spans)[:, sources]
+        f = iter(score(at, np.array(_evaluate_grid(rates, with_en[at]))).tolist())
+        sends = [(s, k, search, [next(f) for _ in xs]) for s, k, search, xs in requests]
     for spec_points in points:
         if not any(point.feasible for point in spec_points):
             warnings.warn(

@@ -21,7 +21,9 @@ units, whose bits the power-of-two evaluation keeps where those units do not
 overflow, and
 ``one_trial_compass``, the compass search sent one trial at a time, whose
 result the look-ahead search must keep, reading its trials less each repeat
-of a point it scored.
+of a point it scored.  ``solve_row`` and ``propagate_per_report`` bind their own
+LAPACK LU routines and RK4 step, so no private name of ``steerkit.dynamics`` is
+imported here.
 """
 from __future__ import annotations
 
@@ -29,12 +31,15 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from steerkit import SystemParams, assess_stability, build_generators
-from steerkit.dynamics import _getrf, _getrs, _rk4_step
 from steerkit.sweep import _COMPASS_TOL
 
 _SWAP = np.array([1, 0, 3, 2, 5, 4])
+
+#: complex LAPACK LU factorization and solve, the routines the steady kernel calls
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=complex)
 
 #: rows X1, Y1, X2, Y2 in terms of (a1, a1+, a2, a2+), vacuum variance 1/2
 _QUADRATURES = np.array(
@@ -115,6 +120,15 @@ def evolve_oracle(params: SystemParams, phi0: np.ndarray, t: float) -> np.ndarra
     y0 = np.linalg.solve(vec, np.linalg.solve(vec, (phi0 - phi_ss).T).T)
     decay = np.exp(lam * t)
     return vec @ (decay[:, None] * y0 * decay[None, :]) @ vec.T + phi_ss
+
+
+def _rk4_step(generator: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step matrix of y' = G y: ``I + P + P²/2 + P³/6 + P⁴/24``, P = hG."""
+    p = h * generator
+    p2 = p @ p
+    p3 = p2 @ p
+    p4 = p3 @ p
+    return np.eye(len(generator)) + p + p2 / 2.0 + p3 / 6.0 + p4 / 24.0
 
 
 def propagate_per_report(generator, x0, times, h) -> np.ndarray:

@@ -288,11 +288,11 @@ def _record_searches(monkeypatch) -> list:
         values = None
         while True:
             try:
-                trial, ahead = search.send(values)
+                trials, ahead = search.send(values)
             except StopIteration as stop:
                 return stop.value
-            rounds.append([trial])
-            values = yield trial, _taking(ahead, rounds[-1])
+            rounds.append(list(trials))
+            values = yield trials, _taking(ahead, rounds[-1])
             rounds.values.append(list(values))
 
     monkeypatch.setattr(steerkit.sweep, "_compass", recording)
@@ -340,13 +340,13 @@ def test_minimize_solves_each_evaluation_once(monkeypatch):
             for g1 in (8.0, 9.0, 10.0, 11.0, 12.0)
         ]
         np.testing.assert_allclose(rows, _in_units(grid), rtol=1e-15)
-    # then one kernel call per slice, of the cells that can hold its minimum (each of
-    # the 15 cells before the screen): here one each
-    assert [len(rows) for rows in kernel_calls[:3]] == [1, 1, 1]
-    assert all(map(_within, map(_in_units, kernel_calls[:3]), screens))
+    # then one kernel call of every slice's cells that can hold its minimum, in slice
+    # order (each of the 15 cells before the screen): here one each
+    coarse, rounds = kernel_calls[0], kernel_calls[1:]
+    assert len(coarse) == 3
+    assert all(_within([row], screen) for row, screen in zip(_in_units(coarse), screens))
     # then one call per lockstep round: one row per search still running, or
     # a lone search's trials through the end of the second poll after its own
-    rounds = kernel_calls[3:]
     assert len(rounds) == max(map(len, searches)) > 0
     lone_rows = []
     for r, rows in enumerate(rounds):
@@ -405,7 +405,7 @@ def _look_ahead_drive(objective, x0, fx0, step0, free, lone: bool):
     read, values, fx = [], None, fx0
     for _ in range(_MAX_ROUNDS):
         try:
-            trial, ahead = search.send(values)
+            (trial,), ahead = search.send(values)
         except StopIteration as stop:
             return stop.value, read
         trials = [trial, *ahead] if lone else [trial]
@@ -462,7 +462,7 @@ def _one_trial_at_a_time(x0, fx0, step0, free):
             trial = search.send(f_trial)
         except StopIteration as stop:
             return stop.value
-        (f_trial,) = yield trial, iter(())
+        (f_trial,) = yield [trial], iter(())
 
 
 #: a two-axis problem with one search, as each item of the frontier benchmark
@@ -631,13 +631,14 @@ def test_objective_twins_share_each_coarse_grid(monkeypatch):
     specs = [replace(MIXED, objective=objective) for objective in ("s12", "s21", "en")]
     points = steerkit.sweep._minimize(specs, swept)
     assert all(point.feasible for spec_points in points for point in spec_points)
-    # s12, s21 and "en" read one screened grid per slice, and one coarse kernel call
-    # of the cells any of them keeps (all 15 before the screen), which computes E_N
-    coarse, rounds = kernel_calls[:3], kernel_calls[3:]
+    # s12, s21 and "en" read one screened grid per slice; the first kernel call holds
+    # the cells each of them keeps (all 15 before the screen), in the order the nine
+    # searches began: one each here, so at n_th = 0 all three send the same cell
+    coarse, rounds = kernel_calls[0], kernel_calls[1:]
     assert [len(rows) for rows in screens] == [15] * 3
-    assert [len(rows) for rows in coarse] == [1, 1, 2]
-    assert all(map(_within, map(_in_units, coarse), screens))
-    assert [rows[0][5] for rows in coarse] == [0.0, 1.0, 2.0]
+    assert [row[5] for row in coarse] == [0.0] * 3 + [1.0] * 3 + [2.0] * 3
+    assert all(_within([row], screens[int(row[5])]) for row in _in_units(coarse))
+    assert len(set(coarse[:3])) == 1
     # then one call per round, one row per live search of any spec, or the trials of a
     # lone search through the end of the second poll after its own: at most 3 + 4 + 4
     # on two free axes
@@ -645,7 +646,8 @@ def test_objective_twins_share_each_coarse_grid(monkeypatch):
     kernel_calls.clear()
     for spec, spec_points in zip(specs, points):
         assert repr(minimize_steering(spec, swept)) == repr(spec_points)
-    assert len(kernel_calls) > 9 + len(rounds)
+    # the three lone minimizations make 162 calls, the lockstep one 69
+    assert (len(kernel_calls), 1 + len(rounds)) == (162, 69)
 
 
 def test_fixed_axis_changes_nothing(monkeypatch):
@@ -713,15 +715,15 @@ def test_every_kernel_row_of_a_lockstep_search_is_its_hand_built_row(monkeypatch
     ]
     hex_rows = [[[float.fromhex(value) for value in row] for row in rows] for rows in coarse]
     assert screens == list(map(_in_units, hex_rows))
-    # its coarse kernel call holds the cells that can hold a minimum, in that order: one
-    # per spec here (all 30 before the screen)
-    assert [len(rows) for rows in hexed[: len(coarse)]] == [2, 2, 2]
-    assert all(map(_within, hexed[: len(coarse)], coarse))
+    # the first kernel call holds each slice's cells that can hold a minimum, in that
+    # order: one per spec here (all 30 before the screen)
+    assert len(hexed[0]) == 2 * len(coarse)
+    assert all(_within(hexed[0][2 * k:2 * k + 2], rows) for k, rows in enumerate(coarse))
     # then one call per round: a row per live search, in the order the searches
     # began, or a lone search's trials (the last two rounds, which one search
     # outlasts the rest by); a row's spec is told by its n_th and its slice by
     # its swept g2
-    rounds = hexed[len(coarse):]
+    rounds = hexed[1:]
     assert len(rounds) == max(map(len, searches)) > 0
     specs_by_n_th = {spec.base.n_th: spec for spec in TEMPLATE_SPECS}
     lone = []
@@ -1063,10 +1065,9 @@ def test_a_screen_off_the_kernel_falls_back_to_every_stable_cell(monkeypatch, pe
     monkeypatch.setattr(steerkit.sweep, "_steering_columns", perturbed)
     kernel_calls = _record_kernel_calls(monkeypatch)
     assert repr(_screened([SPARSE])) == repr(expected)
-    # the kept cell, then the other stable cells, before the compass rounds
-    coarse = kernel_calls[0] + kernel_calls[1]
+    # the kept cell, then every stable cell, before the compass rounds
     assert len(kernel_calls[0]) == 1 and stable.sum() == 16
-    assert sorted(coarse) == sorted(map(tuple, rates[stable].tolist()))
+    assert kernel_calls[1] == list(map(tuple, rates[stable].tolist()))
 
 
 #: the benchmark's frontier seed 0, item 43: E_N is 0 on every stable cell of its 41 x 21
