@@ -251,10 +251,11 @@ ORACLES = {
 }
 
 
-def _worst_miss(figure_id: str, rows: list) -> float:
-    """The largest ``|x - e| / max(1, |e|)`` of a value ``x`` of ``rows`` and its oracle's ``e``."""
+def _worst_miss(figure_id: str, rows: list, floor: float = 1.0) -> float:
+    """The largest ``|x - e| / max(floor, |e|)`` of a value ``x`` of ``rows`` and its
+    oracle's ``e``, NaN if any miss is NaN."""
     pairs = [pair for row in rows for pair in ORACLES[figure_id](*row)]
-    return max(abs(x - e) / max(1.0, abs(e)) for x, e in pairs)
+    return float(np.max([abs(x - e) / max(floor, abs(e)) for x, e in pairs]))
 
 
 def _moved(rows: list, by: float) -> list:
@@ -285,8 +286,9 @@ def test_figure_rows_equal_their_oracle(figure_id, bound):
     reason="known defect: the steady LU misses S21 at n_th 40, g2 23 by 1.1e-5 relative",
 )
 def test_fig2d_minima_equal_exact_s21_at_their_optima():
+    # relative to the exact S21, which is below 1 on 76 of the 78 rows
     (_, _, rows), = build_figure("2d").files
-    assert _worst_miss("2d", rows) <= 1e-9
+    assert _worst_miss("2d", rows, floor=0.0) <= 1e-9
 
 
 @pytest.mark.xfail(
@@ -324,8 +326,13 @@ def _coarse_least(figure_id: str, row) -> list[tuple[float, float]]:
 
 
 def _worst_excess(pairs: list) -> float:
-    """The largest ``(minimum - least) / max(1, |least|)`` of ``pairs``."""
-    return max((x - least) / max(1.0, abs(least)) for x, least in pairs)
+    """The largest ``(minimum - least) / max(1, |least|)`` of ``pairs``, NaN if any is NaN.
+
+    A grid with no stable cell (``least`` inf) bounds nothing, and only there may a
+    minimum be NaN (no steady state found); a NaN minimum anywhere else is NaN here.
+    """
+    return float(np.max([-math.inf if least == math.inf else (x - least) / max(1.0, abs(least))
+                         for x, least in pairs]))
 
 
 @pytest.mark.parametrize("figure_id", ["2c", "6"])
@@ -340,6 +347,9 @@ def test_minima_are_no_worse_than_the_closed_form_on_their_coarse_grids(fig6, fi
     k = len(pairs) // 2
     pairs[k] = (pairs[k][1] + 1e-8 * max(1.0, abs(pairs[k][1])), pairs[k][1])
     assert _worst_excess(pairs) > 1e-9
+    # and one reported infeasible (NaN) where its coarse grid has a stable cell
+    pairs[k] = (math.nan, pairs[k][1])
+    assert not _worst_excess(pairs) <= 1e-9
 
 
 def test_fig6_minimization_frontier(fig6):
