@@ -578,24 +578,20 @@ def _rk4_step(generator: NDArray, h: float | NDArray) -> NDArray:
     return np.eye(len(generator)) + p + p2 / 2.0 + p3 / 6.0 + p4 / 24.0
 
 
-def _propagate(generator: NDArray, x0: NDArray, times: NDArray, h: float) -> NDArray:
-    """Rows ``x(times[k])`` for base step ``h``, by powers of the augmented step matrix.  A
-    spacing alone fixes its step count ``n``: the distinct (exact float) spacings of one ``n``
-    get one stacked RK4 build and one stacked power, each slice the bits of its own 2-D
-    build, so the rows are bit for bit those of one build per report time."""
-    spacings = np.diff(times, prepend=0.0).tolist()
-    by_count: dict[int, list[float]] = {}
-    for dt in {dt for dt in spacings if dt > 0.0}:
-        by_count.setdefault(max(1, math.ceil(dt / h - 1e-12)), []).append(dt)
+def _propagate(generator: NDArray, x0: NDArray, spacings: list, counts: dict) -> NDArray:
+    """Rows ``(len(spacings) + 1, 6)``: ``x0``, then ``x`` after each spacing in turn, by powers
+    of the augmented step matrix, chained in place.  ``counts`` maps a step count to its distinct
+    (exact float) spacings: one stacked RK4 build and one stacked power each, every slice the
+    bits of its own 2-D build, so the rows are bit for bit those of one build per report time."""
     steps = {}
-    for n, dts in by_count.items():
+    for n, dts in counts.items():
         steps.update(zip(dts, np.linalg.matrix_power(_rk4_step(generator, np.array(dts) / n), n)))
-    y, rows = np.append(x0, 1.0), []
-    for dt in spacings:
-        if dt > 0.0:
-            y = steps[dt].dot(y)
-        rows.append(y)
-    return np.array(rows)[:, :-1]
+    rows = np.empty((len(spacings) + 1, len(generator)))
+    rows[0] = np.append(x0, 1.0)
+    ys = list(rows)
+    for dt, y, out in zip(spacings, ys, ys[1:]):
+        steps[dt].dot(y, out=out)
+    return rows[:, :-1]
 
 
 _EVOLVE_TOL = 1e-8  # agreement between two refinement levels that ends halving
@@ -614,11 +610,12 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     the report states, each on its own copy.  The starting step sits at the edge of
     the RK4 stability region — starting smaller would not help, because over long
     horizons the matrix powers' rounding noise grows with the step count while the
-    halving loop controls truncation.  Each level builds the step matrices of its
-    distinct report spacings in one stacked call per step count (results equal one
-    build per report time); RK4's errors stand until exact propagation replaces it: the
-    false convergence at mid spacings (``bench/README.md``, "Known defects") and fig
-    2b's S21 error of up to 8.3e-3.
+    halving loop controls truncation.  The report spacings are worked out once per
+    evolution; each level builds the step matrices of its distinct spacings in one
+    stacked call per step count (results equal one build per report time) and chains its
+    reports in one array, and a level of the previous level's step counts is not rebuilt.
+    RK4's errors stand until exact propagation replaces it: the false convergence at mid
+    spacings (``bench/README.md``, "Known defects") and fig 2b's S21 error of up to 8.3e-3.
 
     Raises
     ------
@@ -626,7 +623,7 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
         If ``times`` is empty, not finite, negative or not increasing, or if
         ``initial`` is off the phase-symmetric pattern of :func:`_real_flow`.
     StepConvergenceError
-        If refinement does not settle within ``_MAX_HALVINGS`` levels.
+        If refinement does not settle within ``_MAX_HALVINGS`` levels or a step count is infinite.
     """
     phi = initial.phi
     x0 = _moments(np.ascontiguousarray(phi, dtype=complex).reshape(36))
@@ -657,10 +654,27 @@ def _evolve(params: SystemParams, x0: NDArray, times) -> NDArray:
     spread = 2.0 * float(np.abs(eigs).max())  # flow eigenvalues live in 2*spec(A)
     h = 2.5 / max(spread, 1e-30)
 
-    previous = _propagate(generator, x0, times, h)
-    for _ in range(_MAX_HALVINGS):
+    # the spacings once per evolution; a report at t = 0 is x0 itself
+    zero = int(times[0] == 0.0)
+    spacings = np.diff(times, prepend=0.0)[zero:].tolist()
+    distinct, diff = set(spacings), math.nan
+
+    def step_counts(h: float, halvings: int) -> dict[int, list[float]]:
+        counts: dict[int, list[float]] = {}
+        for dt in distinct:
+            if dt / h == math.inf:  # h is subnormal or dt huge: no finite step count
+                raise StepConvergenceError(step=h, max_difference=diff, halvings=halvings)
+            counts.setdefault(max(1, math.ceil(dt / h - 1e-12)), []).append(dt)
+        return counts
+
+    counts = step_counts(h, 0)
+    previous = _propagate(generator, x0, spacings, counts)[1 - zero:]
+    for halvings in range(1, _MAX_HALVINGS + 1):
         h /= 2.0
-        states = _propagate(generator, x0, times, h)
+        last, counts = counts, step_counts(h, halvings)
+        # a level of the previous level's step counts has its rows, bit for bit: no rebuild
+        same = counts == last
+        states = previous if same else _propagate(generator, x0, spacings, counts)[1 - zero:]
         diff = float(np.abs(states - previous).max())
         scale = max(float(np.abs(states).max()), float(np.abs(states[:, :3] + 1.0).max()))
         if diff < _EVOLVE_TOL * max(1.0, scale):

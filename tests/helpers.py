@@ -12,7 +12,12 @@ forms in (n1, n2, |c|).
 exact rational arithmetic, where ``spectra`` splits them into real
 polynomials in ``omega**2``.
 ``propagate_per_report`` is no oracle: it is the one-build-per-report-time
-propagation that the stacked step builds must match bit for bit.  Nor are
+propagation that the stacked step builds must match bit for bit.  Nor is
+``evolve_by_levels``, the step-halving loop that builds every refinement level
+afresh (each with ``propagate_level``, one stacked build per step count and a
+report chain collected in a list), whose rows and ``StepConvergenceError`` the
+evolution keeps bit for bit, though it builds a level of repeated step counts
+once and ends refinement typed where a step count overflows.  Nor are
 ``fill_per_entry``, the pattern written one entry pair at a time, whose bits
 the one flat write keeps, ``solve_row``, the steady kernel's solve one system
 at a time, which the block solve must match bit for bit,
@@ -28,12 +33,13 @@ imported here.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from steerkit import SystemParams, assess_stability, build_generators
+from steerkit import StepConvergenceError, SystemParams, assess_stability, build_generators
 from steerkit.sweep import _COMPASS_TOL
 
 _SWAP = np.array([1, 0, 3, 2, 5, 4])
@@ -49,6 +55,13 @@ _QUADRATURES = np.array(
 _OMEGA = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 #: partial transposition of cavity 2 (Y2 -> -Y2)
 _FLIP_Y2 = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which cap OpenBLAS's thread count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def lyapunov_oracle(params: SystemParams) -> np.ndarray:
@@ -122,9 +135,10 @@ def evolve_oracle(params: SystemParams, phi0: np.ndarray, t: float) -> np.ndarra
     return vec @ (decay[:, None] * y0 * decay[None, :]) @ vec.T + phi_ss
 
 
-def _rk4_step(generator: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step matrix of y' = G y: ``I + P + P²/2 + P³/6 + P⁴/24``, P = hG."""
-    p = h * generator
+def _rk4_step(generator: np.ndarray, h: float | np.ndarray) -> np.ndarray:
+    """One classical RK4 step matrix of y' = G y: ``I + P + P²/2 + P³/6 + P⁴/24``, P = hG;
+    ``(k, d, d)`` for a 1-D stack of k steps."""
+    p = np.multiply.outer(h, generator)
     p2 = p @ p
     p3 = p2 @ p
     p4 = p3 @ p
@@ -147,6 +161,42 @@ def propagate_per_report(generator, x0, times, h) -> np.ndarray:
             t = tk
         out.append(y[:-1].copy())
     return np.array(out)
+
+
+def propagate_level(generator, x0, times, h) -> np.ndarray:
+    """One refinement level as ``dynamics._propagate`` built it before each evolution worked
+    out its spacings once: the step counts from ``times`` and the base step ``h``, the
+    distinct spacings of one count in one stacked RK4 build and power, and the report chain
+    collected in a list."""
+    spacings = np.diff(times, prepend=0.0).tolist()
+    by_count: dict[int, list[float]] = {}
+    for dt in {dt for dt in spacings if dt > 0.0}:
+        by_count.setdefault(max(1, math.ceil(dt / h - 1e-12)), []).append(dt)
+    steps = {}
+    for n, dts in by_count.items():
+        steps.update(zip(dts, np.linalg.matrix_power(_rk4_step(generator, np.array(dts) / n), n)))
+    y, rows = np.append(x0, 1.0), []
+    for dt in spacings:
+        if dt > 0.0:
+            y = steps[dt].dot(y)
+        rows.append(y)
+    return np.array(rows)[:, :-1]
+
+
+def evolve_by_levels(generator, x0, times, h, tol, max_halvings) -> np.ndarray:
+    """``dynamics._evolve``'s step-halving loop from the base step ``h``, each level built
+    afresh by :func:`propagate_level`: the rows of the first level within ``tol`` of the one
+    before, else ``StepConvergenceError`` after ``max_halvings`` halvings."""
+    previous = propagate_level(generator, x0, times, h)
+    for _ in range(max_halvings):
+        h /= 2.0
+        states = propagate_level(generator, x0, times, h)
+        diff = float(np.abs(states - previous).max())
+        scale = max(float(np.abs(states).max()), float(np.abs(states[:, :3] + 1.0).max()))
+        if diff < tol * max(1.0, scale):
+            return states
+        previous = states
+    raise StepConvergenceError(step=h, max_difference=diff, halvings=max_halvings)
 
 
 def fill_per_entry(n1, n2, nm, c, pair_1m, pair_2m) -> np.ndarray:

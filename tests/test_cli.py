@@ -624,11 +624,12 @@ def test_exit_4_overflowing_spectrum(tmp_path, capsys):
     assert "overflow" in captured.err
 
 
-def _exit_4_error(tmp_path, capsys, command, rates) -> str:
-    """The one ``error:`` line of ``command`` at ``rates``, which must exit 4 with no output."""
+def _exit_4_error(tmp_path, capsys, command, rates, block="") -> str:
+    """The one ``error:`` line of ``command`` at ``rates`` (with the config ``block``, if
+    any), which must exit 4 with no output."""
     keys = ("kappa1", "kappa2", "g1", "g2", "gamma_m")
     params = "".join(f"{key} = {value}\n" for key, value in zip(keys, rates))
-    cfg = write_config(tmp_path, "[config]\nversion = 1\n\n[params]\n" + params)
+    cfg = write_config(tmp_path, "[config]\nversion = 1\n\n[params]\n" + params + block)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own overflow notes
         assert main([command, "--config", cfg]) == 4
@@ -640,15 +641,19 @@ def _exit_4_error(tmp_path, capsys, command, rates) -> str:
 
 
 @pytest.mark.parametrize(
-    "command, rates",
+    "command, rates, error",
     [
         # (omega / (2 kappa))**2 overflows in the strong-damping predicate
-        ("check", ("1e-200", "1e-200", "1", "2", "1e-200")),
+        ("check", ("1e-200", "1e-200", "1", "2", "1e-200"), "OverflowError: "),
+        # halving drives the step subnormal, where a report spacing's step count is
+        # infinite: refinement ends typed
+        ("evolve", ("1", "1", "1e300", "2e300", "1"), "moment integration did not converge "),
     ],
-    ids=["check-predicates"],
+    ids=["check-predicates", "evolve-step-count"],
 )
-def test_exit_4_float_overflow_at_extreme_rates(tmp_path, capsys, command, rates):
-    assert _exit_4_error(tmp_path, capsys, command, rates).startswith("error: OverflowError: ")
+def test_exit_4_float_overflow_at_extreme_rates(tmp_path, capsys, command, rates, error):
+    block = "\n[evolve]\nt_max = 1.0\nn_points = 2\n" if command == "evolve" else ""
+    assert _exit_4_error(tmp_path, capsys, command, rates, block).startswith("error: " + error)
 
 
 def test_exit_4_residual_gate_at_overflowing_margins(tmp_path, capsys):

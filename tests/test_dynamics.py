@@ -6,6 +6,7 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from helpers import (
     EDGE_GRID,
     closed_form_in_own_units,
     damping_and_diffusion,
+    evolve_by_levels,
     evolve_oracle,
     exact_steady_moments,
     fill_per_entry,
@@ -34,6 +36,7 @@ from steerkit import (
     NumericalError,
     ParameterError,
     SweepSpec,
+    StepConvergenceError,
     SystemParams,
     UnstableSystemError,
     assess_rwa,
@@ -799,7 +802,7 @@ PROPAGATION_GRIDS = {
 
 
 def _record_propagation(monkeypatch, params, times):
-    """Evolve under ``params``; return each level's ``_propagate`` arguments and
+    """Evolve under ``params``; return each built level's ``_propagate`` arguments and
     result, with the step arguments of its ``_rk4_step`` calls, and the returned states."""
     calls, steps = [], []
     propagate, rk4_step = dynamics._propagate, dynamics._rk4_step
@@ -808,10 +811,10 @@ def _record_propagation(monkeypatch, params, times):
         steps[-1].append(np.array(h))
         return rk4_step(generator, h)
 
-    def recorded(generator, x0, grid, h):
+    def recorded(*args):
         steps.append([])
-        out = propagate(generator, x0, grid, h)
-        calls.append(((generator, x0, grid, h), out, steps[-1]))
+        out = propagate(*args)
+        calls.append((args, out, steps[-1]))
         return out
 
     monkeypatch.setattr(dynamics, "_rk4_step", recorded_step)
@@ -820,18 +823,60 @@ def _record_propagation(monkeypatch, params, times):
     return calls, states
 
 
+def _start_step(params) -> float:
+    """The base step of the coarsest refinement level, as ``_evolve`` sets it."""
+    eigs = np.linalg.eigvals(dynamics._drifts(dynamics._rates(params))[0])
+    return 2.5 / max(2.0 * float(np.abs(eigs).max()), 1e-30)
+
+
+def _level(times, h):
+    """``(zero, spacings, counts)``: whether ``times`` reports t = 0, the spacings that
+    ``_evolve`` chains (a report at t = 0 has none) and each step count's distinct spacings
+    at base step ``h``, sorted."""
+    zero = int(times[0] == 0.0)
+    spacings = np.diff(times, prepend=0.0)[zero:].tolist()
+    counts: dict[int, list[float]] = {}
+    for dt in sorted(set(spacings)):
+        counts.setdefault(max(1, math.ceil(dt / h - 1e-12)), []).append(dt)
+    return zero, spacings, counts
+
+
 @pytest.mark.parametrize("grid", sorted(PROPAGATION_GRIDS))
 def test_shared_step_matrices_match_one_build_per_report_bit_for_bit(monkeypatch, grid):
-    times = PROPAGATION_GRIDS[grid]
-    calls, states = _record_propagation(monkeypatch, P_ASYM.with_(n_th=0.5), times)
-    assert len(calls) >= 2
-    for args, out, _ in calls:
-        assert np.array_equal(out, propagate_per_report(*args))
+    times, params = PROPAGATION_GRIDS[grid], P_ASYM.with_(n_th=0.5)
+    calls, states = _record_propagation(monkeypatch, params, times)
+    # the levels built are the refinement levels in turn, less each level whose step
+    # counts repeat the level before: its rows would be that level's, bit for bit
+    steps = [_start_step(params) / 2.0**k for k in range(dynamics._MAX_HALVINGS + 1)]
+    levels = [_level(times, h) for h in steps]
+    built = [k for k in range(len(levels)) if k == 0 or levels[k][2] != levels[k - 1][2]]
+    assert len(calls) == (1 if grid == "arange" else 9)
+    zero = levels[0][0]
+    for k, ((generator, x0, spacings, counts), out, _) in zip(built, calls):
+        assert spacings == levels[k][1]
+        assert {n: sorted(dts) for n, dts in counts.items()} == levels[k][2]
+        assert out[0].tobytes() == x0.tobytes()
+        assert np.array_equal(out[1 - zero:], propagate_per_report(generator, x0, times, steps[k]))
     generator, x0 = calls[0][0][:2]
     assert generator.shape == (7, 7) and generator.dtype == float and x0.shape == (6,)
-    final = calls[-1][1]
+    final = calls[-1][1][1 - zero:]
     assert len(final) == len(states)
     assert all(np.array_equal(s.phi, _one_row_fill(row)) for s, row in zip(states, final))
+
+
+def test_a_fig_2b_grid_builds_one_level(monkeypatch):
+    # fig 2b's spacing is taken in one step at the first two levels, so the second
+    # level is the first, bit for bit, and ends refinement without a build of its own
+    params = SystemParams(1.0, 2.4, 12.0, 20.0, 0.01, 0.0)
+    times = np.arange(1, 1201) * 0.025
+    calls, states = _record_propagation(monkeypatch, params, times)
+    assert len(calls) == 1
+    (generator, x0, _, _), out, _ = calls[0]
+    rows = evolve_by_levels(
+        generator, x0, times, _start_step(params), dynamics._EVOLVE_TOL, dynamics._MAX_HALVINGS
+    )
+    assert out[1:].tobytes() == rows.tobytes()
+    assert all(np.array_equal(s.phi, _one_row_fill(row)) for s, row in zip(states, rows))
 
 
 def test_step_matrices_are_built_once_per_spacing_and_states_own_their_memory(monkeypatch):
@@ -839,17 +884,16 @@ def test_step_matrices_are_built_once_per_spacing_and_states_own_their_memory(mo
     spacings = np.unique(np.diff(times, prepend=0.0))
     assert 1 < len(spacings) < len(times) / 10
     calls, states = _record_propagation(monkeypatch, P_ASYM, times)
-    assert len(calls) >= 2
-    for (_, _, _, h), _, stacks in calls:
+    # every spacing is taken in one step at the first two levels: one build
+    assert len(calls) == 1
+    for (_, _, chained, counts), _, stacks in calls:
         # one _rk4_step call per distinct step count n, on the stack of every distinct
         # spacing of that count over n, so each spacing is built once
-        by_count = {}
-        for dt in spacings.tolist():
-            n = max(1, math.ceil(dt / h - 1e-12))
-            by_count.setdefault(n, []).append(dt / n)
+        assert sorted(dt for dts in counts.values() for dt in dts) == spacings.tolist()
+        assert sorted(set(chained)) == spacings.tolist()
         assert all(stack.ndim == 1 for stack in stacks)
         assert sorted(sorted(stack.tolist()) for stack in stacks) == sorted(
-            sorted(steps) for steps in by_count.values()
+            sorted((np.array(dts) / n).tolist()) for n, dts in counts.items()
         )
     # rows of one array never overlap, so a view would pass the pairwise check
     # alone; it is the stacked array that a view would keep alive
@@ -888,8 +932,86 @@ def test_stacked_step_builds_match_one_build_per_report(rates, spacings, scale, 
     times = np.append(0.0, times) if zero else times
     x0 = dynamics._moments(vacuum_thermal_state(p.n_th).phi.reshape(36))
     h = start / 2.0**halvings
-    out = dynamics._propagate(generator, x0, times, h)
-    assert out.tobytes() == propagate_per_report(generator, x0, times, h).tobytes()
+    _, chained, counts = _level(times, h)
+    out = dynamics._propagate(generator, x0, chained, counts)
+    assert out[0].tobytes() == x0.tobytes()
+    assert out[int(not zero):].tobytes() == propagate_per_report(generator, x0, times, h).tobytes()
+
+
+def _assert_evolution_keeps_the_levels_bits(params, times):
+    """``_evolve`` returns the rows of :func:`evolve_by_levels`, with their layout, or raises its
+    StepConvergenceError with the same step, difference and halvings; where the loop's step
+    count overflows (OverflowError), ``_evolve`` raises StepConvergenceError instead."""
+    x0 = np.array([0.0, 0.0, params.n_th, 0.0, 0.0, 0.0])
+    args = (_augmented_generator(params), x0, times, _start_step(params))
+    outcomes = []
+    for evolve in (
+        lambda: evolve_by_levels(*args, dynamics._EVOLVE_TOL, dynamics._MAX_HALVINGS),
+        lambda: dynamics._evolve(params, x0, times),
+    ):
+        try:
+            outcomes.append(evolve())
+        except (StepConvergenceError, OverflowError) as err:
+            outcomes.append(err)
+    expected, out = outcomes
+    if isinstance(expected, np.ndarray):
+        assert out.tobytes() == expected.tobytes()
+        assert (out.shape, out.strides) == (expected.shape, expected.strides)
+        return
+    assert isinstance(out, StepConvergenceError)
+    if isinstance(expected, OverflowError):
+        # the first level of a spacing too long for a finite step count ends refinement
+        longest = float(np.diff(times, prepend=0.0).max())
+        assert out.halvings < dynamics._MAX_HALVINGS and args[3] / 2.0**out.halvings == out.step
+        assert longest / (2.0 * out.step) < math.inf == longest / out.step
+        return
+    assert type(expected) is StepConvergenceError and out.halvings == expected.halvings
+    fields = [(err.step, err.max_difference) for err in (expected, out)]
+    assert np.array(fields[0]).tobytes() == np.array(fields[1]).tobytes()
+
+
+#: report grids in units of the starting step: one step a spacing at the first two
+#: levels (dense), refining from the first level on, and mixed spacings
+_GRIDS = st.one_of(
+    st.tuples(st.floats(0.01, 0.45), st.integers(1, 40)),
+    st.tuples(st.floats(1.3, 8.0), st.integers(1, 40)),
+    st.lists(st.sampled_from((0.02, 0.3, 1.0, 2.5, 7.0)), min_size=1, max_size=25),
+)
+
+
+@settings(max_examples=120)
+@given(_STABLE_SETS, _GRIDS, st.booleans(), st.booleans())
+@example(((0.0, 0.0, 0.0, 0.0), 0.0), (0.2, 30), False, True)  # dense: one level built
+@example(((0.0, 0.0, 0.0, 0.0), 0.0), [1.0], True, True)  # a report at t = 0 and one more
+def test_evolution_keeps_the_bits_of_building_every_level(rates, grid, zero, converges):
+    # a level of repeated step counts is not rebuilt and the report chain is written in
+    # place; the rows and errors are those of the loop that built every level afresh
+    p = _stable_params(*rates)
+    start = _start_step(p)
+    if isinstance(grid, tuple):
+        times = grid[0] * start * np.arange(1, grid[1] + 1)
+    else:
+        times = np.cumsum(np.array(grid) * start)
+    times = np.append(0.0, times) if zero else times
+    # without a tolerance no level converges: each grid ends in StepConvergenceError
+    endless = mock.patch.multiple(dynamics, _EVOLVE_TOL=0.0, _MAX_HALVINGS=4)
+    with contextlib.nullcontext() if converges else endless:
+        _assert_evolution_keeps_the_levels_bits(p, times)
+
+
+@pytest.mark.parametrize(
+    "g, halvings", [(1e150, 30), (1e300, 28)], ids=["refinement-exhausted", "step-count-overflow"]
+)
+def test_evolution_at_extreme_rates_ends_in_step_convergence_error(g, halvings):
+    # at 1e300 halving drives the step subnormal and a spacing's step count infinite,
+    # where the loop that built every level raised OverflowError from math.ceil
+    params = SystemParams(1.0, 1.0, g, 2.0 * g, 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own overflow notes
+        _assert_evolution_keeps_the_levels_bits(params, np.array([0.5, 1.0]))
+        with pytest.raises(StepConvergenceError) as err:
+            evolve_moments(params, vacuum_thermal_state(), [0.5, 1.0])
+    assert math.isnan(err.value.max_difference) and err.value.halvings == halvings
 
 
 def test_evolution_preserves_structure():
