@@ -667,19 +667,21 @@ def _evolve(params: SystemParams, x0: NDArray, times) -> NDArray:
             counts.setdefault(max(1, math.ceil(dt / h - 1e-12)), []).append(dt)
         return counts
 
-    counts = step_counts(h, 0)
-    previous = _propagate(generator, x0, spacings, counts)[1 - zero:]
-    for halvings in range(1, _MAX_HALVINGS + 1):
-        h /= 2.0
-        last, counts = counts, step_counts(h, halvings)
-        # a level of the previous level's step counts has its rows, bit for bit: no rebuild
-        same = counts == last
-        states = previous if same else _propagate(generator, x0, spacings, counts)[1 - zero:]
-        diff = float(np.abs(states - previous).max())
-        scale = max(float(np.abs(states).max()), float(np.abs(states[:, :3] + 1.0).max()))
-        if diff < _EVOLVE_TOL * max(1.0, scale):
-            return states
-        previous = states
+    # a level that overflows scores a NaN difference and refines on, or ends typed: no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = step_counts(h, 0)
+        previous = _propagate(generator, x0, spacings, counts)[1 - zero:]
+        for halvings in range(1, _MAX_HALVINGS + 1):
+            h /= 2.0
+            last, counts = counts, step_counts(h, halvings)
+            # a level of the previous level's step counts has its rows, bit for bit: no rebuild
+            same = counts == last
+            states = previous if same else _propagate(generator, x0, spacings, counts)[1 - zero:]
+            diff = float(np.abs(states - previous).max())
+            scale = max(float(np.abs(states).max()), float(np.abs(states[:, :3] + 1.0).max()))
+            if diff < _EVOLVE_TOL * max(1.0, scale):
+                return states
+            previous = states
     raise StepConvergenceError(step=h, max_difference=diff, halvings=_MAX_HALVINGS)
 
 

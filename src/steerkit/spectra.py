@@ -155,21 +155,26 @@ def _spectrum(params: SystemParams, omegas: NDArray, nth) -> SpectrumTable:
     """:func:`spectrum` at occupation ``nth``, a float or an array broadcast on the grid."""
     units = _rate_units(params)
     u, dd, (_, (r1, i1), (c12, _), (r2, i2), (r1b, i1b), (r2b, i2b)) = _parts(units, omegas)
-    a12 = c12 * c12 / dd
-    b1, b2 = (r1b * r1b + u * (i1b * i1b)) / dd, (r2b * r2b + u * (i2b * i2b)) / dd
-    weight = 2.0 * nth + 1.0
-    n1_out, n2_out = a12 + b1 * (nth + 1.0), a12 + b2 * nth
-    # |m11|**2 = 1 + a12 + b1 and |m22|**2 = 1 + a12 - b2 (output commutators)
-    var_x1, var_x2 = 1.0 + 2.0 * n1_out, 1.0 + 2.0 * n2_out
-    # Re(-m11 m12* + m12 m22* - weight m1b m2b*), and its imaginary part over omega
-    cross = (c12 * (r1 - r2) - (r1b * r2b + u * (i1b * i2b)) * weight) / dd
-    im_cross = (c12 * (i1 + i2) + (r1b * i2b - i1b * r2b) * weight) / dd
-    # var_x1 * var_x2 - cross**2 by Lagrange's identity over the three inputs:
-    # |d(-gm)/d|**2 + (b1 + b2) * weight + Im**2, so s12 and s21 lose no digits
-    k1, k2, _, _, gm = rates = units[1]
-    rbb, ibb = _cubic(rates, u, k1, k2, -gm)
-    det = (rbb * rbb + u * (ibb * ibb)) / dd + (b1 + b2) * weight + u * im_cross * im_cross
-    s12, s21 = (det / var_x2) ** 2, (det / var_x1) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge n_th overflows: raised below
+        a12 = c12 * c12 / dd
+        b1, b2 = (r1b * r1b + u * (i1b * i1b)) / dd, (r2b * r2b + u * (i2b * i2b)) / dd
+        weight = 2.0 * nth + 1.0
+        n1_out, n2_out = a12 + b1 * (nth + 1.0), a12 + b2 * nth
+        # |m11|**2 = 1 + a12 + b1 and |m22|**2 = 1 + a12 - b2 (output commutators)
+        var_x1, var_x2 = 1.0 + 2.0 * n1_out, 1.0 + 2.0 * n2_out
+        # Re(-m11 m12* + m12 m22* - weight m1b m2b*), and its imaginary part over omega
+        cross = (c12 * (r1 - r2) - (r1b * r2b + u * (i1b * i2b)) * weight) / dd
+        im_cross = (c12 * (i1 + i2) + (r1b * i2b - i1b * r2b) * weight) / dd
+        # var_x1 * var_x2 - cross**2 by Lagrange's identity over the three inputs:
+        # |d(-gm)/d|**2 + (b1 + b2) * weight + Im**2, so s12 and s21 lose no digits
+        k1, k2, _, _, gm = rates = units[1]
+        rbb, ibb = _cubic(rates, u, k1, k2, -gm)
+        det = (rbb * rbb + u * (ibb * ibb)) / dd + (b1 + b2) * weight + u * im_cross * im_cross
+        s12, s21 = (det / var_x2) ** 2, (det / var_x1) ** 2
+    # every other column overflows only with det, which leaves s12 or s21 inf or NaN; they
+    # may also overflow alone, as squares
+    if not max(float(s12.max()), float(s21.max())) < math.inf:
+        raise NumericalError("spectral variances overflow: n_th is too large")
     omega = np.broadcast_to(omegas, s12.shape).copy()
     return SpectrumTable(omega, var_x1, var_x2, cross, s12, s21, n1_out, n2_out)
 
@@ -216,11 +221,14 @@ def resonance_frequencies(params: SystemParams) -> NDArray:
     exceeds the loss (Omega^2 > kappa^2), the hybridized sidebands
     +/- sqrt(Omega^2 - kappa^2).
     """
-    kappa = _equal_kappa(params, "resonance location")
-    shifted = params.g2**2 - params.g1**2 - kappa**2
+    _equal_kappa(params, "resonance location")
+    # squared by product in power-of-two units, where neither overflows: the rates' own
+    # units give an OverflowError (kappa**2) or an inf - inf (g2 * g2 - g1 * g1) at 1e200
+    top, (kappa, _, g1, g2, _) = _rate_units(params)
+    shifted = g2 * g2 - g1 * g1 - kappa * kappa
     if shifted <= 0.0:
         return np.array([0.0])
-    root = math.sqrt(shifted)
+    root = math.ldexp(math.sqrt(shifted), top)
     return np.array([-root, 0.0, root])
 
 

@@ -320,15 +320,25 @@ def _box(axes: tuple[AxisSpec, ...]) -> _Box:
 
 
 def _search(
-    box: _Box, cells: np.ndarray, g: np.ndarray, gap: np.ndarray, stable: np.ndarray
+    box: _Box, g: np.ndarray, stable: np.ndarray, two_nu: np.ndarray | None
 ) -> Generator[_Request, Sequence[float], tuple[list[float], float] | None]:
-    """One problem's search: its screened coarse cells, then a compass search from the best.
+    """One problem's search, and the one screen rule: its screened coarse cells, then compass.
 
-    It requests the grid points ``cells`` (indices in grid order) and is sent their
-    scores.  A cell the screen scored (finite ``g``) must score within ``gap`` of it;
-    on a miss it requests every ``stable`` cell.  It returns :func:`_compass`'s ``(x,
-    fx)`` from the first least-scored cell, or None where no cell scored.
+    ``g`` is the grid's screened scores and ``two_nu`` its screened ``2 nu`` (None unless the
+    objective is ``"en"``).  It requests its ``stable`` cells within ``tol = _SCREEN_TOL *
+    max(1, |lo|)`` of the least, ``lo``, or unscored, but of the flat ones (``2 nu >= exp(tol
+    / 2)``: E_N is 0 with margin, so they tie at -0.0) only the first, the only possible
+    argmin.  A flat cell must score exactly -0.0, any other scored one within ``tol / 2``; on
+    a miss it requests every stable cell.  It returns :func:`_compass`'s ``(x, fx)`` from the
+    first least-scored cell, or None: at once with no cell to send, or where none scored.
     """
+    tol = _SCREEN_TOL * max(1.0, abs(g.min()))
+    kept = stable & ((g <= g.min() + tol) | ~np.isfinite(g))
+    flat = kept & (False if two_nu is None else two_nu >= math.exp(tol / 2.0))
+    cells = np.flatnonzero(kept & ~(flat & (np.cumsum(flat) > 1)))
+    if not len(cells):
+        return None
+    gap, g = np.where(flat[cells], 0.0, tol / 2.0), g[cells]  # not the grid's, while it waits
     f = np.array((yield box.grid[cells], iter(())))
     scored = np.isfinite(g)
     if not (abs(f[scored] - g[scored]) <= gap[scored]).all():
@@ -346,22 +356,18 @@ def _minimize(
     """:func:`minimize_steering` of every spec in ``specs`` over the same ``swept`` axis.
 
     The specs share one search box: they may differ in base and objective, and
-    :class:`ValueError` is raised if they differ in axes or ties.  Each slice of each
-    spec is one :func:`_search`.  Each slice's coarse grids of an ``n_th`` family
-    (specs that differ only in base ``n_th``; objective twins share a grid) are
-    :func:`_validated` and screened at once: :func:`steering._steering_columns` scores
-    :func:`_closed_form`'s moments.  A search first requests its stable cells within
-    ``tol = _SCREEN_TOL * max(1, |lo|)`` of its least screened score ``lo``, or
-    unscored, but of an ``"en"`` spec's flat cells (screened ``2 nu >= exp(tol / 2)``:
-    E_N is 0 with margin, so they tie at -0.0) only the first, which alone can be the
-    argmin; a flat cell must then score exactly -0.0, any other within ``tol / 2``.
-    The searches advance in lockstep, one :func:`_evaluate_grid` call per round of
-    every live search's requested points (and a lone search's look-ahead), in the
-    order they began.  Every kernel row is ``(origins[s, k] + x * box.spans)[:,
-    sources]``: spec ``s``'s row at slice ``k`` and unit point ``x``, each tie copied
-    from its source, inside the box its screened grid validated.  So each spec's
-    points are the bits of its own unscreened :func:`minimize_steering` call; each
-    spec with no feasible point warns once.
+    :class:`ValueError` is raised if they differ in axes or ties.  Each slice of each spec
+    is one :func:`_search`, handed its screened scores and ``2 nu``: which cells it sends
+    and how it checks them is that function's rule alone.  Each slice's coarse grids of an
+    ``n_th`` family (specs that differ only in base ``n_th``; objective twins share a grid)
+    are :func:`_validated` and screened at once: :func:`steering._steering_columns` scores
+    :func:`_closed_form`'s moments.  The searches advance in lockstep, one
+    :func:`_evaluate_grid` call per round of every live search's requested points (and a
+    lone search's look-ahead), in the order they began.  Every kernel row is
+    ``(origins[s, k] + x * box.spans)[:, sources]``: spec ``s``'s row at slice ``k`` and
+    unit point ``x``, each tie copied from its source, inside the box its screened grid
+    validated.  So each spec's points are the bits of its own unscreened
+    :func:`minimize_steering` call; each spec with no feasible point warns once.
     """
     if any(spec.axes != specs[0].axes or spec.ties != specs[0].ties for spec in specs):
         raise ValueError("specs minimized together must share their axes and ties")
@@ -398,17 +404,10 @@ def _minimize(
             unit, stable = _judge(rates[:, :5].T)
             with np.errstate(all="ignore"):
                 screened = _steering_columns(stable, *_closed_form(*unit, rates[:, 5]))
-            for s, part in parts:  # the stable cells within tol of the screen's least, or unscored
-                g = score(s, screened[part])
-                tol = _SCREEN_TOL * max(1.0, abs(g.min()))
-                kept = stable[part] & ((g <= g.min() + tol) | ~np.isfinite(g))
-                # E_N is 0 with margin where 2 nu >= exp(tol / 2): these cells tie at -0.0,
-                # so only the first can be the argmin, and the rest follow on a miss
-                flat = kept & with_en[s] & (screened[part, 4] >= math.exp(tol / 2.0))
-                cells = np.flatnonzero(kept & ~(flat & (np.cumsum(flat) > 1)))
-                if len(cells):  # a sent cell must score within tol / 2 of its screen, flat exactly
-                    gap = np.where(flat[cells], 0.0, tol / 2.0)
-                    sends.append((s, k, _search(box, cells, g[cells], gap, stable[part]), None))
+            for s, part in parts:
+                two_nu = screened[part, 4] if with_en[s] else None
+                search = _search(box, score(s, screened[part]), stable[part], two_nu)
+                sends.append((s, k, search, None))
     points = [[FrontierPoint(x, None, math.nan, False) for x in swept_values] for _ in specs]
     while sends:
         live = []

@@ -625,14 +625,15 @@ def test_exit_4_overflowing_spectrum(tmp_path, capsys):
 
 
 def _exit_4_error(tmp_path, capsys, command, rates, block="") -> str:
-    """The one ``error:`` line of ``command`` at ``rates`` (with the config ``block``, if
-    any), which must exit 4 with no output."""
-    keys = ("kappa1", "kappa2", "g1", "g2", "gamma_m")
+    """The one ``error:`` line of ``command`` at ``rates`` (the five rates, maybe ``n_th``;
+    with the config ``block``, if any), which must exit 4 with no output and no warning."""
+    keys = ("kappa1", "kappa2", "g1", "g2", "gamma_m", "n_th")
     params = "".join(f"{key} = {value}\n" for key, value in zip(keys, rates))
     cfg = write_config(tmp_path, "[config]\nversion = 1\n\n[params]\n" + params + block)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own overflow notes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main([command, "--config", cfg]) == 4
+    assert caught == []
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
@@ -648,12 +649,30 @@ def _exit_4_error(tmp_path, capsys, command, rates, block="") -> str:
         # halving drives the step subnormal, where a report spacing's step count is
         # infinite: refinement ends typed
         ("evolve", ("1", "1", "1e300", "2e300", "1"), "moment integration did not converge "),
+        # the step matrices' powers overflow: refinement ends typed, with no matmul notes
+        ("evolve", ("1", "1", "1e150", "2e150", "1"), "moment integration did not converge "),
     ],
-    ids=["check-predicates", "evolve-step-count"],
+    ids=["check-predicates", "evolve-step-count", "evolve-matmul"],
 )
 def test_exit_4_float_overflow_at_extreme_rates(tmp_path, capsys, command, rates, error):
     block = "\n[evolve]\nt_max = 1.0\nn_points = 2\n" if command == "evolve" else ""
     assert _exit_4_error(tmp_path, capsys, command, rates, block).startswith("error: " + error)
+
+
+def test_exit_4_spectra_at_a_huge_bath_occupation(tmp_path, capsys):
+    # n_th = 1e300 overflows S12 and S21 at the grid's ends, omega = +-86.6
+    rates = ("1", "0.4", "10", "20", "0.01", "1e300")
+    error = _exit_4_error(tmp_path, capsys, "spectra", rates, "\n[spectra]\n")
+    assert error == "error: spectral variances overflow: n_th is too large"
+
+
+def test_check_at_huge_losses_reports_every_section(tmp_path, capsys):
+    # kappa**2 overflows: the resonance shift is -inf, which leaves the one at 0
+    params = "kappa1 = 1e300\nkappa2 = 1e300\ng1 = 1\ng2 = 2\ngamma_m = 1\n"
+    cfg = write_config(tmp_path, "[config]\nversion = 1\n\n[params]\n" + params)
+    assert main(["check", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "resonances = 0.0\n" in captured.out
 
 
 def test_exit_4_residual_gate_at_overflowing_margins(tmp_path, capsys):

@@ -197,6 +197,22 @@ def test_overflowing_frequencies_raise_without_warnings():
                 transfer_matrix(P_FLAT, omegas[-1])
 
 
+@pytest.mark.parametrize(
+    "params",
+    [SystemParams(1.0, 0.4, 10.0, 20.0, 0.01, 1e300), SystemParams(6.0, 0.14, 0.1, 0.4, 0.6, 1e155)],
+    ids=["det", "s21-alone"],
+)
+def test_a_huge_occupation_raises_without_warnings(params):
+    # the n_th-scaled columns overflow on the default grid: at 1e300 with det (it wrote inf
+    # S12 and S21 at its ends), at 1e155 S21 alone, a square of det / var_x1 where det is finite
+    grid = default_omega_grid(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="n_th is too large"):
+            spectrum(params, grid)
+    assert math.isfinite(spectrum(params.with_(n_th=1e150), grid).s21.max())
+
+
 @pytest.mark.parametrize("exponent", [-600, -20, 20, 500])
 def test_rates_scaled_by_a_power_of_two_give_the_same_columns(exponent):
     # the singular floor and the overflow are judged in power-of-two units, so a
@@ -337,6 +353,19 @@ def test_resonance_frequencies_underdamped():
 def test_resonance_frequencies_overdamped_collapse():
     freqs = resonance_frequencies(SystemParams(1.0, 1.0, 0.3, 0.5, 0.2))
     np.testing.assert_array_equal(freqs, [0.0])
+
+
+@pytest.mark.parametrize("scale", [2.0**-700, 2.0**660, 2.0**1000])
+def test_resonance_frequencies_scale_with_the_rates(scale):
+    # in the rates' own units the squares underflow to 0, or overflow to inf - inf
+    scaled = SystemParams(scale, scale, 6.0 * scale, 10.0 * scale, 0.01 * scale)
+    expected = resonance_frequencies(P_FLAT) * scale
+    assert resonance_frequencies(scaled).tolist() == expected.tolist()
+
+
+def test_resonance_frequencies_at_huge_losses():
+    # kappa**2 raised OverflowError; next to kappa, g1 and g2 are negligible
+    assert resonance_frequencies(SystemParams(1e300, 1e300, 1.0, 2.0, 1.0)).tolist() == [0.0]
 
 
 def test_resonances_are_local_minima_of_spectral_steering():

@@ -1132,6 +1132,33 @@ def test_a_first_flat_cell_off_zero_sends_every_flat_cell(monkeypatch, first_cel
     assert set(flat) <= {row for rows in kernel_calls for row in rows}
 
 
+def test_a_search_with_no_stable_cell_ends_without_a_request():
+    box = steerkit.sweep._box((AxisSpec("g1", 1.0, 2.0, 3),))
+    search = steerkit.sweep._search(box, np.full(3, math.inf), np.zeros(3, dtype=bool), None)
+    with pytest.raises(StopIteration) as stop:
+        search.send(None)
+    assert stop.value.value is None
+
+
+@pytest.mark.parametrize("score, fallback", [(-0.0, False), (-1e-12, True)])
+def test_a_flat_cell_off_zero_makes_a_search_request_every_stable_cell(score, fallback):
+    # three cells where E_N is 0 with margin (2 nu = 2), the last unstable: the search
+    # sends the first alone; scored exactly -0.0 it starts its compass search there, and
+    # scored off it (even within tol / 2) it requests both stable cells
+    box = steerkit.sweep._box((AxisSpec("g1", 1.0, 2.0, 3),))
+    stable = np.array([True, True, False])
+    search = steerkit.sweep._search(box, np.full(3, -0.0), stable, np.full(3, 2.0))
+    points, ahead = search.send(None)
+    assert points.tolist() == box.grid[:1].tolist() and list(ahead) == []
+    points, _ = search.send([score])
+    if fallback:
+        assert points.tolist() == box.grid[:2].tolist()
+    else:  # the compass's first trial: one step up g1's unit axis
+        trial = box.grid[0].copy()
+        trial[box.free] += box.step0
+        assert [list(x) for x in points] == [trial.tolist()]
+
+
 #: pairing moments in [0.5, 3) whose ``c**2`` (libm ``pow``) is not the correctly
 #: rounded ``c * c``: about 1 in 1,000 draws where pow misrounds, none where it does not
 MISROUNDED = [
