@@ -210,10 +210,10 @@ def _verdict(preds, name: str) -> str:
 
 def _section(name: str, lines) -> list[str]:
     """The ``lines()`` of one closed-form section, or its one ``name = n/a (reason)``
-    line where the closed form is undefined."""
+    line where the closed form is undefined or out of range."""
     try:
         return list(lines())
-    except UndefinedTransformError as exc:
+    except (UndefinedTransformError, NumericalError) as exc:
         return [f"{name} = n/a ({exc})"]
 
 

@@ -138,6 +138,15 @@ def _units(rates) -> tuple:
     return top, [math.ldexp(rate, -top) for rate in rates]
 
 
+def _effective_coupling(params: SystemParams) -> float:
+    """``Omega = sqrt(max(g2**2 - g1**2, 0))``, squared by product in units of the power of
+    two that brings the larger coupling into [0.5, 1), where neither square overflows, and
+    scaled back: ``Omega <= max(g1, g2)``."""
+    top = math.frexp(max(params.g1, params.g2))[1]
+    g1, g2 = math.ldexp(params.g1, -top), math.ldexp(params.g2, -top)
+    return math.ldexp(math.sqrt(max(g2 * g2 - g1 * g1, 0.0)), top)
+
+
 def _judge(rates) -> tuple:
     """The one stability verdict: ``(unit, stable)`` of the five rates in
     :func:`_units`' power-of-two units, and ``m1 > 0 and m2 > 0`` there: their sign in
@@ -578,20 +587,18 @@ def _rk4_step(generator: NDArray, h: float | NDArray) -> NDArray:
     return np.eye(len(generator)) + p + p2 / 2.0 + p3 / 6.0 + p4 / 24.0
 
 
-def _propagate(generator: NDArray, x0: NDArray, spacings: list, counts: dict) -> NDArray:
-    """Rows ``(len(spacings) + 1, 6)``: ``x0``, then ``x`` after each spacing in turn, by powers
-    of the augmented step matrix, chained in place.  ``counts`` maps a step count to its distinct
-    (exact float) spacings: one stacked RK4 build and one stacked power each, every slice the
-    bits of its own 2-D build, so the rows are bit for bit those of one build per report time."""
+def _propagate(generator: NDArray, spacings: list, counts: dict, rows: list) -> None:
+    """Chain one refinement level's reports in place: ``rows`` are the row views of a
+    ``(len(spacings) + 1, 7)`` buffer whose first row holds ``[x0; 1]``, and each next row is
+    set to the one before it after its spacing, by a power of the augmented step matrix, with
+    a positional ``dot``.  ``counts`` maps a step count to its distinct (exact float) spacings:
+    one stacked RK4 build and one stacked power each, every slice the bits of its own 2-D
+    build, so the rows are bit for bit those of one build per report time."""
     steps = {}
     for n, dts in counts.items():
         steps.update(zip(dts, np.linalg.matrix_power(_rk4_step(generator, np.array(dts) / n), n)))
-    rows = np.empty((len(spacings) + 1, len(generator)))
-    rows[0] = np.append(x0, 1.0)
-    ys = list(rows)
-    for dt, y, out in zip(spacings, ys, ys[1:]):
-        steps[dt].dot(y, out=out)
-    return rows[:, :-1]
+    for dt, y, out in zip(spacings, rows, rows[1:]):
+        steps[dt].dot(y, out)
 
 
 _EVOLVE_TOL = 1e-8  # agreement between two refinement levels that ends halving
@@ -610,10 +617,11 @@ def evolve_moments(params: SystemParams, initial: MomentState, times) -> list[Mo
     the report states, each on its own copy.  The starting step sits at the edge of
     the RK4 stability region — starting smaller would not help, because over long
     horizons the matrix powers' rounding noise grows with the step count while the
-    halving loop controls truncation.  The report spacings are worked out once per
-    evolution; each level builds the step matrices of its distinct spacings in one
-    stacked call per step count (results equal one build per report time) and chains its
-    reports in one array, and a level of the previous level's step counts is not rebuilt.
+    halving loop controls truncation.  The report spacings, and two report buffers that
+    start from ``[x0; 1]``, are made once per evolution; each level builds the step
+    matrices of its distinct spacings in one stacked call per step count (results equal one
+    build per report time) and chains its reports in place in the buffer that does not hold
+    the previous level, and a level of the previous level's step counts is not rebuilt.
     RK4's errors stand until exact propagation replaces it: the false convergence at mid
     spacings (``bench/README.md``, "Known defects") and fig 2b's S21 error of up to 8.3e-3.
 
@@ -667,22 +675,41 @@ def _evolve(params: SystemParams, x0: NDArray, times) -> NDArray:
             counts.setdefault(max(1, math.ceil(dt / h - 1e-12)), []).append(dt)
         return counts
 
+    # two report buffers, each [x0; 1] and then one level's rows, made once per evolution:
+    # a rebuilt level fills the buffer that does not hold the previous level
+    buffers = np.empty((2, len(spacings) + 1, 7))
+    buffers[:, 0, :-1], buffers[:, 0, -1] = x0, 1.0
+    rows = [list(buffer) for buffer in buffers]
+    reports = list(buffers[:, 1 - zero:, :-1])
     # a level that overflows scores a NaN difference and refines on, or ends typed: no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        counts = step_counts(h, 0)
-        previous = _propagate(generator, x0, spacings, counts)[1 - zero:]
+        counts, held = step_counts(h, 0), 0
+        _propagate(generator, spacings, counts, rows[held])
         for halvings in range(1, _MAX_HALVINGS + 1):
             h /= 2.0
             last, counts = counts, step_counts(h, halvings)
+            previous = reports[held]
             # a level of the previous level's step counts has its rows, bit for bit: no rebuild
-            same = counts == last
-            states = previous if same else _propagate(generator, x0, spacings, counts)[1 - zero:]
-            diff = float(np.abs(states - previous).max())
-            scale = max(float(np.abs(states).max()), float(np.abs(states[:, :3] + 1.0).max()))
-            if diff < _EVOLVE_TOL * max(1.0, scale):
-                return states
-            previous = states
+            if counts != last:
+                held = 1 - held
+                _propagate(generator, spacings, counts, rows[held])
+            diff, settled = _settled(reports[held], previous)
+            if settled:
+                return reports[held]
     raise StepConvergenceError(step=h, max_difference=diff, halvings=_MAX_HALVINGS)
+
+
+def _settled(states: NDArray, previous: NDArray) -> tuple[float, bool]:
+    """``(diff, settled)`` of two refinement levels' rows: their largest change, and whether it
+    is below ``_EVOLVE_TOL`` times ``max(1, |x|, |n + 1|)``, over the moments ``x`` and the
+    occupations' commutators ``n + 1`` (a NaN change never settles).  Each maximum is taken
+    only where the ones before leave the verdict open; ``|n + 1| <= |x| + 1`` bounds the last."""
+    diff = float(np.abs(states - previous).max())
+    if diff < _EVOLVE_TOL:
+        return diff, True
+    largest = float(np.abs(states).max())
+    return diff, diff < _EVOLVE_TOL * largest or diff < _EVOLVE_TOL * (largest + 1.0) and (
+        diff < _EVOLVE_TOL * float(np.abs(states[:, :3] + 1.0).max()))
 
 
 def to_correlation_matrix(moments: MomentState) -> NDArray:

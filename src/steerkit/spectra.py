@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import _units
+from .dynamics import _effective_coupling, _units
 from .errors import NumericalError, UndefinedTransformError
 from .params import SystemParams
 
@@ -202,10 +202,23 @@ def spectrum(params: SystemParams, omegas) -> SpectrumTable:
 
 
 def default_omega_grid(params: SystemParams, n_points: int = _GRID_POINTS) -> NDArray:
-    """Symmetric grid wide enough to cover the hybridized resonances."""
-    omega_c = math.sqrt(max(params.g2**2 - params.g1**2, 0.0))
-    halfwidth = 5.0 * max(omega_c, params.kappa1, params.kappa2)
+    """Symmetric grid wide enough to cover the hybridized resonances: half-width
+    ``5 max(Omega, kappa1, kappa2)``, ``Omega = sqrt(max(g2**2 - g1**2, 0))``."""
+    halfwidth = 5.0 * max(_effective_coupling(params), params.kappa1, params.kappa2)
+    if not halfwidth < math.inf:
+        raise NumericalError("the default frequency grid overflows")
     return np.linspace(-halfwidth, halfwidth, n_points)
+
+
+def _square_over(rate: float, kappa: float, gamma_m: float, what: str) -> float:
+    """``rate**2 / (kappa * gamma_m)`` with the bits of ``rate * rate / (kappa * gamma_m)``
+    wherever no product overflows or underflows: taken on the ``frexp`` mantissas and
+    scaled back with ``ldexp``; NumericalError where the quotient is out of range."""
+    (m, e), (mk, ek), (mg, eg) = math.frexp(rate), math.frexp(kappa), math.frexp(gamma_m)
+    try:
+        return math.ldexp(m * m / (mk * mg), 2 * e - ek - eg)
+    except OverflowError:
+        raise NumericalError(f"the {what} overflows") from None
 
 
 def _equal_kappa(params: SystemParams, what: str) -> float:
@@ -242,12 +255,12 @@ def thermal_window(params: SystemParams) -> tuple[float, float] | None:
     kappa = _equal_kappa(params, "thermal window")
     if params.gamma_m <= 0.0:
         raise UndefinedTransformError("thermal window needs gamma_m > 0")
-    low = params.g1**2 / (kappa * params.gamma_m)
-    high = params.g2**2 / (kappa * params.gamma_m) - 1.0
+    low = _square_over(params.g1, kappa, params.gamma_m, "thermal window")
+    high = _square_over(params.g2, kappa, params.gamma_m, "thermal window") - 1.0
     return (low, high) if high > low else None
 
 
 def spectral_oneway_threshold(params: SystemParams) -> float:
     """Mechanical damping above which S12 at omega = 0 exceeds 1 (cold bath)."""
     kappa = _equal_kappa(params, "spectral one-way threshold")
-    return params.g2**2 / kappa
+    return _square_over(params.g2, kappa, 1.0, "spectral one-way threshold")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import MomentState, build_generators
+from .dynamics import MomentState, _effective_coupling, build_generators
 from .errors import UndefinedTransformError
 from .params import SystemParams
 
@@ -78,7 +78,7 @@ class SqueezedFrame:
 def squeezed_frame(params: SystemParams, moments: MomentState) -> SqueezedFrame:
     """Describe the composite-mode frame and the state's occupations in it."""
     r = squeeze_parameter(params.g1, params.g2)
-    omega = math.sqrt(params.g2**2 - params.g1**2)
+    omega = _effective_coupling(params)
     return SqueezedFrame(r=r, omega=omega, occupations=composite_occupations(moments, r))
 
 
@@ -114,7 +114,7 @@ def transformed_drift(params: SystemParams) -> FrameReport:
     c2_rows = np.abs(drift[np.ix_([2, 3], [0, 1, 4, 5])]).max()
     c2_cols = np.abs(drift[np.ix_([0, 1, 4, 5], [2, 3])]).max()
     return FrameReport(
-        omega=math.sqrt(params.g2**2 - params.g1**2),
+        omega=_effective_coupling(params),
         c1_b_coupling=complex(drift[0, 4]),
         c2_coupling_max=float(max(c2_rows, c2_cols)),
         drift=drift,

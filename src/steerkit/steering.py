@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import MomentState, _units
+from .dynamics import MomentState, _effective_coupling, _units
 from .errors import DegenerateConditioningError, PhysicalityError
 from .params import SystemParams
 
@@ -48,32 +48,38 @@ def _steering(n1: float, n2: float, c: float, with_en: bool) -> tuple[float, flo
     where the partial transpose is degenerate (``nu <= 0``), which voids E_N alone.
     ``|c|^2``, the correctly rounded product ``c * c`` (libm ``pow`` misrounds some), may
     exceed its bound ``(n1 + 1/2)(n2 + 1/2)`` by 1e-12 of ``max(1, bound)``; squared as
-    in :func:`_steering_columns`, S12 and S21 have the same bits in both."""
-    if not (0.0 < n1 + 0.5 < math.inf and 0.0 < n2 + 0.5 < math.inf):
+    in :func:`_steering_columns`, S12 and S21 have the same bits in both.  Each ``max``
+    is written out as the conditional ``max`` takes, NaN included, which costs less."""
+    a, b = n1 + 0.5, n2 + 0.5
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise DegenerateConditioningError(
             "a quadrature variance is not positive and finite; inference undefined"
         )
-    a, b = n1 + 0.5, n2 + 0.5
     c2, bound = c * c, a * b
-    if not c2 - bound <= 1e-12 * max(1.0, bound):
+    if not c2 - bound <= 1e-12 * (bound if bound > 1.0 else 1.0):
         raise PhysicalityError(
             "pairing moment exceeds its physical bound |c|^2 <= (n1+1/2)(n2+1/2)"
         )
-    w12 = max((2.0 * n1 + 1.0) - 4.0 * c2 / (2.0 * n2 + 1.0), 0.0)
-    w21 = max((2.0 * n2 + 1.0) - 4.0 * c2 / (2.0 * n1 + 1.0), 0.0)
+    w12 = (2.0 * n1 + 1.0) - 4.0 * c2 / (2.0 * n2 + 1.0)
+    w21 = (2.0 * n2 + 1.0) - 4.0 * c2 / (2.0 * n1 + 1.0)
+    w12, w21 = 0.0 if w12 < 0.0 else w12, 0.0 if w21 < 0.0 else w21
     e_n = math.nan
     if with_en:
         nu = 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
         if nu > 0.0:
-            e_n = max(0.0, -math.log(2.0 * nu))
+            e_n = -math.log(2.0 * nu)
+            e_n = e_n if e_n > 0.0 else 0.0
     return w12 * w12, w21 * w21, e_n
+
+
+_DEGENERATE_TRANSPOSE = "the partially transposed state is degenerate"
 
 
 def _with_entanglement(n1: float, n2: float, c: float) -> tuple[float, float, float]:
     """:func:`_steering` of ``(n1, n2, |c|)`` with E_N, raising where E_N is undefined."""
     s12, s21, e_n = _steering(n1, n2, c, True)
     if math.isnan(e_n):
-        raise PhysicalityError("the partially transposed state is degenerate")
+        raise PhysicalityError(_DEGENERATE_TRANSPOSE)
     return s12, s21, e_n
 
 
@@ -103,6 +109,14 @@ def _row_products(x: np.ndarray) -> list[list[float]]:
     return cells[:, 1:3].T.tolist()
 
 
+def _cavity_moments(moments: MomentState) -> tuple[float, float, float]:
+    """``(n1, n2, |c|)`` of ``moments``, read from ``phi`` once, past its properties: the
+    values of ``moments.n1``, ``moments.n2`` and ``abs(moments.c)``."""
+    phi = moments.phi
+    n1, n2, c = phi.item(1, 0), phi.item(3, 2), phi.item(0, 2)
+    return float(n1.real), float(n2.real), abs(complex(c))
+
+
 def steering_products_reduced(moments: MomentState) -> tuple[float, float]:
     """Both steering products ``(S12, S21)`` from (n1, n2, |c|):
 
@@ -118,7 +132,7 @@ def steering_products_reduced(moments: MomentState) -> tuple[float, float]:
     PhysicalityError
         If ``|c|^2`` exceeds ``(n1 + 1/2)(n2 + 1/2)``.
     """
-    return _steering(moments.n1, moments.n2, abs(moments.c), False)[:2]
+    return _steering(*_cavity_moments(moments), False)[:2]
 
 
 def logarithmic_negativity(moments: MomentState) -> float:
@@ -138,7 +152,7 @@ def logarithmic_negativity(moments: MomentState) -> float:
     PhysicalityError
         If ``|c|^2`` exceeds ``a b``, or if ``nu`` is not positive.
     """
-    return _with_entanglement(moments.n1, moments.n2, abs(moments.c))[2]
+    return _with_entanglement(*_cavity_moments(moments))[2]
 
 
 def classify(s12: float, s21: float) -> str:
@@ -171,7 +185,9 @@ class SteeringResult:
 
 def steering_result(moments: MomentState) -> SteeringResult:
     """Evaluate all steering quantities for one moment state."""
-    s12, s21, e_n = _with_entanglement(moments.n1, moments.n2, abs(moments.c))
+    s12, s21, e_n = _steering(*_cavity_moments(moments), True)
+    if math.isnan(e_n):
+        raise PhysicalityError(_DEGENERATE_TRANSPOSE)
     return SteeringResult(s12=s12, s21=s21, e_n=e_n, classification=classify(s12, s21))
 
 
@@ -198,10 +214,11 @@ class RegimePredicates:
       - Omega^2) / (2 kappa^2) keeps S12 below 1; only evaluated in its
       validity window gamma_m >= 5 kappa and Omega^2 > 8 kappa^2.
 
-    Fields are None when the corresponding test is not applicable; the
-    reason is recorded in ``notes`` and each evaluated comparison's
-    (lhs, rhs) pair in ``numbers``, in the rates' own units wherever those
-    hold it exactly.  Otherwise the pair stays in the power-of-two units
+    Fields are None when the corresponding test is not applicable, or not
+    decidable in floats (both operands overflow, or kappa underflows in the
+    power-of-two units); the reason is recorded in ``notes`` and each
+    evaluated comparison's (lhs, rhs) pair in ``numbers``, in the rates' own
+    units wherever those hold it exactly.  Otherwise the pair stays in the power-of-two units
     where the verdict is taken, and ``notes`` names them: "operands in
     units of 2**e" means the pair times ``2**e`` is its own-unit value.
     """
@@ -242,9 +259,12 @@ def regime_predicates(params: SystemParams) -> RegimePredicates:
     numbers: dict[str, tuple[float, float]] = {}
     notes: dict[str, str] = {}
 
-    def holds(name: str, lhs: float, rhs: float, degree: int = 0) -> bool:
+    def holds(name: str, lhs: float, rhs: float, degree: int = 0) -> bool | None:
         """Record ``(lhs, rhs)``, of ``degree`` in the rates, for ``name`` and compare
-        them as :data:`_HOLDS_BELOW` says."""
+        them as :data:`_HOLDS_BELOW` says; None, with a note, where both overflowed."""
+        if lhs == rhs == math.inf:
+            notes[name] = "both operands overflow"
+            return None
         own = _own_units((lhs, rhs), degree * top)
         if own is None:
             own, notes[name] = (lhs, rhs), f"operands in units of 2**{degree * top}"
@@ -252,7 +272,8 @@ def regime_predicates(params: SystemParams) -> RegimePredicates:
         return bool(lhs < rhs if name in _HOLDS_BELOW else lhs > rhs)
 
     equal_kappas = params.equal_losses
-    omega = math.sqrt(g2**2 - g1**2) if g2 > g1 else None  # in units until returned
+    # in units until returned
+    omega = math.ldexp(_effective_coupling(params), -top) if g2 > g1 else None
 
     if equal_kappas:
         s12_weak = s21_weak = None
@@ -274,16 +295,23 @@ def regime_predicates(params: SystemParams) -> RegimePredicates:
         notes["s21_cond_strong"] = notes["s12_cond_strong"] = "needs kappa1 == kappa2"
     elif omega is None:
         notes["s21_cond_strong"] = notes["s12_cond_strong"] = "needs g2 > g1"
+    elif k1 == 0.0:
+        notes["s21_cond_strong"] = notes["s12_cond_strong"] = (
+            f"kappa underflows in units of 2**{top}")
     else:
+        # squares by product: one that overflows (or underflows) is inf (or 0) and decides
+        # the comparison, where ** would raise OverflowError
         kappa = k1
+        kappa_sq = kappa * kappa
         ratio = gm / kappa
-        denom = (omega / (2.0 * kappa)) ** 2 - 1.0
+        half = omega / (2.0 * kappa)
+        denom = half * half - 1.0
         if denom <= 0.0:
             notes["s21_cond_strong"] = "needs Omega > 2 kappa"
         else:
             s21_strong = holds("s21_cond_strong", ratio, 1.0 / denom)
         omega_sq = omega * omega
-        if omega_sq <= 8.0 * kappa**2:
+        if omega_sq <= 8.0 * kappa_sq:
             notes["s12_cond_strong"] = "needs Omega^2 > 8 kappa^2"
         elif gm < _STRONG_DAMPING_MIN_RATIO * kappa:
             notes["s12_cond_strong"] = (
@@ -291,10 +319,13 @@ def regime_predicates(params: SystemParams) -> RegimePredicates:
                 f"{_STRONG_DAMPING_MIN_RATIO:g} kappa)"
             )
         else:
-            bound = (g2 * math.sqrt(omega_sq - 8.0 * kappa**2) - omega_sq) / (
-                2.0 * kappa**2
-            )
-            s12_strong = holds("s12_cond_strong", ratio, bound)
+            excess = g2 * math.sqrt(omega_sq - 8.0 * kappa_sq) - omega_sq
+            if kappa_sq > 0.0:
+                s12_strong = holds("s12_cond_strong", ratio, excess / (2.0 * kappa_sq))
+            elif excess > 0.0:  # a positive excess over an underflowed 2 kappa**2
+                s12_strong = holds("s12_cond_strong", ratio, math.inf)
+            else:
+                notes["s12_cond_strong"] = f"2 kappa^2 underflows in units of 2**{top}"
 
     return RegimePredicates(
         s12_oneway_weak=s12_weak,

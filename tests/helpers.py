@@ -23,7 +23,8 @@ the one flat write keeps, ``solve_row``, the steady kernel's solve one system
 at a time, which the block solve must match bit for bit,
 ``closed_form_in_own_units``, the closed form as evaluated in the rates' own
 units, whose bits the power-of-two evaluation keeps where those units do not
-overflow, and
+overflow, ``steering_by_max``, the one-row steering formula with its clamps as
+``max`` calls, whose bits and errors the written-out clamps keep, and
 ``one_trial_compass``, the compass search sent one trial at a time, whose
 result the look-ahead search must keep, reading its trials less each repeat
 of a point it scored.  ``solve_row`` and ``propagate_per_report`` bind their own
@@ -295,6 +296,26 @@ def closed_form_in_own_units(params: SystemParams) -> tuple[float, float, float]
         + gm * nth * (k2 * g1**2 - k1 * g2**2 - k1 * k2 * (k1 + k2 + 2.0 * gm))
     ) / den
     return n1, n2, c
+
+
+def steering_by_max(n1: float, n2: float, c: float, with_en: bool) -> tuple[float, float, float]:
+    """``steering._steering`` as it was with its clamps as ``max`` calls: ``(S12, S21, E_N)``
+    of ``(n1, n2, |c|)``, E_N NaN unless ``with_en`` or where ``nu <= 0``; ValueError where
+    a variance is not positive and finite or ``|c|^2`` exceeds its bound."""
+    if not (0.0 < n1 + 0.5 < math.inf and 0.0 < n2 + 0.5 < math.inf):
+        raise ValueError("variance")
+    a, b = n1 + 0.5, n2 + 0.5
+    c2, bound = c * c, a * b
+    if not c2 - bound <= 1e-12 * max(1.0, bound):
+        raise ValueError("physicality")
+    w12 = max((2.0 * n1 + 1.0) - 4.0 * c2 / (2.0 * n2 + 1.0), 0.0)
+    w21 = max((2.0 * n2 + 1.0) - 4.0 * c2 / (2.0 * n1 + 1.0), 0.0)
+    e_n = math.nan
+    if with_en:
+        nu = 0.5 * (a + b) - math.hypot(0.5 * (a - b), c)
+        if nu > 0.0:
+            e_n = max(0.0, -math.log(2.0 * nu))
+    return w12 * w12, w21 * w21, e_n
 
 
 def damping_and_diffusion(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:

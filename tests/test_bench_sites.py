@@ -6,9 +6,10 @@ rename or a dropped import in ``src`` breaks the benchmark without failing
 any other test, so this one checks every name.  A changed signature or
 return value breaks the tracer's notes instead, so a smoke run drives every
 noted site through an installed tracer.  The benchmark's ``reproduce``
-workload also gates every figure on the seed CSVs, and its ``frontier``
-workload every optimum on its oracle; the same checks run here, on every
-figure and on seed 0's frontier problems.
+workload also gates every figure on the seed CSVs, its ``frontier``
+workload every optimum on its oracle, and its ``trajectory`` workload every
+evolution on exact propagation; the same checks run here, on every figure
+and on seed 0's frontier problems and trajectories.
 """
 from __future__ import annotations
 
@@ -181,3 +182,15 @@ def test_frontier_pass_kernel_traffic(monkeypatch, frontier):
         frontier.run(sk, item)
     rows = sum(len(rates) for (rates,) in kernel_calls)
     assert Traffic(len(kernel_calls), rows, len(factorizations)) == FRONTIER_TRAFFIC
+
+
+def test_trajectory_passes_its_oracle_check(workloads, tmp_path):
+    # each of seed 0's 64 evolutions against exact propagation within 1e-6 at six report
+    # times, and its steering values against the oracle's formulas on its own moments
+    trajectory = workloads.Trajectory(0, tmp_path)
+    failed = []
+    for item in trajectory.items:
+        verdict = trajectory.check(item, trajectory.run(sk, item), trajectory.expect(item))
+        if verdict.failed:
+            failed.append((item, verdict.why, verdict.err))
+    assert len(trajectory.items) == 64 and not failed

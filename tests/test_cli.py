@@ -642,17 +642,66 @@ def _exit_4_error(tmp_path, capsys, command, rates, block="") -> str:
 
 
 @pytest.mark.parametrize(
+    "rates, s12_strong, window, threshold",
+    [
+        (
+            ("1e-200", "1e-200", "1", "2", "1e-200"),
+            "n/a (outside validity window (needs gamma_m >= 5 kappa))",
+            "n/a (the thermal window overflows)",
+            "4e+200",
+        ),
+        (
+            ("1e-200", "1e-200", "1", "2", "1"),
+            "pass (lhs=1e+200 < rhs=inf)",
+            "n_th in (1e+200, 4e+200)",
+            "4e+200",
+        ),
+        (
+            ("1", "1", "1e200", "2e200", "1"),
+            "n/a (outside validity window (needs gamma_m >= 5 kappa))",
+            "n/a (the thermal window overflows)",
+            None,
+        ),
+    ],
+    ids=["tiny-dampings", "tiny-losses", "huge-couplings"],
+)
+def test_check_at_extreme_rates_reports_every_section(
+    tmp_path, capsys, rates, s12_strong, window, threshold
+):
+    # (omega / (2 kappa))**2 and kappa**2, squared by product, overflow to inf (1 / inf is
+    # 0) or underflow to 0 (an excess over it is inf) in the strong-damping predicates, and
+    # a closed form out of range is n/a: check exits 0, with no warning
+    keys = ("kappa1", "kappa2", "g1", "g2", "gamma_m")
+    params = "".join(f"{key} = {value}\n" for key, value in zip(keys, rates))
+    cfg = write_config(tmp_path, "[config]\nversion = 1\n\n[params]\n" + params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = dict(line.split(" = ", 1) for line in captured.out.splitlines())
+    assert lines["stability.analytic"] == "pass"
+    assert lines["predicate.s21_cond_strong"].startswith("pass (")
+    assert lines["predicate.s12_cond_strong"] == s12_strong
+    assert lines["thermal_window"] == window
+    if threshold is None:
+        overflow = "n/a (the spectral one-way threshold overflows)"
+        assert lines["spectral_oneway_threshold"] == overflow
+    else:
+        assert lines["spectral_oneway_threshold.gamma_m_star"] == threshold
+    assert lines["squeezed_frame.omega"] == lines["omega"] == repr(math.sqrt(3.0) * float(rates[2]))
+
+
+@pytest.mark.parametrize(
     "command, rates, error",
     [
-        # (omega / (2 kappa))**2 overflows in the strong-damping predicate
-        ("check", ("1e-200", "1e-200", "1", "2", "1e-200"), "OverflowError: "),
         # halving drives the step subnormal, where a report spacing's step count is
         # infinite: refinement ends typed
         ("evolve", ("1", "1", "1e300", "2e300", "1"), "moment integration did not converge "),
         # the step matrices' powers overflow: refinement ends typed, with no matmul notes
         ("evolve", ("1", "1", "1e150", "2e150", "1"), "moment integration did not converge "),
     ],
-    ids=["check-predicates", "evolve-step-count", "evolve-matmul"],
+    ids=["evolve-step-count", "evolve-matmul"],
 )
 def test_exit_4_float_overflow_at_extreme_rates(tmp_path, capsys, command, rates, error):
     block = "\n[evolve]\nt_max = 1.0\nn_points = 2\n" if command == "evolve" else ""
@@ -667,12 +716,16 @@ def test_exit_4_spectra_at_a_huge_bath_occupation(tmp_path, capsys):
 
 
 def test_check_at_huge_losses_reports_every_section(tmp_path, capsys):
-    # kappa**2 overflows: the resonance shift is -inf, which leaves the one at 0
+    # kappa**2 overflows: the resonance shift is -inf, which leaves the one at 0; the
+    # couplings' squares underflow in units of the largest rate, not in their own
     params = "kappa1 = 1e300\nkappa2 = 1e300\ng1 = 1\ng2 = 2\ngamma_m = 1\n"
     cfg = write_config(tmp_path, "[config]\nversion = 1\n\n[params]\n" + params)
     assert main(["check", "--config", cfg]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and "resonances = 0.0\n" in captured.out
+    omega = repr(math.sqrt(3.0))
+    assert f"\nomega = {omega}\n" in captured.out
+    assert f"\nsqueezed_frame.omega = {omega}\n" in captured.out
 
 
 def test_exit_4_residual_gate_at_overflowing_margins(tmp_path, capsys):

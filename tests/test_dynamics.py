@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (
     EDGE_GRID,
     closed_form_in_own_units,
@@ -802,8 +803,9 @@ PROPAGATION_GRIDS = {
 
 
 def _record_propagation(monkeypatch, params, times):
-    """Evolve under ``params``; return each built level's ``_propagate`` arguments and
-    result, with the step arguments of its ``_rk4_step`` calls, and the returned states."""
+    """Evolve under ``params``; return each built level's ``_propagate`` arguments and the
+    rows it filled, copied as the call returns (a later level refills its buffer), with the
+    step arguments of its ``_rk4_step`` calls, and the returned states."""
     calls, steps = [], []
     propagate, rk4_step = dynamics._propagate, dynamics._rk4_step
 
@@ -813,14 +815,18 @@ def _record_propagation(monkeypatch, params, times):
 
     def recorded(*args):
         steps.append([])
-        out = propagate(*args)
-        calls.append((args, out, steps[-1]))
-        return out
+        propagate(*args)
+        calls.append((args, np.array(args[3]), steps[-1]))
 
     monkeypatch.setattr(dynamics, "_rk4_step", recorded_step)
     monkeypatch.setattr(dynamics, "_propagate", recorded)
     states = evolve_moments(params, vacuum_thermal_state(params.n_th), times)
     return calls, states
+
+
+def _initial_row(params) -> bytes:
+    """The bytes of the first report row ``[x0; 1]`` of an evolution from the vacuum."""
+    return np.array([0.0, 0.0, params.n_th, 0.0, 0.0, 0.0, 1.0]).tobytes()
 
 
 def _start_step(params) -> float:
@@ -852,14 +858,22 @@ def test_shared_step_matrices_match_one_build_per_report_bit_for_bit(monkeypatch
     built = [k for k in range(len(levels)) if k == 0 or levels[k][2] != levels[k - 1][2]]
     assert len(calls) == (1 if grid == "arange" else 9)
     zero = levels[0][0]
-    for k, ((generator, x0, spacings, counts), out, _) in zip(built, calls):
+    x0 = np.array([0.0, 0.0, params.n_th, 0.0, 0.0, 0.0])
+    for k, ((generator, spacings, counts, _), out, _) in zip(built, calls):
         assert spacings == levels[k][1]
         assert {n: sorted(dts) for n, dts in counts.items()} == levels[k][2]
-        assert out[0].tobytes() == x0.tobytes()
-        assert np.array_equal(out[1 - zero:], propagate_per_report(generator, x0, times, steps[k]))
-    generator, x0 = calls[0][0][:2]
-    assert generator.shape == (7, 7) and generator.dtype == float and x0.shape == (6,)
-    final = calls[-1][1][1 - zero:]
+        assert out[0].tobytes() == _initial_row(params) and (out[:, -1] == 1.0).all()
+        expected = propagate_per_report(generator, x0, times, steps[k])
+        assert np.array_equal(out[1 - zero:, :-1], expected)
+    generator = calls[0][0][0]
+    assert generator.shape == (7, 7) and generator.dtype == float
+    # the report rows are made once per evolution, in two buffers: each rebuilt level
+    # fills the one that does not hold the level before
+    rows = [args[3] for args, _, _ in calls]
+    assert all(len(r) == len(times) + 1 - zero and r[0].shape == (7,) for r in rows)
+    assert all(r is rows[k % 2] for k, r in enumerate(rows))
+    assert len(rows) == 1 or not np.shares_memory(rows[0][0], rows[1][0])
+    final = calls[-1][1][1 - zero:, :-1]
     assert len(final) == len(states)
     assert all(np.array_equal(s.phi, _one_row_fill(row)) for s, row in zip(states, final))
 
@@ -871,11 +885,13 @@ def test_a_fig_2b_grid_builds_one_level(monkeypatch):
     times = np.arange(1, 1201) * 0.025
     calls, states = _record_propagation(monkeypatch, params, times)
     assert len(calls) == 1
-    (generator, x0, _, _), out, _ = calls[0]
+    (generator, _, _, _), out, _ = calls[0]
+    x0 = out[0, :-1]
     rows = evolve_by_levels(
         generator, x0, times, _start_step(params), dynamics._EVOLVE_TOL, dynamics._MAX_HALVINGS
     )
-    assert out[1:].tobytes() == rows.tobytes()
+    assert out[0].tobytes() == _initial_row(params)
+    assert out[1:, :-1].tobytes() == rows.tobytes()
     assert all(np.array_equal(s.phi, _one_row_fill(row)) for s, row in zip(states, rows))
 
 
@@ -886,7 +902,7 @@ def test_step_matrices_are_built_once_per_spacing_and_states_own_their_memory(mo
     calls, states = _record_propagation(monkeypatch, P_ASYM, times)
     # every spacing is taken in one step at the first two levels: one build
     assert len(calls) == 1
-    for (_, _, chained, counts), _, stacks in calls:
+    for (_, chained, counts, _), _, stacks in calls:
         # one _rk4_step call per distinct step count n, on the stack of every distinct
         # spacing of that count over n, so each spacing is built once
         assert sorted(dt for dts in counts.values() for dt in dts) == spacings.tolist()
@@ -896,9 +912,10 @@ def test_step_matrices_are_built_once_per_spacing_and_states_own_their_memory(mo
             sorted((np.array(dts) / n).tolist()) for n, dts in counts.items()
         )
     # rows of one array never overlap, so a view would pass the pairwise check
-    # alone; it is the stacked array that a view would keep alive
-    stacked = calls[-1][1]
-    assert not any(np.shares_memory(state.phi, stacked) for state in states)
+    # alone; it is the report buffers that a view would keep alive
+    buffers = calls[-1][0][3][0].base
+    assert buffers.shape == (2, len(times) + 1, 7)
+    assert not any(np.shares_memory(state.phi, buffers) for state in states)
     # a view into one batched fill would pass the checks below; each state owns its data
     assert all(state.phi.base is None for state in states)
     for a, b in itertools.combinations(states, 2):
@@ -933,9 +950,13 @@ def test_stacked_step_builds_match_one_build_per_report(rates, spacings, scale, 
     x0 = dynamics._moments(vacuum_thermal_state(p.n_th).phi.reshape(36))
     h = start / 2.0**halvings
     _, chained, counts = _level(times, h)
-    out = dynamics._propagate(generator, x0, chained, counts)
-    assert out[0].tobytes() == x0.tobytes()
-    assert out[int(not zero):].tobytes() == propagate_per_report(generator, x0, times, h).tobytes()
+    # a row the chain leaves unwritten stays NaN
+    out = np.full((len(chained) + 1, 7), np.nan)
+    out[0] = np.append(x0, 1.0)
+    dynamics._propagate(generator, chained, counts, list(out))
+    assert out[0].tobytes() == np.append(x0, 1.0).tobytes() and (out[:, -1] == 1.0).all()
+    expected = propagate_per_report(generator, x0, times, h)
+    assert out[int(not zero):, :-1].tobytes() == expected.tobytes()
 
 
 def _assert_evolution_keeps_the_levels_bits(params, times):
@@ -1000,6 +1021,65 @@ def test_evolution_keeps_the_bits_of_building_every_level(rates, grid, zero, con
     endless = mock.patch.multiple(dynamics, _EVOLVE_TOL=0.0, _MAX_HALVINGS=4)
     with contextlib.nullcontext() if converges else endless:
         _assert_evolution_keeps_the_levels_bits(p, times)
+
+
+def test_level_check_keeps_the_verdict_of_every_maximum():
+    # the check takes a maximum only where the ones before leave its verdict open; its
+    # difference and verdicts are those of the whole formula, NaN and inf included
+    rng = np.random.default_rng(5)
+    tol = dynamics._EVOLVE_TOL
+    for k in range(3000):
+        states = rng.choice([-1.0, 1.0], (4, 6)) * 10.0 ** rng.uniform(-3.0, 3.0, (4, 6))
+        largest, commutator = np.abs(states).max(), np.abs(states[:, :3] + 1.0).max()
+        scale = rng.choice([1.0, largest, commutator, largest + 1.0])
+        factor = rng.choice([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.05, 2.0])
+        previous = states.copy()
+        previous[rng.integers(4), rng.integers(6)] += tol * scale * factor
+        if k % 100 == 0:
+            previous[0, 0] = (math.nan, math.inf)[k % 200 // 100]
+            states[0, 0] = (states[0, 0], math.inf)[k % 400 // 200]
+        with np.errstate(invalid="ignore"):
+            diff = float(np.abs(states - previous).max())
+            largest, commutator = np.abs(states).max(), np.abs(states[:, :3] + 1.0).max()
+            settled = diff < tol * max(1.0, max(float(largest), float(commutator)))
+            out = dynamics._settled(states, previous)
+        assert np.array([out[0]]).tobytes() == np.array([diff]).tobytes() and out[1] == settled
+
+
+def _void_long_steps(rk4_step, longest):
+    """``rk4_step`` with every step matrix of a step above ``longest`` NaN."""
+
+    def patched(generator, h):
+        steps = rk4_step(generator, h)
+        return np.where((np.asarray(h) > longest)[..., None, None], np.nan, steps)
+
+    return patched
+
+
+@pytest.mark.parametrize("converges", [True, False], ids=["converges", "exhausted"])
+def test_report_buffers_survive_a_nan_level_then_a_repeated_level(monkeypatch, converges):
+    # the spacing is taken in one step at the first two levels, which the patched RK4
+    # step voids: a NaN level, then a level of its step counts, not rebuilt, then rebuilt
+    # levels that fill the two buffers in turn; rows, layout and errors are the reference's
+    params = P_ASYM.with_(n_th=0.5)
+    spacing = 0.4 * _start_step(params)
+    times = spacing * np.arange(1, 31)
+    for module in (dynamics, helpers):
+        monkeypatch.setattr(module, "_rk4_step", _void_long_steps(module._rk4_step, 0.75 * spacing))
+    calls, propagate = [], dynamics._propagate
+
+    def recorded(generator, spacings, counts, rows):
+        propagate(generator, spacings, counts, rows)
+        calls.append((sorted(counts), rows, bool(np.isnan(np.array(rows)).any())))
+
+    monkeypatch.setattr(dynamics, "_propagate", recorded)
+    if not converges:
+        monkeypatch.setattr(dynamics, "_EVOLVE_TOL", 0.0)
+        monkeypatch.setattr(dynamics, "_MAX_HALVINGS", 5)
+    _assert_evolution_keeps_the_levels_bits(params, times)
+    assert [(counts, nan) for counts, _, nan in calls[:2]] == [([1], True), ([2], False)]
+    assert all(rows is calls[k % 2][1] for k, (_, rows, _) in enumerate(calls))
+    assert len(calls) > 2 and calls[0][1] is not calls[1][1]
 
 
 @pytest.mark.parametrize(

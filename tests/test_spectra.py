@@ -21,8 +21,11 @@ from steerkit import (
     spectral_oneway_threshold,
     spectrum,
     spectrum_point,
+    squeezed_frame,
     thermal_window,
     transfer_matrix,
+    transformed_drift,
+    vacuum_thermal_state,
 )
 
 P_FLAT = SystemParams(1.0, 1.0, 6.0, 10.0, 0.01, 0.0)
@@ -416,3 +419,38 @@ def test_closed_form_helpers_require_equal_losses():
 def test_thermal_window_requires_damping():
     with pytest.raises(UndefinedTransformError):
         thermal_window(SystemParams(1.0, 1.0, 6.0, 10.0, 0.0))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+def test_closed_forms_keep_their_documented_values(exponents):
+    # squared by product in power-of-two units, they keep the bits of their own-unit
+    # product forms wherever those neither overflow nor underflow; the grid is within
+    # 1e-12 of its documented ** form
+    kappa, g1, g2, gm = (10.0**e for e in exponents)
+    params = SystemParams(kappa, kappa, g1, g2, gm)
+    window = (g1 * g1 / (kappa * gm), g2 * g2 / (kappa * gm) - 1.0)
+    assert thermal_window(params) == (window if window[1] > window[0] else None)
+    assert spectral_oneway_threshold(params) == g2 * g2 / kappa
+    halfwidth = 5.0 * max(math.sqrt(max(g2**2 - g1**2, 0.0)), kappa)
+    documented = np.linspace(-halfwidth, halfwidth, 2001)
+    np.testing.assert_allclose(default_omega_grid(params), documented, rtol=1e-12, atol=0.0)
+    if g2 > g1:
+        assert transformed_drift(params).omega == math.sqrt(g2 * g2 - g1 * g1)
+
+
+def test_closed_forms_at_huge_couplings_compute_or_raise_typed():
+    # at g 1e200, 2e200 each square overflows in the rates' own units: Omega and the grid
+    # are in range, the thermal window (from 1e400) and the threshold (4e400) are not
+    params = SystemParams(1.0, 1.0, 1e200, 2e200, 1.0)
+    omega = math.sqrt(3.0) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert transformed_drift(params).omega == omega
+        assert squeezed_frame(params, vacuum_thermal_state()).omega == omega
+        assert default_omega_grid(params)[-1] == pytest.approx(5.0 * omega, rel=1e-12)
+        for closed_form in (thermal_window, spectral_oneway_threshold):
+            with pytest.raises(NumericalError, match="overflows"):
+                closed_form(params)
+        # with every rate as large, the degree-0 window is in range
+        assert thermal_window(params.with_(kappa1=1e200, kappa2=1e200, gamma_m=1e200)) == (1.0, 3.0)

@@ -15,6 +15,7 @@ from helpers import (
     quadrature_covariance,
     sample_physical_family,
     sample_stable,
+    steering_by_max,
     steering_oracle,
 )
 from steerkit import (
@@ -30,7 +31,7 @@ from steerkit import (
     steering_result,
     vacuum_thermal_state,
 )
-from steerkit.steering import _HOLDS_BELOW
+from steerkit.steering import _HOLDS_BELOW, _steering
 
 P_ASYM = SystemParams(1.0, 0.4, 10.0, 20.0, 0.01, 0.0)
 
@@ -198,6 +199,28 @@ def test_steering_result_on_reference_point():
     assert result.classification == "one-way-2-steers-1"
 
 
+def _outcome(formula, *args):
+    """``formula(*args)`` as bytes, or the kind of error it raised."""
+    try:
+        return np.array(formula(*args)).tobytes()
+    except (ValueError, DegenerateConditioningError, PhysicalityError) as err:
+        return "physicality" if "physical" in str(err) else "variance"
+
+
+def test_one_row_steering_keeps_the_bits_of_its_max_clamps():
+    # the clamps are written out as the conditionals max takes: -0.0, a NaN from inf - inf
+    # at n1 = 1e308, a bound above 1 and E_N at 0 give the bits and errors of max
+    rng = np.random.default_rng(9)
+    rows = [(1.0, 2.0, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (-0.25, 0.0, 0.0),
+            (1e308, 1.0, 1e154), (1e308, 1.0, 0.0), (-0.5, 1.0, 0.0), (0.0, 0.0, math.nan)]
+    for n1, n2 in 10.0 ** rng.uniform(-3.0, 3.0, (400, 2)):
+        bound = math.sqrt((n1 + 0.5) * (n2 + 0.5))
+        rows.append((n1, n2, bound * rng.choice([0.0, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-11])))
+    for row in rows:
+        for with_en in (False, True):
+            assert _outcome(_steering, *row, with_en) == _outcome(steering_by_max, *row, with_en)
+
+
 def test_decoupled_cavity_gives_no_steering():
     state = steady_state_lyapunov(SystemParams(1.0, 1.0, 0.0, 2.0, 0.5))
     result = steering_result(state)
@@ -276,6 +299,25 @@ def test_weak_predicates_match_steady_classification():
 _PREDICATES = (
     "s12_oneway_weak", "s21_oneway_weak", "entangled_weak", "s21_cond_strong", "s12_cond_strong"
 )
+
+
+@pytest.mark.parametrize(
+    "rates, s21_strong, s12_strong",
+    [
+        ((1e-200, 1e-200, 1.0, 2.0, 1e-200), True, None),  # (Omega / 2 kappa)**2 overflows
+        ((1e-200, 1e-200, 1.0, 2.0, 1.0), True, True),  # and 2 kappa**2 underflows to 0
+        ((1.0, 1.0, 1e200, 2e200, 1.0), True, None),
+        ((1e-320, 1e-320, 1.0, 1.5, 1.0), True, None),  # gamma_m / kappa and the bound overflow
+        ((5e-324, 5e-324, 1.0, 2.0, 1.0), None, None),  # kappa is 0 in units of 2**2
+    ],
+)
+def test_strong_damping_predicates_at_extreme_rates_decide_or_note(rates, s21_strong, s12_strong):
+    # an overflowed square is inf and decides the comparison; where nothing decides it,
+    # the predicate is None with a note, never an OverflowError or ZeroDivisionError
+    preds = regime_predicates(SystemParams(*rates))
+    assert (preds.s21_cond_strong, preds.s12_cond_strong) == (s21_strong, s12_strong)
+    for name in ("s21_cond_strong", "s12_cond_strong"):
+        assert (getattr(preds, name) is None) == (name in preds.notes) != (name in preds.numbers)
 
 
 @settings(max_examples=300)
